@@ -21,7 +21,6 @@ from .exceptions import (
     CriterionFailure,
     DomainEscape,
     EvaluationError,
-    EvaluationOutsideDomain,
     FailureRateExceeded,
     FlatLimitSuspected,
     NoConvergence,
@@ -78,7 +77,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryFit", "BoundaryStatus", "CriterionFailure", "CriterionValue",
     "DGPKind", "DGPSpec", "Dataset", "DomainEscape", "EvaluationError",
-    "EvaluationOutsideDomain", "FailureRateExceeded", "FitResult",
+    "FailureRateExceeded", "FitResult",
     "FlatLimitSuspected", "GaussianLikelihoodModel", "HybridModel", "LossSpec",
     "Method", "MixtureLawReport", "ModelSpec", "NoConvergence",
     "PipelineConfig", "RefitFailure", "ReplicationSummary", "RidgeLinearModel",

@@ -19,7 +19,7 @@ import numpy as np
 from .criteria import Method, evaluate_criterion
 from .exceptions import SchemaError, TunevarError
 from .harness import DGPKind, DGPSpec, PipelineConfig, bootstrap, replicate, simulate
-from .model import Dataset
+from .model import Dataset, read_numeric_csv
 from .models import (
     GaussianLikelihoodModel,
     RidgeLinearModel,
@@ -114,27 +114,7 @@ def load_fit_json(path) -> FitResult:
 
 def load_csv(path, response_col: int = 0) -> Dataset:
     """Generic numeric CSV with a header row; errors name the offending line."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("empty CSV", line=1)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise SchemaError(
-                    f"row has {len(row)} fields, header has {len(header)}", line=lineno
-                )
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise SchemaError("non-numeric field", line=lineno)
-    if not rows:
-        raise SchemaError("CSV has a header but no data rows", line=2)
-    return Dataset(np.asarray(rows, float), response_col=response_col)
+    return Dataset(read_numeric_csv(path), response_col=response_col)
 
 
 def build_model(args, data: Dataset):
@@ -366,8 +346,6 @@ def _add_common(p):
     p.add_argument("--lambda-min", type=float, default=0.0, dest="lambda_min")
     p.add_argument("--lambda-max", type=float, default=1.0, dest="lambda_max")
     p.add_argument("--split", type=float, default=0.5)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap (current implementation is single-threaded)")
 
 
 def _add_data_model(p):

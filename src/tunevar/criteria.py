@@ -18,7 +18,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .exceptions import RefitFailure, SingularJacobian, TunevarError
+from .exceptions import RefitFailure, TunevarError
 from .model import (
     Dataset,
     LossSpec,
@@ -29,7 +29,7 @@ from .model import (
     psi_values,
 )
 from .rng import fisher_yates_permutation
-from .solver import SolveResult, solve_loo, solve_theta
+from .solver import SolveResult, checked_solve, solve_loo, solve_theta
 
 
 class Method(enum.Enum):
@@ -57,15 +57,11 @@ class CriterionValue:
             raise TunevarError(f"{self.method.value} produced a non-finite value")
 
 
-def _zero_init(model: ModelSpec) -> np.ndarray:
-    return model.theta_init
-
-
 def _fit(model, data, lam, theta_init, solve):
     if solve is not None:
         return solve
     if theta_init is None:
-        theta_init = _zero_init(model)
+        theta_init = model.theta_init
     return solve_theta(model, data, lam, theta_init)
 
 
@@ -74,10 +70,7 @@ def _trace_correction(model, loss, data, solve: SolveResult) -> float:
     Phi = phi_matrix(model, data.rows, solve.theta_hat, solve.lam)
     G = grad_psi_matrix(loss, data.rows, solve.theta_hat)
     C_hat = Phi.T @ G / data.n
-    cond = np.linalg.cond(solve.J_hat)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularJacobian(f"J_hat condition number {cond:.3e} exceeds 1e12")
-    return float(np.trace(np.linalg.solve(solve.J_hat, C_hat))) / data.n
+    return float(np.trace(checked_solve(solve.J_hat, C_hat, "J_hat"))) / data.n
 
 
 def training_error(
@@ -100,7 +93,7 @@ def loocv_exact(
     from the cold start before being counted. More than 1% failed rows aborts.
     """
     solve = _fit(model, data, lam, theta_init, solve)
-    cold = theta_init if theta_init is not None else _zero_init(model)
+    cold = theta_init if theta_init is not None else model.theta_init
     vals = []
     failed = []
     for i in range(data.n):
@@ -137,10 +130,7 @@ def loocv_fast(
     """
     solve = _fit(model, data, lam, theta_init, solve)
     Phi = phi_matrix(model, data.rows, solve.theta_hat, solve.lam)
-    cond = np.linalg.cond(solve.J_hat)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularJacobian(f"J_hat condition number {cond:.3e} exceeds 1e12")
-    steps = np.linalg.solve(solve.J_hat, Phi.T).T / data.n  # (n, p)
+    steps = checked_solve(solve.J_hat, Phi.T, "J_hat").T / data.n  # (n, p)
     thetas = solve.theta_hat[None, :] - steps
     value = float(psi_rowwise_values(loss, data.rows, thetas).mean())
     return CriterionValue(
@@ -181,7 +171,7 @@ def holdout_error(
     tune_part = data.take(perm[:n1])
     est_part = data.take(perm[n1:])
     if theta_init is None:
-        theta_init = _zero_init(model)
+        theta_init = model.theta_init
     res = solve_theta(model, est_part, lam, theta_init)
     value = float(psi_values(loss, tune_part.rows, res.theta_hat).mean())
     return CriterionValue(
@@ -213,12 +203,7 @@ def info_criterion(
     else:
         Phi = phi_matrix(model, data.rows, solve.theta_hat, solve.lam)
         K_hat = Phi.T @ Phi / n
-        cond = np.linalg.cond(solve.J_hat)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise SingularJacobian(
-                f"J_hat condition number {cond:.3e} exceeds 1e12"
-            )
-        trace = float(np.trace(np.linalg.solve(solve.J_hat, K_hat)))
+        trace = float(np.trace(checked_solve(solve.J_hat, K_hat, "J_hat")))
         penalty = trace / n
         diagnostics["trace_correction"] = penalty
     return CriterionValue(

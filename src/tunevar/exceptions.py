@@ -51,10 +51,6 @@ class FlatLimitSuspected(TunevarError):
     """
 
 
-class EvaluationOutsideDomain(TunevarError):
-    """The model cannot be evaluated outside its lambda domain."""
-
-
 class FailureRateExceeded(TunevarError):
     """More than the tolerated share of Monte Carlo replications failed."""
 

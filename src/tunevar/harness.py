@@ -17,8 +17,8 @@ from scipy import stats
 
 from .criteria import Method
 from .exceptions import FailureRateExceeded, TunevarError
-from .model import Dataset, LossSpec, ModelSpec
-from .rng import rng_for
+from .model import Dataset, LossSpec, ModelSpec, phi_matrix
+from .rng import derive_stream, rng_for
 from .solver import solve_theta, theta_prime
 from .tuner import FitResult, truncated_estimate, tune
 from .variance import alpha_influences, select_variance
@@ -212,8 +212,8 @@ def replicate(dgp: DGPSpec, config: PipelineConfig, B: int, seed: int) -> Replic
         raise ValueError("B must be at least 2")
 
     def runner(j):
-        data = simulate(dgp, seed=_stream(seed, j))
-        return _run_one(data, config, seed=_stream(seed, j))
+        data = simulate(dgp, seed=derive_stream(seed, j))
+        return _run_one(data, config, seed=derive_stream(seed, j))
 
     return _collect(runner, B, dgp.n, "simulation")
 
@@ -224,18 +224,11 @@ def bootstrap(data: Dataset, config: PipelineConfig, B: int, seed: int) -> Repli
         raise ValueError("B must be at least 2")
 
     def runner(j):
-        rng = rng_for(_stream(seed, j))
+        rng = rng_for(derive_stream(seed, j))
         idx = rng.integers(0, data.n, size=data.n)
-        return _run_one(data.take(idx), config, seed=_stream(seed, j))
+        return _run_one(data.take(idx), config, seed=derive_stream(seed, j))
 
     return _collect(runner, B, data.n, "bootstrap")
-
-
-def _stream(seed: int, j: int) -> int:
-    # thin wrapper so all stream derivation goes through one place
-    from .rng import derive_stream
-
-    return derive_stream(seed, j)
 
 
 @dataclass(frozen=True)
@@ -278,12 +271,12 @@ def mixture_law_check(
     cases: Dict[str, int] = {}
     failures = 0
     for j in range(B):
-        data = simulate(dgp, seed=_stream(seed, j))
+        data = simulate(dgp, seed=derive_stream(seed, j))
         try:
             res = truncated_estimate(
                 config.model, config.loss, data, config.method,
                 lambda_domain=box, grid_size=config.grid_size,
-                seed=_stream(seed, j), split=config.split,
+                seed=derive_stream(seed, j), split=config.split,
             )
         except TunevarError:
             failures += 1
@@ -295,15 +288,13 @@ def mixture_law_check(
     empirical = np.asarray(draws)
 
     # reference fit at the edge for the influence-based joint covariance
-    ref = simulate(dgp, seed=_stream(seed, B + 1))
+    ref = simulate(dgp, seed=derive_stream(seed, B + 1))
     lam0 = np.array([lam_edge])
     solve0 = solve_theta(config.model, ref, lam0, theta0)
     D0 = theta_prime(config.model, ref, solve0)
     infl_alpha = alpha_influences(
         config.model, config.loss, ref, solve0.theta_hat, lam0, D0
     )
-    from .model import phi_matrix
-
     Phi0 = phi_matrix(config.model, ref.rows, solve0.theta_hat, lam0)
     infl_pinned = np.linalg.solve(solve0.J_hat, Phi0.T).T
     p, q = config.model.p, config.model.q
@@ -312,7 +303,7 @@ def mixture_law_check(
     )  # (n, p + p + 1)
     joint_cov = U.T @ U / ref.n
 
-    rng = rng_for(_stream(seed, B + 2))
+    rng = rng_for(derive_stream(seed, B + 2))
     sims = rng.multivariate_normal(np.zeros(2 * p + 1), joint_cov, size=n_mixture,
                                    method="svd")
     N1, N2, N3 = sims[:, :p], sims[:, p : 2 * p], sims[:, 2 * p]

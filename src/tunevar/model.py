@@ -1,20 +1,23 @@
 """Core data containers: datasets, estimating-function models, and losses.
 
 A model is an estimating function phi(z, theta, lam) in R^p whose empirical
-mean is driven to zero in theta for each fixed tuning vector lam. Any missing
-derivative handle is replaced at construction time by a central-difference
-closure, so downstream code can always assume every slot is populated.
+mean is driven to zero in theta for each fixed tuning vector lam. Missing
+slots are filled at construction time by one policy: a missing derivative is
+a central-difference closure, and a missing batch slot stacks the per-row
+slot over the rows. Downstream code can always assume every slot is
+populated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import csv
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import numdiff
-from .exceptions import EvaluationError
+from .exceptions import EvaluationError, SchemaError
 
 
 @dataclass(frozen=True)
@@ -44,11 +47,42 @@ class Dataset:
     def d(self) -> int:
         return self.rows.shape[1]
 
-    def drop_row(self, i: int) -> "Dataset":
-        return Dataset(np.delete(self.rows, i, axis=0), self.response_col)
-
     def take(self, idx) -> "Dataset":
         return Dataset(self.rows[np.asarray(idx)], self.response_col)
+
+
+def read_numeric_csv(path) -> np.ndarray:
+    """(n, d) array from a numeric CSV with a header row.
+
+    Blank lines are skipped. SchemaError names the offending line for an
+    empty file, a ragged or non-numeric row, and a header with no data rows.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError("empty CSV", line=1)
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise SchemaError(
+                    f"row has {len(row)} fields, header has {len(header)}", line=lineno
+                )
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError:
+                raise SchemaError("non-numeric field", line=lineno)
+    if not rows:
+        raise SchemaError("CSV has a header but no data rows", line=2)
+    return np.asarray(rows, float)
+
+
+def _stack_rows(values) -> np.ndarray:
+    """(n, ...) float array from per-row results; the batch-slot fallback."""
+    return np.stack([np.asarray(v, dtype=float) for v in values])
 
 
 def _check_box(box, dim, name):
@@ -72,8 +106,13 @@ class ModelSpec:
       hess_phi_theta(z, th, lm)       -> (p, p, p) [j] = theta-Hessian of phi^j
       dphi_dlambda_dtheta(z, th, lm)  -> (q, p, p) [j] = d_lambda_j of d phi / d theta
 
-    Optional *_batch hooks take the full (n, d) row matrix and return the
-    per-row stack (leading axis n); built-in models provide vectorized ones.
+    The *_batch slots take the full (n, d) row matrix and return the per-row
+    stack (leading axis n); built-in models provide vectorized ones.
+
+    Fallback policy for slots left as None: a missing derivative is a
+    central difference of phi (or of dphi_dtheta for dphi_dlambda_dtheta),
+    and a missing batch slot stacks the per-row slot over the rows, with
+    phi_batch going through eval_phi's shape and finiteness check.
     """
 
     p: int
@@ -121,13 +160,25 @@ class ModelSpec:
             # d_lambda_j of d_theta phi, via central differences in lambda of the
             # (analytic or fallback) theta-Jacobian.
             def _cross(z, th, lm):
-                jac = numdiff.jacobian_wrt(
+                jac = numdiff.jacobian(
                     lambda l: self.dphi_dtheta(z, th, l), np.asarray(lm, float),
                     scale=numdiff.STEP_SECOND,
                 )  # (p, p, q)
                 return np.moveaxis(jac, -1, 0)
 
             self.dphi_dlambda_dtheta = _cross
+        # Batch fallbacks look the per-row slots up at call time, so a slot
+        # replaced after construction is still the one that runs.
+        if self.phi_batch is None:
+            self.phi_batch = lambda Z, th, lm: _stack_rows(self.eval_phi(z, th, lm) for z in Z)
+        if self.dphi_dtheta_batch is None:
+            self.dphi_dtheta_batch = lambda Z, th, lm: _stack_rows(
+                self.dphi_dtheta(z, th, lm) for z in Z
+            )
+        if self.dphi_dlambda_batch is None:
+            self.dphi_dlambda_batch = lambda Z, th, lm: _stack_rows(
+                np.reshape(self.dphi_dlambda(z, th, lm), (self.p, self.q)) for z in Z
+            )
 
     def eval_phi(self, z, theta, lam):
         val = np.asarray(self.phi(z, theta, lam), dtype=float)
@@ -155,10 +206,15 @@ class ModelSpec:
 class LossSpec:
     """Loss psi: (z, theta) -> scalar with gradient and Hessian in theta.
 
-    Optional batch hooks:
+    Batch slots:
       psi_batch(Z, th)      -> (n,)
       grad_psi_batch(Z, th) -> (n, p)
       psi_rowwise(Z, Th)    -> (n,)  psi(Z[i], Th[i]) with a per-row theta matrix
+
+    Fallback policy for slots left as None, as for ModelSpec: a missing
+    derivative is a central difference of psi, and a missing batch slot
+    stacks the per-row slot over the rows, with psi values going through
+    eval_psi's finiteness check.
     """
 
     psi: Callable
@@ -177,6 +233,14 @@ class LossSpec:
             self.hess_psi = lambda z, th: numdiff.hessian(
                 lambda t: float(self.psi(z, t)), th
             )
+        if self.psi_batch is None:
+            self.psi_batch = lambda Z, th: _stack_rows(self.eval_psi(z, th) for z in Z)
+        if self.grad_psi_batch is None:
+            self.grad_psi_batch = lambda Z, th: _stack_rows(self.grad_psi(z, th) for z in Z)
+        if self.psi_rowwise is None:
+            self.psi_rowwise = lambda Z, Th: _stack_rows(
+                self.eval_psi(z, t) for z, t in zip(Z, Th)
+            )
 
     def eval_psi(self, z, theta):
         val = float(self.psi(z, theta))
@@ -191,10 +255,7 @@ class LossSpec:
 
 def phi_matrix(model: ModelSpec, Z: np.ndarray, theta, lam) -> np.ndarray:
     """(n, p) matrix of per-row phi values."""
-    if model.phi_batch is not None:
-        out = np.asarray(model.phi_batch(Z, theta, lam), dtype=float)
-    else:
-        out = np.stack([model.eval_phi(z, theta, lam) for z in Z])
+    out = np.asarray(model.phi_batch(Z, theta, lam), dtype=float)
     if not np.all(np.isfinite(out)):
         raise EvaluationError("phi produced non-finite values")
     return out
@@ -206,44 +267,25 @@ def phi_mean(model: ModelSpec, Z: np.ndarray, theta, lam) -> np.ndarray:
 
 def jac_theta_mean(model: ModelSpec, Z: np.ndarray, theta, lam) -> np.ndarray:
     """(p, p) empirical mean of d phi / d theta."""
-    if model.dphi_dtheta_batch is not None:
-        return np.asarray(model.dphi_dtheta_batch(Z, theta, lam), dtype=float).mean(axis=0)
-    acc = np.zeros((model.p, model.p))
-    for z in Z:
-        acc += np.asarray(model.dphi_dtheta(z, theta, lam), dtype=float)
-    return acc / Z.shape[0]
+    return np.asarray(model.dphi_dtheta_batch(Z, theta, lam), dtype=float).mean(axis=0)
 
 
 def jac_lambda_mean(model: ModelSpec, Z: np.ndarray, theta, lam) -> np.ndarray:
     """(p, q) empirical mean of d phi / d lambda."""
-    if model.dphi_dlambda_batch is not None:
-        return np.asarray(model.dphi_dlambda_batch(Z, theta, lam), dtype=float).mean(axis=0)
-    acc = np.zeros((model.p, model.q))
-    for z in Z:
-        acc += np.asarray(model.dphi_dlambda(z, theta, lam), dtype=float).reshape(
-            model.p, model.q
-        )
-    return acc / Z.shape[0]
+    return np.asarray(model.dphi_dlambda_batch(Z, theta, lam), dtype=float).mean(axis=0)
 
 
 def psi_values(loss: LossSpec, Z: np.ndarray, theta) -> np.ndarray:
-    if loss.psi_batch is not None:
-        vals = np.asarray(loss.psi_batch(Z, theta), dtype=float)
-    else:
-        vals = np.asarray([loss.eval_psi(z, theta) for z in Z])
+    vals = np.asarray(loss.psi_batch(Z, theta), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise EvaluationError("psi produced non-finite values")
     return vals
 
 
 def grad_psi_matrix(loss: LossSpec, Z: np.ndarray, theta) -> np.ndarray:
-    if loss.grad_psi_batch is not None:
-        return np.asarray(loss.grad_psi_batch(Z, theta), dtype=float)
-    return np.stack([np.asarray(loss.grad_psi(z, theta), dtype=float) for z in Z])
+    return np.asarray(loss.grad_psi_batch(Z, theta), dtype=float)
 
 
 def psi_rowwise_values(loss: LossSpec, Z: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """psi(Z[i], thetas[i]) for every row; vectorized when the loss supports it."""
-    if loss.psi_rowwise is not None:
-        return np.asarray(loss.psi_rowwise(Z, thetas), dtype=float)
-    return np.asarray([loss.eval_psi(z, t) for z, t in zip(Z, thetas)])
+    """psi(Z[i], thetas[i]) for every row."""
+    return np.asarray(loss.psi_rowwise(Z, thetas), dtype=float)

@@ -11,14 +11,13 @@ lam is therefore small, and n * lam is the "actual" penalty size.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .exceptions import EvaluationError, SchemaError
-from .model import Dataset, LossSpec, ModelSpec
+from .model import Dataset, LossSpec, ModelSpec, read_numeric_csv
 
 
 def _split_xy(Z: np.ndarray, response_col: int):
@@ -513,25 +512,7 @@ def load_pima_csv(path, response_col: Optional[int] = None) -> Dataset:
     are dropped as missing, and covariates are standardized to zero mean and
     unit variance. The returned rows are (response, covariates...).
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("empty CSV", line=1)
-        raw = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise SchemaError(
-                    f"row has {len(row)} fields, header has {len(header)}", line=lineno
-                )
-            try:
-                raw.append([float(v) for v in row])
-            except ValueError:
-                raise SchemaError("non-numeric field", line=lineno)
-    arr = np.asarray(raw, dtype=float)
+    arr = read_numeric_csv(path)
     if arr.shape[1] != 9:
         raise SchemaError(f"expected 9 columns (8 covariates + response), got {arr.shape[1]}")
     if response_col is None:

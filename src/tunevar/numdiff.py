@@ -20,10 +20,13 @@ def _steps(x, scale):
 
 
 def jacobian(f, x, scale=STEP_FIRST):
-    """Central-difference Jacobian of a vector (or scalar) function at x."""
+    """Central-difference Jacobian of an array-valued function at x.
+
+    Returns an array of shape f(x).shape + (x.size,), from 2 * x.size
+    evaluations of f.
+    """
     x = np.asarray(x, dtype=float)
     h = _steps(x, scale)
-    f0 = np.asarray(f(x), dtype=float)
     cols = []
     for j in range(x.size):
         e = np.zeros_like(x)
@@ -31,8 +34,7 @@ def jacobian(f, x, scale=STEP_FIRST):
         fp = np.asarray(f(x + e), dtype=float)
         fm = np.asarray(f(x - e), dtype=float)
         cols.append((fp - fm) / (2.0 * h[j]))
-    jac = np.stack(cols, axis=-1)
-    return jac.reshape(f0.shape + (x.size,))
+    return np.stack(cols, axis=-1)
 
 
 def gradient(f, x, scale=STEP_FIRST):
@@ -61,12 +63,3 @@ def hessian(f, x, scale=STEP_SECOND):
             out[k, j] = val
     return out
 
-
-def jacobian_wrt(f, x, scale=STEP_FIRST):
-    """Like :func:`jacobian` but for functions returning arbitrary ndarrays.
-
-    Returns an array of shape f(x).shape + (len(x),).
-    """
-    return jacobian(lambda v: np.asarray(f(v), dtype=float).ravel(), x, scale=scale).reshape(
-        np.asarray(f(x)).shape + (np.atleast_1d(x).size,)
-    )

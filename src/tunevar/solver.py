@@ -30,11 +30,16 @@ def default_tol(theta_init) -> float:
     return 1e-10 * (1.0 + float(np.linalg.norm(theta_init)))
 
 
-def _checked_solve(J, rhs):
-    cond = np.linalg.cond(J)
+def checked_solve(A, rhs, label):
+    """Solve A x = rhs; SingularJacobian if cond(A) is non-finite or above COND_LIMIT.
+
+    label names the matrix in the error message. Pass np.eye(len(A)) as rhs
+    for a checked inverse.
+    """
+    cond = np.linalg.cond(A)
     if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularJacobian(f"Jacobian condition number {cond:.3e} exceeds 1e12")
-    return np.linalg.solve(J, rhs)
+        raise SingularJacobian(f"{label} condition number {cond:.3e} exceeds 1e12")
+    return np.linalg.solve(A, rhs)
 
 
 def _newton(model: ModelSpec, Z: np.ndarray, lam, theta_init, tol) -> SolveResult:
@@ -48,7 +53,7 @@ def _newton(model: ModelSpec, Z: np.ndarray, lam, theta_init, tol) -> SolveResul
             it -= 1
             break
         Jm = jac_theta_mean(model, Z, theta, lam)
-        step = -_checked_solve(Jm, Phi)
+        step = -checked_solve(Jm, Phi, "Jacobian")
         accepted = False
         projected = False
         t = 1.0
@@ -96,7 +101,7 @@ def solve_theta(model: ModelSpec, data: Dataset, lam, theta_init, tol=None) -> S
 def theta_prime(model: ModelSpec, data: Dataset, solve: SolveResult) -> np.ndarray:
     """Implicit-function-theorem derivative of lambda -> theta_hat(lambda), (p, q)."""
     dlam = jac_lambda_mean(model, data.rows, solve.theta_hat, solve.lam)
-    return _checked_solve(solve.J_hat, dlam)
+    return checked_solve(solve.J_hat, dlam, "Jacobian")
 
 
 def solve_loo(model: ModelSpec, data: Dataset, lam, i: int, warm_start, tol=None) -> SolveResult:

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .criteria import Method, evaluate_criterion
-from .exceptions import CriterionFailure, EvaluationOutsideDomain, TunevarError
+from .exceptions import CriterionFailure, TunevarError
 from .model import Dataset, LossSpec, ModelSpec
 from .solver import solve_theta, theta_prime
 

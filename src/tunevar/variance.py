@@ -21,28 +21,22 @@ from typing import Dict, Optional
 import numpy as np
 
 from . import numdiff
-from .exceptions import BoundaryFit, FlatLimitSuspected, SingularJacobian
+from .exceptions import BoundaryFit, FlatLimitSuspected
 from .model import (
     Dataset,
     LossSpec,
     ModelSpec,
     grad_psi_matrix,
+    jac_theta_mean,
     phi_matrix,
     psi_values,
 )
-from .solver import COND_LIMIT, solve_theta, theta_prime
+from .solver import checked_solve, solve_theta, theta_prime
 from .tuner import BoundaryStatus, FitResult
 
 
 def _sym(A):
     return (A + A.T) / 2.0
-
-
-def _inv_checked(A, label):
-    cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularJacobian(f"{label} condition number {cond:.3e} exceeds 1e12")
-    return np.linalg.inv(A)
 
 
 # ---------------------------------------------------------------------------
@@ -68,23 +62,6 @@ def eta(z, theta, lam, D, model: ModelSpec, loss: LossSpec) -> np.ndarray:
     return np.concatenate([e1, e2, T.ravel(order="F")])
 
 
-def _dphi_dtheta_rows(model, Z, theta, lam):
-    if model.dphi_dtheta_batch is not None:
-        return np.asarray(model.dphi_dtheta_batch(Z, theta, lam), float)
-    return np.stack([np.asarray(model.dphi_dtheta(z, theta, lam), float) for z in Z])
-
-
-def _dphi_dlambda_rows(model, Z, theta, lam):
-    if model.dphi_dlambda_batch is not None:
-        return np.asarray(model.dphi_dlambda_batch(Z, theta, lam), float)
-    return np.stack(
-        [
-            np.asarray(model.dphi_dlambda(z, theta, lam), float).reshape(model.p, model.q)
-            for z in Z
-        ]
-    )
-
-
 def eta_matrix(model: ModelSpec, loss: LossSpec, Z: np.ndarray, theta, lam, D) -> np.ndarray:
     """(n, p + q + pq) matrix of per-row eta values."""
     theta = np.asarray(theta, float)
@@ -93,8 +70,8 @@ def eta_matrix(model: ModelSpec, loss: LossSpec, Z: np.ndarray, theta, lam, D) -
     Phi = phi_matrix(model, Z, theta, lam)
     G = grad_psi_matrix(loss, Z, theta)
     e2 = G @ D
-    T = np.einsum("nij,jk->nik", _dphi_dtheta_rows(model, Z, theta, lam), D)
-    T = T + _dphi_dlambda_rows(model, Z, theta, lam)
+    T = np.einsum("nij,jk->nik", np.asarray(model.dphi_dtheta_batch(Z, theta, lam), float), D)
+    T = T + np.asarray(model.dphi_dlambda_batch(Z, theta, lam), float)
     e3 = np.transpose(T, (0, 2, 1)).reshape(Z.shape[0], model.p * model.q)
     return np.concatenate([Phi, e2, e3], axis=1)
 
@@ -130,33 +107,6 @@ class VarianceComponents:
         return self.Astar is not None
 
 
-def _profiled_te(model, loss, data, lam, warm):
-    res = solve_theta(model, data, lam, warm)
-    return float(psi_values(loss, data.rows, res.theta_hat).mean()), res.theta_hat
-
-
-def _te_hessian_at(model, loss, data, lam_hat, warm, h):
-    """One central-difference Hessian of lambda -> TE(lambda) at step sizes h."""
-    q = len(lam_hat)
-    f0, _ = _profiled_te(model, loss, data, lam_hat, warm)
-    H = np.empty((q, q))
-    for j in range(q):
-        ej = np.zeros(q)
-        ej[j] = h[j]
-        fp, _ = _profiled_te(model, loss, data, lam_hat + ej, warm)
-        fm, _ = _profiled_te(model, loss, data, lam_hat - ej, warm)
-        H[j, j] = (fp - 2.0 * f0 + fm) / h[j] ** 2
-        for k in range(j + 1, q):
-            ek = np.zeros(q)
-            ek[k] = h[k]
-            fpp, _ = _profiled_te(model, loss, data, lam_hat + ej + ek, warm)
-            fpm, _ = _profiled_te(model, loss, data, lam_hat + ej - ek, warm)
-            fmp, _ = _profiled_te(model, loss, data, lam_hat - ej + ek, warm)
-            fmm, _ = _profiled_te(model, loss, data, lam_hat - ej - ek, warm)
-            H[j, k] = H[k, j] = (fpp - fpm - fmp + fmm) / (4.0 * h[j] * h[k])
-    return H
-
-
 def z1_profiled(model, loss, data, fit: FitResult) -> np.ndarray:
     """Hessian of the profiled training error at lambda_hat.
 
@@ -166,9 +116,13 @@ def z1_profiled(model, loss, data, fit: FitResult) -> np.ndarray:
     theta_hat(lambda) that the chain-rule form would need.
     """
     lam_hat = np.asarray(fit.lambda_hat, float)
-    h = 1e-3 * (1.0 + np.abs(lam_hat))
-    H1 = _te_hessian_at(model, loss, data, lam_hat, fit.theta_hat, h)
-    H2 = _te_hessian_at(model, loss, data, lam_hat, fit.theta_hat, h / 2.0)
+
+    def te(lam):
+        res = solve_theta(model, data, lam, fit.theta_hat)
+        return float(psi_values(loss, data.rows, res.theta_hat).mean())
+
+    H1 = numdiff.hessian(te, lam_hat, scale=1e-3)
+    H2 = numdiff.hessian(te, lam_hat, scale=5e-4)
     return _sym((4.0 * H2 - H1) / 3.0)
 
 
@@ -179,22 +133,13 @@ def z1_chain_rule(model, loss, data, fit: FitResult) -> np.ndarray:
     centrally in lambda. Kept behind this separate entry point so tests can
     require agreement with the profiled Hessian.
     """
-    lam_hat = np.asarray(fit.lambda_hat, float)
-    q = len(lam_hat)
-    h = 1e-3 * (1.0 + np.abs(lam_hat))
-
     def g(lam):
         res = solve_theta(model, data, lam, fit.theta_hat)
         D = theta_prime(model, data, res)
         b = grad_psi_matrix(loss, data.rows, res.theta_hat).mean(axis=0)
         return D.T @ b
 
-    H = np.empty((q, q))
-    for j in range(q):
-        ej = np.zeros(q)
-        ej[j] = h[j]
-        H[:, j] = (g(lam_hat + ej) - g(lam_hat - ej)) / (2.0 * h[j])
-    return _sym(H)
+    return _sym(numdiff.jacobian(g, np.asarray(fit.lambda_hat, float), scale=1e-3))
 
 
 def _hess_phi_rows_dot(model, Z, theta, lam, Dj):
@@ -230,7 +175,7 @@ def assemble_components(
     n, p, q = data.n, model.p, model.q
 
     Phi = phi_matrix(model, Z, theta, lam)
-    J_hat = -_dphi_dtheta_rows(model, Z, theta, lam).mean(axis=0)
+    J_hat = -jac_theta_mean(model, Z, theta, lam)
     K_hat = _sym(Phi.T @ Phi / n)
 
     if not fit.interior:
@@ -242,7 +187,7 @@ def assemble_components(
         return VarianceComponents(J_hat=J_hat, K_hat=K_hat)
 
     D_hat = fit.D_hat
-    Jinv = _inv_checked(J_hat, "J_hat")
+    Jinv = checked_solve(J_hat, np.eye(p), "J_hat")
     b_hat = grad_psi_matrix(loss, Z, theta).mean(axis=0)
     Z2_hat = _sym(
         np.mean([np.asarray(loss.hess_psi(z, theta), float) for z in Z], axis=0)
@@ -269,7 +214,7 @@ def assemble_components(
     Eta = eta_matrix(model, loss, Z, theta, lam, D_hat)
     Kstar_hat = _sym(Eta.T @ Eta / n)
 
-    Z1_inv = _inv_checked(Z1_hat, "Z1_hat")
+    Z1_inv = checked_solve(Z1_hat, np.eye(q), "Z1_hat")
     DZ1 = D_hat @ Z1_inv  # (p, q)
     A1 = Jinv - DZ1 @ (D_hat.T @ Z2_hat + W_hat) @ Jinv
     A2 = -DZ1 @ D_hat.T
@@ -296,8 +241,36 @@ def variance_tuned(components: VarianceComponents) -> np.ndarray:
 
 def variance_pointwise(components: VarianceComponents) -> np.ndarray:
     """V2 = J^{-1} K J^{-T}, the classic sandwich at the tuned fit."""
-    Jinv = _inv_checked(components.J_hat, "J_hat")
+    Jinv = checked_solve(components.J_hat, np.eye(len(components.J_hat)), "J_hat")
     return _sym(Jinv @ components.K_hat @ Jinv.T)
+
+
+def _joint_system(model: ModelSpec, loss: LossSpec, Z: np.ndarray, theta, lam, D):
+    """(Psi'^{-1}, eta matrix) of the stacked system at alpha = (theta, lam, vec D).
+
+    Psi' is the central-difference Jacobian of alpha -> mean_i eta(Z_i, alpha).
+    FlatLimitSuspected is raised when its singular-value ratio is below 1e-8,
+    which also keeps its condition number at or below 1e8, far inside
+    solver.COND_LIMIT, so no further condition check is made before inverting.
+    """
+    p, q = model.p, model.q
+    theta = np.asarray(theta, float)
+    lam = np.atleast_1d(np.asarray(lam, float))
+    D = np.asarray(D, float).reshape(p, q)
+
+    def psi_bar(alpha):
+        Dm = alpha[p + q :].reshape(p, q, order="F")
+        return eta_matrix(model, loss, Z, alpha[:p], alpha[p : p + q], Dm).mean(axis=0)
+
+    Psi_prime = numdiff.jacobian(psi_bar, np.concatenate([theta, lam, D.ravel(order="F")]))
+    sv = np.linalg.svd(Psi_prime, compute_uv=False)
+    if sv[-1] < 1e-8 * sv[0]:
+        raise FlatLimitSuspected(
+            "the joint-system Jacobian is numerically rank deficient "
+            f"(singular value ratio {sv[-1] / sv[0]:.3e}); the tuning target "
+            "appears unidentified and the tuned-limit theory does not apply"
+        )
+    return np.linalg.inv(Psi_prime), eta_matrix(model, loss, Z, theta, lam, D)
 
 
 def variance_alpha(
@@ -311,27 +284,7 @@ def variance_alpha(
     """
     if not fit.interior:
         raise BoundaryFit("variance_alpha needs an interior fit")
-    p, q = model.p, model.q
-    theta, lam, D = fit.theta_hat, np.asarray(fit.lambda_hat, float), fit.D_hat
-    alpha_hat = np.concatenate([theta, lam, D.ravel(order="F")])
-    Z = data.rows
-
-    def psi_bar(alpha):
-        th = alpha[:p]
-        lm = alpha[p : p + q]
-        Dm = alpha[p + q :].reshape(p, q, order="F")
-        return eta_matrix(model, loss, Z, th, lm, Dm).mean(axis=0)
-
-    Psi_prime = numdiff.jacobian(psi_bar, alpha_hat)
-    sv = np.linalg.svd(Psi_prime, compute_uv=False)
-    if sv[-1] < 1e-8 * sv[0]:
-        raise FlatLimitSuspected(
-            "the joint-system Jacobian is numerically rank deficient "
-            f"(singular value ratio {sv[-1] / sv[0]:.3e}); the tuning target "
-            "appears unidentified and the tuned-limit theory does not apply"
-        )
-    Pinv = _inv_checked(Psi_prime, "joint-system Jacobian")
-    Eta = eta_matrix(model, loss, Z, theta, lam, D)
+    Pinv, Eta = _joint_system(model, loss, data.rows, fit.theta_hat, fit.lambda_hat, fit.D_hat)
     Kstar = _sym(Eta.T @ Eta / data.n)
     return _sym(Pinv @ Kstar @ Pinv.T)
 
@@ -346,27 +299,7 @@ def alpha_influences(
     simulate the joint normal limit of (theta_hat(lambda_hat), theta_hat at a
     fixed lambda, lambda_hat) in boundary-case diagnostics.
     """
-    p, q = model.p, model.q
-    lam = np.atleast_1d(np.asarray(lam, float))
-    D = np.asarray(D, float).reshape(p, q)
-    alpha0 = np.concatenate([np.asarray(theta, float), lam, D.ravel(order="F")])
-    Z = data.rows
-
-    def psi_bar(alpha):
-        th = alpha[:p]
-        lm = alpha[p : p + q]
-        Dm = alpha[p + q :].reshape(p, q, order="F")
-        return eta_matrix(model, loss, Z, th, lm, Dm).mean(axis=0)
-
-    Psi_prime = numdiff.jacobian(psi_bar, alpha0)
-    sv = np.linalg.svd(Psi_prime, compute_uv=False)
-    if sv[-1] < 1e-8 * sv[0]:
-        raise FlatLimitSuspected(
-            "the joint-system Jacobian is numerically rank deficient "
-            f"(singular value ratio {sv[-1] / sv[0]:.3e})"
-        )
-    Pinv = _inv_checked(Psi_prime, "joint-system Jacobian")
-    Eta = eta_matrix(model, loss, Z, np.asarray(theta, float), lam, D)
+    Pinv, Eta = _joint_system(model, loss, data.rows, theta, lam, D)
     return -(Pinv @ Eta.T).T
 
 

@@ -117,6 +117,17 @@ def test_load_csv_ragged_row_line_number(tmp_path):
     assert exc.value.line == 3
 
 
+def test_pima_header_only_csv_exits_2(tmp_path, capsys):
+    p = tmp_path / "pima.csv"
+    p.write_text("preg,glu,bp,skin,insulin,bmi,ped,age,outcome\n")
+    rc = main(["variance", "--model", "pima", "--data", str(p),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["type"] == "SchemaError"
+    assert err["error"]["line"] == 2
+
+
 def test_simulate_writes_summary_and_draws(tmp_path):
     out = tmp_path / "out"
     rc = main(["simulate", "--dgp", "linear", "--beta", "1.0", "1.0", "0.5",

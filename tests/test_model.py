@@ -24,7 +24,7 @@ def test_dataset_validation():
         Dataset(np.ones((3, 2)), response_col=5)
     d = Dataset(np.arange(6.0).reshape(3, 2), response_col=0)
     assert d.n == 3 and d.d == 2
-    assert d.drop_row(1).n == 2
+    assert d.take([0, 2]).n == 2
     assert np.array_equal(d.take([2, 0]).rows, d.rows[[2, 0]])
 
 

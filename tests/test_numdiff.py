@@ -36,12 +36,12 @@ def test_hessian_symmetric_and_accurate():
     assert np.allclose(H, expected, rtol=1e-4, atol=1e-5)
 
 
-def test_jacobian_wrt_shapes():
+def test_jacobian_matrix_valued_shapes():
     def f(lam):
         return np.outer(np.array([1.0, lam[0]]), np.array([lam[0], lam[0] ** 2, 1.0]))
 
     lam = np.array([0.5])
-    J = numdiff.jacobian_wrt(f, lam)
+    J = numdiff.jacobian(f, lam)
     assert J.shape == (2, 3, 1)
     expected = np.array([[[1.0], [2 * 0.5], [0.0]], [[2 * 0.5], [3 * 0.25], [1.0]]])
     assert np.allclose(J, expected, rtol=1e-6, atol=1e-8)

@@ -18,7 +18,7 @@ from tunevar import (
     variance_pointwise,
     variance_tuned,
 )
-from tunevar.model import Dataset, ModelSpec
+from tunevar.model import Dataset, LossSpec, ModelSpec
 from tunevar.variance import z1_chain_rule, z1_profiled
 
 from conftest import make_linear_data, rel_err
@@ -214,3 +214,35 @@ def test_select_variance_interior_picks_v1():
     assert np.allclose(
         report.standard_errors, np.sqrt(np.diag(report.V1) / data.n)
     )
+
+
+def _two_penalty_rowwise_spec():
+    # per-row phi only: every batch slot and every derivative is a fallback
+    def phi(z, th, lm):
+        x = np.concatenate([[1.0], z[1:]])
+        pen = np.array([0.0, lm[0], lm[1]]) * th
+        return -2.0 * x * (z[0] - th @ x) + 2.0 * pen
+
+    return ModelSpec(p=3, q=2, d=3, phi=phi, lambda_domain=np.array([[0.0, 1.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("seed,coef_sq", [(4, 1.0), (9, 0.5)])
+def test_two_penalty_rowwise_spec_z1_and_v1_cross_checks(seed, coef_sq):
+    # q = 2 runs the off-diagonal Z1 Hessian, the q-block M_hat and the
+    # column-major eta3; the per-row spec and loss run the stacked fallbacks
+    data = make_linear_data(n=150, seed=seed, coef_sq=coef_sq)
+    spec = _two_penalty_rowwise_spec()
+    full = RidgeLinearModel(2).squared_error_loss()
+    loss = LossSpec(psi=full.psi, grad_psi=full.grad_psi, hess_psi=full.hess_psi)
+    fit = tune(spec, loss, data, Method.CV_FAST, grid_size=7)
+    assert fit.interior
+    zp = z1_profiled(spec, loss, data, fit)
+    zc = z1_chain_rule(spec, loss, data, fit)
+    assert zp[0, 1] != 0.0
+    assert rel_err(zp, zc) < 1e-4
+    report = select_variance(spec, loss, data, fit)
+    assert report.selected == "V1"
+    assert report.components.M_hat.shape == (2, 6)
+    Va = variance_alpha(spec, loss, data, fit)
+    assert Va.shape == (3 + 2 + 6, 3 + 2 + 6)
+    assert rel_err(Va[:3, :3], report.V1) < 1e-4
