@@ -40,7 +40,7 @@ from .harness import (
     replicate,
     simulate,
 )
-from .model import Dataset, LossSpec, ModelSpec
+from .model import Dataset, LossSpec, ModelSpec, rowwise
 from .models import (
     GaussianLikelihoodModel,
     HybridModel,
@@ -64,7 +64,6 @@ from .variance import (
     VarianceReport,
     alpha_influences,
     assemble_components,
-    eta,
     eta_matrix,
     select_variance,
     variance_alpha,
@@ -83,10 +82,10 @@ __all__ = [
     "PipelineConfig", "RefitFailure", "ReplicationSummary", "RidgeLinearModel",
     "RidgeLogisticModel", "SchemaError", "SingularJacobian", "SolveResult",
     "TruncatedResult", "TunevarError", "VarianceComponents", "VarianceReport",
-    "alpha_influences", "assemble_components", "bootstrap", "eta", "eta_matrix",
+    "alpha_influences", "assemble_components", "bootstrap", "eta_matrix",
     "evaluate_criterion", "holdout_error", "info_criterion", "load_pima_csv",
     "loocv_exact", "loocv_fast", "make_pima_model", "mixture_law_check",
-    "replicate", "ridge_closed_form", "ridge_loocv_closed_form",
+    "replicate", "ridge_closed_form", "ridge_loocv_closed_form", "rowwise",
     "select_variance", "simulate", "solve_loo", "solve_theta",
     "te_trace_corrected", "theta_prime", "training_error", "truncated_estimate",
     "tune", "variance_alpha", "variance_pointwise", "variance_tuned",

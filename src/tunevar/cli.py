@@ -114,7 +114,7 @@ def load_fit_json(path) -> FitResult:
 
 def load_csv(path, response_col: int = 0) -> Dataset:
     """Generic numeric CSV with a header row; errors name the offending line."""
-    return Dataset(read_numeric_csv(path), response_col=response_col)
+    return Dataset(read_numeric_csv(path)[0], response_col=response_col)
 
 
 def build_model(args, data: Dataset):

@@ -94,8 +94,8 @@ def loocv_exact(
     """
     solve = _fit(model, data, lam, theta_init, solve)
     cold = theta_init if theta_init is not None else model.theta_init
-    vals = []
-    failed = []
+    thetas = np.empty((data.n, model.p))
+    ok = np.ones(data.n, dtype=bool)
     for i in range(data.n):
         try:
             res = solve_loo(model, data, solve.lam, i, warm_start=solve.theta_hat)
@@ -103,15 +103,16 @@ def loocv_exact(
             try:
                 res = solve_loo(model, data, solve.lam, i, warm_start=cold)
             except TunevarError:
-                failed.append(i)
+                ok[i] = False
                 continue
-        vals.append(loss.eval_psi(data.rows[i], res.theta_hat))
+        thetas[i] = res.theta_hat
+    failed = np.flatnonzero(~ok).tolist()
     if len(failed) > 0.01 * data.n:
         raise RefitFailure(
             f"{len(failed)} of {data.n} leave-one-out refits failed",
             failed_indices=failed,
         )
-    value = float(np.mean(vals))
+    value = float(psi_rowwise_values(loss, data.rows[ok], thetas[ok]).mean())
     return CriterionValue(
         value, Method.CV_EXACT, np.asarray(solve.lam, float),
         {"refit_failures": float(len(failed))},
@@ -133,10 +134,7 @@ def loocv_fast(
     steps = checked_solve(solve.J_hat, Phi.T, "J_hat").T / data.n  # (n, p)
     thetas = solve.theta_hat[None, :] - steps
     value = float(psi_rowwise_values(loss, data.rows, thetas).mean())
-    return CriterionValue(
-        value, Method.CV_FAST, np.asarray(solve.lam, float),
-        {"trace_correction": _trace_correction(model, loss, data, solve)},
-    )
+    return CriterionValue(value, Method.CV_FAST, np.asarray(solve.lam, float))
 
 
 def te_trace_corrected(

@@ -1,11 +1,11 @@
 """Core data containers: datasets, estimating-function models, and losses.
 
 A model is an estimating function phi(z, theta, lam) in R^p whose empirical
-mean is driven to zero in theta for each fixed tuning vector lam. Missing
-slots are filled at construction time by one policy: a missing derivative is
-a central-difference closure, and a missing batch slot stacks the per-row
-slot over the rows. Downstream code can always assume every slot is
-populated.
+mean is driven to zero in theta for each fixed tuning vector lam. Every slot
+of a model or loss takes the full row matrix and returns the per-row stack;
+per-row user code enters through the rowwise adapter. A missing derivative
+is filled at construction time by a central difference of the batch
+function, so downstream code can always assume every slot is populated.
 """
 
 from __future__ import annotations
@@ -51,11 +51,12 @@ class Dataset:
         return Dataset(self.rows[np.asarray(idx)], self.response_col)
 
 
-def read_numeric_csv(path) -> np.ndarray:
-    """(n, d) array from a numeric CSV with a header row.
+def read_numeric_csv(path):
+    """(rows, lines): the (n, d) array of a numeric CSV with a header row, and
+    the file line number of each row.
 
     Blank lines are skipped. SchemaError names the offending line for an
-    empty file, a ragged or non-numeric row, and a header with no data rows.
+    empty file, a ragged or non-numeric row, and fewer than 2 data rows.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -63,7 +64,7 @@ def read_numeric_csv(path) -> np.ndarray:
             header = next(reader)
         except StopIteration:
             raise SchemaError("empty CSV", line=1)
-        rows = []
+        rows, lines = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -75,14 +76,25 @@ def read_numeric_csv(path) -> np.ndarray:
                 rows.append([float(v) for v in row])
             except ValueError:
                 raise SchemaError("non-numeric field", line=lineno)
+            lines.append(lineno)
     if not rows:
         raise SchemaError("CSV has a header but no data rows", line=2)
-    return np.asarray(rows, float)
+    if len(rows) < 2:
+        raise SchemaError("CSV needs at least 2 data rows, found 1", line=lines[0])
+    return np.asarray(rows, float), np.asarray(lines)
 
 
-def _stack_rows(values) -> np.ndarray:
-    """(n, ...) float array from per-row results; the batch-slot fallback."""
-    return np.stack([np.asarray(v, dtype=float) for v in values])
+def rowwise(f):
+    """Batch slot from a per-row callable: rowwise(f)(Z, *args)[i] = f(Z[i], *args).
+
+    The one adapter for per-row user code; the result is a float array with
+    leading axis n.
+    """
+
+    def batch(Z, *args):
+        return np.stack([np.asarray(f(z, *args), dtype=float) for z in Z])
+
+    return batch
 
 
 def _check_box(box, dim, name):
@@ -100,35 +112,35 @@ def _check_box(box, dim, name):
 class ModelSpec:
     """Estimating function phi: (z, theta, lam) -> R^p with its derivatives.
 
-    Derivative shapes:
-      dphi_dtheta(z, th, lm)          -> (p, p)    d phi / d theta
-      dphi_dlambda(z, th, lm)         -> (p, q)    d phi / d lambda
-      hess_phi_theta(z, th, lm)       -> (p, p, p) [j] = theta-Hessian of phi^j
-      dphi_dlambda_dtheta(z, th, lm)  -> (q, p, p) [j] = d_lambda_j of d phi / d theta
+    Every callable slot takes the (n, d) row matrix Z, theta (p,) and lam (q,)
+    and returns the per-row stack, leading axis n:
+      phi_batch(Z, th, lm)            -> (n, p)
+      dphi_dtheta_batch(Z, th, lm)    -> (n, p, p)    d phi / d theta
+      dphi_dlambda_batch(Z, th, lm)   -> (n, p, q)    d phi / d lambda
+      hess_phi_theta(Z, th, lm)       -> (n, p, p, p) [i, j] = theta-Hessian of phi^j
+      dphi_dlambda_dtheta(Z, th, lm)  -> (n, q, p, p) [i, j] = d_lambda_j of d phi / d theta
 
-    The *_batch slots take the full (n, d) row matrix and return the per-row
-    stack (leading axis n); built-in models provide vectorized ones.
+    Per-row code enters through rowwise: phi_batch=rowwise(phi) for a
+    phi(z, th, lm) -> (p,).
 
     Fallback policy for slots left as None: a missing derivative is a
-    central difference of phi (or of dphi_dtheta for dphi_dlambda_dtheta),
-    and a missing batch slot stacks the per-row slot over the rows, with
-    phi_batch going through eval_phi's shape and finiteness check.
+    central difference of phi_batch over all rows at once (of
+    dphi_dtheta_batch for dphi_dlambda_dtheta). The steps depend only on
+    theta or lambda, so the fallback of a rowwise spec matches differencing
+    each row on its own.
     """
 
     p: int
     q: int
     d: int
-    phi: Callable
-    dphi_dtheta: Optional[Callable] = None
-    dphi_dlambda: Optional[Callable] = None
+    phi_batch: Callable
+    dphi_dtheta_batch: Optional[Callable] = None
+    dphi_dlambda_batch: Optional[Callable] = None
     hess_phi_theta: Optional[Callable] = None
     dphi_dlambda_dtheta: Optional[Callable] = None
     theta_domain: Optional[np.ndarray] = None
     lambda_domain: Optional[np.ndarray] = None
     theta_init: Optional[np.ndarray] = None  # default solver start, else clipped zeros
-    phi_batch: Optional[Callable] = None
-    dphi_dtheta_batch: Optional[Callable] = None
-    dphi_dlambda_batch: Optional[Callable] = None
 
     def __post_init__(self):
         if min(self.p, self.q, self.d) < 1:
@@ -141,52 +153,29 @@ class ModelSpec:
             self.theta_init = np.asarray(self.theta_init, dtype=float)
             if self.theta_init.shape != (self.p,):
                 raise EvaluationError("theta_init must have length p")
-        if self.dphi_dtheta is None:
-            self.dphi_dtheta = lambda z, th, lm: numdiff.jacobian(
-                lambda t: self.phi(z, t, lm), th
-            )
-        if self.dphi_dlambda is None:
-            self.dphi_dlambda = lambda z, th, lm: numdiff.jacobian(
-                lambda l: self.phi(z, th, l), lm
-            )
-        if self.hess_phi_theta is None:
-            self.hess_phi_theta = lambda z, th, lm: np.stack(
-                [
-                    numdiff.hessian(lambda t, j=j: float(self.phi(z, t, lm)[j]), th)
-                    for j in range(self.p)
-                ]
-            )
-        if self.dphi_dlambda_dtheta is None:
-            # d_lambda_j of d_theta phi, via central differences in lambda of the
-            # (analytic or fallback) theta-Jacobian.
-            def _cross(z, th, lm):
-                jac = numdiff.jacobian(
-                    lambda l: self.dphi_dtheta(z, th, l), np.asarray(lm, float),
-                    scale=numdiff.STEP_SECOND,
-                )  # (p, p, q)
-                return np.moveaxis(jac, -1, 0)
-
-            self.dphi_dlambda_dtheta = _cross
-        # Batch fallbacks look the per-row slots up at call time, so a slot
-        # replaced after construction is still the one that runs.
-        if self.phi_batch is None:
-            self.phi_batch = lambda Z, th, lm: _stack_rows(self.eval_phi(z, th, lm) for z in Z)
+        # Fallbacks look the other slots up at call time, so a slot replaced
+        # after construction is still the one that runs.
         if self.dphi_dtheta_batch is None:
-            self.dphi_dtheta_batch = lambda Z, th, lm: _stack_rows(
-                self.dphi_dtheta(z, th, lm) for z in Z
+            self.dphi_dtheta_batch = lambda Z, th, lm: numdiff.jacobian(
+                lambda t: self.phi_batch(Z, t, lm), th
             )
         if self.dphi_dlambda_batch is None:
-            self.dphi_dlambda_batch = lambda Z, th, lm: _stack_rows(
-                np.reshape(self.dphi_dlambda(z, th, lm), (self.p, self.q)) for z in Z
+            self.dphi_dlambda_batch = lambda Z, th, lm: numdiff.jacobian(
+                lambda l: self.phi_batch(Z, th, l), lm
             )
-
-    def eval_phi(self, z, theta, lam):
-        val = np.asarray(self.phi(z, theta, lam), dtype=float)
-        if val.shape != (self.p,) or not np.all(np.isfinite(val)):
-            raise EvaluationError(
-                f"phi returned shape {val.shape} or non-finite values"
+        if self.hess_phi_theta is None:
+            self.hess_phi_theta = lambda Z, th, lm: numdiff.hessian(
+                lambda t: self.phi_batch(Z, t, lm), th
             )
-        return val
+        if self.dphi_dlambda_dtheta is None:
+            # (n, p, p, q) lambda-Jacobian of the theta-Jacobian, lambda axis moved to 1
+            self.dphi_dlambda_dtheta = lambda Z, th, lm: np.moveaxis(
+                numdiff.jacobian(
+                    lambda l: self.dphi_dtheta_batch(Z, th, l), lm,
+                    scale=numdiff.STEP_SECOND,
+                ),
+                -1, 1,
+            )
 
     def clip_theta(self, theta):
         if self.theta_domain is None:
@@ -206,47 +195,40 @@ class ModelSpec:
 class LossSpec:
     """Loss psi: (z, theta) -> scalar with gradient and Hessian in theta.
 
-    Batch slots:
+    Every callable slot takes the (n, d) row matrix Z:
       psi_batch(Z, th)      -> (n,)
       grad_psi_batch(Z, th) -> (n, p)
+      hess_psi(Z, th)       -> (n, p, p)
       psi_rowwise(Z, Th)    -> (n,)  psi(Z[i], Th[i]) with a per-row theta matrix
 
+    psi(z, th) is the one-row evaluation psi_batch(z[None], th)[0]. Per-row
+    code enters through rowwise: psi_batch=rowwise(psi) for a scalar
+    psi(z, th).
+
     Fallback policy for slots left as None, as for ModelSpec: a missing
-    derivative is a central difference of psi, and a missing batch slot
-    stacks the per-row slot over the rows, with psi values going through
-    eval_psi's finiteness check.
+    derivative is a central difference of psi_batch over all rows at once,
+    and a missing psi_rowwise evaluates psi row by row.
     """
 
-    psi: Callable
-    grad_psi: Optional[Callable] = None
-    hess_psi: Optional[Callable] = None
-    psi_batch: Optional[Callable] = None
+    psi_batch: Callable
     grad_psi_batch: Optional[Callable] = None
+    hess_psi: Optional[Callable] = None
     psi_rowwise: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.grad_psi is None:
-            self.grad_psi = lambda z, th: numdiff.gradient(
-                lambda t: float(self.psi(z, t)), th
+        # An instance attribute rather than a method, so that it can be
+        # replaced and restored by identity like the slots.
+        self.psi = lambda z, th: float(self.psi_batch(np.asarray(z, float)[None, :], th)[0])
+        if self.grad_psi_batch is None:
+            self.grad_psi_batch = lambda Z, th: numdiff.jacobian(
+                lambda t: self.psi_batch(Z, t), th
             )
         if self.hess_psi is None:
-            self.hess_psi = lambda z, th: numdiff.hessian(
-                lambda t: float(self.psi(z, t)), th
-            )
-        if self.psi_batch is None:
-            self.psi_batch = lambda Z, th: _stack_rows(self.eval_psi(z, th) for z in Z)
-        if self.grad_psi_batch is None:
-            self.grad_psi_batch = lambda Z, th: _stack_rows(self.grad_psi(z, th) for z in Z)
+            self.hess_psi = lambda Z, th: numdiff.hessian(lambda t: self.psi_batch(Z, t), th)
         if self.psi_rowwise is None:
-            self.psi_rowwise = lambda Z, Th: _stack_rows(
-                self.eval_psi(z, t) for z, t in zip(Z, Th)
+            self.psi_rowwise = lambda Z, Th: np.array(
+                [self.psi(z, t) for z, t in zip(Z, Th)], dtype=float
             )
-
-    def eval_psi(self, z, theta):
-        val = float(self.psi(z, theta))
-        if not np.isfinite(val):
-            raise EvaluationError("psi returned a non-finite value")
-        return val
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +238,10 @@ class LossSpec:
 def phi_matrix(model: ModelSpec, Z: np.ndarray, theta, lam) -> np.ndarray:
     """(n, p) matrix of per-row phi values."""
     out = np.asarray(model.phi_batch(Z, theta, lam), dtype=float)
+    if out.shape != (Z.shape[0], model.p):
+        raise EvaluationError(
+            f"phi returned shape {out.shape}, expected {(Z.shape[0], model.p)}"
+        )
     if not np.all(np.isfinite(out)):
         raise EvaluationError("phi produced non-finite values")
     return out
@@ -288,4 +274,7 @@ def grad_psi_matrix(loss: LossSpec, Z: np.ndarray, theta) -> np.ndarray:
 
 def psi_rowwise_values(loss: LossSpec, Z: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """psi(Z[i], thetas[i]) for every row."""
-    return np.asarray(loss.psi_rowwise(Z, thetas), dtype=float)
+    vals = np.asarray(loss.psi_rowwise(Z, thetas), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise EvaluationError("psi produced non-finite values")
+    return vals

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exceptions import EvaluationError, SchemaError
-from .model import Dataset, LossSpec, ModelSpec, read_numeric_csv
+from .model import Dataset, LossSpec, ModelSpec, read_numeric_csv, rowwise
 
 
 def _split_xy(Z: np.ndarray, response_col: int):
@@ -74,29 +74,6 @@ class RidgeLinearModel:
         P = np.diag(self.mask())
         rc = self.response_col
 
-        def row_design(z):
-            z = np.asarray(z, dtype=float)
-            y = z[rc]
-            x = np.delete(z, rc)
-            return y, np.concatenate([[1.0], x])
-
-        def phi(z, th, lm):
-            y, xt = row_design(z)
-            return -2.0 * xt * (y - th @ xt) + 2.0 * float(lm[0]) * (P @ th)
-
-        def dphi_dtheta(z, th, lm):
-            _, xt = row_design(z)
-            return 2.0 * np.outer(xt, xt) + 2.0 * float(lm[0]) * P
-
-        def dphi_dlambda(z, th, lm):
-            return (2.0 * (P @ th)).reshape(p, 1)
-
-        def hess_phi_theta(z, th, lm):
-            return np.zeros((p, p, p))
-
-        def dphi_dlambda_dtheta(z, th, lm):
-            return (2.0 * P)[None, :, :]
-
         def phi_batch(Z, th, lm):
             y, X = _design(Z, rc)
             e = y - X @ th
@@ -110,13 +87,18 @@ class RidgeLinearModel:
             base = (2.0 * (P @ th)).reshape(1, p, 1)
             return np.repeat(base, Z.shape[0], axis=0)
 
+        def hess_phi_theta(Z, th, lm):
+            return np.zeros((Z.shape[0], p, p, p))
+
+        def dphi_dlambda_dtheta(Z, th, lm):
+            return np.repeat((2.0 * P)[None, None], Z.shape[0], axis=0)
+
         return ModelSpec(
             p=p, q=1, d=self.n_covariates + 1,
-            phi=phi, dphi_dtheta=dphi_dtheta, dphi_dlambda=dphi_dlambda,
-            hess_phi_theta=hess_phi_theta, dphi_dlambda_dtheta=dphi_dlambda_dtheta,
-            lambda_domain=np.array([self.lambda_domain]),
             phi_batch=phi_batch, dphi_dtheta_batch=dphi_dtheta_batch,
-            dphi_dlambda_batch=dphi_dlambda_batch,
+            dphi_dlambda_batch=dphi_dlambda_batch, hess_phi_theta=hess_phi_theta,
+            dphi_dlambda_dtheta=dphi_dlambda_dtheta,
+            lambda_domain=np.array([self.lambda_domain]),
         )
 
     def squared_error_loss(self, weight_fn=None) -> LossSpec:
@@ -128,18 +110,6 @@ class RidgeLinearModel:
                 return np.ones(X.shape[0])
             return np.asarray(weight_fn(X), dtype=float)
 
-        def psi(z, th):
-            y, X = _design(np.asarray(z, float)[None, :], rc)
-            return float(weights(X)[0] * (y[0] - X[0] @ th) ** 2)
-
-        def grad_psi(z, th):
-            y, X = _design(np.asarray(z, float)[None, :], rc)
-            return -2.0 * weights(X)[0] * X[0] * (y[0] - X[0] @ th)
-
-        def hess_psi(z, th):
-            _, X = _design(np.asarray(z, float)[None, :], rc)
-            return 2.0 * weights(X)[0] * np.outer(X[0], X[0])
-
         def psi_batch(Z, th):
             y, X = _design(Z, rc)
             return weights(X) * (y - X @ th) ** 2
@@ -148,13 +118,16 @@ class RidgeLinearModel:
             y, X = _design(Z, rc)
             return -2.0 * (weights(X) * (y - X @ th))[:, None] * X
 
+        def hess_psi(Z, th):
+            _, X = _design(Z, rc)
+            return (2.0 * weights(X))[:, None, None] * np.einsum("ni,nj->nij", X, X)
+
         def psi_rowwise(Z, Th):
             y, X = _design(Z, rc)
             return weights(X) * (y - np.einsum("ni,ni->n", X, Th)) ** 2
 
         return LossSpec(
-            psi=psi, grad_psi=grad_psi, hess_psi=hess_psi,
-            psi_batch=psi_batch, grad_psi_batch=grad_psi_batch,
+            psi_batch=psi_batch, grad_psi_batch=grad_psi_batch, hess_psi=hess_psi,
             psi_rowwise=psi_rowwise,
         )
 
@@ -201,33 +174,22 @@ class RidgeLogisticModel:
             base = (-2.0 * (P @ th)).reshape(1, p, 1)
             return np.repeat(base, Z.shape[0], axis=0)
 
-        def phi(z, th, lm):
-            return phi_batch(np.asarray(z, float)[None, :], th, lm)[0]
-
-        def dphi_dtheta(z, th, lm):
-            return dphi_dtheta_batch(np.asarray(z, float)[None, :], th, lm)[0]
-
-        def dphi_dlambda(z, th, lm):
-            return (-2.0 * (P @ th)).reshape(p, 1)
-
-        def hess_phi_theta(z, th, lm):
-            y, X = _design(np.asarray(z, float)[None, :], rc)
-            xt = X[0]
-            pi = float(_expit(np.atleast_1d(xt @ th))[0])
+        def hess_phi_theta(Z, th, lm):
+            _, X = _design(Z, rc)
+            pi = _expit(X @ th)
             w = pi * (1.0 - pi)
-            core = -w * (1.0 - 2.0 * pi) * np.outer(xt, xt)
-            return np.einsum("j,kl->jkl", xt, core)
+            core = (-w * (1.0 - 2.0 * pi))[:, None, None] * np.einsum("nk,nl->nkl", X, X)
+            return np.einsum("nj,nkl->njkl", X, core)
 
-        def dphi_dlambda_dtheta(z, th, lm):
-            return (-2.0 * P)[None, :, :]
+        def dphi_dlambda_dtheta(Z, th, lm):
+            return np.repeat((-2.0 * P)[None, None], Z.shape[0], axis=0)
 
         return ModelSpec(
             p=p, q=1, d=self.n_covariates + 1,
-            phi=phi, dphi_dtheta=dphi_dtheta, dphi_dlambda=dphi_dlambda,
-            hess_phi_theta=hess_phi_theta, dphi_dlambda_dtheta=dphi_dlambda_dtheta,
-            lambda_domain=np.array([self.lambda_domain]),
             phi_batch=phi_batch, dphi_dtheta_batch=dphi_dtheta_batch,
-            dphi_dlambda_batch=dphi_dlambda_batch,
+            dphi_dlambda_batch=dphi_dlambda_batch, hess_phi_theta=hess_phi_theta,
+            dphi_dlambda_dtheta=dphi_dlambda_dtheta,
+            lambda_domain=np.array([self.lambda_domain]),
         )
 
     def brier_loss(self, predictor_covariates: Optional[Sequence[int]] = None) -> LossSpec:
@@ -261,27 +223,19 @@ class RidgeLogisticModel:
             pi = _expit(U @ th)
             return (-2.0 * (y - pi) * pi * (1.0 - pi))[:, None] * U
 
-        def psi(z, th):
-            return float(psi_batch(np.asarray(z, float)[None, :], th)[0])
-
-        def grad_psi(z, th):
-            return grad_psi_batch(np.asarray(z, float)[None, :], th)[0]
-
-        def hess_psi(z, th):
-            y, U = masked_design(np.asarray(z, float)[None, :])
-            u = U[0]
-            pi = float(_expit(np.atleast_1d(u @ th))[0])
+        def hess_psi(Z, th):
+            y, U = masked_design(Z)
+            pi = _expit(U @ th)
             w = pi * (1.0 - pi)
-            c = 2.0 * w * (w - (y[0] - pi) * (1.0 - 2.0 * pi))
-            return c * np.outer(u, u)
+            c = 2.0 * w * (w - (y - pi) * (1.0 - 2.0 * pi))
+            return c[:, None, None] * np.einsum("ni,nj->nij", U, U)
 
         def psi_rowwise(Z, Th):
             y, U = masked_design(Z)
             return (y - _expit(np.einsum("ni,ni->n", U, Th))) ** 2
 
         return LossSpec(
-            psi=psi, grad_psi=grad_psi, hess_psi=hess_psi,
-            psi_batch=psi_batch, grad_psi_batch=grad_psi_batch,
+            psi_batch=psi_batch, grad_psi_batch=grad_psi_batch, hess_psi=hess_psi,
             psi_rowwise=psi_rowwise,
         )
 
@@ -292,7 +246,11 @@ class RidgeLogisticModel:
 
 @dataclass(frozen=True)
 class HybridModel:
-    """Convex combination of two estimating functions sharing theta."""
+    """Convex combination of two estimating functions sharing theta.
+
+    phi1, phi2 and their optional theta-Jacobians are per-row callables
+    (z, theta); the spec stacks them with rowwise.
+    """
 
     p: int
     d: int
@@ -302,52 +260,42 @@ class HybridModel:
     dphi2_dtheta: Optional[callable] = None
 
     def spec(self) -> ModelSpec:
-        base1 = ModelSpec(
-            p=self.p, q=1, d=self.d,
-            phi=lambda z, th, lm: np.asarray(self.phi1(z, th), float),
-            dphi_dtheta=(
-                None if self.dphi1_dtheta is None
-                else lambda z, th, lm: np.asarray(self.dphi1_dtheta(z, th), float)
-            ),
-        )
-        base2 = ModelSpec(
-            p=self.p, q=1, d=self.d,
-            phi=lambda z, th, lm: np.asarray(self.phi2(z, th), float),
-            dphi_dtheta=(
-                None if self.dphi2_dtheta is None
-                else lambda z, th, lm: np.asarray(self.dphi2_dtheta(z, th), float)
-            ),
-        )
+        def part(phi, dphi):
+            # one lambda-free part, stacked from its per-row callables
+            return ModelSpec(
+                p=self.p, q=1, d=self.d,
+                phi_batch=rowwise(lambda z, th, lm: phi(z, th)),
+                dphi_dtheta_batch=None if dphi is None else rowwise(lambda z, th, lm: dphi(z, th)),
+            )
+
+        base1 = part(self.phi1, self.dphi1_dtheta)
+        base2 = part(self.phi2, self.dphi2_dtheta)
         zero_lam = np.zeros(1)
 
-        def phi(z, th, lm):
-            a = float(lm[0])
-            return a * base1.phi(z, th, zero_lam) + (1.0 - a) * base2.phi(z, th, zero_lam)
+        def mix(f1, f2):
+            def batch(Z, th, lm):
+                a = float(lm[0])
+                return a * f1(Z, th, zero_lam) + (1.0 - a) * f2(Z, th, zero_lam)
 
-        def dphi_dtheta(z, th, lm):
-            a = float(lm[0])
-            return a * base1.dphi_dtheta(z, th, zero_lam) + (1.0 - a) * base2.dphi_dtheta(
-                z, th, zero_lam
+            return batch
+
+        def dphi_dlambda_batch(Z, th, lm):
+            diff = base1.phi_batch(Z, th, zero_lam) - base2.phi_batch(Z, th, zero_lam)
+            return diff[:, :, None]
+
+        def dphi_dlambda_dtheta(Z, th, lm):
+            diff = base1.dphi_dtheta_batch(Z, th, zero_lam) - base2.dphi_dtheta_batch(
+                Z, th, zero_lam
             )
-
-        def dphi_dlambda(z, th, lm):
-            diff = base1.phi(z, th, zero_lam) - base2.phi(z, th, zero_lam)
-            return np.asarray(diff, float).reshape(self.p, 1)
-
-        def hess_phi_theta(z, th, lm):
-            a = float(lm[0])
-            return a * base1.hess_phi_theta(z, th, zero_lam) + (1.0 - a) * base2.hess_phi_theta(
-                z, th, zero_lam
-            )
-
-        def dphi_dlambda_dtheta(z, th, lm):
-            diff = base1.dphi_dtheta(z, th, zero_lam) - base2.dphi_dtheta(z, th, zero_lam)
-            return np.asarray(diff, float)[None, :, :]
+            return diff[:, None]
 
         return ModelSpec(
             p=self.p, q=1, d=self.d,
-            phi=phi, dphi_dtheta=dphi_dtheta, dphi_dlambda=dphi_dlambda,
-            hess_phi_theta=hess_phi_theta, dphi_dlambda_dtheta=dphi_dlambda_dtheta,
+            phi_batch=mix(base1.phi_batch, base2.phi_batch),
+            dphi_dtheta_batch=mix(base1.dphi_dtheta_batch, base2.dphi_dtheta_batch),
+            dphi_dlambda_batch=dphi_dlambda_batch,
+            hess_phi_theta=mix(base1.hess_phi_theta, base2.hess_phi_theta),
+            dphi_dlambda_dtheta=dphi_dlambda_dtheta,
             lambda_domain=np.array([[0.0, 1.0]]),
         )
 
@@ -381,42 +329,30 @@ class GaussianLikelihoodModel:
             out[:, 1, 1] = 1.0 / sg**2 - 3.0 * r**2 / sg**4
             return out
 
-        def phi(z, th, lm):
-            return phi_batch(np.asarray(z, float)[None, :], th, lm)[0]
-
-        def dphi_dtheta(z, th, lm):
-            return dphi_dtheta_batch(np.asarray(z, float)[None, :], th, lm)[0]
-
-        def dphi_dlambda(z, th, lm):
-            return np.zeros((2, 1))
-
-        def hess_phi_theta(z, th, lm):
-            mu, sg = th
-            r = float(np.asarray(z, float)[c]) - mu
-            h1 = np.array([[0.0, 2.0 / sg**3], [2.0 / sg**3, 6.0 * r / sg**4]])
-            h2 = np.array(
-                [
-                    [2.0 / sg**3, 6.0 * r / sg**4],
-                    [6.0 * r / sg**4, -2.0 / sg**3 + 12.0 * r**2 / sg**5],
-                ]
-            )
-            return np.stack([h1, h2])
-
-        def dphi_dlambda_dtheta(z, th, lm):
-            return np.zeros((1, 2, 2))
-
         def dphi_dlambda_batch(Z, th, lm):
             return np.zeros((Z.shape[0], 2, 1))
 
+        def hess_phi_theta(Z, th, lm):
+            mu, sg = th
+            r = Z[:, c] - mu
+            out = np.empty((Z.shape[0], 2, 2, 2))
+            out[:, 0, 0, 0] = 0.0
+            out[:, 0, 0, 1] = out[:, 0, 1, 0] = out[:, 1, 0, 0] = 2.0 / sg**3
+            out[:, 0, 1, 1] = out[:, 1, 0, 1] = out[:, 1, 1, 0] = 6.0 * r / sg**4
+            out[:, 1, 1, 1] = -2.0 / sg**3 + 12.0 * r**2 / sg**5
+            return out
+
+        def dphi_dlambda_dtheta(Z, th, lm):
+            return np.zeros((Z.shape[0], 1, 2, 2))
+
         return ModelSpec(
             p=2, q=1, d=max(1, c + 1),
-            phi=phi, dphi_dtheta=dphi_dtheta, dphi_dlambda=dphi_dlambda,
-            hess_phi_theta=hess_phi_theta, dphi_dlambda_dtheta=dphi_dlambda_dtheta,
+            phi_batch=phi_batch, dphi_dtheta_batch=dphi_dtheta_batch,
+            dphi_dlambda_batch=dphi_dlambda_batch, hess_phi_theta=hess_phi_theta,
+            dphi_dlambda_dtheta=dphi_dlambda_dtheta,
             theta_domain=np.array([[-1e8, 1e8], [1e-6, 1e8]]),
             lambda_domain=np.array([[0.0, 1.0]]),
             theta_init=np.array([0.0, 1.0]),
-            phi_batch=phi_batch, dphi_dtheta_batch=dphi_dtheta_batch,
-            dphi_dlambda_batch=dphi_dlambda_batch,
         )
 
     def neg_loglik_loss(self) -> LossSpec:
@@ -434,21 +370,14 @@ class GaussianLikelihoodModel:
             r = Z[:, c] - mu
             return np.column_stack([-r / sg**2, 1.0 / sg - r**2 / sg**3])
 
-        def psi(z, th):
-            return float(psi_batch(np.asarray(z, float)[None, :], th)[0])
-
-        def grad_psi(z, th):
-            return grad_psi_batch(np.asarray(z, float)[None, :], th)[0]
-
-        def hess_psi(z, th):
+        def hess_psi(Z, th):
             mu, sg = th
-            r = float(np.asarray(z, float)[c]) - mu
-            return np.array(
-                [
-                    [1.0 / sg**2, 2.0 * r / sg**3],
-                    [2.0 * r / sg**3, -1.0 / sg**2 + 3.0 * r**2 / sg**4],
-                ]
-            )
+            r = Z[:, c] - mu
+            out = np.empty((Z.shape[0], 2, 2))
+            out[:, 0, 0] = 1.0 / sg**2
+            out[:, 0, 1] = out[:, 1, 0] = 2.0 * r / sg**3
+            out[:, 1, 1] = -1.0 / sg**2 + 3.0 * r**2 / sg**4
+            return out
 
         def psi_rowwise(Z, Th):
             r = Z[:, c] - Th[:, 0]
@@ -456,8 +385,7 @@ class GaussianLikelihoodModel:
             return np.log(sg) + r**2 / (2.0 * sg**2) + half_log_2pi
 
         return LossSpec(
-            psi=psi, grad_psi=grad_psi, hess_psi=hess_psi,
-            psi_batch=psi_batch, grad_psi_batch=grad_psi_batch,
+            psi_batch=psi_batch, grad_psi_batch=grad_psi_batch, hess_psi=hess_psi,
             psi_rowwise=psi_rowwise,
         )
 
@@ -512,7 +440,7 @@ def load_pima_csv(path, response_col: Optional[int] = None) -> Dataset:
     are dropped as missing, and covariates are standardized to zero mean and
     unit variance. The returned rows are (response, covariates...).
     """
-    arr = read_numeric_csv(path)
+    arr, lines = read_numeric_csv(path)
     if arr.shape[1] != 9:
         raise SchemaError(f"expected 9 columns (8 covariates + response), got {arr.shape[1]}")
     if response_col is None:
@@ -521,11 +449,13 @@ def load_pima_csv(path, response_col: Optional[int] = None) -> Dataset:
     X = np.delete(arr, response_col, axis=1)
     bad = np.flatnonzero(~np.isin(y, (0.0, 1.0)))
     if bad.size:
-        raise SchemaError("response column is not binary 0/1", line=int(bad[0]) + 2)
+        raise SchemaError("response column is not binary 0/1", line=int(lines[bad[0]]))
     keep = np.ones(len(y), dtype=bool)
     for j in PIMA_ZERO_IS_MISSING:
         keep &= X[:, j] != 0.0
     X, y = X[keep], y[keep]
+    if len(y) < 2:
+        raise SchemaError(f"{len(y)} rows left after dropping rows with missing values; need 2")
     X = (X - X.mean(axis=0)) / X.std(axis=0, ddof=0)
     return Dataset(np.column_stack([y, X]), response_col=0)
 

@@ -2,7 +2,9 @@
 
 Step sizes follow the usual optimal-step rules for central differences:
 cbrt(eps) * (1 + |x_j|) for first derivatives and eps**(1/4) * (1 + |x_j|)
-for nested second derivatives.
+for nested second derivatives. Both functions accept array-valued f, so one
+call differentiates every row of a batch slot at once; the steps depend only
+on x.
 """
 
 from __future__ import annotations
@@ -37,29 +39,27 @@ def jacobian(f, x, scale=STEP_FIRST):
     return np.stack(cols, axis=-1)
 
 
-def gradient(f, x, scale=STEP_FIRST):
-    """Central-difference gradient of a scalar function at x."""
-    return jacobian(lambda v: np.asarray([f(v)]), x, scale=scale)[0]
-
-
 def hessian(f, x, scale=STEP_SECOND):
-    """Hessian of a scalar function via nested central differences, symmetrized."""
+    """Hessian of an array-valued function via nested central differences.
+
+    Returns an array of shape f(x).shape + (x.size, x.size), symmetric in
+    its last two axes.
+    """
     x = np.asarray(x, dtype=float)
     h = _steps(x, scale)
-    n = x.size
-    out = np.empty((n, n))
-    f0 = f(x)
-    for j in range(n):
+    k = x.size
+    f0 = np.asarray(f(x), dtype=float)
+    out = np.empty(f0.shape + (k, k))
+    for j in range(k):
         ej = np.zeros_like(x)
         ej[j] = h[j]
-        out[j, j] = (f(x + ej) - 2.0 * f0 + f(x - ej)) / (h[j] ** 2)
-        for k in range(j + 1, n):
-            ek = np.zeros_like(x)
-            ek[k] = h[k]
+        out[..., j, j] = (f(x + ej) - 2.0 * f0 + f(x - ej)) / (h[j] ** 2)
+        for m in range(j + 1, k):
+            em = np.zeros_like(x)
+            em[m] = h[m]
             val = (
-                f(x + ej + ek) - f(x + ej - ek) - f(x - ej + ek) + f(x - ej - ek)
-            ) / (4.0 * h[j] * h[k])
-            out[j, k] = val
-            out[k, j] = val
+                f(x + ej + em) - f(x + ej - em) - f(x - ej + em) + f(x - ej - em)
+            ) / (4.0 * h[j] * h[m])
+            out[..., j, m] = val
+            out[..., m, j] = val
     return out
-

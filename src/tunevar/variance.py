@@ -43,27 +43,13 @@ def _sym(A):
 # The stacked per-observation estimating function of the joint system.
 # ---------------------------------------------------------------------------
 
-def eta(z, theta, lam, D, model: ModelSpec, loss: LossSpec) -> np.ndarray:
-    """Per-observation (p + q + pq)-vector (eta1, eta2, eta3).
+def eta_matrix(model: ModelSpec, loss: LossSpec, Z: np.ndarray, theta, lam, D) -> np.ndarray:
+    """(n, p + q + pq) matrix of the per-row vectors (eta1, eta2, eta3).
 
     eta1 = phi, eta2 = D' grad_psi, eta3 = dphi_dtheta @ D + dphi_dlambda
     flattened column-major (matrices (a_1,..,a_q) identified with the stacked
     vector (a_1', .., a_q')').
     """
-    theta = np.asarray(theta, float)
-    lam = np.atleast_1d(np.asarray(lam, float))
-    D = np.asarray(D, float).reshape(model.p, model.q)
-    e1 = model.eval_phi(z, theta, lam)
-    e2 = D.T @ np.asarray(loss.grad_psi(z, theta), float)
-    T = (
-        np.asarray(model.dphi_dtheta(z, theta, lam), float) @ D
-        + np.asarray(model.dphi_dlambda(z, theta, lam), float).reshape(model.p, model.q)
-    )
-    return np.concatenate([e1, e2, T.ravel(order="F")])
-
-
-def eta_matrix(model: ModelSpec, loss: LossSpec, Z: np.ndarray, theta, lam, D) -> np.ndarray:
-    """(n, p + q + pq) matrix of per-row eta values."""
     theta = np.asarray(theta, float)
     lam = np.atleast_1d(np.asarray(lam, float))
     D = np.asarray(D, float).reshape(model.p, model.q)
@@ -142,32 +128,13 @@ def z1_chain_rule(model, loss, data, fit: FitResult) -> np.ndarray:
     return _sym(numdiff.jacobian(g, np.asarray(fit.lambda_hat, float), scale=1e-3))
 
 
-def _hess_phi_rows_dot(model, Z, theta, lam, Dj):
-    """mean over rows of the matrix with k-th row (H_theta phi^k) @ Dj."""
-    p = model.p
-    acc = np.zeros((p, p))
-    for z in Z:
-        H = np.asarray(model.hess_phi_theta(z, theta, lam), float)  # (p, p, p)
-        acc += H @ Dj  # row k of result = H[k] @ Dj
-    return acc / Z.shape[0]
-
-
-def _cross_jac_mean(model, Z, theta, lam, j):
-    """mean over rows of d_lambda_j of dphi_dtheta, a (p, p) matrix."""
-    acc = np.zeros((model.p, model.p))
-    for z in Z:
-        acc += np.asarray(model.dphi_dlambda_dtheta(z, theta, lam), float)[j]
-    return acc / Z.shape[0]
-
-
 def assemble_components(
     model: ModelSpec, loss: LossSpec, data: Dataset, fit: FitResult,
-    z1_method: str = "profile", require_full: bool = False,
+    z1_method: str = "profile",
 ) -> VarianceComponents:
     """All plug-in matrices at the tuned fit.
 
-    Boundary fits get a partial assembly (J_hat, K_hat only) unless
-    require_full is set, in which case BoundaryFit is raised: the joint-limit
+    Boundary fits get a partial assembly (J_hat, K_hat only): the joint-limit
     components are meaningless when lambda_hat sits on an edge.
     """
     theta, lam = fit.theta_hat, np.asarray(fit.lambda_hat, float)
@@ -179,19 +146,12 @@ def assemble_components(
     K_hat = _sym(Phi.T @ Phi / n)
 
     if not fit.interior:
-        if require_full:
-            raise BoundaryFit(
-                "full variance assembly requested for a boundary fit; only the "
-                "pointwise sandwich is available there"
-            )
         return VarianceComponents(J_hat=J_hat, K_hat=K_hat)
 
     D_hat = fit.D_hat
     Jinv = checked_solve(J_hat, np.eye(p), "J_hat")
     b_hat = grad_psi_matrix(loss, Z, theta).mean(axis=0)
-    Z2_hat = _sym(
-        np.mean([np.asarray(loss.hess_psi(z, theta), float) for z in Z], axis=0)
-    )
+    Z2_hat = _sym(np.asarray(loss.hess_psi(Z, theta), float).mean(axis=0))
     if z1_method == "profile":
         Z1_hat = z1_profiled(model, loss, data, fit)
     elif z1_method == "chain":
@@ -203,13 +163,11 @@ def assemble_components(
     M_hat = np.zeros((q, p * q))
     for j in range(q):
         M_hat[j, j * p : (j + 1) * p] = bJ
-    W_rows = np.empty((q, p))
-    for j in range(q):
-        Wj = _hess_phi_rows_dot(model, Z, theta, lam, D_hat[:, j]) + _cross_jac_mean(
-            model, Z, theta, lam, j
-        )
-        W_rows[j] = bJ @ Wj
-    W_hat = W_rows
+    # W_hat[j] = b' J^{-1} mean_i (H_i D_j + d_lambda_j dphi_dtheta_i), where
+    # row k of H_i D_j is (theta-Hessian of phi^k at row i) @ D_j
+    HD = np.asarray(model.hess_phi_theta(Z, theta, lam), float) @ D_hat  # (n, p, p, q)
+    cross = np.asarray(model.dphi_dlambda_dtheta(Z, theta, lam), float)  # (n, q, p, p)
+    W_hat = bJ @ (np.moveaxis(HD, -1, 1).mean(axis=0) + cross.mean(axis=0))
 
     Eta = eta_matrix(model, loss, Z, theta, lam, D_hat)
     Kstar_hat = _sym(Eta.T @ Eta / n)

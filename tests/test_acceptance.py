@@ -139,7 +139,7 @@ def _interior_hybrid_fits(count, start_seed):
     # two location equations with different roots; the loss targets a point
     # between them, so the tuned mixing weight is interior
     out = []
-    from tunevar.model import LossSpec
+    from tunevar.model import LossSpec, rowwise
 
     hm = HybridModel(
         p=1, d=2,
@@ -149,7 +149,7 @@ def _interior_hybrid_fits(count, start_seed):
         dphi2_dtheta=lambda z, th: np.ones((1, 1)),
     )
     spec = hm.spec()
-    loss = LossSpec(psi=lambda z, th: float((z[0] + 0.6 - th[0]) ** 2))
+    loss = LossSpec(psi_batch=rowwise(lambda z, th: (z[0] + 0.6 - th[0]) ** 2))
     seed = start_seed
     while len(out) < count:
         rng = np.random.default_rng(seed)
@@ -301,11 +301,11 @@ def test_acceptance_9_derivative_and_invariance_suites():
         rng = np.random.default_rng(73)
         worst = 0.0
         for _ in range(10):
-            z = data.rows[rng.integers(data.n)]
+            z = data.rows[rng.integers(data.n)][None]
             th = rng.uniform(-0.8, 0.8, size=spec.p)
             lm = rng.uniform(0.05, 0.5, size=1)
-            J_fd = jacobian(lambda t: spec.phi(z, t, lm), th)
-            worst = max(worst, rel_err(spec.dphi_dtheta(z, th, lm), J_fd))
+            J_fd = jacobian(lambda t: spec.phi_batch(z, t, lm), th)
+            worst = max(worst, rel_err(spec.dphi_dtheta_batch(z, th, lm), J_fd))
         ok &= worst <= 1e-5
         notes.append(f"{name} fd err {worst:.1e}")
 

@@ -14,6 +14,8 @@ import pytest
 
 import tunevar as tv
 
+from conftest import make_linear_data
+
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
@@ -59,7 +61,17 @@ def test_tracer_wraps_every_traced_name_and_uninstalls(tracing):
         tracer.active = True
         fit = tv.tune(specs[0], losses[0], data, tv.Method.CV_FAST, grid_size=6)
         tv.select_variance(specs[0], losses[0], data, fit)
+        # one more fit that is interior by construction
+        data2 = make_linear_data(n=250, seed=0, coef_sq=0.5)
+        fit2 = tv.tune(specs[0], losses[0], data2, tv.Method.CV_FAST, grid_size=15)
+        tv.select_variance(specs[0], losses[0], data2, fit2)
         tracer.active = False
+        assert fit.interior and fit2.interior
+        # each second-order slot is one batch call per full assembly
+        assemblies = tracer.counts["variance.assemble_components.calls"]
+        assert assemblies == 2
+        for slot in ("hess_phi_theta", "dphi_dlambda_dtheta", "hess_psi"):
+            assert tracer.counts[f"model.{slot}.calls"] == assemblies, slot
         for name in ("solver.solve_theta.calls", "tuner.tune.calls",
                      "variance.select_variance.calls", "model.phi_batch.rows",
                      "model.dphi_dtheta_batch.rows", "model.hess_psi.calls",

@@ -128,6 +128,46 @@ def test_pima_header_only_csv_exits_2(tmp_path, capsys):
     assert err["error"]["line"] == 2
 
 
+PIMA_HEADER = "preg,glu,bp,skin,insulin,bmi,ped,age,outcome\n"
+PIMA_ROW = "1,100,70,25,90,30.0,0.4,31,{}\n"
+
+
+def test_pima_bad_response_names_file_line(tmp_path, capsys):
+    # line 4 is blank and line 7 carries the non-binary response
+    p = tmp_path / "pima.csv"
+    p.write_text(
+        PIMA_HEADER + PIMA_ROW.format(0) + PIMA_ROW.format(1) + "\n"
+        + PIMA_ROW.format(0) + PIMA_ROW.format(1) + PIMA_ROW.format(2)
+    )
+    rc = main(["variance", "--model", "pima", "--data", str(p),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["type"] == "SchemaError"
+    assert err["error"]["line"] == 7
+
+
+def test_fewer_than_two_rows_exit_2(tmp_path, capsys):
+    one = tmp_path / "one.csv"
+    one.write_text("y,x1,x2\n1.0,2.0,3.0\n")
+    rc = main(["tune", "--data", str(one), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["type"] == "SchemaError"
+    assert err["error"]["line"] == 2
+
+    # two of three rows have an impossible zero glucose and are dropped
+    pima = tmp_path / "pima.csv"
+    pima.write_text(
+        PIMA_HEADER + PIMA_ROW.format(1) + PIMA_ROW.format(0).replace(",100,", ",0,") * 2
+    )
+    rc = main(["variance", "--model", "pima", "--data", str(pima),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["type"] == "SchemaError"
+
+
 def test_simulate_writes_summary_and_draws(tmp_path):
     out = tmp_path / "out"
     rc = main(["simulate", "--dgp", "linear", "--beta", "1.0", "1.0", "0.5",

@@ -16,6 +16,7 @@ from tunevar import (
     te_trace_corrected,
     training_error,
 )
+from tunevar.model import rowwise
 
 from conftest import make_linear_data
 
@@ -27,7 +28,7 @@ def _ridge():
 
 def test_constant_loss_gives_constant_criteria():
     spec, _ = _ridge()
-    loss = LossSpec(psi=lambda z, th: 3.25)
+    loss = LossSpec(psi_batch=rowwise(lambda z, th: 3.25))
     data = make_linear_data(n=30, seed=0)
     assert training_error(spec, loss, data, [0.2]).value == 3.25
     assert loocv_exact(spec, loss, data, [0.2]).value == 3.25
@@ -60,7 +61,7 @@ def test_loocv_exact_matches_naive_cold_refits_tiny_n():
     for i in range(5):
         sub = Dataset(np.delete(data.rows, i, axis=0), response_col=0)
         res = solve_theta(spec, sub, [0.3], np.zeros(3))
-        naive.append(loss.eval_psi(data.rows[i], res.theta_hat))
+        naive.append(loss.psi(data.rows[i], res.theta_hat))
     assert abs(cv.value - np.mean(naive)) < 1e-10
 
 
@@ -76,6 +77,30 @@ def test_loocv_fast_close_to_exact_and_converging():
             scaled.append(n * abs(fast - exact))
         gaps[n] = float(np.median(scaled))
     assert gaps[400] < gaps[100]
+
+
+def test_loocv_fast_one_phi_call_no_gradient_call():
+    # CV_FAST needs phi once at theta_hat and psi at the influence points;
+    # it computes no trace-correction diagnostic
+    spec, loss = _ridge()
+    data = make_linear_data(n=50, seed=11)
+    solve = solve_theta(spec, data, [0.2], spec.theta_init)
+    calls = {"phi_batch": 0, "grad_psi_batch": 0}
+
+    def count(owner, slot):
+        fn = getattr(owner, slot)
+
+        def counted(*args):
+            calls[slot] += 1
+            return fn(*args)
+
+        setattr(owner, slot, counted)
+
+    count(spec, "phi_batch")
+    count(loss, "grad_psi_batch")
+    cv = loocv_fast(spec, loss, data, [0.2], solve=solve)
+    assert calls == {"phi_batch": 1, "grad_psi_batch": 0}
+    assert "trace_correction" not in cv.diagnostics
 
 
 def test_loocv_fast_equals_exact_on_replicated_point_mass():
@@ -104,7 +129,9 @@ def test_trace_correction_reported_and_ols_value():
 def test_trace_correction_zero_for_orthogonal_loss():
     spec, _ = _ridge()
     # psi ignores theta: grad_psi = 0, so C = 0 exactly
-    loss = LossSpec(psi=lambda z, th: float(z[0] ** 2), grad_psi=lambda z, th: np.zeros(3))
+    loss = LossSpec(
+        psi_batch=lambda Z, th: Z[:, 0] ** 2, grad_psi_batch=lambda Z, th: np.zeros((len(Z), 3))
+    )
     data = make_linear_data(n=100, seed=6)
     tc = te_trace_corrected(spec, loss, data, [0.1])
     assert abs(tc.diagnostics["trace_correction"]) < 1e-14

@@ -85,13 +85,11 @@ def test_bootstrap_constant_covariate_free_model():
     # a dataset of identical rows resamples to itself: all draws equal
     row = np.array([1.5, 0.3, -0.2])
     data = Dataset(np.tile(row, (30, 1)) + 0.0, response_col=0)
-    from tunevar.model import ModelSpec
+    from tunevar.model import LossSpec, ModelSpec, rowwise
 
-    spec = ModelSpec(p=1, q=1, d=3, phi=lambda z, th, lm: np.atleast_1d(th[0] - z[0]),
+    spec = ModelSpec(p=1, q=1, d=3, phi_batch=rowwise(lambda z, th, lm: th[:1] - z[0]),
                      lambda_domain=np.array([[0.0, 1.0]]))
-    from tunevar.model import LossSpec
-
-    loss = LossSpec(psi=lambda z, th: float((z[0] - th[0]) ** 2))
+    loss = LossSpec(psi_batch=rowwise(lambda z, th: (z[0] - th[0]) ** 2))
     config = PipelineConfig(model=spec, loss=loss, method=Method.TE,
                             grid_size=8, compute_variance=False)
     summary = bootstrap(data, config, B=5, seed=7)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tunevar import Dataset, EvaluationError, LossSpec, ModelSpec
+from tunevar import Dataset, EvaluationError, LossSpec, ModelSpec, rowwise
 from tunevar.model import (
     grad_psi_matrix,
     jac_lambda_mean,
@@ -33,45 +33,54 @@ def _toy_model():
     def phi(z, th, lm):
         return th - np.asarray(z, float) + float(lm[0]) * th**3
 
-    return ModelSpec(p=2, q=1, d=2, phi=phi)
+    return ModelSpec(p=2, q=1, d=2, phi_batch=rowwise(phi))
 
 
 def test_derivative_fallbacks_populated_and_accurate():
     m = _toy_model()
-    z = np.array([0.3, -0.7])
+    Z = np.array([[0.3, -0.7], [1.1, 0.2], [-0.4, 0.9]])
     th = np.array([0.5, 1.2])
     lm = np.array([0.4])
-    J = m.dphi_dtheta(z, th, lm)
+    J = m.dphi_dtheta_batch(Z, th, lm)
+    assert J.shape == (3, 2, 2)
     assert np.allclose(J, np.diag(1.0 + 3 * 0.4 * th**2), rtol=1e-6)
-    L = m.dphi_dlambda(z, th, lm)
-    assert np.allclose(np.asarray(L).ravel(), th**3, rtol=1e-6)
-    H = m.hess_phi_theta(z, th, lm)
-    assert H.shape == (2, 2, 2)
-    assert np.allclose(H[0], np.diag([6 * 0.4 * th[0], 0.0]), atol=1e-3)
-    X = m.dphi_dlambda_dtheta(z, th, lm)
-    assert X.shape == (1, 2, 2)
-    assert np.allclose(X[0], np.diag(3 * th**2), rtol=1e-4, atol=1e-5)
+    L = m.dphi_dlambda_batch(Z, th, lm)
+    assert L.shape == (3, 2, 1)
+    assert np.allclose(L[..., 0], th**3, rtol=1e-6)
+    H = m.hess_phi_theta(Z, th, lm)
+    assert H.shape == (3, 2, 2, 2)
+    assert np.allclose(H[:, 0], np.diag([6 * 0.4 * th[0], 0.0]), atol=1e-3)
+    assert np.allclose(H[:, 1], np.diag([0.0, 6 * 0.4 * th[1]]), atol=1e-3)
+    X = m.dphi_dlambda_dtheta(Z, th, lm)
+    assert X.shape == (3, 1, 2, 2)
+    assert np.allclose(X[:, 0], np.diag(3 * th**2), rtol=1e-4, atol=1e-5)
+    # the batch fallbacks equal differencing each row on its own
+    for i, z in enumerate(Z):
+        one = m.dphi_dtheta_batch(z[None], th, lm)[0]
+        assert np.array_equal(J[i], one)
+        assert np.array_equal(H[i], m.hess_phi_theta(z[None], th, lm)[0])
 
 
-def test_eval_phi_rejects_bad_output():
-    bad = ModelSpec(p=2, q=1, d=1, phi=lambda z, th, lm: np.array([np.nan, 0.0]))
+def test_phi_matrix_rejects_bad_output():
+    Z = np.array([[1.0], [2.0]])
+    bad = ModelSpec(p=2, q=1, d=1, phi_batch=rowwise(lambda z, th, lm: np.array([np.nan, 0.0])))
     with pytest.raises(EvaluationError):
-        bad.eval_phi(np.array([1.0]), np.zeros(2), np.zeros(1))
-    short = ModelSpec(p=3, q=1, d=1, phi=lambda z, th, lm: np.zeros(2))
+        phi_matrix(bad, Z, np.zeros(2), np.zeros(1))
+    short = ModelSpec(p=3, q=1, d=1, phi_batch=rowwise(lambda z, th, lm: np.zeros(2)))
     with pytest.raises(EvaluationError):
-        short.eval_phi(np.array([1.0]), np.zeros(3), np.zeros(1))
+        phi_matrix(short, Z, np.zeros(3), np.zeros(1))
 
 
 def test_domain_boxes():
     m = ModelSpec(
-        p=2, q=1, d=1, phi=lambda z, th, lm: th,
+        p=2, q=1, d=1, phi_batch=rowwise(lambda z, th, lm: th),
         theta_domain=np.array([[-1.0, 1.0], [0.0, 2.0]]),
     )
     assert m.theta_in_domain(np.array([0.5, 1.0]))
     assert not m.theta_in_domain(np.array([2.0, 1.0]))
     assert np.allclose(m.clip_theta(np.array([5.0, -1.0])), [1.0, 0.0])
     with pytest.raises(EvaluationError):
-        ModelSpec(p=1, q=1, d=1, phi=lambda z, th, lm: th,
+        ModelSpec(p=1, q=1, d=1, phi_batch=rowwise(lambda z, th, lm: th),
                   theta_domain=np.array([[1.0, -1.0]]))
 
 
@@ -90,11 +99,12 @@ def test_batched_helpers_match_row_loops():
 
 
 def test_loss_fallbacks_and_rowwise():
-    loss = LossSpec(psi=lambda z, th: float((z[0] - th[0]) ** 2 + th[1] ** 2))
+    loss = LossSpec(psi_batch=rowwise(lambda z, th: (z[0] - th[0]) ** 2 + th[1] ** 2))
     z = np.array([1.0])
     th = np.array([0.3, 0.5])
-    assert np.allclose(loss.grad_psi(z, th), [-2 * 0.7, 1.0], rtol=1e-6)
-    assert np.allclose(loss.hess_psi(z, th), np.diag([2.0, 2.0]), atol=1e-3)
+    assert loss.psi(z, th) == (1 - 0.3) ** 2 + 0.25
+    assert np.allclose(loss.grad_psi_batch(z[None], th), [[-2 * 0.7, 1.0]], rtol=1e-6)
+    assert np.allclose(loss.hess_psi(z[None], th), np.diag([2.0, 2.0]), atol=1e-3)
     Z = np.array([[1.0], [2.0]])
     vals = psi_values(loss, Z, th)
     assert np.allclose(vals, [(1 - 0.3) ** 2 + 0.25, (2 - 0.3) ** 2 + 0.25])
@@ -103,3 +113,15 @@ def test_loss_fallbacks_and_rowwise():
     assert np.allclose(rw, [(1 - 0.3) ** 2 + 0.25, 1.0])
     G = grad_psi_matrix(loss, Z, th)
     assert G.shape == (2, 2)
+    assert np.allclose(G[1], [-2 * 1.7, 1.0], rtol=1e-6)
+    assert loss.hess_psi(Z, th).shape == (2, 2, 2)
+    with pytest.raises(EvaluationError):
+        psi_rowwise_values(loss, Z, np.array([[0.3, 0.5], [np.inf, 0.0]]))
+
+
+def test_rowwise_stacks_per_row_results():
+    f = rowwise(lambda z, a, b: np.array([z[0] * a, b]))
+    Z = np.array([[1.0], [2.0], [3.0]])
+    out = f(Z, 2.0, 5.0)
+    assert out.dtype == float
+    assert np.array_equal(out, [[2.0, 5.0], [4.0, 5.0], [6.0, 5.0]])

@@ -11,64 +11,105 @@ from tunevar import (
     load_pima_csv,
     ridge_closed_form,
 )
-from tunevar.model import ModelSpec
 from tunevar.numdiff import jacobian
 
-from conftest import make_linear_data, make_logistic_data, rel_err
+from conftest import make_linear_data, make_logistic_data
 
 
-def _fd_check(spec, data, n_points=30, seed=0, tol=1e-5):
-    """Analytic derivatives against fresh finite differences of phi."""
+def _row_rel_err(a, b):
+    """Largest per-row relative (Frobenius) error of two per-row stacks."""
+    n = len(b)
+    diff = np.linalg.norm(np.reshape(a - b, (n, -1)), axis=1)
+    return np.max(diff / np.maximum(np.linalg.norm(np.reshape(b, (n, -1)), axis=1), 1e-300))
+
+
+def _unit_draw(spec):
+    def draw(rng):
+        th = spec.clip_theta(rng.uniform(-0.8, 0.8, size=spec.p))
+        return th, rng.uniform(0.05, 0.5, size=spec.q)
+
+    return draw
+
+
+def _fd_check(spec, data, draw, n_draws=10, seed=0, tol=1e-5):
+    """Analytic slots against finite differences of the batch slots.
+
+    Each draw of (theta, lambda) differences all sampled rows at once.
+    """
     rng = np.random.default_rng(seed)
-    for _ in range(n_points):
-        z = data.rows[rng.integers(data.n)]
-        th = rng.uniform(-0.8, 0.8, size=spec.p)
-        th = spec.clip_theta(th)
-        lm = rng.uniform(0.05, 0.5, size=spec.q)
+    Z = data.rows[rng.integers(data.n, size=30)]
+    for _ in range(n_draws):
+        th, lm = draw(rng)
 
-        J = spec.dphi_dtheta(z, th, lm)
-        J_fd = jacobian(lambda t: spec.phi(z, t, lm), th)
-        assert rel_err(J, J_fd) < tol
+        J = spec.dphi_dtheta_batch(Z, th, lm)
+        J_fd = jacobian(lambda t: spec.phi_batch(Z, t, lm), th)
+        assert J.shape == (30, spec.p, spec.p)
+        assert _row_rel_err(J, J_fd) < tol
 
-        L = np.asarray(spec.dphi_dlambda(z, th, lm))
-        L_fd = jacobian(lambda l: spec.phi(z, th, l), lm)
+        L = spec.dphi_dlambda_batch(Z, th, lm)
+        L_fd = jacobian(lambda l: spec.phi_batch(Z, th, l), lm)
+        assert L.shape == (30, spec.p, spec.q)
         assert np.allclose(L, L_fd, rtol=tol, atol=tol)
 
-        X = np.asarray(spec.dphi_dlambda_dtheta(z, th, lm))
-        for j in range(spec.q):
-            def col(t, j=j):
-                return np.asarray(spec.dphi_dlambda(z, t, lm))[:, j]
+        X = spec.dphi_dlambda_dtheta(Z, th, lm)
+        X_fd = jacobian(lambda t: spec.dphi_dlambda_batch(Z, t, lm), th)  # (n, p, q, p)
+        assert X.shape == (30, spec.q, spec.p, spec.p)
+        assert np.allclose(X, np.moveaxis(X_fd, 2, 1), rtol=1e-3, atol=1e-4)
 
-            assert np.allclose(X[j], jacobian(col, th), rtol=1e-3, atol=1e-4)
+        H = spec.hess_phi_theta(Z, th, lm)
+        H_fd = jacobian(lambda t: spec.dphi_dtheta_batch(Z, t, lm), th)
+        assert H.shape == (30, spec.p, spec.p, spec.p)
+        assert np.allclose(H, H_fd, rtol=1e-3, atol=1e-4)
 
-        H = spec.hess_phi_theta(z, th, lm)
-        for k in range(spec.p):
-            Hk_fd = jacobian(lambda t, k=k: spec.dphi_dtheta(z, t, lm)[k], th)
-            assert np.allclose(H[k], Hk_fd, rtol=1e-3, atol=1e-4)
+
+def _loss_fd_check(loss, Z, th):
+    """Loss slots against finite differences of psi_batch over all rows at once."""
+    n = len(Z)
+    g = loss.grad_psi_batch(Z, th)
+    assert g.shape == (n, len(th))
+    assert np.allclose(g, jacobian(lambda t: loss.psi_batch(Z, t), th), rtol=1e-6, atol=1e-8)
+    h = loss.hess_psi(Z, th)
+    assert h.shape == (n, len(th), len(th))
+    h_fd = jacobian(lambda t: loss.grad_psi_batch(Z, t), th)
+    assert np.allclose(h, h_fd, rtol=1e-4, atol=1e-6)
+    assert np.allclose(loss.psi_rowwise(Z, np.tile(th, (n, 1))), loss.psi_batch(Z, th))
+    assert loss.psi(Z[0], th) == loss.psi_batch(Z[:1], th)[0]
 
 
 def test_ridge_linear_derivatives_match_fd():
     data = make_linear_data(n=40, seed=1)
-    _fd_check(RidgeLinearModel(2).spec(), data, seed=1)
+    spec = RidgeLinearModel(2).spec()
+    _fd_check(spec, data, _unit_draw(spec), seed=1)
 
 
 def test_ridge_logistic_derivatives_match_fd():
     data = make_logistic_data(n=40, seed=2)
-    _fd_check(RidgeLogisticModel(2).spec(), data, seed=2)
+    spec = RidgeLogisticModel(2).spec()
+    _fd_check(spec, data, _unit_draw(spec), seed=2)
 
 
 def test_gaussian_model_derivatives_match_fd():
     rng = np.random.default_rng(3)
     data = Dataset(rng.standard_normal((40, 1)) + 0.5)
     spec = GaussianLikelihoodModel().spec()
-    rng2 = np.random.default_rng(4)
-    for _ in range(30):
-        z = data.rows[rng2.integers(data.n)]
-        th = np.array([rng2.uniform(-1, 1), rng2.uniform(0.5, 2.0)])
-        lm = np.zeros(1)
-        J = spec.dphi_dtheta(z, th, lm)
-        J_fd = jacobian(lambda t: spec.phi(z, t, lm), th)
-        assert rel_err(J, J_fd) < 1e-5
+
+    def draw(rng):
+        return np.array([rng.uniform(-1, 1), rng.uniform(0.5, 2.0)]), np.zeros(1)
+
+    _fd_check(spec, data, draw, seed=4)
+
+
+def test_builtin_losses_match_fd():
+    rng = np.random.default_rng(12)
+    lin, logit = RidgeLinearModel(2), RidgeLogisticModel(2)
+    Z = make_linear_data(n=25, seed=12).rows
+    for loss in (lin.squared_error_loss(), lin.squared_error_loss(lambda X: 1.0 + X[:, 1] ** 2)):
+        _loss_fd_check(loss, Z, rng.uniform(-0.8, 0.8, size=3))
+    Z = make_logistic_data(n=25, seed=13).rows
+    for loss in (logit.brier_loss(), logit.brier_loss(predictor_covariates=[1])):
+        _loss_fd_check(loss, Z, rng.uniform(-0.8, 0.8, size=3))
+    Z = rng.standard_normal((25, 1))
+    _loss_fd_check(GaussianLikelihoodModel().neg_loglik_loss(), Z, np.array([0.3, 1.4]))
 
 
 def test_gaussian_score_root_is_mle():
@@ -86,11 +127,10 @@ def test_gaussian_score_root_is_mle():
 def test_logistic_score_at_zero():
     data = make_logistic_data(n=25, seed=6)
     spec = RidgeLogisticModel(2).spec()
-    for i in range(5):
-        z = data.rows[i]
-        x = np.concatenate([[1.0], z[1:]])
-        got = spec.phi(z, np.zeros(3), [0.0])
-        assert np.allclose(got, x * (z[0] - 0.5))
+    Z = data.rows[:5]
+    X = np.column_stack([np.ones(5), Z[:, 1:]])
+    got = spec.phi_batch(Z, np.zeros(3), [0.0])
+    assert np.allclose(got, X * (Z[:, :1] - 0.5))
 
 
 def test_ridge_dominant_penalty_limit():
@@ -108,7 +148,7 @@ def test_brier_loss_sub_model_ignores_excluded_coef():
     th2 = np.array([0.2, 0.5, -7.0])
     assert loss.psi(z, th1) == loss.psi(z, th2)
     # gradient has an exact zero in the excluded slot
-    g = loss.grad_psi(z, th1)
+    g = loss.grad_psi_batch(z[None], th1)[0]
     assert g[2] == 0.0 and g[1] != 0.0
     full = m.brier_loss()
     assert full.psi(z, th1) != full.psi(z, th2)
@@ -118,10 +158,7 @@ def test_brier_loss_gradient_matches_fd():
     loss = RidgeLogisticModel(2).brier_loss()
     z = np.array([1.0, 0.4, -0.9])
     th = np.array([0.3, -0.2, 0.8])
-    g_fd = jacobian(lambda t: np.atleast_1d(loss.psi(z, t)), th)[0]
-    assert np.allclose(loss.grad_psi(z, th), g_fd, rtol=1e-6, atol=1e-8)
-    h_fd = jacobian(lambda t: loss.grad_psi(z, t), th)
-    assert np.allclose(loss.hess_psi(z, th), h_fd, rtol=1e-4, atol=1e-6)
+    _loss_fd_check(loss, np.array([z, [0.0, -1.2, 0.3]]), th)
 
 
 def test_hybrid_model_identical_parts_kill_lambda():
@@ -131,8 +168,9 @@ def test_hybrid_model_identical_parts_kill_lambda():
     spec = HybridModel(p=2, d=2, phi1=f, phi2=f).spec()
     z = np.array([0.3, -0.1])
     th = np.array([0.5, 0.5])
-    assert np.allclose(spec.dphi_dlambda(z, th, [0.4]), 0.0)
-    assert np.allclose(spec.phi(z, th, [0.0]), spec.phi(z, th, [1.0]))
+    Z = np.array([z, [1.0, 2.0]])
+    assert np.allclose(spec.dphi_dlambda_batch(Z, th, [0.4]), 0.0)
+    assert np.allclose(spec.phi_batch(Z, th, [0.0]), spec.phi_batch(Z, th, [1.0]))
 
 
 def test_hybrid_model_endpoints():
@@ -141,9 +179,10 @@ def test_hybrid_model_endpoints():
     spec = HybridModel(p=2, d=2, phi1=f1, phi2=f2).spec()
     z = np.array([0.2, 0.7])
     th = np.array([1.0, -1.0])
-    assert np.allclose(spec.phi(z, th, [1.0]), f1(z, th))
-    assert np.allclose(spec.phi(z, th, [0.0]), f2(z, th))
-    assert np.allclose(spec.dphi_dlambda(z, th, [0.3]).ravel(), f1(z, th) - f2(z, th))
+    Z = z[None]
+    assert np.allclose(spec.phi_batch(Z, th, [1.0]), f1(z, th))
+    assert np.allclose(spec.phi_batch(Z, th, [0.0]), f2(z, th))
+    assert np.allclose(spec.dphi_dlambda_batch(Z, th, [0.3])[0, :, 0], f1(z, th) - f2(z, th))
 
 
 def test_weighted_squared_error_loss():
@@ -156,8 +195,8 @@ def test_weighted_squared_error_loss():
     x = np.array([1.0, 1.5, -0.5])
     expected = (1.0 + 1.5**2) * (2.0 - th @ x) ** 2
     assert abs(loss.psi(z, th) - expected) < 1e-12
-    g_fd = jacobian(lambda t: np.atleast_1d(loss.psi(z, t)), th)[0]
-    assert np.allclose(loss.grad_psi(z, th), g_fd, rtol=1e-6)
+    g_fd = jacobian(lambda t: loss.psi(z, t), th)
+    assert np.allclose(loss.grad_psi_batch(z[None], th)[0], g_fd, rtol=1e-6)
 
 
 def _write_csv(path, rows, header):
@@ -210,7 +249,8 @@ def test_load_pima_csv_schema_errors(tmp_path):
         "Insulin", "BMI", "DiabetesPedigreeFunction", "Age", "Outcome",
     ]
     p2 = tmp_path / "bad2.csv"
-    _write_csv(p2, [[1, 100, 70, 25, 90, 30.0, 0.4, 31, 2]], header)
+    _write_csv(p2, [[1, 100, 70, 25, 90, 30.0, 0.4, 31, 2],
+                    [1, 100, 70, 25, 90, 30.0, 0.4, 31, 1]], header)
     with pytest.raises(SchemaError) as exc:
         load_pima_csv(p2)
     assert exc.value.line == 2

@@ -22,7 +22,10 @@ def test_gradient_matches_analytic():
 
     x = np.array([0.4, -0.2])
     expected = np.array([np.cos(x[0]) * np.exp(x[1]), np.sin(x[0]) * np.exp(x[1])])
-    assert np.allclose(numdiff.gradient(f, x), expected, rtol=1e-7)
+    # a scalar-valued f gives the gradient: shape () + (x.size,)
+    g = numdiff.jacobian(f, x)
+    assert g.shape == (2,)
+    assert np.allclose(g, expected, rtol=1e-7)
 
 
 def test_hessian_symmetric_and_accurate():
@@ -34,6 +37,20 @@ def test_hessian_symmetric_and_accurate():
     expected = np.array([[2 * x[1], 2 * x[0]], [2 * x[0], -np.cos(x[1])]])
     assert np.allclose(H, H.T)
     assert np.allclose(H, expected, rtol=1e-4, atol=1e-5)
+
+
+def test_hessian_array_valued_matches_elementwise():
+    def f(x):
+        return np.array([[x[0] ** 2 * x[1], np.cos(x[1])], [x[0] * x[1] ** 3, 1.0]])
+
+    x = np.array([1.2, 0.3])
+    H = numdiff.hessian(f, x)
+    assert H.shape == (2, 2, 2, 2)
+    for a in range(2):
+        for b in range(2):
+            # bit-identical to the Hessian of each entry on its own
+            assert np.array_equal(H[a, b], numdiff.hessian(lambda v: f(v)[a, b], x))
+    assert np.allclose(H[0, 0], [[2 * x[1], 2 * x[0]], [2 * x[0], 0.0]], rtol=1e-4, atol=1e-5)
 
 
 def test_jacobian_matrix_valued_shapes():

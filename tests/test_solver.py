@@ -13,7 +13,7 @@ from tunevar import (
     solve_theta,
     theta_prime,
 )
-from tunevar.model import phi_mean
+from tunevar.model import phi_mean, rowwise
 
 from conftest import make_linear_data, rel_err
 
@@ -72,7 +72,7 @@ def test_theta_prime_zero_when_lambda_free():
         x = np.concatenate([[1.0], z[1:]])
         return -2.0 * x * (z[0] - th @ x)
 
-    spec = ModelSpec(p=3, q=1, d=3, phi=phi)
+    spec = ModelSpec(p=3, q=1, d=3, phi_batch=rowwise(phi))
     res = solve_theta(spec, data, [0.7], np.zeros(3))
     assert np.allclose(theta_prime(spec, data, res), 0.0, atol=1e-8)
 
@@ -135,7 +135,7 @@ def test_singular_jacobian_raises():
 
 def test_no_convergence_raises():
     # phi has no root: phi = 1 + th^2
-    spec = ModelSpec(p=1, q=1, d=1, phi=lambda z, th, lm: 1.0 + th**2)
+    spec = ModelSpec(p=1, q=1, d=1, phi_batch=rowwise(lambda z, th, lm: 1.0 + th**2))
     data = Dataset(np.zeros((5, 1)) + np.arange(5.0)[:, None])
     with pytest.raises(NoConvergence):
         solve_theta(spec, data, [0.0], np.array([0.5]))
@@ -145,7 +145,7 @@ def test_domain_escape_raises():
     # root at th = 3 but the box stops at 1, and projection cannot reduce
     spec = ModelSpec(
         p=1, q=1, d=1,
-        phi=lambda z, th, lm: th - 3.0,
+        phi_batch=rowwise(lambda z, th, lm: th - 3.0),
         theta_domain=np.array([[-1.0, 1.0]]),
     )
     data = Dataset(np.arange(4.0)[:, None])

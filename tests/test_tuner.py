@@ -10,7 +10,7 @@ from tunevar import (
     truncated_estimate,
     tune,
 )
-from tunevar.model import ModelSpec
+from tunevar.model import ModelSpec, rowwise
 
 from conftest import make_linear_data
 
@@ -45,7 +45,7 @@ def test_slope_small_at_interior_optimum():
 
 def test_monotone_criterion_hits_lower_boundary():
     data, spec, _ = _misspec_setup(seed=3)
-    loss = LossSpec(psi=lambda z, th: float(th @ th))  # increasing in shrinkage? no:
+    loss = LossSpec(psi_batch=rowwise(lambda z, th: th @ th))  # increasing in shrinkage? no:
     # theta shrinks toward 0 as lambda grows, so th@th decreases; use TE of the
     # fitted model under correct specification instead: TE(lambda) is monotone
     # increasing from lambda = 0.
@@ -71,11 +71,9 @@ def test_scale_equivariance_of_argmin():
     m = RidgeLinearModel(2, lambda_domain=(0.0, 1.0))
     loss = m.squared_error_loss()
     scaled = LossSpec(
-        psi=lambda z, th: 7.0 * loss.psi(z, th),
-        grad_psi=lambda z, th: 7.0 * loss.grad_psi(z, th),
-        hess_psi=lambda z, th: 7.0 * loss.hess_psi(z, th),
         psi_batch=lambda Z, th: 7.0 * loss.psi_batch(Z, th),
         grad_psi_batch=lambda Z, th: 7.0 * loss.grad_psi_batch(Z, th),
+        hess_psi=lambda Z, th: 7.0 * loss.hess_psi(Z, th),
         psi_rowwise=lambda Z, Th: 7.0 * loss.psi_rowwise(Z, Th),
     )
     f1 = tune(spec, loss, data, Method.CV_FAST, grid_size=12)
@@ -92,7 +90,9 @@ def test_criterion_failure_on_bad_grid():
         x = np.concatenate([[1.0], z[1:]])
         return -2.0 * x * (z[0] - th @ x) + 2.0 * lm[0] * np.array([0.0, 1.0, 1.0]) * th
 
-    spec = ModelSpec(p=3, q=1, d=3, phi=bad_phi, lambda_domain=np.array([[0.0, 1.0]]))
+    spec = ModelSpec(
+        p=3, q=1, d=3, phi_batch=rowwise(bad_phi), lambda_domain=np.array([[0.0, 1.0]])
+    )
     m = RidgeLinearModel(2)
     with pytest.raises(CriterionFailure):
         tune(spec, m.squared_error_loss(), data, Method.TE, grid_size=10)
@@ -113,7 +113,9 @@ def test_pattern_search_two_dim_tuning():
         pen = np.array([0.0, lm[0], lm[1]]) * th
         return -2.0 * x * (z[0] - th @ x) + 2.0 * pen
 
-    spec = ModelSpec(p=3, q=2, d=3, phi=phi, lambda_domain=np.array([[0.0, 1.0], [0.0, 1.0]]))
+    spec = ModelSpec(
+        p=3, q=2, d=3, phi_batch=rowwise(phi), lambda_domain=np.array([[0.0, 1.0], [0.0, 1.0]])
+    )
     loss = RidgeLinearModel(2).squared_error_loss()
     fit = tune(spec, loss, data, Method.CV_FAST, grid_size=7)
     assert fit.lambda_hat.shape == (2,)
@@ -146,7 +148,7 @@ def test_truncated_estimate_case_b_for_decreasing_criterion():
 
     # criterion decreasing in lambda: psi rewards shrinkage toward zero
     loss = LossSpec(
-        psi=lambda z, th: float(th[1] ** 2 + th[2] ** 2),
+        psi_batch=rowwise(lambda z, th: th[1] ** 2 + th[2] ** 2),
         psi_rowwise=lambda Z, Th: np.einsum("ni,ni->n", Th[:, 1:], Th[:, 1:]),
     )
     m = RidgeLinearModel(2, lambda_domain=(0.0, 1.0))

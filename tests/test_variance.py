@@ -7,8 +7,8 @@ from tunevar import (
     FlatLimitSuspected,
     Method,
     RidgeLinearModel,
+    RidgeLogisticModel,
     assemble_components,
-    eta,
     eta_matrix,
     select_variance,
     solve_theta,
@@ -18,10 +18,10 @@ from tunevar import (
     variance_pointwise,
     variance_tuned,
 )
-from tunevar.model import Dataset, LossSpec, ModelSpec
+from tunevar.model import Dataset, LossSpec, ModelSpec, phi_matrix, rowwise
 from tunevar.variance import z1_chain_rule, z1_profiled
 
-from conftest import make_linear_data, rel_err
+from conftest import make_linear_data, make_logistic_data, rel_err
 
 
 def _interior_fit(n=250, seed=0):
@@ -39,7 +39,7 @@ def test_eta_trivial_blocks():
     z = np.array([1.0, 0.5, -0.5])
     th = np.array([0.2, 0.1, 0.0])
     D = np.zeros((3, 1))
-    e = eta(z, th, [0.0], D, m, loss)
+    e = eta_matrix(m, loss, z[None], th, [0.0], D)[0]
     assert e.shape == (3 + 1 + 3,)
     # D = 0 and lambda = 0: eta2 = 0 and eta3 = dphi_dlambda = 2 P theta
     assert e[3] == 0.0
@@ -60,11 +60,11 @@ def test_eta3_chain_rule_cross_check():
     data, spec, loss, fit = _interior_fit(seed=2)
     z = data.rows[5]
     th, lam, D = fit.theta_hat, fit.lambda_hat, fit.D_hat
-    e = eta(z, th, lam, D, spec, loss)
+    e = eta_matrix(spec, loss, z[None], th, lam, D)[0]
     h = 1e-5
     fd = (
-        spec.eval_phi(z, th + D[:, 0] * h, lam + h)
-        - spec.eval_phi(z, th - D[:, 0] * h, lam - h)
+        phi_matrix(spec, z[None], th + D[:, 0] * h, lam + h)[0]
+        - phi_matrix(spec, z[None], th - D[:, 0] * h, lam - h)[0]
     ) / (2 * h)
     assert np.allclose(e[4:], fd, atol=1e-7)
 
@@ -96,6 +96,28 @@ def test_components_match_bruteforce_ridge():
     # Astar shape and A blocks
     assert comp.Astar.shape == (3, 3 + 1 + 3)
     assert rel_err(comp.A2, -comp.D_hat @ np.linalg.inv(comp.Z1_hat) @ comp.D_hat.T) < 1e-12
+
+
+def test_batch_w_and_z2_match_row_loops():
+    # W_hat and Z2_hat from one batch call per slot against the per-row sums
+    # that defined them, on a model whose second derivatives are nonzero
+    data = make_logistic_data(n=200, seed=0)
+    m = RidgeLogisticModel(2, lambda_domain=(0.0, 0.1))
+    spec, loss = m.spec(), m.brier_loss(predictor_covariates=[0])
+    fit = tune(spec, loss, data, Method.CV_FAST, grid_size=10)
+    assert fit.interior
+    comp = assemble_components(spec, loss, data, fit)
+    th, lam, D = fit.theta_hat, fit.lambda_hat, fit.D_hat
+    HD = np.zeros((3, 3))
+    cross = np.zeros((3, 3))
+    Z2 = np.zeros((3, 3))
+    for z in data.rows:
+        HD += spec.hess_phi_theta(z[None], th, lam)[0] @ D[:, 0]
+        cross += spec.dphi_dlambda_dtheta(z[None], th, lam)[0, 0]
+        Z2 += loss.hess_psi(z[None], th)[0]
+    bJ = comp.b_hat @ np.linalg.inv(comp.J_hat)
+    assert rel_err(comp.W_hat[0], bJ @ ((HD + cross) / data.n)) < 1e-12
+    assert rel_err(comp.Z2_hat, (Z2 + Z2.T) / (2 * data.n)) < 1e-12
 
 
 def test_z1_profile_vs_chain_rule_agree():
@@ -132,9 +154,9 @@ def test_collapse_when_lambda_has_no_pathway():
         return -2.0 * x * (z[0] - th @ x)
 
     spec = ModelSpec(
-        p=3, q=1, d=3, phi=phi,
-        dphi_dlambda=lambda z, th, lm: np.zeros((3, 1)),
-        dphi_dlambda_dtheta=lambda z, th, lm: np.zeros((1, 3, 3)),
+        p=3, q=1, d=3, phi_batch=rowwise(phi),
+        dphi_dlambda_batch=lambda Z, th, lm: np.zeros((len(Z), 3, 1)),
+        dphi_dlambda_dtheta=lambda Z, th, lm: np.zeros((len(Z), 1, 3, 3)),
         lambda_domain=np.array([[0.0, 1.0]]),
     )
     loss = RidgeLinearModel(2).squared_error_loss()
@@ -163,7 +185,7 @@ def test_pointwise_variance_sample_mean_identity():
     rng = np.random.default_rng(7)
     z = rng.standard_normal((300, 1)) * 1.7
     data = Dataset(z)
-    spec = ModelSpec(p=1, q=1, d=1, phi=lambda zz, th, lm: np.atleast_1d(zz[0] - th[0]))
+    spec = ModelSpec(p=1, q=1, d=1, phi_batch=rowwise(lambda zz, th, lm: zz[:1] - th[0]))
     res = solve_theta(spec, data, [0.0], np.zeros(1))
     from tunevar.tuner import FitResult
 
@@ -174,9 +196,7 @@ def test_pointwise_variance_sample_mean_identity():
         criterion_slope_at_opt=np.ones(1), trace=(((0.0,), 0.0), ((1.0,), 1.0)),
         lambda_box=np.array([[0.0, 1.0]]),
     )
-    from tunevar.model import LossSpec
-
-    loss = LossSpec(psi=lambda zz, th: float((zz[0] - th[0]) ** 2))
+    loss = LossSpec(psi_batch=rowwise(lambda zz, th: (zz[0] - th[0]) ** 2))
     comp = assemble_components(spec, loss, data, fit)
     V2 = variance_pointwise(comp)
     assert abs(V2[0, 0] - np.mean((z[:, 0] - res.theta_hat[0]) ** 2)) < 1e-10
@@ -191,8 +211,6 @@ def test_boundary_fit_partial_assembly_and_selection():
     comp = assemble_components(spec, loss, data, fit)
     assert not comp.full
     assert comp.Astar is None
-    with pytest.raises(BoundaryFit):
-        assemble_components(spec, loss, data, fit, require_full=True)
     with pytest.raises(BoundaryFit):
         variance_tuned(comp)
     report = select_variance(spec, loss, data, fit)
@@ -217,23 +235,30 @@ def test_select_variance_interior_picks_v1():
 
 
 def _two_penalty_rowwise_spec():
-    # per-row phi only: every batch slot and every derivative is a fallback
+    # per-row phi only, stacked by rowwise: every derivative is a fallback
     def phi(z, th, lm):
         x = np.concatenate([[1.0], z[1:]])
         pen = np.array([0.0, lm[0], lm[1]]) * th
         return -2.0 * x * (z[0] - th @ x) + 2.0 * pen
 
-    return ModelSpec(p=3, q=2, d=3, phi=phi, lambda_domain=np.array([[0.0, 1.0], [0.0, 1.0]]))
+    return ModelSpec(
+        p=3, q=2, d=3, phi_batch=rowwise(phi), lambda_domain=np.array([[0.0, 1.0], [0.0, 1.0]])
+    )
 
 
 @pytest.mark.parametrize("seed,coef_sq", [(4, 1.0), (9, 0.5)])
 def test_two_penalty_rowwise_spec_z1_and_v1_cross_checks(seed, coef_sq):
     # q = 2 runs the off-diagonal Z1 Hessian, the q-block M_hat and the
-    # column-major eta3; the per-row spec and loss run the stacked fallbacks
+    # column-major eta3; the per-row spec and loss run the rowwise adapter
+    # and the finite-difference fallbacks
     data = make_linear_data(n=150, seed=seed, coef_sq=coef_sq)
     spec = _two_penalty_rowwise_spec()
     full = RidgeLinearModel(2).squared_error_loss()
-    loss = LossSpec(psi=full.psi, grad_psi=full.grad_psi, hess_psi=full.hess_psi)
+    loss = LossSpec(
+        psi_batch=rowwise(full.psi),
+        grad_psi_batch=rowwise(lambda z, th: full.grad_psi_batch(z[None], th)[0]),
+        hess_psi=rowwise(lambda z, th: full.hess_psi(z[None], th)[0]),
+    )
     fit = tune(spec, loss, data, Method.CV_FAST, grid_size=7)
     assert fit.interior
     zp = z1_profiled(spec, loss, data, fit)
