@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .criteria import Method, evaluate_criterion
+from .criteria import Method, evaluate_criterion, loocv_exact, te_trace_corrected
 from .exceptions import SchemaError, TunevarError
 from .harness import DGPKind, DGPSpec, PipelineConfig, bootstrap, replicate, simulate
 from .model import Dataset, read_numeric_csv
@@ -113,27 +113,33 @@ def load_fit_json(path) -> FitResult:
 # ---------------------------------------------------------------------------
 
 def load_csv(path, response_col: int = 0) -> Dataset:
-    """Generic numeric CSV with a header row; errors name the offending line."""
-    return Dataset(read_numeric_csv(path)[0], response_col=response_col)
+    """Generic numeric CSV with a header row; errors name the offending line.
+
+    The one place that picks the response: column response_col moves to
+    position 0 and the covariates keep their order, giving the
+    (response, covariates...) rows every built-in model reads.
+    """
+    rows = read_numeric_csv(path)[0]
+    d = rows.shape[1]
+    if not 0 <= response_col < d:
+        raise SchemaError(f"response column {response_col} out of range for {d} columns")
+    order = [response_col] + [j for j in range(d) if j != response_col]
+    # np.take keeps the rows C-ordered (rows[:, order] would not), and the
+    # layout decides the rounding of the models' matrix products
+    return Dataset(np.take(rows, order, axis=1))
 
 
 def build_model(args, data: Dataset):
     """(ModelSpec, LossSpec) from the CLI model selector and a dataset."""
     lam_box = (args.lambda_min, args.lambda_max)
     if args.model == "ridge-linear":
-        m = RidgeLinearModel(
-            n_covariates=data.d - 1, response_col=args.response_col,
-            lambda_domain=lam_box,
-        )
+        m = RidgeLinearModel(n_covariates=data.d - 1, lambda_domain=lam_box)
         return m.spec(), m.squared_error_loss()
     if args.model == "ridge-logistic":
-        m = RidgeLogisticModel(
-            n_covariates=data.d - 1, response_col=args.response_col,
-            lambda_domain=lam_box,
-        )
+        m = RidgeLogisticModel(n_covariates=data.d - 1, lambda_domain=lam_box)
         return m.spec(), m.brier_loss()
     if args.model == "gaussian":
-        m = GaussianLikelihoodModel(column=args.response_col)
+        m = GaussianLikelihoodModel()
         return m.spec(), m.neg_loglik_loss()
     raise SchemaError(f"unknown model {args.model!r}")
 
@@ -244,17 +250,13 @@ def _dgp_from_args(args) -> DGPSpec:
 def _dgp_model(args, dgp: DGPSpec):
     lam_box = (args.lambda_min, args.lambda_max)
     if dgp.kind is DGPKind.GAUSSMIX_C:
-        m = RidgeLogisticModel(n_covariates=2, response_col=0, lambda_domain=lam_box)
+        m = RidgeLogisticModel(n_covariates=2, lambda_domain=lam_box)
         # tuning criterion scores a sub-model prediction using x_1 only
         return m.spec(), m.brier_loss(predictor_covariates=[0])
     if dgp.kind is DGPKind.LINEAR_GAUSSIAN:
-        m = RidgeLinearModel(
-            n_covariates=len(args.beta) - 1, response_col=0, lambda_domain=lam_box
-        )
+        m = RidgeLinearModel(n_covariates=len(args.beta) - 1, lambda_domain=lam_box)
         return m.spec(), m.squared_error_loss()
-    m = RidgeLogisticModel(
-        n_covariates=len(args.beta) - 1, response_col=0, lambda_domain=lam_box
-    )
+    m = RidgeLogisticModel(n_covariates=len(args.beta) - 1, lambda_domain=lam_box)
     return m.spec(), m.brier_loss()
 
 
@@ -301,11 +303,13 @@ def cmd_bootstrap(args, out: Path) -> int:
 
 def cmd_stone_check(args, out: Path) -> int:
     """Scaled gap n * |CV_exact - trace-corrected TE| on a grid of sample sizes."""
-    from .criteria import loocv_exact, te_trace_corrected
-
     rows = []
     medians = {}
     lam = np.array([args.lam])
+    m = RidgeLinearModel(
+        n_covariates=len(args.beta) - 1, lambda_domain=(args.lambda_min, args.lambda_max)
+    )
+    spec, loss = m.spec(), m.squared_error_loss()
     for n in args.n_list:
         gaps = []
         for r in range(args.reps):
@@ -315,13 +319,9 @@ def cmd_stone_check(args, out: Path) -> int:
                         "coef_sq": args.coef_sq},
             )
             data = simulate(dgp, seed=derive_stream(args.seed, 1000 * n + r))
-            m = RidgeLinearModel(
-                n_covariates=len(args.beta) - 1, response_col=0,
-                lambda_domain=(args.lambda_min, args.lambda_max),
-            )
-            spec, loss = m.spec(), m.squared_error_loss()
-            cv = loocv_exact(spec, loss, data, lam)
-            tc = te_trace_corrected(spec, loss, data, lam)
+            res = solve_theta(spec, data, lam, spec.theta_init)
+            cv = loocv_exact(spec, loss, data, lam, solve=res)
+            tc = te_trace_corrected(spec, loss, data, lam, solve=res)
             gap = n * abs(cv.value - tc.value)
             gaps.append(gap)
             rows.append((n, r, gap))

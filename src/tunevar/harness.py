@@ -76,7 +76,7 @@ def simulate(dgp: DGPSpec, seed: int) -> Dataset:
         n1 = int(y.sum())
         x[y == 0.0] = rng.multivariate_normal(mu, Sigma, size=n - n1)
         x[y == 1.0] = rng.multivariate_normal(-mu, 2.0 * Sigma, size=n1)
-        return Dataset(np.column_stack([y, x]), response_col=0)
+        return Dataset(np.column_stack([y, x]))
     if dgp.kind is DGPKind.LINEAR_GAUSSIAN:
         beta = np.asarray(dgp.params.get("beta", (1.0, 1.0)), float)
         sigma = float(dgp.params.get("sigma", 1.0))
@@ -85,14 +85,14 @@ def simulate(dgp: DGPSpec, seed: int) -> Dataset:
         x = rng.standard_normal((n, m))
         mean = beta[0] + x @ beta[1:] + coef_sq * (x[:, 0] ** 2 - 1.0)
         y = mean + sigma * rng.standard_normal(n)
-        return Dataset(np.column_stack([y, x]), response_col=0)
+        return Dataset(np.column_stack([y, x]))
     if dgp.kind is DGPKind.LOGISTIC_TRUE:
         beta = np.asarray(dgp.params.get("beta", (0.0, 1.0)), float)
         m = len(beta) - 1
         x = rng.standard_normal((n, m))
         t = beta[0] + x @ beta[1:]
         y = (rng.random(n) < 1.0 / (1.0 + np.exp(-t))).astype(float)
-        return Dataset(np.column_stack([y, x]), response_col=0)
+        return Dataset(np.column_stack([y, x]))
     sampler = dgp.params["sampler"]
     return Dataset(np.asarray(sampler(rng, n), float))
 

@@ -11,6 +11,7 @@ function, so downstream code can always assume every slot is populated.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -22,10 +23,11 @@ from .exceptions import EvaluationError, SchemaError
 
 @dataclass(frozen=True)
 class Dataset:
-    """n i.i.d. rows in R^d, optionally tagging one column as the response."""
+    """n i.i.d. rows in R^d. Built-in models read a row as (response,
+    covariates...); only the CLI loader chooses which CSV column is the
+    response."""
 
     rows: np.ndarray
-    response_col: Optional[int] = None
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
@@ -36,8 +38,6 @@ class Dataset:
         if not np.all(np.isfinite(rows)):
             raise EvaluationError("Dataset contains non-finite entries")
         object.__setattr__(self, "rows", rows)
-        if self.response_col is not None and not (0 <= self.response_col < rows.shape[1]):
-            raise EvaluationError("response_col out of range")
 
     @property
     def n(self) -> int:
@@ -48,7 +48,7 @@ class Dataset:
         return self.rows.shape[1]
 
     def take(self, idx) -> "Dataset":
-        return Dataset(self.rows[np.asarray(idx)], self.response_col)
+        return Dataset(self.rows[np.asarray(idx)])
 
 
 def read_numeric_csv(path):
@@ -56,7 +56,8 @@ def read_numeric_csv(path):
     the file line number of each row.
 
     Blank lines are skipped. SchemaError names the offending line for an
-    empty file, a ragged or non-numeric row, and fewer than 2 data rows.
+    empty file, a ragged, non-numeric or non-finite row, and fewer than 2
+    data rows.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -73,9 +74,12 @@ def read_numeric_csv(path):
                     f"row has {len(row)} fields, header has {len(header)}", line=lineno
                 )
             try:
-                rows.append([float(v) for v in row])
+                vals = [float(v) for v in row]
             except ValueError:
                 raise SchemaError("non-numeric field", line=lineno)
+            if not all(map(math.isfinite, vals)):
+                raise SchemaError("non-finite field", line=lineno)
+            rows.append(vals)
             lines.append(lineno)
     if not rows:
         raise SchemaError("CSV has a header but no data rows", line=2)
@@ -132,7 +136,6 @@ class ModelSpec:
 
     p: int
     q: int
-    d: int
     phi_batch: Callable
     dphi_dtheta_batch: Optional[Callable] = None
     dphi_dlambda_batch: Optional[Callable] = None
@@ -143,8 +146,8 @@ class ModelSpec:
     theta_init: Optional[np.ndarray] = None  # default solver start, else clipped zeros
 
     def __post_init__(self):
-        if min(self.p, self.q, self.d) < 1:
-            raise EvaluationError("p, q and d must be positive")
+        if min(self.p, self.q) < 1:
+            raise EvaluationError("p and q must be positive")
         self.theta_domain = _check_box(self.theta_domain, self.p, "theta_domain")
         self.lambda_domain = _check_box(self.lambda_domain, self.q, "lambda_domain")
         if self.theta_init is None:

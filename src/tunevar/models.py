@@ -1,8 +1,9 @@
 """Built-in estimating-function models, losses, and closed-form test oracles.
 
-Rows are laid out as (response, covariates...) unless response_col says
-otherwise. Regression models augment the covariate vector with a leading
-intercept; the intercept is never penalized by default.
+Rows are laid out as (response, covariates...); only the CLI loader picks
+which CSV column becomes the response. Regression models augment the
+covariate vector with a leading intercept; the intercept is never penalized
+by default.
 
 Penalty convention: the logistic objective is sum_i loglik_i - n * lam * |beta_1:|^2,
 so the per-observation estimating function carries lam (not n*lam). The tuned
@@ -20,16 +21,9 @@ from .exceptions import EvaluationError, SchemaError
 from .model import Dataset, LossSpec, ModelSpec, read_numeric_csv, rowwise
 
 
-def _split_xy(Z: np.ndarray, response_col: int):
-    y = Z[:, response_col]
-    x = np.delete(Z, response_col, axis=1)
-    return y, x
-
-
-def _design(Z: np.ndarray, response_col: int):
-    y, x = _split_xy(Z, response_col)
-    X = np.column_stack([np.ones(len(y)), x])
-    return y, X
+def _design(Z: np.ndarray):
+    """(y, X): the response column and the intercept-augmented covariates."""
+    return Z[:, 0], np.column_stack([np.ones(Z.shape[0]), Z[:, 1:]])
 
 
 def default_penalty_mask(p: int) -> np.ndarray:
@@ -48,15 +42,19 @@ def _expit(t):
 
 
 # ---------------------------------------------------------------------------
-# Ridge linear regression: phi is the gradient of the penalized squared error.
+# Ridge regressions: phi is the gradient of a penalized objective in beta.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RidgeLinearModel:
-    """phi(z, beta, lam) = -2 x~ (y - beta' x~) + 2 lam P beta."""
+class _RidgeModel:
+    """Fields and ModelSpec assembly shared by the two ridge models.
+
+    phi carries the penalty as PENALTY * lam * P beta. A subclass sets the
+    class constant PENALTY and supplies _link_slots(P), which returns the
+    link-specific (phi_batch, dphi_dtheta_batch, hess_phi_theta).
+    """
 
     n_covariates: int
-    response_col: int = 0
     penalty_mask: Optional[np.ndarray] = None
     lambda_domain: tuple = (0.0, 1.0)
 
@@ -72,38 +70,49 @@ class RidgeLinearModel:
     def spec(self) -> ModelSpec:
         p = self.p
         P = np.diag(self.mask())
-        rc = self.response_col
-
-        def phi_batch(Z, th, lm):
-            y, X = _design(Z, rc)
-            e = y - X @ th
-            return -2.0 * X * e[:, None] + 2.0 * float(lm[0]) * (P @ th)
-
-        def dphi_dtheta_batch(Z, th, lm):
-            _, X = _design(Z, rc)
-            return 2.0 * np.einsum("ni,nj->nij", X, X) + 2.0 * float(lm[0]) * P
+        pen = self.PENALTY
+        phi_batch, dphi_dtheta_batch, hess_phi_theta = self._link_slots(P)
 
         def dphi_dlambda_batch(Z, th, lm):
-            base = (2.0 * (P @ th)).reshape(1, p, 1)
+            base = (pen * (P @ th)).reshape(1, p, 1)
             return np.repeat(base, Z.shape[0], axis=0)
 
-        def hess_phi_theta(Z, th, lm):
-            return np.zeros((Z.shape[0], p, p, p))
-
         def dphi_dlambda_dtheta(Z, th, lm):
-            return np.repeat((2.0 * P)[None, None], Z.shape[0], axis=0)
+            return np.repeat((pen * P)[None, None], Z.shape[0], axis=0)
 
         return ModelSpec(
-            p=p, q=1, d=self.n_covariates + 1,
+            p=p, q=1,
             phi_batch=phi_batch, dphi_dtheta_batch=dphi_dtheta_batch,
             dphi_dlambda_batch=dphi_dlambda_batch, hess_phi_theta=hess_phi_theta,
             dphi_dlambda_dtheta=dphi_dlambda_dtheta,
             lambda_domain=np.array([self.lambda_domain]),
         )
 
+
+class RidgeLinearModel(_RidgeModel):
+    """phi(z, beta, lam) = -2 x~ (y - beta' x~) + 2 lam P beta."""
+
+    PENALTY = 2.0
+
+    def _link_slots(self, P):
+        p = self.p
+
+        def phi_batch(Z, th, lm):
+            y, X = _design(Z)
+            e = y - X @ th
+            return -2.0 * X * e[:, None] + 2.0 * float(lm[0]) * (P @ th)
+
+        def dphi_dtheta_batch(Z, th, lm):
+            _, X = _design(Z)
+            return 2.0 * np.einsum("ni,nj->nij", X, X) + 2.0 * float(lm[0]) * P
+
+        def hess_phi_theta(Z, th, lm):
+            return np.zeros((Z.shape[0], p, p, p))
+
+        return phi_batch, dphi_dtheta_batch, hess_phi_theta
+
     def squared_error_loss(self, weight_fn=None) -> LossSpec:
         """psi(z, beta) = w(x) (y - beta' x~)^2; w defaults to 1."""
-        rc = self.response_col
 
         def weights(X):
             if weight_fn is None:
@@ -111,19 +120,19 @@ class RidgeLinearModel:
             return np.asarray(weight_fn(X), dtype=float)
 
         def psi_batch(Z, th):
-            y, X = _design(Z, rc)
+            y, X = _design(Z)
             return weights(X) * (y - X @ th) ** 2
 
         def grad_psi_batch(Z, th):
-            y, X = _design(Z, rc)
+            y, X = _design(Z)
             return -2.0 * (weights(X) * (y - X @ th))[:, None] * X
 
         def hess_psi(Z, th):
-            _, X = _design(Z, rc)
+            _, X = _design(Z)
             return (2.0 * weights(X))[:, None, None] * np.einsum("ni,nj->nij", X, X)
 
         def psi_rowwise(Z, Th):
-            y, X = _design(Z, rc)
+            y, X = _design(Z)
             return weights(X) * (y - np.einsum("ni,ni->n", X, Th)) ** 2
 
         return LossSpec(
@@ -132,65 +141,31 @@ class RidgeLinearModel:
         )
 
 
-# ---------------------------------------------------------------------------
-# Ridge logistic regression: phi is the gradient of the penalized log-likelihood.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RidgeLogisticModel:
+class RidgeLogisticModel(_RidgeModel):
     """phi(z, beta, lam) = x~ (y - p(x, beta)) - 2 lam P beta."""
 
-    n_covariates: int
-    response_col: int = 0
-    penalty_mask: Optional[np.ndarray] = None
-    lambda_domain: tuple = (0.0, 1.0)
+    PENALTY = -2.0
 
-    @property
-    def p(self) -> int:
-        return self.n_covariates + 1
-
-    def mask(self) -> np.ndarray:
-        if self.penalty_mask is None:
-            return default_penalty_mask(self.p)
-        return np.asarray(self.penalty_mask, dtype=float)
-
-    def spec(self) -> ModelSpec:
-        p = self.p
-        P = np.diag(self.mask())
-        rc = self.response_col
-
+    def _link_slots(self, P):
         def phi_batch(Z, th, lm):
-            y, X = _design(Z, rc)
+            y, X = _design(Z)
             pi = _expit(X @ th)
             return X * (y - pi)[:, None] - 2.0 * float(lm[0]) * (P @ th)
 
         def dphi_dtheta_batch(Z, th, lm):
-            _, X = _design(Z, rc)
+            _, X = _design(Z)
             w = _expit(X @ th)
             w = w * (1.0 - w)
             return -np.einsum("n,ni,nj->nij", w, X, X) - 2.0 * float(lm[0]) * P
 
-        def dphi_dlambda_batch(Z, th, lm):
-            base = (-2.0 * (P @ th)).reshape(1, p, 1)
-            return np.repeat(base, Z.shape[0], axis=0)
-
         def hess_phi_theta(Z, th, lm):
-            _, X = _design(Z, rc)
+            _, X = _design(Z)
             pi = _expit(X @ th)
             w = pi * (1.0 - pi)
             core = (-w * (1.0 - 2.0 * pi))[:, None, None] * np.einsum("nk,nl->nkl", X, X)
             return np.einsum("nj,nkl->njkl", X, core)
 
-        def dphi_dlambda_dtheta(Z, th, lm):
-            return np.repeat((-2.0 * P)[None, None], Z.shape[0], axis=0)
-
-        return ModelSpec(
-            p=p, q=1, d=self.n_covariates + 1,
-            phi_batch=phi_batch, dphi_dtheta_batch=dphi_dtheta_batch,
-            dphi_dlambda_batch=dphi_dlambda_batch, hess_phi_theta=hess_phi_theta,
-            dphi_dlambda_dtheta=dphi_dlambda_dtheta,
-            lambda_domain=np.array([self.lambda_domain]),
-        )
+        return phi_batch, dphi_dtheta_batch, hess_phi_theta
 
     def brier_loss(self, predictor_covariates: Optional[Sequence[int]] = None) -> LossSpec:
         """psi(z, beta) = (y - expit(u' beta))^2 with u the masked design vector.
@@ -200,7 +175,6 @@ class RidgeLogisticModel:
         enters. Coefficients of excluded covariates do not affect psi, which
         is how a loss can target a sub-model of the fitted one.
         """
-        rc = self.response_col
         p = self.p
         sel = np.zeros(p)
         sel[0] = 1.0
@@ -211,7 +185,7 @@ class RidgeLogisticModel:
                 sel[1 + k] = 1.0
 
         def masked_design(Z):
-            y, X = _design(Z, rc)
+            y, X = _design(Z)
             return y, X * sel
 
         def psi_batch(Z, th):
@@ -253,7 +227,6 @@ class HybridModel:
     """
 
     p: int
-    d: int
     phi1: callable
     phi2: callable
     dphi1_dtheta: Optional[callable] = None
@@ -263,7 +236,7 @@ class HybridModel:
         def part(phi, dphi):
             # one lambda-free part, stacked from its per-row callables
             return ModelSpec(
-                p=self.p, q=1, d=self.d,
+                p=self.p, q=1,
                 phi_batch=rowwise(lambda z, th, lm: phi(z, th)),
                 dphi_dtheta_batch=None if dphi is None else rowwise(lambda z, th, lm: dphi(z, th)),
             )
@@ -290,7 +263,7 @@ class HybridModel:
             return diff[:, None]
 
         return ModelSpec(
-            p=self.p, q=1, d=self.d,
+            p=self.p, q=1,
             phi_batch=mix(base1.phi_batch, base2.phi_batch),
             dphi_dtheta_batch=mix(base1.dphi_dtheta_batch, base2.dphi_dtheta_batch),
             dphi_dlambda_batch=dphi_dlambda_batch,
@@ -306,21 +279,18 @@ class HybridModel:
 
 @dataclass(frozen=True)
 class GaussianLikelihoodModel:
-    """Score equations of a N(mu, sigma^2) likelihood; lam is inert (q=1)."""
-
-    column: int = 0
+    """Score equations of a N(mu, sigma^2) likelihood for the response z[0];
+    lam is inert (q=1)."""
 
     def spec(self) -> ModelSpec:
-        c = self.column
-
         def phi_batch(Z, th, lm):
             mu, sg = th
-            r = Z[:, c] - mu
+            r = Z[:, 0] - mu
             return np.column_stack([r / sg**2, -1.0 / sg + r**2 / sg**3])
 
         def dphi_dtheta_batch(Z, th, lm):
             mu, sg = th
-            r = Z[:, c] - mu
+            r = Z[:, 0] - mu
             n = Z.shape[0]
             out = np.empty((n, 2, 2))
             out[:, 0, 0] = -1.0 / sg**2
@@ -334,7 +304,7 @@ class GaussianLikelihoodModel:
 
         def hess_phi_theta(Z, th, lm):
             mu, sg = th
-            r = Z[:, c] - mu
+            r = Z[:, 0] - mu
             out = np.empty((Z.shape[0], 2, 2, 2))
             out[:, 0, 0, 0] = 0.0
             out[:, 0, 0, 1] = out[:, 0, 1, 0] = out[:, 1, 0, 0] = 2.0 / sg**3
@@ -346,7 +316,7 @@ class GaussianLikelihoodModel:
             return np.zeros((Z.shape[0], 1, 2, 2))
 
         return ModelSpec(
-            p=2, q=1, d=max(1, c + 1),
+            p=2, q=1,
             phi_batch=phi_batch, dphi_dtheta_batch=dphi_dtheta_batch,
             dphi_dlambda_batch=dphi_dlambda_batch, hess_phi_theta=hess_phi_theta,
             dphi_dlambda_dtheta=dphi_dlambda_dtheta,
@@ -357,22 +327,21 @@ class GaussianLikelihoodModel:
 
     def neg_loglik_loss(self) -> LossSpec:
         """psi = -log N(z; mu, sigma^2); its gradient is minus the score."""
-        c = self.column
         half_log_2pi = 0.5 * np.log(2.0 * np.pi)
 
         def psi_batch(Z, th):
             mu, sg = th
-            r = Z[:, c] - mu
+            r = Z[:, 0] - mu
             return np.log(sg) + r**2 / (2.0 * sg**2) + half_log_2pi
 
         def grad_psi_batch(Z, th):
             mu, sg = th
-            r = Z[:, c] - mu
+            r = Z[:, 0] - mu
             return np.column_stack([-r / sg**2, 1.0 / sg - r**2 / sg**3])
 
         def hess_psi(Z, th):
             mu, sg = th
-            r = Z[:, c] - mu
+            r = Z[:, 0] - mu
             out = np.empty((Z.shape[0], 2, 2))
             out[:, 0, 0] = 1.0 / sg**2
             out[:, 0, 1] = out[:, 1, 0] = 2.0 * r / sg**3
@@ -380,7 +349,7 @@ class GaussianLikelihoodModel:
             return out
 
         def psi_rowwise(Z, Th):
-            r = Z[:, c] - Th[:, 0]
+            r = Z[:, 0] - Th[:, 0]
             sg = Th[:, 1]
             return np.log(sg) + r**2 / (2.0 * sg**2) + half_log_2pi
 
@@ -394,9 +363,9 @@ class GaussianLikelihoodModel:
 # Closed-form ridge oracles (used by tests and the acceptance suite).
 # ---------------------------------------------------------------------------
 
-def ridge_closed_form(data: Dataset, lam: float, mask=None, response_col: int = 0) -> np.ndarray:
+def ridge_closed_form(data: Dataset, lam: float, mask=None) -> np.ndarray:
     """Direct solve of (mean x~ x~' + lam P) beta = mean x~ y."""
-    y, X = _design(data.rows, response_col)
+    y, X = _design(data.rows)
     p = X.shape[1]
     P = np.diag(default_penalty_mask(p) if mask is None else np.asarray(mask, float))
     A = X.T @ X / data.n + float(lam) * P
@@ -405,7 +374,7 @@ def ridge_closed_form(data: Dataset, lam: float, mask=None, response_col: int = 
     return np.linalg.solve(A, X.T @ y / data.n)
 
 
-def ridge_loocv_closed_form(data: Dataset, lam: float, mask=None, response_col: int = 0) -> float:
+def ridge_loocv_closed_form(data: Dataset, lam: float, mask=None) -> float:
     """Exact hat-matrix identity for the leave-one-out squared error.
 
     The leave-one-out fit drops row i from the estimating equation, so the
@@ -413,7 +382,7 @@ def ridge_loocv_closed_form(data: Dataset, lam: float, mask=None, response_col: 
     e_{(-i)} = e_i / (1 - h_ii) therefore holds for the rank-one downdate of
     B = X'X + (n-1) * lam * P, not of the full-fit system.
     """
-    y, X = _design(data.rows, response_col)
+    y, X = _design(data.rows)
     n, p = X.shape
     P = np.diag(default_penalty_mask(p) if mask is None else np.asarray(mask, float))
     B = X.T @ X + (n - 1) * float(lam) * P
@@ -430,23 +399,25 @@ def ridge_loocv_closed_form(data: Dataset, lam: float, mask=None, response_col: 
 # Pima-style CSV ingestion.
 # ---------------------------------------------------------------------------
 
+PIMA_COVARIATES = (
+    "Pregnancies", "Glucose", "BloodPressure", "SkinThickness", "Insulin", "BMI",
+    "DiabetesPedigreeFunction", "Age",
+)  # the binary response, Outcome, is the last column
 PIMA_ZERO_IS_MISSING = (1, 2, 3, 4, 5)  # glucose, pressure, triceps, insulin, BMI
 
 
-def load_pima_csv(path, response_col: Optional[int] = None) -> Dataset:
-    """Load a Pima-style CSV: header row, 8 numeric covariates + binary response.
+def load_pima_csv(path) -> Dataset:
+    """Load a Pima-style CSV: header row, 8 numeric covariates + binary Outcome last.
 
     Rows with zeros in the columns where zero is physiologically impossible
     are dropped as missing, and covariates are standardized to zero mean and
-    unit variance. The returned rows are (response, covariates...).
+    unit variance; a covariate that is constant on the kept rows is a
+    SchemaError. The returned rows are (response, covariates...).
     """
     arr, lines = read_numeric_csv(path)
-    if arr.shape[1] != 9:
+    if arr.shape[1] != len(PIMA_COVARIATES) + 1:
         raise SchemaError(f"expected 9 columns (8 covariates + response), got {arr.shape[1]}")
-    if response_col is None:
-        response_col = arr.shape[1] - 1
-    y = arr[:, response_col]
-    X = np.delete(arr, response_col, axis=1)
+    y, X = arr[:, -1], arr[:, :-1]
     bad = np.flatnonzero(~np.isin(y, (0.0, 1.0)))
     if bad.size:
         raise SchemaError("response column is not binary 0/1", line=int(lines[bad[0]]))
@@ -456,12 +427,18 @@ def load_pima_csv(path, response_col: Optional[int] = None) -> Dataset:
     X, y = X[keep], y[keep]
     if len(y) < 2:
         raise SchemaError(f"{len(y)} rows left after dropping rows with missing values; need 2")
+    flat = np.flatnonzero(np.ptp(X, axis=0) == 0.0)
+    if flat.size:
+        raise SchemaError(
+            f"covariate {PIMA_COVARIATES[flat[0]]} is constant on the rows kept, "
+            "so it has zero variance and cannot be standardized"
+        )
     X = (X - X.mean(axis=0)) / X.std(axis=0, ddof=0)
-    return Dataset(np.column_stack([y, X]), response_col=0)
+    return Dataset(np.column_stack([y, X]))
 
 
 def make_pima_model(path, lambda_domain=(0.0, 0.1)):
     """Wire a penalized logistic model with Brier loss to a Pima-style CSV."""
     data = load_pima_csv(path)
-    model = RidgeLogisticModel(n_covariates=8, response_col=0, lambda_domain=lambda_domain)
+    model = RidgeLogisticModel(n_covariates=len(PIMA_COVARIATES), lambda_domain=lambda_domain)
     return data, model.spec(), model.brier_loss()

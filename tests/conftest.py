@@ -11,7 +11,7 @@ def make_linear_data(n=200, seed=0, beta=(1.0, 1.0, 0.5), sigma=1.0, coef_sq=0.0
     m = len(beta) - 1
     x = rng.standard_normal((n, m))
     y = beta[0] + x @ beta[1:] + coef_sq * (x[:, 0] ** 2 - 1.0) + sigma * rng.standard_normal(n)
-    return Dataset(np.column_stack([y, x]), response_col=0)
+    return Dataset(np.column_stack([y, x]))
 
 
 def make_logistic_data(n=200, seed=0, beta=(0.3, 1.0, -0.5)):
@@ -20,7 +20,7 @@ def make_logistic_data(n=200, seed=0, beta=(0.3, 1.0, -0.5)):
     x = rng.standard_normal((n, len(beta) - 1))
     t = beta[0] + x @ beta[1:]
     y = (rng.random(n) < 1.0 / (1.0 + np.exp(-t))).astype(float)
-    return Dataset(np.column_stack([y, x]), response_col=0)
+    return Dataset(np.column_stack([y, x]))
 
 
 def rel_err(a, b):

@@ -142,7 +142,7 @@ def _interior_hybrid_fits(count, start_seed):
     from tunevar.model import LossSpec, rowwise
 
     hm = HybridModel(
-        p=1, d=2,
+        p=1,
         phi1=lambda z, th: np.atleast_1d(th[0] - z[0]),
         phi2=lambda z, th: np.atleast_1d(th[0] - z[1]),
         dphi1_dtheta=lambda z, th: np.ones((1, 1)),

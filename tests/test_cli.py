@@ -221,3 +221,64 @@ def test_fit_json_schema_version_enforced(data_csv, tmp_path):
     rc = main(["variance", "--data", str(path), "--fit", str(bad),
                "--out", str(out)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+def test_non_finite_csv_field_exits_2_with_line(tmp_path, capsys, field):
+    p = tmp_path / "nonfinite.csv"
+    p.write_text(f"y,x1,x2\n1.0,2.0,3.0\n{field},1.0,2.0\n2.0,3.0,1.0\n")
+    rc = main(["tune", "--data", str(p), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["type"] == "SchemaError"
+    assert err["error"]["line"] == 3
+
+
+@pytest.mark.parametrize("col", [5, 3, -1])
+def test_response_col_out_of_range_exits_2(data_csv, tmp_path, capsys, col):
+    path, _ = data_csv
+    rc = main(["tune", "--data", str(path), "--response-col", str(col),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["type"] == "SchemaError"
+    assert err["error"]["kind"] == "input"
+
+
+def test_pima_constant_covariate_exits_2(tmp_path, capsys):
+    # every covariate varies except DiabetesPedigreeFunction (column 7)
+    rows = [f"{1 + i % 3},{100 + i},{70 + i},{25 + i},{90 + i},{30.0 + i},0.4,{31 + i},{i % 2}\n"
+            for i in range(8)]
+    p = tmp_path / "pima.csv"
+    p.write_text(PIMA_HEADER + "".join(rows))
+    rc = main(["variance", "--model", "pima", "--data", str(p),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["type"] == "SchemaError"
+    assert "DiabetesPedigreeFunction" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("model", ["ridge-linear", "gaussian"])
+def test_response_col_moves_response_to_front(data_csv, tmp_path, model):
+    # the same rows with the response in column 0 and in column 2 give the
+    # same bytes: the loader moves the response to the front, keeping the
+    # covariates in their order
+    _, data = data_csv
+    moved = tmp_path / "moved.csv"
+    with open(moved, "w") as fh:
+        fh.write("x1,x2,y\n")
+        for row in data.rows[:, [1, 2, 0]]:
+            fh.write(",".join("%.17g" % v for v in row) + "\n")
+    front = tmp_path / "front.csv"
+    _write_data_csv(front, data)
+    outs = []
+    for path, col in ((front, "0"), (moved, "2")):
+        out = tmp_path / f"out{col}"
+        common = ["--data", str(path), "--model", model, "--response-col", col,
+                  "--criterion", "cv_fast", "--grid-size", "8", "--out", str(out)]
+        assert main(["tune", *common]) == 0
+        assert main(["variance", *common, "--fit", str(out / "fit.json")]) == 0
+        outs.append(out)
+    for name in ("fit.json", "trace.csv", "variance.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

@@ -59,7 +59,7 @@ def test_loocv_exact_matches_naive_cold_refits_tiny_n():
     cv = loocv_exact(spec, loss, data, [0.3])
     naive = []
     for i in range(5):
-        sub = Dataset(np.delete(data.rows, i, axis=0), response_col=0)
+        sub = Dataset(np.delete(data.rows, i, axis=0))
         res = solve_theta(spec, sub, [0.3], np.zeros(3))
         naive.append(loss.psi(data.rows[i], res.theta_hat))
     assert abs(cv.value - np.mean(naive)) < 1e-10
@@ -106,7 +106,7 @@ def test_loocv_fast_one_phi_call_no_gradient_call():
 def test_loocv_fast_equals_exact_on_replicated_point_mass():
     spec, loss = _ridge()
     row = np.array([2.0, 1.0, -1.0])
-    data = Dataset(np.tile(row, (20, 1)) + 0.0, response_col=0)
+    data = Dataset(np.tile(row, (20, 1)) + 0.0)
     # identical rows: every phi(Z_i, theta_hat) = 0 at the root, so the
     # influence step vanishes and fast == exact == TE
     fast = loocv_fast(spec, loss, data, [0.3]).value
@@ -149,7 +149,7 @@ def test_holdout_matches_brute_force_and_seeding():
     from tunevar.rng import fisher_yates_permutation
 
     perm = fisher_yates_permutation(60, 9)
-    est = Dataset(data.rows[perm[30:]], response_col=0)
+    est = Dataset(data.rows[perm[30:]])
     res = solve_theta(spec, est, [0.2], np.zeros(3))
     X = np.column_stack([np.ones(30), data.rows[perm[:30], 1:]])
     direct = np.mean((data.rows[perm[:30], 0] - X @ res.theta_hat) ** 2)
@@ -177,7 +177,7 @@ def test_criteria_permutation_invariant():
     spec, loss = _ridge()
     data = make_linear_data(n=50, seed=11)
     perm = np.random.default_rng(12).permutation(50)
-    shuffled = Dataset(data.rows[perm], response_col=0)
+    shuffled = Dataset(data.rows[perm])
     for fn in (training_error, loocv_exact, loocv_fast, te_trace_corrected):
         v1 = fn(spec, loss, data, [0.3]).value
         v2 = fn(spec, loss, shuffled, [0.3]).value

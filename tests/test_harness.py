@@ -84,10 +84,10 @@ def test_replicate_deterministic():
 def test_bootstrap_constant_covariate_free_model():
     # a dataset of identical rows resamples to itself: all draws equal
     row = np.array([1.5, 0.3, -0.2])
-    data = Dataset(np.tile(row, (30, 1)) + 0.0, response_col=0)
+    data = Dataset(np.tile(row, (30, 1)) + 0.0)
     from tunevar.model import LossSpec, ModelSpec, rowwise
 
-    spec = ModelSpec(p=1, q=1, d=3, phi_batch=rowwise(lambda z, th, lm: th[:1] - z[0]),
+    spec = ModelSpec(p=1, q=1, phi_batch=rowwise(lambda z, th, lm: th[:1] - z[0]),
                      lambda_domain=np.array([[0.0, 1.0]]))
     loss = LossSpec(psi_batch=rowwise(lambda z, th: (z[0] - th[0]) ** 2))
     config = PipelineConfig(model=spec, loss=loss, method=Method.TE,
@@ -101,7 +101,7 @@ def test_bootstrap_seed_determinism_and_variation():
     rng = np.random.default_rng(8)
     rows = np.column_stack([rng.standard_normal(60) + 1.0,
                             rng.standard_normal(60), rng.standard_normal(60)])
-    data = Dataset(rows, response_col=0)
+    data = Dataset(rows)
     config = _config(compute_variance=False)
     s1 = bootstrap(data, config, B=5, seed=3)
     s2 = bootstrap(data, config, B=5, seed=3)

@@ -20,9 +20,7 @@ def test_dataset_validation():
         Dataset(np.array([[1.0, 2.0]]))  # n = 1
     with pytest.raises(EvaluationError):
         Dataset(np.array([[1.0], [np.nan]]))
-    with pytest.raises(EvaluationError):
-        Dataset(np.ones((3, 2)), response_col=5)
-    d = Dataset(np.arange(6.0).reshape(3, 2), response_col=0)
+    d = Dataset(np.arange(6.0).reshape(3, 2))
     assert d.n == 3 and d.d == 2
     assert d.take([0, 2]).n == 2
     assert np.array_equal(d.take([2, 0]).rows, d.rows[[2, 0]])
@@ -33,7 +31,7 @@ def _toy_model():
     def phi(z, th, lm):
         return th - np.asarray(z, float) + float(lm[0]) * th**3
 
-    return ModelSpec(p=2, q=1, d=2, phi_batch=rowwise(phi))
+    return ModelSpec(p=2, q=1, phi_batch=rowwise(phi))
 
 
 def test_derivative_fallbacks_populated_and_accurate():
@@ -63,24 +61,24 @@ def test_derivative_fallbacks_populated_and_accurate():
 
 def test_phi_matrix_rejects_bad_output():
     Z = np.array([[1.0], [2.0]])
-    bad = ModelSpec(p=2, q=1, d=1, phi_batch=rowwise(lambda z, th, lm: np.array([np.nan, 0.0])))
+    bad = ModelSpec(p=2, q=1, phi_batch=rowwise(lambda z, th, lm: np.array([np.nan, 0.0])))
     with pytest.raises(EvaluationError):
         phi_matrix(bad, Z, np.zeros(2), np.zeros(1))
-    short = ModelSpec(p=3, q=1, d=1, phi_batch=rowwise(lambda z, th, lm: np.zeros(2)))
+    short = ModelSpec(p=3, q=1, phi_batch=rowwise(lambda z, th, lm: np.zeros(2)))
     with pytest.raises(EvaluationError):
         phi_matrix(short, Z, np.zeros(3), np.zeros(1))
 
 
 def test_domain_boxes():
     m = ModelSpec(
-        p=2, q=1, d=1, phi_batch=rowwise(lambda z, th, lm: th),
+        p=2, q=1, phi_batch=rowwise(lambda z, th, lm: th),
         theta_domain=np.array([[-1.0, 1.0], [0.0, 2.0]]),
     )
     assert m.theta_in_domain(np.array([0.5, 1.0]))
     assert not m.theta_in_domain(np.array([2.0, 1.0]))
     assert np.allclose(m.clip_theta(np.array([5.0, -1.0])), [1.0, 0.0])
     with pytest.raises(EvaluationError):
-        ModelSpec(p=1, q=1, d=1, phi_batch=rowwise(lambda z, th, lm: th),
+        ModelSpec(p=1, q=1, phi_batch=rowwise(lambda z, th, lm: th),
                   theta_domain=np.array([[1.0, -1.0]]))
 
 

@@ -165,7 +165,7 @@ def test_hybrid_model_identical_parts_kill_lambda():
     def f(z, th):
         return th - z
 
-    spec = HybridModel(p=2, d=2, phi1=f, phi2=f).spec()
+    spec = HybridModel(p=2, phi1=f, phi2=f).spec()
     z = np.array([0.3, -0.1])
     th = np.array([0.5, 0.5])
     Z = np.array([z, [1.0, 2.0]])
@@ -176,7 +176,7 @@ def test_hybrid_model_identical_parts_kill_lambda():
 def test_hybrid_model_endpoints():
     f1 = lambda z, th: th - z
     f2 = lambda z, th: 2.0 * (th - z) + 1.0
-    spec = HybridModel(p=2, d=2, phi1=f1, phi2=f2).spec()
+    spec = HybridModel(p=2, phi1=f1, phi2=f2).spec()
     z = np.array([0.2, 0.7])
     th = np.array([1.0, -1.0])
     Z = z[None]

@@ -57,7 +57,7 @@ def test_solve_and_te_permutation_invariant(data_seed, perm_seed):
     n = 40
     x = rng.standard_normal((n, 2))
     y = 1.0 + x @ np.array([1.0, -0.5]) + rng.standard_normal(n)
-    data = Dataset(np.column_stack([y, x]), response_col=0)
+    data = Dataset(np.column_stack([y, x]))
     perm = np.random.default_rng(perm_seed).permutation(n)
     shuffled = data.take(perm)
     m = RidgeLinearModel(2)
@@ -78,7 +78,7 @@ def test_pointwise_variance_symmetric_psd(data_seed, lam):
     n = 60
     x = rng.standard_normal((n, 2))
     y = 1.0 + x @ np.array([1.0, -0.5]) + rng.standard_normal(n)
-    data = Dataset(np.column_stack([y, x]), response_col=0)
+    data = Dataset(np.column_stack([y, x]))
     m = RidgeLinearModel(2)
     spec = m.spec()
     from tunevar import theta_prime

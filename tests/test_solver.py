@@ -72,7 +72,7 @@ def test_theta_prime_zero_when_lambda_free():
         x = np.concatenate([[1.0], z[1:]])
         return -2.0 * x * (z[0] - th @ x)
 
-    spec = ModelSpec(p=3, q=1, d=3, phi_batch=rowwise(phi))
+    spec = ModelSpec(p=3, q=1, phi_batch=rowwise(phi))
     res = solve_theta(spec, data, [0.7], np.zeros(3))
     assert np.allclose(theta_prime(spec, data, res), 0.0, atol=1e-8)
 
@@ -103,7 +103,7 @@ def test_solve_loo_residual_and_warm_start():
         assert np.linalg.norm(phi_mean(spec, Z, loo.theta_hat, loo.lam)) <= 1e-9
     with pytest.raises(IndexError):
         solve_loo(spec, data, [0.2], data.n, warm_start=res.theta_hat)
-    tiny = Dataset(data.rows[:2], response_col=0)
+    tiny = Dataset(data.rows[:2])
     with pytest.raises(ValueError):
         solve_loo(spec, tiny, [0.2], 0, warm_start=res.theta_hat)
 
@@ -127,7 +127,7 @@ def test_loo_gap_shrinks_with_n():
 
 def test_singular_jacobian_raises():
     rows = np.column_stack([np.arange(10.0), np.ones(10), np.ones(10)])
-    data = Dataset(rows, response_col=0)  # duplicate covariate columns
+    data = Dataset(rows)  # duplicate covariate columns
     spec = RidgeLinearModel(2).spec()
     with pytest.raises(SingularJacobian):
         solve_theta(spec, data, [0.0], np.zeros(3))
@@ -135,7 +135,7 @@ def test_singular_jacobian_raises():
 
 def test_no_convergence_raises():
     # phi has no root: phi = 1 + th^2
-    spec = ModelSpec(p=1, q=1, d=1, phi_batch=rowwise(lambda z, th, lm: 1.0 + th**2))
+    spec = ModelSpec(p=1, q=1, phi_batch=rowwise(lambda z, th, lm: 1.0 + th**2))
     data = Dataset(np.zeros((5, 1)) + np.arange(5.0)[:, None])
     with pytest.raises(NoConvergence):
         solve_theta(spec, data, [0.0], np.array([0.5]))
@@ -144,7 +144,7 @@ def test_no_convergence_raises():
 def test_domain_escape_raises():
     # root at th = 3 but the box stops at 1, and projection cannot reduce
     spec = ModelSpec(
-        p=1, q=1, d=1,
+        p=1, q=1,
         phi_batch=rowwise(lambda z, th, lm: th - 3.0),
         theta_domain=np.array([[-1.0, 1.0]]),
     )

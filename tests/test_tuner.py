@@ -91,7 +91,7 @@ def test_criterion_failure_on_bad_grid():
         return -2.0 * x * (z[0] - th @ x) + 2.0 * lm[0] * np.array([0.0, 1.0, 1.0]) * th
 
     spec = ModelSpec(
-        p=3, q=1, d=3, phi_batch=rowwise(bad_phi), lambda_domain=np.array([[0.0, 1.0]])
+        p=3, q=1, phi_batch=rowwise(bad_phi), lambda_domain=np.array([[0.0, 1.0]])
     )
     m = RidgeLinearModel(2)
     with pytest.raises(CriterionFailure):
@@ -114,7 +114,7 @@ def test_pattern_search_two_dim_tuning():
         return -2.0 * x * (z[0] - th @ x) + 2.0 * pen
 
     spec = ModelSpec(
-        p=3, q=2, d=3, phi_batch=rowwise(phi), lambda_domain=np.array([[0.0, 1.0], [0.0, 1.0]])
+        p=3, q=2, phi_batch=rowwise(phi), lambda_domain=np.array([[0.0, 1.0], [0.0, 1.0]])
     )
     loss = RidgeLinearModel(2).squared_error_loss()
     fit = tune(spec, loss, data, Method.CV_FAST, grid_size=7)

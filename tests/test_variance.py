@@ -154,7 +154,7 @@ def test_collapse_when_lambda_has_no_pathway():
         return -2.0 * x * (z[0] - th @ x)
 
     spec = ModelSpec(
-        p=3, q=1, d=3, phi_batch=rowwise(phi),
+        p=3, q=1, phi_batch=rowwise(phi),
         dphi_dlambda_batch=lambda Z, th, lm: np.zeros((len(Z), 3, 1)),
         dphi_dlambda_dtheta=lambda Z, th, lm: np.zeros((len(Z), 1, 3, 3)),
         lambda_domain=np.array([[0.0, 1.0]]),
@@ -185,7 +185,7 @@ def test_pointwise_variance_sample_mean_identity():
     rng = np.random.default_rng(7)
     z = rng.standard_normal((300, 1)) * 1.7
     data = Dataset(z)
-    spec = ModelSpec(p=1, q=1, d=1, phi_batch=rowwise(lambda zz, th, lm: zz[:1] - th[0]))
+    spec = ModelSpec(p=1, q=1, phi_batch=rowwise(lambda zz, th, lm: zz[:1] - th[0]))
     res = solve_theta(spec, data, [0.0], np.zeros(1))
     from tunevar.tuner import FitResult
 
@@ -242,7 +242,7 @@ def _two_penalty_rowwise_spec():
         return -2.0 * x * (z[0] - th @ x) + 2.0 * pen
 
     return ModelSpec(
-        p=3, q=2, d=3, phi_batch=rowwise(phi), lambda_domain=np.array([[0.0, 1.0], [0.0, 1.0]])
+        p=3, q=2, phi_batch=rowwise(phi), lambda_domain=np.array([[0.0, 1.0], [0.0, 1.0]])
     )
 
 
