@@ -51,7 +51,7 @@ from .models import (
     ridge_closed_form,
     ridge_loocv_closed_form,
 )
-from .solver import SolveResult, solve_loo, solve_theta, theta_prime
+from .solver import SolveResult, solve_loo, solve_loo_all, solve_theta, theta_prime
 from .tuner import (
     BoundaryStatus,
     FitResult,
@@ -86,7 +86,7 @@ __all__ = [
     "evaluate_criterion", "holdout_error", "info_criterion", "load_pima_csv",
     "loocv_exact", "loocv_fast", "make_pima_model", "mixture_law_check",
     "replicate", "ridge_closed_form", "ridge_loocv_closed_form", "rowwise",
-    "select_variance", "simulate", "solve_loo", "solve_theta",
+    "select_variance", "simulate", "solve_loo", "solve_loo_all", "solve_theta",
     "te_trace_corrected", "theta_prime", "training_error", "truncated_estimate",
     "tune", "variance_alpha", "variance_pointwise", "variance_tuned",
 ]

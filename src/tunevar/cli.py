@@ -146,11 +146,14 @@ def build_model(args, data: Dataset):
 
 def _load_data_and_model(args):
     if args.model == "pima":
+        if args.response_col is not None:
+            raise SchemaError("--response-col does not apply to --model pima, "
+                              "whose response is the Outcome column")
         data, spec, loss = make_pima_model(
             args.data, lambda_domain=(args.lambda_min, args.lambda_max)
         )
         return data, spec, loss
-    data = load_csv(args.data, response_col=args.response_col)
+    data = load_csv(args.data, response_col=args.response_col or 0)
     spec, loss = build_model(args, data)
     return data, spec, loss
 
@@ -352,7 +355,8 @@ def _add_data_model(p):
     p.add_argument("--data", required=True, help="input CSV (header row)")
     p.add_argument("--model", default="ridge-linear",
                    choices=["ridge-linear", "ridge-logistic", "gaussian", "pima"])
-    p.add_argument("--response-col", type=int, default=0, dest="response_col")
+    p.add_argument("--response-col", type=int, default=None, dest="response_col",
+                   help="response column of the CSV (default 0); not with --model pima")
 
 
 def _add_dgp(p):

@@ -4,6 +4,14 @@ Implements the training error, exact and influence-approximated leave-one-out
 cross-validation, the trace-corrected training error, a seeded holdout
 criterion, and the AIC/BIC/TIC information criteria.
 
+Exact LOOCV solves the n leave-one-out problems together by Newton's method
+(solver.solve_loo_all): one phi and one Jacobian evaluation at theta_hat start
+all n problems, each step is one batched solve, and each problem's residual
+is evaluated exactly at every iterate. Rows that the batched solve rejects
+(ill-conditioned or non-finite Jacobian, a step out of theta_domain,
+non-finite phi, a failed Armijo test) or does not converge fall back to the
+per-row refit solver.solve_loo.
+
 Sign conventions (with J_hat = minus the empirical theta-Jacobian of Phi_n):
   theta_hat_(-i) ~= theta_hat - (1/n) J_hat^{-1} phi(Z_i, theta_hat, lam)
   CV ~= TE - (1/n) Tr(J_hat^{-1} C_hat),  C_hat = (1/n) sum_i phi_i grad_psi_i'
@@ -29,7 +37,7 @@ from .model import (
     psi_values,
 )
 from .rng import fisher_yates_permutation
-from .solver import SolveResult, checked_solve, solve_loo, solve_theta
+from .solver import SolveResult, checked_solve, solve_loo, solve_loo_all, solve_theta
 
 
 class Method(enum.Enum):
@@ -89,23 +97,27 @@ def loocv_exact(
 ) -> CriterionValue:
     """CV(lam): refit without each row in turn and average the held-out loss.
 
-    Refits are warm-started at theta_hat(lam); a failed refit is retried once
-    from the cold start before being counted. More than 1% failed rows aborts.
+    All n refits are solved together by solve_loo_all, a batched Newton
+    iteration from theta_hat(lam). A row it rejects or does not converge
+    falls back to the per-row solve_loo, warm-started at theta_hat and
+    retried once from the cold start before being counted as failed. More
+    than 1% failed rows aborts. Diagnostics: refit_fallbacks counts the rows
+    that took the per-row path, refit_failures the rows that failed on it.
     """
     solve = _fit(model, data, lam, theta_init, solve)
     cold = theta_init if theta_init is not None else model.theta_init
-    thetas = np.empty((data.n, model.p))
-    ok = np.ones(data.n, dtype=bool)
-    for i in range(data.n):
+    thetas, ok = solve_loo_all(model, data, solve)
+    fallbacks = np.flatnonzero(~ok)
+    for i in fallbacks:
         try:
             res = solve_loo(model, data, solve.lam, i, warm_start=solve.theta_hat)
         except TunevarError:
             try:
                 res = solve_loo(model, data, solve.lam, i, warm_start=cold)
             except TunevarError:
-                ok[i] = False
                 continue
         thetas[i] = res.theta_hat
+        ok[i] = True
     failed = np.flatnonzero(~ok).tolist()
     if len(failed) > 0.01 * data.n:
         raise RefitFailure(
@@ -115,7 +127,7 @@ def loocv_exact(
     value = float(psi_rowwise_values(loss, data.rows[ok], thetas[ok]).mean())
     return CriterionValue(
         value, Method.CV_EXACT, np.asarray(solve.lam, float),
-        {"refit_failures": float(len(failed))},
+        {"refit_failures": float(len(failed)), "refit_fallbacks": float(len(fallbacks))},
     )
 
 

@@ -6,8 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainEscape, NoConvergence, SingularJacobian
-from .model import Dataset, ModelSpec, jac_lambda_mean, jac_theta_mean, phi_mean
+from .exceptions import DomainEscape, EvaluationError, NoConvergence, SingularJacobian
+from .model import (
+    Dataset, ModelSpec, jac_lambda_mean, jac_theta_mean, phi_matrix, phi_mean,
+)
 
 MAX_ITER = 100
 MAX_HALVINGS = 40
@@ -104,8 +106,80 @@ def theta_prime(model: ModelSpec, data: Dataset, solve: SolveResult) -> np.ndarr
     return checked_solve(solve.J_hat, dlam, "Jacobian")
 
 
+def solve_loo_all(model: ModelSpec, data: Dataset, solve: SolveResult):
+    """All n leave-one-out roots by one batched Newton iteration from theta_hat.
+
+    Problem i solves Phi_i(theta) = (sum_j phi_j(theta) - phi_i(theta)) / (n-1)
+    = 0, with Jacobian A_i(theta) = (sum_j G_j(theta) - G_i(theta)) / (n-1)
+    for G = d phi / d theta. One phi and one G evaluation at theta_hat give
+    every problem's first residual and Jacobian. Each step is one batched
+    condition check and one batched solve over the active problems; then each
+    problem's residual, and its Jacobian if it has not converged, is
+    evaluated exactly at its new iterate, one call over all rows each.
+
+    The rules of the per-row Newton solve hold for each problem: tolerance
+    default_tol(theta_hat), at most MAX_ITER steps, a step accepted only if it
+    passes the Armijo test at t = 1. A problem whose Jacobian fails the
+    condition test or is non-finite, whose step leaves theta_domain, whose phi
+    is non-finite or whose step fails the Armijo test leaves the batch; no
+    problem aborts the others.
+
+    Returns (thetas (n, p), converged (n,) bool); rows not converged are NaN
+    and are left to the per-row solve_loo.
+    """
+    Z, lam, theta_hat = data.rows, solve.lam, solve.theta_hat
+    n = data.n
+    if n < 3:
+        raise ValueError("leave-one-out refits need n >= 3")
+    tol = default_tol(theta_hat)
+
+    def loo(M, i):
+        return (M.sum(axis=0) - M[i]) / (n - 1)
+
+    F = phi_matrix(model, Z, theta_hat, lam)
+    G = np.asarray(model.dphi_dtheta_batch(Z, theta_hat, lam), dtype=float)
+    Phi = (F.sum(axis=0) - F) / (n - 1)
+    A = (G.sum(axis=0) - G) / (n - 1)
+    alive = np.all(np.isfinite(A), axis=(1, 2))
+    thetas = np.tile(theta_hat, (n, 1))
+    fval = np.einsum("ij,ij->i", Phi, Phi)
+    for _ in range(MAX_ITER):
+        act = np.flatnonzero(alive & (np.sqrt(fval) > tol))
+        if act.size == 0:
+            break
+        cond = np.linalg.cond(A[act])
+        well = np.isfinite(cond) & (cond <= COND_LIMIT)
+        alive[act[~well]] = False
+        act = act[well]
+        cands = thetas[act] - np.linalg.solve(A[act], Phi[act][:, :, None])[:, :, 0]
+        # a candidate lies in theta_domain exactly when clipping leaves it unchanged
+        inside = np.all(model.clip_theta(cands) == cands, axis=1)
+        alive[act[~inside]] = False
+        for i, cand in zip(act[inside], cands[inside]):
+            try:
+                Phi_c = loo(phi_matrix(model, Z, cand, lam), i)
+            except EvaluationError:
+                alive[i] = False
+                continue
+            f_c = float(Phi_c @ Phi_c)
+            if f_c > fval[i] * (1.0 - 2.0 * ARMIJO):
+                alive[i] = False
+                continue
+            thetas[i], Phi[i], fval[i] = cand, Phi_c, f_c
+            if np.sqrt(f_c) > tol:
+                A[i] = loo(np.asarray(model.dphi_dtheta_batch(Z, cand, lam), dtype=float), i)
+                alive[i] = np.all(np.isfinite(A[i]))
+    converged = alive & (np.sqrt(fval) <= tol)
+    thetas[~converged] = np.nan
+    return thetas, converged
+
+
 def solve_loo(model: ModelSpec, data: Dataset, lam, i: int, warm_start, tol=None) -> SolveResult:
-    """Refit on the n-1 rows excluding row i, warm-started (typically at theta_hat)."""
+    """Refit on the n-1 rows excluding row i, warm-started (typically at theta_hat).
+
+    The per-row fallback of loocv_exact for the rows solve_loo_all did not
+    converge: a full damped Newton solve on a copy of the data without row i.
+    """
     if data.n < 3:
         raise ValueError("leave-one-out refits need n >= 3")
     if not (0 <= i < data.n):

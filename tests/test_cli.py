@@ -259,6 +259,25 @@ def test_pima_constant_covariate_exits_2(tmp_path, capsys):
     assert "DiabetesPedigreeFunction" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("col", ["99", "8", "0"])
+def test_pima_rejects_response_col(tmp_path, capsys, col):
+    # the Pima response is the Outcome column by schema; the flag is an error
+    rows = [f"{1 + i % 3},{100 + i},{70 + i},{25 + i},{90 + i},{30.0 + i},{0.1 + 0.05 * i},"
+            f"{31 + i},{i % 2}\n" for i in range(8)]
+    p = tmp_path / "pima.csv"
+    p.write_text(PIMA_HEADER + "".join(rows))
+    common = ["--model", "pima", "--data", str(p), "--lam", "0.1"]
+    assert main(["fit", *common, "--out", str(tmp_path / "ok")]) == 0
+    capsys.readouterr()
+    rc = main(["fit", *common, "--response-col", col, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["type"] == "SchemaError"
+    assert err["error"]["kind"] == "input"
+    assert "--response-col" in err["error"]["message"]
+    assert not (tmp_path / "o" / "fit.json").exists()
+
+
 @pytest.mark.parametrize("model", ["ridge-linear", "gaussian"])
 def test_response_col_moves_response_to_front(data_csv, tmp_path, model):
     # the same rows with the response in column 0 and in column 2 give the

@@ -6,12 +6,17 @@ from tunevar import (
     GaussianLikelihoodModel,
     LossSpec,
     Method,
+    ModelSpec,
+    RefitFailure,
     RidgeLinearModel,
+    TunevarError,
     holdout_error,
     info_criterion,
     loocv_exact,
     loocv_fast,
     ridge_loocv_closed_form,
+    solve_loo,
+    solve_loo_all,
     solve_theta,
     te_trace_corrected,
     training_error,
@@ -182,3 +187,104 @@ def test_criteria_permutation_invariant():
         v1 = fn(spec, loss, data, [0.3]).value
         v2 = fn(spec, loss, shuffled, [0.3]).value
         assert abs(v1 - v2) < 1e-10
+
+
+def _cubic_spec(theta_init, hi=None, inf_above=None):
+    """phi(z, th) = y - a th - th^3 on rows z = (y, a), p = q = 1; lam is inert.
+
+    Each leave-one-out problem has one root, but the Newton step from
+    theta_hat can overshoot it, and a row's Jacobian -(a + 3 th^2) vanishes at
+    th = 0 when a = 0.
+    """
+
+    def phi(z, th, lm):
+        t = th[0]
+        return [np.inf if inf_above is not None and t > inf_above else z[0] - z[1] * t - t**3]
+
+    def dphi(z, th, lm):
+        return [[-(z[1] + 3.0 * th[0] ** 2)]]
+
+    return ModelSpec(
+        p=1, q=1, phi_batch=rowwise(phi), dphi_dtheta_batch=rowwise(dphi),
+        theta_domain=None if hi is None else [[-10.0, hi]], theta_init=[theta_init],
+    )
+
+
+_CUBIC_LOSS = LossSpec(psi_batch=rowwise(lambda z, th: (z[0] - th[0]) ** 2))
+# sum(y) = 0 exactly, so theta_hat = 0 exactly when solved from 0
+_OVERSHOOT_ROWS = np.array([[1.0, 1.0]] * 4 + [[-4.0, 1.0]])
+_INSIDE_ROWS = np.array([[0.5, 1.0]] * 4 + [[-2.0, 1.0]])
+_SINGULAR_ROWS = np.array([[0.125, 0.0]] * 4 + [[-0.5, 1.0]])
+
+
+@pytest.mark.parametrize("rows, spec_kw", [
+    # dropping row 4 moves the root from 0 to 0.682; the first step lands on
+    # 1.0, where the residual is no smaller
+    pytest.param(_OVERSHOOT_ROWS, {}, id="armijo"),
+    # the first step for row 4 lands on 0.5, which passes the Armijo test but
+    # lies past the bound 0.48; the root is 0.453
+    pytest.param(_INSIDE_ROWS, {"hi": 0.48}, id="domain"),
+    # phi is infinite where the first step for row 4 lands
+    pytest.param(_OVERSHOOT_ROWS, {"inf_above": 0.95}, id="non-finite-phi"),
+    # without row 4 every row has a = 0: A_4 = 0 at theta_hat = 0, and only
+    # the cold start reaches the root 0.5
+    pytest.param(_SINGULAR_ROWS, {}, id="condition"),
+])
+def test_loocv_exact_rejected_rows_fall_back_to_per_row_refit(monkeypatch, rows, spec_kw):
+    import tunevar.criteria as criteria
+
+    spec = _cubic_spec(0.75, **spec_kw)
+    data = Dataset(rows)
+    solve = solve_theta(spec, data, [0.0], [0.0])
+    assert solve.theta_hat[0] == 0.0
+    thetas, converged = solve_loo_all(spec, data, solve)
+    assert converged.tolist() == [True] * 4 + [False]
+    assert np.all(np.isnan(thetas[4]))
+
+    calls = []
+
+    def recorded(model, data, lam, i, **kw):
+        calls.append(int(i))
+        return solve_loo(model, data, lam, i, **kw)
+
+    monkeypatch.setattr(criteria, "solve_loo", recorded)
+    cv = loocv_exact(spec, _CUBIC_LOSS, data, [0.0], solve=solve)
+    assert calls and set(calls) == {4}
+    assert cv.diagnostics == {"refit_failures": 0.0, "refit_fallbacks": 1.0}
+
+    # batched rows match the per-row refits; the rejected row takes the
+    # per-row path: warm start, then cold retry
+    for i in range(data.n):
+        try:
+            res = solve_loo(spec, data, solve.lam, i, warm_start=solve.theta_hat)
+        except TunevarError:
+            assert i == 4
+            res = solve_loo(spec, data, solve.lam, i, warm_start=spec.theta_init)
+        if i < 4:
+            assert abs(thetas[i, 0] - res.theta_hat[0]) < 1e-12
+    thetas[4] = res.theta_hat
+    held_out = [_CUBIC_LOSS.psi(z, th) for z, th in zip(data.rows, thetas)]
+    assert abs(cv.value - np.mean(held_out)) < 1e-14
+
+
+def test_loocv_exact_failed_refits_counted_then_abort():
+    # with the cold start at 0 too, the refit without the single a = 1 row
+    # fails from both starts: 1 of 101 rows is tolerated, 1 of 5 aborts
+    spec = _cubic_spec(0.0)
+    y = 2.0**-7
+    rows = np.array([[y, 0.0]] * 2 + [[-100 * y, 1.0]] + [[y, 0.0]] * 98)
+    data = Dataset(rows)
+    solve = solve_theta(spec, data, [0.0], [0.0])
+    cv = loocv_exact(spec, _CUBIC_LOSS, data, [0.0], solve=solve)
+    assert cv.diagnostics == {"refit_failures": 1.0, "refit_fallbacks": 1.0}
+    thetas, converged = solve_loo_all(spec, data, solve)
+    keep = np.arange(data.n) != 2
+    assert np.array_equal(converged, keep)
+    held_out = [_CUBIC_LOSS.psi(z, th) for z, th in zip(rows[keep], thetas[keep])]
+    assert abs(cv.value - np.mean(held_out)) < 1e-15
+
+    small = Dataset(_SINGULAR_ROWS)
+    solve = solve_theta(spec, small, [0.0], [0.0])
+    with pytest.raises(RefitFailure) as exc:
+        loocv_exact(spec, _CUBIC_LOSS, small, [0.0], solve=solve)
+    assert exc.value.failed_indices == (4,)

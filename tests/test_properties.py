@@ -1,10 +1,16 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tunevar import RidgeLinearModel, solve_theta, training_error
+from tunevar import (
+    GaussianLikelihoodModel, RefitFailure, RidgeLinearModel, RidgeLogisticModel, TunevarError,
+    loocv_exact, solve_loo, solve_loo_all, solve_theta, training_error,
+)
 from tunevar.model import Dataset
 from tunevar.rng import SplitMix64, derive_stream, fisher_yates_permutation, splitmix64
+
+from conftest import make_logistic_data
 
 SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -94,3 +100,48 @@ def test_pointwise_variance_symmetric_psd(data_seed, lam):
     V2 = Jinv @ K @ Jinv.T
     assert np.allclose(V2, V2.T, atol=1e-10)
     assert np.linalg.eigvalsh(V2).min() >= -1e-8 * max(np.trace(V2), 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["ridge-logistic", "gaussian"]),
+       st.integers(min_value=0, max_value=2**31),
+       st.floats(min_value=0.01, max_value=1.0, allow_nan=False),
+       st.integers(min_value=5, max_value=60))
+def test_batched_loo_matches_per_row_refits(model, data_seed, lam, n):
+    # the batched leave-one-out solve against the per-row refit it replaces
+    if model == "ridge-logistic":
+        m = RidgeLogisticModel(2)
+        spec, loss = m.spec(), m.brier_loss()
+        data = make_logistic_data(n=n, seed=data_seed)
+        start = spec.theta_init
+    else:
+        m = GaussianLikelihoodModel()
+        spec, loss = m.spec(), m.neg_loglik_loss()
+        z = np.random.default_rng(data_seed).standard_normal(n) * 1.3 + 0.4
+        data = Dataset(z[:, None])
+        start = [z.mean(), z.std()]  # Newton from (0, 1) can stall on a small sample
+    solve = solve_theta(spec, data, [lam], start)
+    thetas, converged = solve_loo_all(spec, data, solve)
+    assert np.all(np.isnan(thetas[~converged]))
+    # per-row reference with loocv_exact's retry: warm start, then cold start
+    refits = np.full((n, spec.p), np.nan)
+    for i in range(n):
+        for start in (solve.theta_hat, spec.theta_init):
+            try:
+                refits[i] = solve_loo(spec, data, solve.lam, i, warm_start=start).theta_hat
+                break
+            except TunevarError:
+                pass
+    both = converged & ~np.isnan(refits[:, 0])
+    err = np.abs(thetas[both] - refits[both])
+    assert np.all(err <= 1e-7 * (1.0 + np.abs(refits[both])))
+    failed = np.isnan(refits[:, 0])
+    if failed.sum() > 0.01 * n:
+        with pytest.raises(RefitFailure) as exc:
+            loocv_exact(spec, loss, data, [lam], solve=solve)
+        assert exc.value.failed_indices == tuple(np.flatnonzero(failed))
+        return
+    cv = loocv_exact(spec, loss, data, [lam], solve=solve)
+    assert cv.diagnostics["refit_fallbacks"] == n - converged.sum()
+    per_row = np.mean([loss.psi(z, th) for z, th in zip(data.rows, refits)])
+    assert abs(cv.value - per_row) <= 1e-9 * abs(per_row)
