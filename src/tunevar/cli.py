@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .criteria import Method, evaluate_criterion, loocv_exact, te_trace_corrected
-from .exceptions import SchemaError, TunevarError
+from .exceptions import EvaluationError, SchemaError, TunevarError
 from .harness import DGPKind, DGPSpec, PipelineConfig, bootstrap, replicate, simulate
-from .model import Dataset, read_numeric_csv
+from .model import Dataset, ModelSpec, phi_mean, read_numeric_csv
 from .models import (
     GaussianLikelihoodModel,
     RidgeLinearModel,
@@ -27,11 +27,11 @@ from .models import (
     make_pima_model,
 )
 from .rng import derive_stream
-from .solver import solve_theta, theta_prime
+from .solver import default_tol, solve_theta, theta_prime
 from .tuner import BoundaryStatus, FitResult, tune
 from .variance import select_variance
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +100,45 @@ def fit_result_from_dict(d: dict) -> FitResult:
     )
 
 
-def load_fit_json(path) -> FitResult:
+def load_fit_json(path, spec: ModelSpec, data: Dataset) -> FitResult:
+    """Read a fit.json and check it against the model and data it is applied to.
+
+    SchemaError on another schema_version, a missing field, an array whose
+    shape does not match the model's p and q, or a theta_hat that does not
+    solve the estimating equation on this data: a residual
+    ||mean phi(Z, theta_hat, lambda_hat)|| above 1e4 times the solver's
+    tolerance, 1e-6 * (1 + ||theta_hat||).
+    """
     with open(path) as fh:
         d = json.load(fh)
     if d.get("schema_version") != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema_version {d.get('schema_version')}")
-    return fit_result_from_dict(d)
+    try:
+        fit = fit_result_from_dict(d)
+    except KeyError as exc:
+        raise SchemaError(f"fit.json has no field {exc}") from None
+    p, q = spec.p, spec.q
+    for name, got, want in (
+        ("theta_hat", fit.theta_hat.shape, (p,)),
+        ("lambda_hat", fit.lambda_hat.shape, (q,)),
+        ("D_hat", fit.D_hat.shape, (p, q)),
+        ("lambda_box", fit.lambda_box.shape, (q, 2)),
+        ("boundary_status", (len(fit.boundary_status),), (q,)),
+    ):
+        if got != want:
+            raise SchemaError(f"fit.json {name} has shape {got}; the model needs {want}")
+    try:
+        phi_bar = phi_mean(spec, data.rows, fit.theta_hat, fit.lambda_hat)
+    except EvaluationError:
+        phi_bar = np.full(p, np.inf)
+    residual = float(np.linalg.norm(phi_bar))
+    tol = 1e4 * default_tol(fit.theta_hat)
+    if not residual <= tol:
+        raise SchemaError(
+            f"fit.json theta_hat leaves the residual {residual:.3e} > {tol:.3e} on "
+            "this data; the fit was made on other data or with another model"
+        )
+    return fit
 
 
 # ---------------------------------------------------------------------------
@@ -171,29 +204,20 @@ def _pipeline_config(args, spec, loss) -> PipelineConfig:
 
 def cmd_fit(args, out: Path) -> int:
     data, spec, loss = _load_data_and_model(args)
-    lam = np.array([args.lam])
-    res = solve_theta(spec, data, lam, spec.theta_init)
-    D = theta_prime(spec, data, res)
+    method = Method(args.criterion)
+    res = solve_theta(spec, data, np.array([args.lam]), spec.theta_init)
     cv = evaluate_criterion(
-        Method(args.criterion), spec, loss, data, lam,
-        solve=res, split=args.split, seed=args.seed,
+        method, spec, loss, data, res.lam, solve=res, split=args.split, seed=args.seed,
     )
-    _write_json(out / "fit.json", {
-        "theta_hat": res.theta_hat,
-        "lambda_hat": res.lam,
-        "D_hat": D,
-        "boundary_status": ["interior"] * spec.q,
-        "criterion": args.criterion,
-        "criterion_value": cv.value,
-        "criterion_slope_at_opt": [0.0] * spec.q,
-        "lambda_box": [[args.lambda_min, args.lambda_max]] * spec.q,
-        "trace": [list(np.atleast_1d(lam)) + [cv.value]],
-        "diagnostics": {
-            "iterations": res.iterations,
-            "residual_norm": res.residual_norm,
-            **cv.diagnostics,
-        },
-    })
+    fit = FitResult(
+        theta_hat=res.theta_hat, lambda_hat=res.lam, D_hat=theta_prime(spec, data, res),
+        boundary_status=(BoundaryStatus.FIXED,) * spec.q, criterion=method,
+        criterion_value=cv.value, criterion_slope_at_opt=np.zeros(spec.q),
+        trace=((tuple(res.lam.tolist()), cv.value),), lambda_box=spec.lambda_domain,
+        diagnostics={"solver_iterations": float(res.iterations),
+                     "residual_norm": res.residual_norm, **cv.diagnostics},
+    )
+    _write_json(out / "fit.json", fit_result_to_dict(fit))
     return 0
 
 
@@ -215,7 +239,7 @@ def cmd_tune(args, out: Path) -> int:
 def cmd_variance(args, out: Path) -> int:
     data, spec, loss = _load_data_and_model(args)
     if args.fit:
-        fit = load_fit_json(args.fit)
+        fit = load_fit_json(args.fit, spec, data)
     else:
         fit = tune(
             spec, loss, data, Method(args.criterion),

@@ -19,7 +19,7 @@ from .criteria import Method
 from .exceptions import FailureRateExceeded, TunevarError
 from .model import Dataset, LossSpec, ModelSpec, phi_matrix
 from .rng import derive_stream, rng_for
-from .solver import solve_theta, theta_prime
+from .solver import checked_solve, solve_theta, theta_prime
 from .tuner import FitResult, truncated_estimate, tune
 from .variance import alpha_influences, select_variance
 
@@ -296,7 +296,7 @@ def mixture_law_check(
         config.model, config.loss, ref, solve0.theta_hat, lam0, D0
     )
     Phi0 = phi_matrix(config.model, ref.rows, solve0.theta_hat, lam0)
-    infl_pinned = np.linalg.solve(solve0.J_hat, Phi0.T).T
+    infl_pinned = checked_solve(solve0.J_hat, Phi0.T, "J_hat").T
     p, q = config.model.p, config.model.q
     U = np.column_stack(
         [infl_alpha[:, :p], infl_pinned, infl_alpha[:, p : p + q]]

@@ -33,11 +33,13 @@ def default_tol(theta_init) -> float:
 
 
 def checked_solve(A, rhs, label):
-    """Solve A x = rhs; SingularJacobian if cond(A) is non-finite or above COND_LIMIT.
+    """Solve A x = rhs; SingularJacobian unless A is finite with cond(A) <= COND_LIMIT.
 
     label names the matrix in the error message. Pass np.eye(len(A)) as rhs
     for a checked inverse.
     """
+    if not np.all(np.isfinite(A)):
+        raise SingularJacobian(f"{label} has non-finite entries")
     cond = np.linalg.cond(A)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularJacobian(f"{label} condition number {cond:.3e} exceeds 1e12")

@@ -28,11 +28,12 @@ class BoundaryStatus(enum.Enum):
     INTERIOR = "interior"
     LOWER_BOUNDARY = "lower_boundary"
     UPPER_BOUNDARY = "upper_boundary"
+    FIXED = "fixed"  # lambda given by the caller, not tuned
 
 
 @dataclass(frozen=True)
 class FitResult:
-    """Tuned fit: theta_hat(lambda_hat), the implicit derivative, and diagnostics."""
+    """theta_hat, theta' and diagnostics at lambda_hat, tuned or FIXED by the caller."""
 
     theta_hat: np.ndarray
     lambda_hat: np.ndarray
@@ -42,12 +43,24 @@ class FitResult:
     criterion_value: float
     criterion_slope_at_opt: np.ndarray
     trace: Tuple[Tuple[Tuple[float, ...], float], ...]
-    lambda_box: np.ndarray = None  # (q, 2) search box, echoed for reporting
+    lambda_box: np.ndarray  # (q, 2) search box, echoed for reporting
     diagnostics: Dict[str, float] = field(default_factory=dict)
 
     @property
     def interior(self) -> bool:
         return all(s is BoundaryStatus.INTERIOR for s in self.boundary_status)
+
+    def flat_at_edge(self) -> bool:
+        """True when an edge axis's one-sided slope is within max(1e-3 * range / width,
+        1e-12) of zero, range being the criterion's spread over the trace."""
+        values = [v for _, v in self.trace]
+        vrange = max(values) - min(values)
+        edges = (BoundaryStatus.LOWER_BOUNDARY, BoundaryStatus.UPPER_BOUNDARY)
+        widths = self.lambda_box[:, 1] - self.lambda_box[:, 0]
+        return any(
+            s in edges and abs(slope) <= max(1e-3 * vrange / w, 1e-12)
+            for s, slope, w in zip(self.boundary_status, self.criterion_slope_at_opt, widths)
+        )
 
 
 class _Evaluator:
@@ -139,11 +152,9 @@ def _pattern_search(ev: _Evaluator, start, box):
             steps /= 2.0
 
 
-def _slope_and_status(ev: _Evaluator, lam_hat, box, trace):
-    """Central-difference criterion slope per axis plus boundary labels."""
+def _slope_and_status(ev: _Evaluator, lam_hat, box):
+    """Criterion slope per axis (one-sided at an edge, else central) plus labels."""
     q = len(lam_hat)
-    values = [v for _, v in trace]
-    vrange = max(values) - min(values) if len(values) > 1 else 0.0
     slopes = np.zeros(q)
     status = []
     for j in range(q):
@@ -157,25 +168,15 @@ def _slope_and_status(ev: _Evaluator, lam_hat, box, trace):
         if at_lower:
             up[j] = lo + h
             slopes[j] = (ev.value(up) - ev.value(lam_hat)) / h
+            status.append(BoundaryStatus.LOWER_BOUNDARY)
         elif at_upper:
             dn[j] = hi - h
             slopes[j] = (ev.value(lam_hat) - ev.value(dn)) / h
+            status.append(BoundaryStatus.UPPER_BOUNDARY)
         else:
             up[j] = min(lam_hat[j] + h, hi)
             dn[j] = max(lam_hat[j] - h, lo)
             slopes[j] = (ev.value(up) - ev.value(dn)) / (up[j] - dn[j])
-        slope_tol = max(1e-3 * vrange / width, 1e-12)
-        if at_lower and slopes[j] > slope_tol:
-            # increasing into the interior: the unconstrained minimum is outside
-            status.append(BoundaryStatus.LOWER_BOUNDARY)
-        elif at_upper and slopes[j] < -slope_tol:
-            status.append(BoundaryStatus.UPPER_BOUNDARY)
-        elif at_lower or at_upper:
-            # sitting on the edge with a flat or inward slope: treat as boundary
-            status.append(
-                BoundaryStatus.LOWER_BOUNDARY if at_lower else BoundaryStatus.UPPER_BOUNDARY
-            )
-        else:
             status.append(BoundaryStatus.INTERIOR)
     return slopes, tuple(status)
 
@@ -240,7 +241,7 @@ def tune(
 
     lam_hat, value = _argmin_trace(ev.trace)
     lam_hat = np.clip(lam_hat, box[:, 0], box[:, 1])
-    slopes, status = _slope_and_status(ev, lam_hat, box, ev.trace)
+    slopes, status = _slope_and_status(ev, lam_hat, box)
 
     init = ev.warm if ev.warm is not None else model.theta_init
     solve = solve_theta(model, data, lam_hat, init)

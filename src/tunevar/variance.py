@@ -5,7 +5,8 @@ Two estimators of the variance of sqrt(n) * (theta_hat(lambda_hat) - theta_0):
       (theta, lambda, theta') limit; valid for interior minimizers.
   V2: the classic pointwise sandwich J^{-1} K J^{-T}, which ignores the
       randomness of lambda_hat; the right choice at boundary fits with a
-      nonzero one-sided criterion slope.
+      nonzero one-sided criterion slope, and the variance of a fit at a
+      lambda fixed in advance.
 
 V_alpha is the full-vector variance of alpha_hat = (theta_hat, lambda_hat,
 vec theta_hat'), computed through an independent numerical Jacobian of the
@@ -32,7 +33,7 @@ from .model import (
     psi_values,
 )
 from .solver import checked_solve, solve_theta, theta_prime
-from .tuner import BoundaryStatus, FitResult
+from .tuner import FitResult
 
 
 def _sym(A):
@@ -70,8 +71,8 @@ def eta_matrix(model: ModelSpec, loss: LossSpec, Z: np.ndarray, theta, lam, D) -
 class VarianceComponents:
     """Plug-in matrices of the tuned-estimator limit distribution.
 
-    Partial assemblies (boundary fits) carry only J_hat and K_hat; the rest
-    is None.
+    Partial assemblies (boundary and fixed-lambda fits) carry only J_hat and
+    K_hat; the rest is None.
     """
 
     J_hat: np.ndarray
@@ -134,8 +135,9 @@ def assemble_components(
 ) -> VarianceComponents:
     """All plug-in matrices at the tuned fit.
 
-    Boundary fits get a partial assembly (J_hat, K_hat only): the joint-limit
-    components are meaningless when lambda_hat sits on an edge.
+    Boundary and fixed-lambda fits get a partial assembly (J_hat, K_hat
+    only): the joint-limit components are meaningless when lambda_hat sits on
+    an edge or was not tuned.
     """
     theta, lam = fit.theta_hat, np.asarray(fit.lambda_hat, float)
     Z = data.rows
@@ -277,30 +279,16 @@ class VarianceReport:
     diagnostics: Dict[str, float]
 
 
-def _boundary_slope_degenerate(fit: FitResult) -> bool:
-    """True when some boundary coordinate has a near-zero one-sided slope."""
-    values = [v for _, v in fit.trace]
-    vrange = max(values) - min(values) if len(values) > 1 else 0.0
-    box = fit.lambda_box
-    for j, status in enumerate(fit.boundary_status):
-        if status is BoundaryStatus.INTERIOR:
-            continue
-        width = float(box[j, 1] - box[j, 0]) if box is not None else 1.0
-        slope_tol = max(1e-3 * vrange / width, 1e-12)
-        if abs(float(fit.criterion_slope_at_opt[j])) <= slope_tol:
-            return True
-    return False
-
-
 def select_variance(
     model: ModelSpec, loss: LossSpec, data: Dataset, fit: FitResult,
     z1_method: str = "profile",
 ) -> VarianceReport:
     """Assemble components and pick the variance matching the fit's geometry.
 
-    Interior fits get V1; boundary fits get V2. A boundary fit whose one-sided
-    slope is indistinguishable from zero is in the regime where neither
-    estimator is justified; V2 is reported with nondegenerate_boundary set.
+    Interior fits get V1; boundary fits and fits at a fixed lambda get V2. A
+    boundary fit whose one-sided slope is indistinguishable from zero
+    (FitResult.flat_at_edge) is in the regime where neither estimator is
+    justified; V2 is reported with nondegenerate_boundary set.
     """
     components = assemble_components(model, loss, data, fit, z1_method=z1_method)
     V2 = variance_pointwise(components)
@@ -312,7 +300,7 @@ def select_variance(
     else:
         V1 = None
         selected, chosen = "V2", V2
-        nondegenerate = _boundary_slope_degenerate(fit)
+        nondegenerate = fit.flat_at_edge()
         if nondegenerate:
             diagnostics["nondegenerate_boundary"] = 1.0
     se = np.sqrt(np.clip(np.diag(chosen), 0.0, None) / data.n)

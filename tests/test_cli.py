@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from tunevar import Method, RidgeLinearModel, select_variance, tune
-from tunevar.cli import load_csv, load_fit_json, main
+from tunevar import Dataset, Method, RidgeLinearModel, select_variance, tune
+from tunevar.cli import _write_json, fit_result_to_dict, load_csv, load_fit_json, main
 
 from conftest import make_linear_data
 
@@ -33,9 +33,9 @@ def test_tune_matches_library_call(data_csv, tmp_path):
     fit_file = out / "fit.json"
     trace_file = out / "trace.csv"
     assert fit_file.exists() and trace_file.exists()
-    fit = load_fit_json(fit_file)
-
     m = RidgeLinearModel(2, lambda_domain=(0.0, 1.0))
+    fit = load_fit_json(fit_file, m.spec(), data)
+
     direct = tune(m.spec(), m.squared_error_loss(), data, Method.CV_FAST, grid_size=10)
     assert np.allclose(fit.lambda_hat, direct.lambda_hat)
     assert np.allclose(fit.theta_hat, direct.theta_hat)
@@ -63,11 +63,65 @@ def test_fit_fixed_lambda(data_csv, tmp_path):
     rc = main(["fit", "--data", str(path), "--lam", "0.25", "--out", str(out)])
     assert rc == 0
     d = json.loads((out / "fit.json").read_text())
-    assert d["schema_version"] == 1
+    assert d["schema_version"] == 2
     from tunevar import ridge_closed_form
 
     assert np.allclose(d["theta_hat"], ridge_closed_form(data, 0.25), atol=1e-8)
     assert d["lambda_hat"] == [0.25]
+    assert d["boundary_status"] == ["fixed"]
+
+
+def test_fixed_lambda_fit_gets_pointwise_variance(tmp_path):
+    # the tuned lambda on these data is about 0.03; at lambda = 0.9 fixed in
+    # advance theta_hat is a plain Z-estimator and V2 is its variance
+    path = tmp_path / "data.csv"
+    _write_data_csv(path, make_linear_data(n=200, seed=0, coef_sq=0.5))
+    out = tmp_path / "out"
+    assert main(["fit", "--data", str(path), "--lam", "0.9", "--out", str(out)]) == 0
+    assert main(["variance", "--data", str(path), "--fit", str(out / "fit.json"),
+                 "--out", str(out)]) == 0
+    v = json.loads((out / "variance.json").read_text())
+    assert v["selected"] == "V2"
+    assert v["V1"] is None
+    assert v["boundary_status"] == ["fixed"]
+    assert not v["nondegenerate_boundary"]
+
+
+def test_fit_json_round_trips_byte_identical(data_csv, tmp_path):
+    # every fit.json the CLI writes goes through the one writer; reading it
+    # back with the one reader and writing it again gives the same bytes
+    path, data = data_csv
+    common = ["--data", str(path), "--criterion", "cv_fast", "--grid-size", "8"]
+    runs = {"fit": ["fit", *common, "--lam", "0.3"], "tune": ["tune", *common],
+            "variance": ["variance", *common]}
+    spec = RidgeLinearModel(2, lambda_domain=(0.0, 1.0)).spec()
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 0
+        fit = load_fit_json(out / "fit.json", spec, data)
+        _write_json(out / "again.json", fit_result_to_dict(fit))
+        assert (out / "again.json").read_bytes() == (out / "fit.json").read_bytes()
+
+
+def test_fit_json_on_other_data_exits_2(data_csv, tmp_path, capsys):
+    path, _ = data_csv
+    out = tmp_path / "out"
+    assert main(["fit", "--data", str(path), "--lam", "0.2", "--out", str(out)]) == 0
+    other = tmp_path / "other.csv"
+    _write_data_csv(other, make_linear_data(n=120, seed=2, coef_sq=0.5))
+    # a wider CSV (three covariates, p = 4) and same-shape CSVs with other rows
+    wide = tmp_path / "wide.csv"
+    _write_data_csv(wide, make_linear_data(n=120, seed=1, beta=(1.0, 1.0, 0.5, -0.5)))
+    subset = tmp_path / "subset.csv"
+    _write_data_csv(subset, Dataset(np.loadtxt(path, delimiter=",", skiprows=1)[1:]))
+    for csv_path, field in ((wide, "theta_hat"), (other, "residual"),
+                            (subset, "residual")):
+        rc = main(["variance", "--data", str(csv_path), "--fit", str(out / "fit.json"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["type"] == "SchemaError"
+        assert field in err["error"]["message"]
 
 
 def test_variance_fit_roundtrip_equals_direct(data_csv, tmp_path):

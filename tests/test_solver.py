@@ -133,6 +133,17 @@ def test_singular_jacobian_raises():
         solve_theta(spec, data, [0.0], np.zeros(3))
 
 
+def test_non_finite_jacobian_raises_singular_jacobian():
+    # a NaN Jacobian is a singular one, not a LinAlgError out of the SVD
+    spec = ModelSpec(
+        p=1, q=1, phi_batch=lambda Z, th, lm: Z[:, :1] - th[0],
+        dphi_dtheta_batch=lambda Z, th, lm: np.full((len(Z), 1, 1), np.nan),
+    )
+    data = Dataset(np.arange(5.0)[:, None])
+    with pytest.raises(SingularJacobian, match="non-finite"):
+        solve_theta(spec, data, [0.0], np.zeros(1))
+
+
 def test_no_convergence_raises():
     # phi has no root: phi = 1 + th^2
     spec = ModelSpec(p=1, q=1, phi_batch=rowwise(lambda z, th, lm: 1.0 + th**2))

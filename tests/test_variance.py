@@ -8,6 +8,7 @@ from tunevar import (
     Method,
     RidgeLinearModel,
     RidgeLogisticModel,
+    SingularJacobian,
     assemble_components,
     eta_matrix,
     select_variance,
@@ -146,7 +147,8 @@ def test_block_consistency_v1_vs_valpha():
 
 
 def test_collapse_when_lambda_has_no_pathway():
-    # dphi_dlambda == 0: D = 0, so A2 = A3 = 0 and V1 == V2 exactly
+    # dphi_dlambda == 0: D = 0, so theta_hat does not move with lambda and the
+    # profiled TE is flat in lambda
     data = make_linear_data(n=150, seed=6)
 
     def phi(z, th, lm):
@@ -171,11 +173,10 @@ def test_collapse_when_lambda_has_no_pathway():
         criterion_value=0.0, criterion_slope_at_opt=np.zeros(1),
         trace=(((0.5,), 0.0),), lambda_box=np.array([[0.0, 1.0]]),
     )
-    # Z1 is singular here (profiled TE is flat in lambda), which is exactly
-    # the flat-limit degeneracy; the full assembly must refuse
-    with pytest.raises((FlatLimitSuspected, Exception)):
-        comp = assemble_components(spec, loss, data, fit)
-        variance_tuned(comp)
+    # Z1_hat is then singular, which is exactly the flat-limit degeneracy;
+    # the full assembly must refuse to invert it
+    with pytest.raises(SingularJacobian, match="Z1_hat"):
+        assemble_components(spec, loss, data, fit)
     with pytest.raises(FlatLimitSuspected):
         variance_alpha(spec, loss, data, fit)
 
