@@ -100,12 +100,22 @@ def fit_result_from_dict(d: dict) -> FitResult:
     )
 
 
+def _check_in_box(lam, box, what: str) -> None:
+    """SchemaError unless every lam[j] lies in [box[j, 0], box[j, 1]]."""
+    if not np.all((box[:, 0] <= lam) & (lam <= box[:, 1])):
+        raise SchemaError(
+            f"{what} {lam.tolist()} lies outside the model's lambda box "
+            f"{box.tolist()}"
+        )
+
+
 def load_fit_json(path, spec: ModelSpec, data: Dataset) -> FitResult:
     """Read a fit.json and check it against the model and data it is applied to.
 
     SchemaError on another schema_version, a missing field, an array whose
-    shape does not match the model's p and q, or a theta_hat that does not
-    solve the estimating equation on this data: a residual
+    shape does not match the model's p and q, a lambda_box other than the
+    model's lambda box, a lambda_hat outside that box, or a theta_hat that
+    does not solve the estimating equation on this data: a residual
     ||mean phi(Z, theta_hat, lambda_hat)|| above 1e4 times the solver's
     tolerance, 1e-6 * (1 + ||theta_hat||).
     """
@@ -127,6 +137,14 @@ def load_fit_json(path, spec: ModelSpec, data: Dataset) -> FitResult:
     ):
         if got != want:
             raise SchemaError(f"fit.json {name} has shape {got}; the model needs {want}")
+    box = spec.lambda_domain
+    if box is not None:
+        if not np.array_equal(fit.lambda_box, box):
+            raise SchemaError(
+                f"fit.json lambda_box {fit.lambda_box.tolist()} differs from the model's "
+                f"lambda box {box.tolist()}; the fit was made in another box"
+            )
+        _check_in_box(fit.lambda_hat, box, "fit.json lambda_hat")
     try:
         phi_bar = phi_mean(spec, data.rows, fit.theta_hat, fit.lambda_hat)
     except EvaluationError:
@@ -205,7 +223,9 @@ def _pipeline_config(args, spec, loss) -> PipelineConfig:
 def cmd_fit(args, out: Path) -> int:
     data, spec, loss = _load_data_and_model(args)
     method = Method(args.criterion)
-    res = solve_theta(spec, data, np.array([args.lam]), spec.theta_init)
+    lam = np.array([args.lam])
+    _check_in_box(lam, spec.lambda_domain, "--lam")
+    res = solve_theta(spec, data, lam, spec.theta_init)
     cv = evaluate_criterion(
         method, spec, loss, data, res.lam, solve=res, split=args.split, seed=args.seed,
     )

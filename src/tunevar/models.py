@@ -8,6 +8,12 @@ by default.
 Penalty convention: the logistic objective is sum_i loglik_i - n * lam * |beta_1:|^2,
 so the per-observation estimating function carries lam (not n*lam). The tuned
 lam is therefore small, and n * lam is the "actual" penalty size.
+
+The array kernels of the built-in slots (_expit, _design, the ridge-logistic
+Jacobian, the Gaussian phi) are written for few numpy passes, and each is
+pinned bitwise to the plainer reference formula it replaced by the
+np.array_equal property tests in tests/test_properties.py. A rewrite that
+moves one output bit fails them.
 """
 
 from __future__ import annotations
@@ -23,7 +29,10 @@ from .model import Dataset, LossSpec, ModelSpec, read_numeric_csv, rowwise
 
 def _design(Z: np.ndarray):
     """(y, X): the response column and the intercept-augmented covariates."""
-    return Z[:, 0], np.column_stack([np.ones(Z.shape[0]), Z[:, 1:]])
+    X = np.empty(Z.shape)
+    X[:, 0] = 1.0
+    X[:, 1:] = Z[:, 1:]
+    return Z[:, 0], X
 
 
 def default_penalty_mask(p: int) -> np.ndarray:
@@ -33,12 +42,10 @@ def default_penalty_mask(p: int) -> np.ndarray:
 
 
 def _expit(t):
-    out = np.empty_like(t, dtype=float)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # exp(-|t|) never overflows; for t < 0 it is exp(t), so both branches
+    # round exactly as 1/(1+exp(-t)) and exp(t)/(1+exp(t)) would
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +163,10 @@ class RidgeLogisticModel(_RidgeModel):
             _, X = _design(Z)
             w = _expit(X @ th)
             w = w * (1.0 - w)
-            return -np.einsum("n,ni,nj->nij", w, X, X) - 2.0 * float(lm[0]) * P
+            # ((-w) x_i) x_j rounds as -((w x_i) x_j): negation is exact
+            out = np.einsum("ni,nj->nij", (-w)[:, None] * X, X)
+            out -= 2.0 * float(lm[0]) * P
+            return out
 
         def hess_phi_theta(Z, th, lm):
             _, X = _design(Z)
@@ -286,7 +296,10 @@ class GaussianLikelihoodModel:
         def phi_batch(Z, th, lm):
             mu, sg = th
             r = Z[:, 0] - mu
-            return np.column_stack([r / sg**2, -1.0 / sg + r**2 / sg**3])
+            out = np.empty((Z.shape[0], 2))
+            out[:, 0] = r / sg**2
+            out[:, 1] = -1.0 / sg + r**2 / sg**3
+            return out
 
         def dphi_dtheta_batch(Z, th, lm):
             mu, sg = th

@@ -124,6 +124,46 @@ def test_fit_json_on_other_data_exits_2(data_csv, tmp_path, capsys):
         assert field in err["error"]["message"]
 
 
+def test_fit_lambda_outside_box_exits_2(data_csv, tmp_path, capsys):
+    path, _ = data_csv
+    for argv in (["--lam", "5"], ["--lam", "-0.1"], ["--lam", "0.2", "--lambda-max", "0.1"]):
+        out = tmp_path / "out"
+        rc = main(["fit", "--data", str(path), *argv, "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["type"] == "SchemaError"
+        assert "--lam" in err["error"]["message"]
+        assert not (out / "fit.json").exists()
+
+
+def test_fit_json_from_another_box_exits_2(data_csv, tmp_path, capsys):
+    path, _ = data_csv
+    narrow, wide = tmp_path / "narrow", tmp_path / "wide"
+    assert main(["fit", "--data", str(path), "--lam", "0.05", "--out", str(narrow)]) == 0
+    assert main(["fit", "--data", str(path), "--lam", "5", "--lambda-max", "10",
+                 "--out", str(wide)]) == 0
+    # the same box as the fit's passes; another box is an input error
+    assert main(["variance", "--data", str(path), "--fit", str(narrow / "fit.json"),
+                 "--out", str(tmp_path / "o")]) == 0
+    for fit_dir, argv in ((narrow, ["--lambda-max", "0.1"]), (wide, [])):
+        rc = main(["variance", "--data", str(path), "--fit", str(fit_dir / "fit.json"),
+                   *argv, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["type"] == "SchemaError"
+        assert "lambda_box" in err["error"]["message"]
+    # a record whose box is the model's but whose lambda_hat lies outside it
+    d = json.loads((wide / "fit.json").read_text())
+    d["lambda_box"] = [[0.0, 1.0]]
+    (wide / "fit.json").write_text(json.dumps(d))
+    rc = main(["variance", "--data", str(path), "--fit", str(wide / "fit.json"),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["type"] == "SchemaError"
+    assert "lambda_hat" in err["error"]["message"]
+
+
 def test_variance_fit_roundtrip_equals_direct(data_csv, tmp_path):
     path, data = data_csv
     out = tmp_path / "out"

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tunevar import (
     GaussianLikelihoodModel, RefitFailure, RidgeLinearModel, RidgeLogisticModel, TunevarError,
     loocv_exact, solve_loo, solve_loo_all, solve_theta, training_error,
 )
 from tunevar.model import Dataset
+from tunevar.models import _design, _expit, default_penalty_mask
 from tunevar.rng import SplitMix64, derive_stream, fisher_yates_permutation, splitmix64
 
 from conftest import make_logistic_data
@@ -145,3 +147,88 @@ def test_batched_loo_matches_per_row_refits(model, data_seed, lam, n):
     assert cv.diagnostics["refit_fallbacks"] == n - converged.sum()
     per_row = np.mean([loss.psi(z, th) for z, th in zip(data.rows, refits)])
     assert abs(cv.value - per_row) <= 1e-9 * abs(per_row)
+
+
+# ---------------------------------------------------------------------------
+# Built-in model kernels against the formulas they replaced. Equality is
+# exact (np.array_equal): the rewrites must not move a single output bit.
+# ---------------------------------------------------------------------------
+
+def _expit_ref(t):
+    out = np.empty_like(t, dtype=float)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def _design_ref(Z):
+    return Z[:, 0], np.column_stack([np.ones(Z.shape[0]), Z[:, 1:]])
+
+
+def _logistic_jac_ref(Z, th, lam, P):
+    _, X = _design_ref(Z)
+    w = _expit_ref(X @ th)
+    w = w * (1.0 - w)
+    return -np.einsum("n,ni,nj->nij", w, X, X) - 2.0 * lam * P
+
+
+def _gaussian_phi_ref(Z, th):
+    mu, sg = th
+    r = Z[:, 0] - mu
+    return np.column_stack([r / sg**2, -1.0 / sg + r**2 / sg**3])
+
+
+EXPIT_EDGES = np.array([0.0, -0.0, np.inf, -np.inf, 745.5, -745.5, 746.0, -746.0,
+                        1e4, -1e4, 1e-320, -1e-320])
+
+
+@given(hnp.arrays(np.float64, st.integers(min_value=0, max_value=200),
+                  elements=st.floats(allow_nan=False, allow_infinity=True)))
+def test_expit_matches_reference_bitwise(t):
+    t = np.concatenate([t, EXPIT_EDGES])
+    assert np.array_equal(_expit(t), _expit_ref(t))
+
+
+def _rows(seed, n, d, scale):
+    return np.random.default_rng(seed).standard_normal((n, d)) * scale
+
+
+KERNEL_CASE = dict(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=1, max_value=60),
+    p=st.integers(min_value=2, max_value=8),
+    scale=st.floats(min_value=0.01, max_value=100.0),
+)
+LAMS = st.floats(min_value=0.0, max_value=1.0)
+
+
+@given(**KERNEL_CASE)
+def test_design_matches_reference_bitwise(seed, n, p, scale):
+    Z = _rows(seed, n, p, scale)
+    for got, want in zip(_design(Z), _design_ref(Z)):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@given(lam=LAMS, **KERNEL_CASE)
+def test_logistic_jacobian_matches_reference_bitwise(seed, n, p, lam, scale):
+    # scale reaches linear predictors far into both tails of expit
+    Z = _rows(seed, n, p, 1.0)
+    Z[:, 0] = Z[:, 0] > 0
+    th = np.random.default_rng(seed + 1).standard_normal(p) * scale
+    spec = RidgeLogisticModel(p - 1).spec()
+    got = spec.dphi_dtheta_batch(Z, th, np.array([lam]))
+    want = _logistic_jac_ref(Z, th, lam, np.diag(default_penalty_mask(p)))
+    assert np.array_equal(got, want)
+    assert np.array_equal(got.mean(axis=0), want.mean(axis=0))
+
+
+@given(lam=LAMS, **KERNEL_CASE)
+def test_gaussian_phi_matches_reference_bitwise(seed, n, p, lam, scale):
+    Z = _rows(seed, n, p, scale)  # the model reads column 0 only
+    rng = np.random.default_rng(seed + 1)
+    th = np.array([rng.standard_normal() * scale, rng.uniform(1e-3, 10.0)])
+    got = GaussianLikelihoodModel().spec().phi_batch(Z, th, np.array([lam]))
+    assert np.array_equal(got, _gaussian_phi_ref(Z, th))

@@ -162,3 +162,17 @@ def test_domain_escape_raises():
     data = Dataset(np.arange(4.0)[:, None])
     with pytest.raises((DomainEscape, NoConvergence)):
         solve_theta(spec, data, [0.0], np.array([0.0]))
+
+
+@pytest.mark.xfail(strict=True, raises=DomainEscape,
+                   reason="Newton from theta_init (0, 1) leaves theta_domain on some "
+                          "small Gaussian samples (ROADMAP item 3(c))")
+def test_gaussian_small_sample_from_theta_init():
+    # the MLE is (mean, sd) in closed form; Newton from the sample moments
+    # converges at once, but from theta_init the projected step is rejected
+    from tunevar import GaussianLikelihoodModel
+
+    z = 1.3 * np.random.default_rng(0).standard_normal(5) + 0.4
+    spec = GaussianLikelihoodModel().spec()
+    res = solve_theta(spec, Dataset(z[:, None]), [0.0], spec.theta_init)
+    assert np.allclose(res.theta_hat, [z.mean(), z.std()], atol=1e-8)

@@ -1,0 +1,100 @@
+"""Print one sha256 per file that a fixed set of tunevar CLI runs writes.
+
+Two checkouts whose digests agree write byte-identical CLI outputs. The
+inputs are drawn with tunevar.simulate from fixed seeds, and every run goes
+through tunevar.cli.main in this process. To compare a change with its
+parent, run the script against each checkout's sources and diff the output:
+
+    PYTHONPATH=src python tools/cli_digest.py > new.txt
+    PYTHONPATH=../parent/src python tools/cli_digest.py > old.txt
+    diff old.txt new.txt
+
+Runs: fit, tune and variance for each built-in generic model (ridge-linear,
+ridge-logistic, gaussian) under each of the criteria cv, cv_fast, te and
+tic; variance --fit on each model's fixed-lambda record; simulate, bootstrap
+and stone-check. A run that exits non-zero prints its exit code. --out keeps
+the files for a byte-level cmp; by default they go to a temporary directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+from tunevar import DGPKind, DGPSpec, simulate
+from tunevar.cli import main as cli_main
+
+CRITERIA = ("cv", "cv_fast", "te", "tic")
+
+# model -> (input DGP, seed, fixed lambda for fit)
+INPUTS = {
+    "ridge-linear": (DGPSpec(DGPKind.LINEAR_GAUSSIAN, n=120,
+                             params={"beta": (1.0, 1.0, 0.5), "coef_sq": 0.5}), 7, 0.1),
+    "ridge-logistic": (DGPSpec(DGPKind.LOGISTIC_TRUE, n=150,
+                               params={"beta": (0.3, 1.0, -0.5)}), 8, 0.01),
+    # the model reads y = 0.4 + 1.3 eps and ignores the covariate
+    "gaussian": (DGPSpec(DGPKind.LINEAR_GAUSSIAN, n=60,
+                         params={"beta": (0.4, 0.0), "sigma": 1.3}), 9, 0.0),
+}
+
+
+def write_csv(path: Path, rows) -> None:
+    with open(path, "w") as fh:
+        fh.write(",".join(["y"] + [f"x{j}" for j in range(1, rows.shape[1])]) + "\n")
+        for row in rows:
+            fh.write(",".join("%.17g" % v for v in row) + "\n")
+
+
+def runs(root: Path):
+    """(name, argv) pairs; outputs land in root / name."""
+    for model, (dgp, seed, lam) in INPUTS.items():
+        csv = root / "inputs" / f"{model}.csv"
+        write_csv(csv, simulate(dgp, seed).rows)
+        data = ["--data", str(csv), "--model", model, "--grid-size", "8"]
+        for crit in CRITERIA:
+            common = [*data, "--criterion", crit]
+            yield f"{model}/{crit}/fit", ["fit", *common, "--lam", str(lam)]
+            yield f"{model}/{crit}/tune", ["tune", *common]
+            yield f"{model}/{crit}/variance", ["variance", *common]
+        fixed = root / model / "cv_fast" / "fit" / "fit.json"
+        yield f"{model}/variance-fixed", ["variance", *data, "--fit", str(fixed)]
+    common = ["--criterion", "cv_fast", "--grid-size", "8", "--seed", "3"]
+    yield "simulate", ["simulate", *common, "--dgp", "gaussmix", "--C", "2",
+                       "--n", "100", "--B", "5", "--lambda-max", "0.1"]
+    yield "bootstrap", ["bootstrap", *common, "--data",
+                        str(root / "inputs" / "ridge-linear.csv"), "--B", "5"]
+    yield "stone-check", ["stone-check", "--n-list", "60", "120", "--reps", "3",
+                          "--seed", "3"]
+
+
+def digest_all(root: Path) -> list[str]:
+    (root / "inputs").mkdir(parents=True, exist_ok=True)
+    lines = []
+    for name, argv in runs(root):
+        rc = cli_main([*argv, "--out", str(root / name)])
+        if rc != 0:
+            lines.append(f"exit {rc}  {name}")
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        sha = hashlib.sha256(path.read_bytes()).hexdigest()
+        lines.append(f"{sha}  {path.relative_to(root).as_posix()}")
+    return lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", default=None, help="keep the outputs in this directory")
+    args = ap.parse_args(argv)
+    if args.out is not None:
+        lines = digest_all(Path(args.out))
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            lines = digest_all(Path(tmp))
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
