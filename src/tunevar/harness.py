@@ -40,7 +40,7 @@ class DGPSpec:
     and off-diagonal -sqrt(C/2); positive definiteness requires C < 8.
     LINEAR_GAUSSIAN: y = beta' x~ + coef_sq * (x_1^2 - 1) + sigma * eps with
     standard normal covariates; coef_sq != 0 makes the linear model
-    misspecified while keeping E[x~ eps] = 0.
+    misspecified while keeping E[x~ eps] = 0, and needs at least one covariate.
     LOGISTIC_TRUE: y ~ Bernoulli(expit(beta' x~)).
     CUSTOM: params["sampler"](rng, n) returns the (n, d) row matrix.
     """
@@ -56,6 +56,10 @@ class DGPSpec:
             C = float(self.params.get("C", 0.0))
             if C < 0 or C >= 8.0:
                 raise ValueError("GAUSSMIX_C requires 0 <= C < 8 (positive definite Sigma)")
+        if self.kind is DGPKind.LINEAR_GAUSSIAN:
+            n_cov = len(self.params.get("beta", (1.0, 1.0))) - 1
+            if float(self.params.get("coef_sq", 0.0)) != 0.0 and n_cov < 1:
+                raise ValueError("coef_sq != 0 needs at least one covariate in beta")
 
 
 def _gaussmix_sigma(C: float) -> np.ndarray:
@@ -83,7 +87,9 @@ def simulate(dgp: DGPSpec, seed: int) -> Dataset:
         coef_sq = float(dgp.params.get("coef_sq", 0.0))
         m = len(beta) - 1
         x = rng.standard_normal((n, m))
-        mean = beta[0] + x @ beta[1:] + coef_sq * (x[:, 0] ** 2 - 1.0)
+        mean = beta[0] + x @ beta[1:]
+        if coef_sq != 0.0:
+            mean = mean + coef_sq * (x[:, 0] ** 2 - 1.0)
         y = mean + sigma * rng.standard_normal(n)
         return Dataset(np.column_stack([y, x]))
     if dgp.kind is DGPKind.LOGISTIC_TRUE:
@@ -141,7 +147,8 @@ class ReplicationSummary:
 
     def recompute_empirical_variance(self) -> np.ndarray:
         scaled = np.sqrt(self.n) * self.theta_draws
-        return np.cov(scaled, rowvar=False, ddof=1)
+        # np.cov returns a 0-d array for one parameter; keep (p, p) like the V draws
+        return np.atleast_2d(np.cov(scaled, rowvar=False, ddof=1))
 
     def abs_errors(self) -> Tuple[np.ndarray, np.ndarray]:
         """Entrywise |mean V_hat - empirical variance| for V1 and V2."""

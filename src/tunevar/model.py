@@ -132,6 +132,10 @@ class ModelSpec:
     dphi_dtheta_batch for dphi_dlambda_dtheta). The steps depend only on
     theta or lambda, so the fallback of a rowwise spec matches differencing
     each row on its own.
+
+    Exact LOOCV (criteria.loocv_exact) makes one hess_phi_theta call per
+    evaluation, at theta_hat; when that slot is the finite-difference
+    fallback, the call costs 2 p^2 + 1 phi_batch calls.
     """
 
     p: int

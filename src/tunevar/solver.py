@@ -113,18 +113,22 @@ def solve_loo_all(model: ModelSpec, data: Dataset, solve: SolveResult):
 
     Problem i solves Phi_i(theta) = (sum_j phi_j(theta) - phi_i(theta)) / (n-1)
     = 0, with Jacobian A_i(theta) = (sum_j G_j(theta) - G_i(theta)) / (n-1)
-    for G = d phi / d theta. One phi and one G evaluation at theta_hat give
-    every problem's first residual and Jacobian. Each step is one batched
-    condition check and one batched solve over the active problems; then each
-    problem's residual, and its Jacobian if it has not converged, is
-    evaluated exactly at its new iterate, one call over all rows each.
+    for G = d phi / d theta. One phi, one G and one hess_phi_theta evaluation
+    at theta_hat give every problem its first residual, its Jacobian A_i and
+    the Hessian H_i = (sum_j H_j - H_i) / (n-1) of Phi_i. Each step is one
+    batched condition check and one batched solve over the active problems;
+    then each problem's residual is evaluated exactly at its new iterate, one
+    call over all rows. After its first step, a problem whose residual is at
+    most sqrt(tol) takes its next step with the Taylor Jacobian
+    A_i(theta_hat) + H_i[theta - theta_hat] when that is finite; every other
+    Jacobian is evaluated exactly at its iterate, one call over all rows.
 
-    The rules of the per-row Newton solve hold for each problem: tolerance
-    default_tol(theta_hat), at most MAX_ITER steps, a step accepted only if it
-    passes the Armijo test at t = 1. A problem whose Jacobian fails the
-    condition test or is non-finite, whose step leaves theta_domain, whose phi
-    is non-finite or whose step fails the Armijo test leaves the batch; no
-    problem aborts the others.
+    The rules of the per-row Newton solve hold for each problem, whichever
+    Jacobian its step used: tolerance tol = default_tol(theta_hat), at most
+    MAX_ITER steps, a step accepted only if it passes the Armijo test at
+    t = 1. A problem whose Jacobian fails the condition test or is non-finite,
+    whose step leaves theta_domain, whose phi is non-finite or whose step
+    fails the Armijo test leaves the batch; no problem aborts the others.
 
     Returns (thetas (n, p), converged (n,) bool); rows not converged are NaN
     and are left to the per-row solve_loo.
@@ -140,12 +144,14 @@ def solve_loo_all(model: ModelSpec, data: Dataset, solve: SolveResult):
 
     F = phi_matrix(model, Z, theta_hat, lam)
     G = np.asarray(model.dphi_dtheta_batch(Z, theta_hat, lam), dtype=float)
+    H = np.asarray(model.hess_phi_theta(Z, theta_hat, lam), dtype=float)
     Phi = (F.sum(axis=0) - F) / (n - 1)
     A = (G.sum(axis=0) - G) / (n - 1)
+    H = (H.sum(axis=0) - H) / (n - 1)
     alive = np.all(np.isfinite(A), axis=(1, 2))
     thetas = np.tile(theta_hat, (n, 1))
     fval = np.einsum("ij,ij->i", Phi, Phi)
-    for _ in range(MAX_ITER):
+    for it in range(MAX_ITER):
         act = np.flatnonzero(alive & (np.sqrt(fval) > tol))
         if act.size == 0:
             break
@@ -168,9 +174,16 @@ def solve_loo_all(model: ModelSpec, data: Dataset, solve: SolveResult):
                 alive[i] = False
                 continue
             thetas[i], Phi[i], fval[i] = cand, Phi_c, f_c
-            if np.sqrt(f_c) > tol:
-                A[i] = loo(np.asarray(model.dphi_dtheta_batch(Z, cand, lam), dtype=float), i)
-                alive[i] = np.all(np.isfinite(A[i]))
+            if np.sqrt(f_c) <= tol:
+                continue
+            if it == 0 and f_c <= tol:  # residual at most sqrt(tol) after the first step
+                # A[i] still holds A_i(theta_hat); a non-finite H_i makes it non-finite
+                taylor = A[i] + H[i] @ (cand - theta_hat)
+                if np.all(np.isfinite(taylor)):
+                    A[i] = taylor
+                    continue
+            A[i] = loo(np.asarray(model.dphi_dtheta_batch(Z, cand, lam), dtype=float), i)
+            alive[i] = np.all(np.isfinite(A[i]))
     converged = alive & (np.sqrt(fval) <= tol)
     thetas[~converged] = np.nan
     return thetas, converged

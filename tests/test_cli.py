@@ -277,6 +277,21 @@ def test_simulate_writes_summary_and_draws(tmp_path):
     assert len(draws) == 1 + s["completed"]
 
 
+def test_simulate_intercept_only_linear(tmp_path, capsys):
+    # no covariate: a (1, 1) variance summary; coef_sq without a covariate exits 2
+    out = tmp_path / "out"
+    argv = ["simulate", "--dgp", "linear", "--beta", "0.4", "--n", "40", "--B", "3",
+            "--criterion", "cv_fast", "--grid-size", "6", "--seed", "1"]
+    assert main([*argv, "--out", str(out)]) == 0
+    s = json.loads((out / "summary.json").read_text())
+    assert np.shape(s["empirical_variance"]) == (1, 1)
+    assert (out / "draws.csv").read_text().splitlines()[0] == "lambda_1,theta_1"
+    capsys.readouterr()
+    assert main([*argv, "--coef-sq", "0.5", "--out", str(tmp_path / "o2")]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["type"] == "ValueError"
+
+
 def test_bootstrap_command(data_csv, tmp_path):
     path, _ = data_csv
     out = tmp_path / "out"

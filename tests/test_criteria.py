@@ -1,7 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import tunevar.numdiff as numdiff
 from tunevar import (
+    DGPKind,
+    DGPSpec,
     Dataset,
     GaussianLikelihoodModel,
     LossSpec,
@@ -9,12 +14,14 @@ from tunevar import (
     ModelSpec,
     RefitFailure,
     RidgeLinearModel,
+    RidgeLogisticModel,
     TunevarError,
     holdout_error,
     info_criterion,
     loocv_exact,
     loocv_fast,
     ridge_loocv_closed_form,
+    simulate,
     solve_loo,
     solve_loo_all,
     solve_theta,
@@ -23,7 +30,7 @@ from tunevar import (
 )
 from tunevar.model import rowwise
 
-from conftest import make_linear_data
+from conftest import make_linear_data, make_logistic_data
 
 
 def _ridge():
@@ -288,3 +295,70 @@ def test_loocv_exact_failed_refits_counted_then_abort():
     with pytest.raises(RefitFailure) as exc:
         loocv_exact(spec, _CUBIC_LOSS, small, [0.0], solve=solve)
     assert exc.value.failed_indices == (4,)
+
+
+def _count_calls(spec, *slots):
+    calls = dict.fromkeys(slots, 0)
+    for slot in slots:
+        fn = getattr(spec, slot)
+
+        def counted(*args, fn=fn, slot=slot):
+            calls[slot] += 1
+            return fn(*args)
+
+        setattr(spec, slot, counted)
+    return calls
+
+
+def test_loocv_exact_one_hessian_call_few_jacobian_calls():
+    # the rows close to their root after the first step take a Taylor
+    # Jacobian from the one Hessian at theta_hat instead of evaluating it
+    n, lam = 400, [0.01]
+    m = RidgeLogisticModel(2)
+    spec, loss = m.spec(), m.brier_loss()
+    dgp = DGPSpec(DGPKind.LOGISTIC_TRUE, n=n, params={"beta": (0.2, 1.0, -0.5)})
+    data = simulate(dgp, seed=3)
+    solve = solve_theta(spec, data, lam, spec.theta_init)
+    calls = _count_calls(spec, "hess_phi_theta", "dphi_dtheta_batch")
+    cv = loocv_exact(spec, loss, data, lam, solve=solve)
+    assert calls["hess_phi_theta"] == 1
+    assert calls["dphi_dtheta_batch"] <= 0.25 * n
+    assert cv.diagnostics["refit_fallbacks"] == 0.0
+
+
+@pytest.mark.parametrize("seed, lam", [(4, 0.3), (7, 0.1)])
+def test_loocv_exact_with_finite_difference_hessian(monkeypatch, seed, lam):
+    # a spec without an analytic hess_phi_theta gets the numdiff.hessian
+    # fallback; its Taylor Jacobians spare as many evaluations as the
+    # analytic Hessian's and lead to the same roots
+    n = 200
+    m = RidgeLogisticModel(2)
+    spec, loss = m.spec(), m.brier_loss()
+    fd_spec = dataclasses.replace(spec, hess_phi_theta=None)
+    hessians = []
+    hessian = numdiff.hessian
+
+    def recorded(f, x, **kw):
+        hessians.append(x)
+        return hessian(f, x, **kw)
+
+    monkeypatch.setattr(numdiff, "hessian", recorded)
+    data = make_logistic_data(n=n, seed=seed)
+    solve = solve_theta(spec, data, [lam], spec.theta_init)
+    jacobians = []
+    for s in (spec, fd_spec):
+        calls = _count_calls(s, "dphi_dtheta_batch")
+        thetas, converged = solve_loo_all(s, data, solve)
+        jacobians.append(calls["dphi_dtheta_batch"])
+    assert len(hessians) == 1 and converged.all()
+    assert jacobians[1] == jacobians[0] <= 0.25 * n
+    refits = np.array([
+        solve_loo(spec, data, solve.lam, i, warm_start=solve.theta_hat).theta_hat
+        for i in range(n)
+    ])
+    assert np.all(np.abs(thetas - refits) <= 1e-7 * (1.0 + np.abs(refits)))
+    cv = loocv_exact(fd_spec, loss, data, [lam], solve=solve)
+    per_row = np.mean([loss.psi(z, th) for z, th in zip(data.rows, refits)])
+    assert abs(cv.value - per_row) <= 1e-9 * abs(per_row)
+    analytic = loocv_exact(spec, loss, data, [lam], solve=solve)
+    assert abs(cv.value - analytic.value) <= 1e-9 * abs(analytic.value)

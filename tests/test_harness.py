@@ -24,6 +24,26 @@ def test_simulate_deterministic_and_seed_sensitive():
     assert not np.array_equal(a.rows, c.rows)
 
 
+def test_linear_gaussian_without_covariates():
+    # an intercept-only process draws y alone; coef_sq needs a covariate
+    data = simulate(DGPSpec(DGPKind.LINEAR_GAUSSIAN, n=60, params={"beta": (0.4,)}), 9)
+    assert data.rows.shape == (60, 1)
+    with pytest.raises(ValueError, match="coef_sq"):
+        DGPSpec(DGPKind.LINEAR_GAUSSIAN, n=60, params={"beta": (0.4,), "coef_sq": 0.5})
+
+
+def test_linear_gaussian_draws_unchanged_without_coef_sq():
+    # skipping a zero coef_sq term gives the draws of the formula that adds it
+    from tunevar.rng import rng_for
+
+    dgp = DGPSpec(DGPKind.LINEAR_GAUSSIAN, n=80, params={"beta": (1.0, -0.5, 2.0)})
+    rng = rng_for(11)
+    x = rng.standard_normal((80, 2))
+    mean = 1.0 + x @ np.array([-0.5, 2.0]) + 0.0 * (x[:, 0] ** 2 - 1.0)
+    y = mean + rng.standard_normal(80)
+    assert np.array_equal(simulate(dgp, seed=11).rows, np.column_stack([y, x]))
+
+
 def test_gaussmix_class_conditional_moments():
     dgp = DGPSpec(DGPKind.GAUSSMIX_C, n=200_000, params={"C": 2.0})
     data = simulate(dgp, seed=5)
