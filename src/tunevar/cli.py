@@ -31,18 +31,21 @@ from .solver import default_tol, solve_theta, theta_prime
 from .tuner import BoundaryStatus, FitResult, tune
 from .variance import select_variance
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
 # Serialization. json's repr-based float output is the shortest exact
 # round-trip (<= 17 significant digits); rounding through %.17g keeps the
-# emitted bytes pinned to that contract.
+# emitted bytes pinned to that contract. Non-finite floats are written as
+# null, so every file is strict JSON.
 # ---------------------------------------------------------------------------
 
 def _jsonify(obj):
+    if isinstance(obj, (bool, np.bool_)):  # before int: bool is an int subclass
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(f"{float(obj):.17g}")
+        return float(f"{float(obj):.17g}") if np.isfinite(obj) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -51,14 +54,12 @@ def _jsonify(obj):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (BoundaryStatus, Method, DGPKind)):
-        return obj.value
     return obj
 
 
 def _write_json(path: Path, payload: dict):
     payload = {"schema_version": SCHEMA_VERSION, **_jsonify(payload)}
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, header, rows):
@@ -266,7 +267,7 @@ def cmd_variance(args, out: Path) -> int:
             grid_size=args.grid_size, seed=args.seed, split=args.split,
         )
         _write_json(out / "fit.json", fit_result_to_dict(fit))
-    report = select_variance(spec, loss, data, fit, z1_method=args.z1_method)
+    report = select_variance(spec, loss, data, fit)
     _write_json(out / "variance.json", {
         "V1": report.V1,
         "V2": report.V2,
@@ -280,15 +281,18 @@ def cmd_variance(args, out: Path) -> int:
     return 0
 
 
+def _linear_dgp(args, n: int) -> DGPSpec:
+    return DGPSpec(
+        DGPKind.LINEAR_GAUSSIAN, n=n,
+        params={"beta": tuple(args.beta), "sigma": args.sigma, "coef_sq": args.coef_sq},
+    )
+
+
 def _dgp_from_args(args) -> DGPSpec:
     if args.dgp == "gaussmix":
         return DGPSpec(DGPKind.GAUSSMIX_C, n=args.n, params={"C": args.C})
     if args.dgp == "linear":
-        return DGPSpec(
-            DGPKind.LINEAR_GAUSSIAN, n=args.n,
-            params={"beta": tuple(args.beta), "sigma": args.sigma,
-                    "coef_sq": args.coef_sq},
-        )
+        return _linear_dgp(args, args.n)
     if args.dgp == "logistic":
         return DGPSpec(DGPKind.LOGISTIC_TRUE, n=args.n, params={"beta": tuple(args.beta)})
     raise SchemaError(f"unknown dgp {args.dgp!r}")
@@ -336,7 +340,7 @@ def cmd_simulate(args, out: Path) -> int:
     spec, loss = _dgp_model(args, dgp)
     config = _pipeline_config(args, spec, loss)
     summary = replicate(dgp, config, B=args.B, seed=args.seed)
-    _write_summary(out, summary, extra={"dgp": args.dgp, "C": getattr(args, "C", 0.0)})
+    _write_summary(out, summary, extra={"dgp": args.dgp, "C": args.C})
     return 0
 
 
@@ -359,12 +363,8 @@ def cmd_stone_check(args, out: Path) -> int:
     spec, loss = m.spec(), m.squared_error_loss()
     for n in args.n_list:
         gaps = []
+        dgp = _linear_dgp(args, n)
         for r in range(args.reps):
-            dgp = DGPSpec(
-                DGPKind.LINEAR_GAUSSIAN, n=n,
-                params={"beta": tuple(args.beta), "sigma": args.sigma,
-                        "coef_sq": args.coef_sq},
-            )
             data = simulate(dgp, seed=derive_stream(args.seed, 1000 * n + r))
             res = solve_theta(spec, data, lam, spec.theta_init)
             cv = loocv_exact(spec, loss, data, lam, solve=res)
@@ -403,13 +403,17 @@ def _add_data_model(p):
                    help="response column of the CSV (default 0); not with --model pima")
 
 
+def _add_linear_dgp(p):
+    p.add_argument("--beta", type=float, nargs="+", default=[1.0, 1.0])
+    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--coef-sq", type=float, default=0.0, dest="coef_sq")
+
+
 def _add_dgp(p):
     p.add_argument("--dgp", default="linear", choices=["gaussmix", "linear", "logistic"])
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--C", type=float, default=0.0)
-    p.add_argument("--beta", type=float, nargs="+", default=[1.0, 1.0])
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--coef-sq", type=float, default=0.0, dest="coef_sq")
+    _add_linear_dgp(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -434,8 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_data_model(p)
     p.add_argument("--fit", default=None, help="reuse a previously written fit.json")
-    p.add_argument("--z1-method", default="profile", choices=["profile", "chain"],
-                   dest="z1_method")
     p.set_defaults(func=cmd_variance)
 
     p = sub.add_parser("simulate", help="Monte Carlo replication study")
@@ -456,9 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", type=int, nargs="+", default=[200, 800], dest="n_list")
     p.add_argument("--reps", type=int, default=20)
     p.add_argument("--lam", type=float, default=0.1)
-    p.add_argument("--beta", type=float, nargs="+", default=[1.0, 1.0])
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--coef-sq", type=float, default=0.0, dest="coef_sq")
+    _add_linear_dgp(p)
     p.set_defaults(func=cmd_stone_check)
 
     return ap

@@ -5,15 +5,16 @@ cross-validation, the trace-corrected training error, a seeded holdout
 criterion, and the AIC/BIC/TIC information criteria.
 
 Exact LOOCV solves the n leave-one-out problems together by Newton's method
-(solver.solve_loo_all): one phi, one Jacobian and one theta-Hessian
-evaluation at theta_hat start all n problems, each step is one batched solve,
-and each problem's residual is evaluated exactly at every iterate. A problem
-whose residual after the first step is at most sqrt(tol) takes its second
-step with its Jacobian Taylor-updated from theta_hat by the Hessian; every
-other Jacobian is evaluated at its iterate. Rows that the batched solve rejects
-(ill-conditioned or non-finite Jacobian, a step out of theta_domain,
-non-finite phi, a failed Armijo test) or does not converge fall back to the
-per-row refit solver.solve_loo.
+(solver.solve_loo_all): one phi and one Jacobian evaluation at theta_hat
+start all n problems, each step is one batched solve, and each problem's
+residual is evaluated exactly at every iterate. A problem whose residual
+after the first step is at most sqrt(tol) takes its second step with its
+Jacobian Taylor-updated from theta_hat by the theta-Hessian there, evaluated
+once and only if some problem needs it; every other Jacobian is evaluated at
+its iterate. Rows that the batched solve rejects (ill-conditioned or
+non-finite Jacobian, a step out of theta_domain, non-finite phi, a failed
+Armijo test) or does not converge fall back to the per-row refit
+solver.solve_loo.
 
 Sign conventions (with J_hat = minus the empirical theta-Jacobian of Phi_n):
   theta_hat_(-i) ~= theta_hat - (1/n) J_hat^{-1} phi(Z_i, theta_hat, lam)
@@ -76,12 +77,14 @@ def _fit(model, data, lam, theta_init, solve):
     return solve_theta(model, data, lam, theta_init)
 
 
-def _trace_correction(model, loss, data, solve: SolveResult) -> float:
-    """(1/n) Tr(J_hat^{-1} C_hat) with C_hat = (1/n) sum phi_i grad_psi_i'."""
-    Phi = phi_matrix(model, data.rows, solve.theta_hat, solve.lam)
-    G = grad_psi_matrix(loss, data.rows, solve.theta_hat)
-    C_hat = Phi.T @ G / data.n
-    return float(np.trace(checked_solve(solve.J_hat, C_hat, "J_hat"))) / data.n
+def _trace_term(solve: SolveResult, Phi, G) -> float:
+    """(1/n) Tr(J_hat^{-1} M) with M = (1/n) sum_i Phi_i G_i' over the n rows.
+
+    G = grad_psi gives the trace correction of te_trace_corrected (M = C_hat),
+    G = Phi the TIC penalty (M = K_hat).
+    """
+    n = len(Phi)
+    return float(np.trace(checked_solve(solve.J_hat, Phi.T @ G / n, "J_hat"))) / n
 
 
 def training_error(
@@ -101,8 +104,8 @@ def loocv_exact(
     """CV(lam): refit without each row in turn and average the held-out loss.
 
     All n refits are solved together by solve_loo_all, a batched Newton
-    iteration from theta_hat(lam) that makes one hess_phi_theta call and
-    evaluates a problem's Jacobian only where a Taylor update from theta_hat
+    iteration from theta_hat(lam) that makes at most one hess_phi_theta call
+    and evaluates a problem's Jacobian only where a Taylor update from theta_hat
     does not serve. A row it rejects or does not converge falls back to the
     per-row solve_loo, warm-started at theta_hat and retried once from the
     cold start before being counted as failed. More than 1% failed rows
@@ -161,7 +164,8 @@ def te_trace_corrected(
     """TE(lam) - (1/n) Tr(J_hat^{-1} C_hat), the first-order CV surrogate."""
     solve = _fit(model, data, lam, theta_init, solve)
     te = float(psi_values(loss, data.rows, solve.theta_hat).mean())
-    corr = _trace_correction(model, loss, data, solve)
+    Phi = phi_matrix(model, data.rows, solve.theta_hat, solve.lam)
+    corr = _trace_term(solve, Phi, grad_psi_matrix(loss, data.rows, solve.theta_hat))
     return CriterionValue(
         te - corr, Method.TE_TRACE_CORRECTED, np.asarray(solve.lam, float),
         {"trace_correction": corr},
@@ -217,9 +221,7 @@ def info_criterion(
         penalty = p * np.log(n) / n
     else:
         Phi = phi_matrix(model, data.rows, solve.theta_hat, solve.lam)
-        K_hat = Phi.T @ Phi / n
-        trace = float(np.trace(checked_solve(solve.J_hat, K_hat, "J_hat")))
-        penalty = trace / n
+        penalty = _trace_term(solve, Phi, Phi)
         diagnostics["trace_correction"] = penalty
     return CriterionValue(
         neg_loglik + penalty, kind, np.asarray(solve.lam, float), diagnostics

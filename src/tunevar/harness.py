@@ -3,7 +3,8 @@
 Every run is a pure function of (configuration, master seed): replication j
 draws from the splitmix64-derived substream j of the master seed, so results
 do not depend on execution order and are reproducible under parallelism.
-Failed replications are excluded and reported; more than 5% failures aborts.
+Failed replications are excluded and reported; more than MAX_FAILURE_RATE
+(5%) failures aborts.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ from .exceptions import FailureRateExceeded, TunevarError
 from .model import Dataset, LossSpec, ModelSpec, phi_matrix
 from .rng import derive_stream, rng_for
 from .solver import checked_solve, solve_theta, theta_prime
-from .tuner import FitResult, truncated_estimate, tune
+from .tuner import _resolve_box, truncated_estimate, tune
 from .variance import alpha_influences, select_variance
+
+MAX_FAILURE_RATE = 0.05
 
 
 class DGPKind(enum.Enum):
@@ -114,12 +117,11 @@ class PipelineConfig:
     grid_size: int = 20
     split: float = 0.5
     compute_variance: bool = True
-    z1_method: str = "profile"
 
 
 @dataclass
 class ReplicationSummary:
-    """Per-replication draws plus aggregates recomputable from them."""
+    """Per-replication draws plus the aggregates computed from them."""
 
     n: int
     requested: int
@@ -129,21 +131,18 @@ class ReplicationSummary:
     V2_draws: np.ndarray  # (B_ok, p, p)
     failure_indices: Tuple[int, ...]
     boundary_count: int
-    empirical_variance: np.ndarray = None  # var of sqrt(n) * theta_hat
-    mean_V1: np.ndarray = None
-    mean_V2: np.ndarray = None
+    empirical_variance: np.ndarray = field(init=False)  # var of sqrt(n) * theta_hat
+    mean_V1: np.ndarray = field(init=False)
+    mean_V2: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.empirical_variance is None:
-            self.empirical_variance = self.recompute_empirical_variance()
-        if self.mean_V1 is None:
-            if np.all(np.isnan(self.V1_draws)):
-                self.mean_V1 = np.full(self.V1_draws.shape[1:], np.nan)
-            else:
-                with np.errstate(invalid="ignore"):
-                    self.mean_V1 = np.nanmean(self.V1_draws, axis=0)
-        if self.mean_V2 is None:
-            self.mean_V2 = self.V2_draws.mean(axis=0)
+        self.empirical_variance = self.recompute_empirical_variance()
+        if np.all(np.isnan(self.V1_draws)):
+            self.mean_V1 = np.full(self.V1_draws.shape[1:], np.nan)
+        else:
+            with np.errstate(invalid="ignore"):
+                self.mean_V1 = np.nanmean(self.V1_draws, axis=0)
+        self.mean_V2 = self.V2_draws.mean(axis=0)
 
     def recompute_empirical_variance(self) -> np.ndarray:
         scaled = np.sqrt(self.n) * self.theta_draws
@@ -172,17 +171,15 @@ def _run_one(data: Dataset, config: PipelineConfig, seed: int):
     V1 = np.full((p, p), np.nan)
     V2 = np.full((p, p), np.nan)
     if config.compute_variance:
-        report = select_variance(
-            config.model, config.loss, data, fit, z1_method=config.z1_method
-        )
+        report = select_variance(config.model, config.loss, data, fit)
         V2 = report.V2
         if report.V1 is not None:
             V1 = report.V1
     return fit, V1, V2
 
 
-def _collect(runner: Callable[[int], tuple], B: int, n: int, requested_label: str,
-             max_failure_rate: float = 0.05) -> ReplicationSummary:
+def _collect(runner: Callable[[int], tuple], B: int, n: int,
+             requested_label: str) -> ReplicationSummary:
     lams: List[np.ndarray] = []
     thetas: List[np.ndarray] = []
     V1s: List[np.ndarray] = []
@@ -201,7 +198,7 @@ def _collect(runner: Callable[[int], tuple], B: int, n: int, requested_label: st
         V2s.append(V2)
         if not fit.interior:
             boundary += 1
-    if len(failures) > max_failure_rate * B:
+    if len(failures) > MAX_FAILURE_RATE * B:
         raise FailureRateExceeded(
             f"{len(failures)} of {B} {requested_label} replications failed"
         )
@@ -267,10 +264,7 @@ def mixture_law_check(
     if config.model.q != 1:
         raise ValueError("mixture_law_check requires q = 1")
     theta0 = np.asarray(theta0, float)
-    box = config.lambda_domain
-    if box is None:
-        box = config.model.lambda_domain
-    box = np.asarray(box, float).reshape(1, 2)
+    box = _resolve_box(config.model, config.lambda_domain)
     lam_edge = box[0, 0] if boundary == "lower" else box[0, 1]
 
     # empirical draws of the clamped estimator
@@ -290,7 +284,7 @@ def mixture_law_check(
             continue
         cases[res.case_tag] = cases.get(res.case_tag, 0) + 1
         draws.append(np.sqrt(dgp.n) * (res.theta_hat - theta0))
-    if failures > 0.05 * B:
+    if failures > MAX_FAILURE_RATE * B:
         raise FailureRateExceeded(f"{failures} of {B} mixture replications failed")
     empirical = np.asarray(draws)
 

@@ -133,8 +133,8 @@ class ModelSpec:
     theta or lambda, so the fallback of a rowwise spec matches differencing
     each row on its own.
 
-    Exact LOOCV (criteria.loocv_exact) makes one hess_phi_theta call per
-    evaluation, at theta_hat; when that slot is the finite-difference
+    Exact LOOCV (criteria.loocv_exact) makes at most one hess_phi_theta call
+    per evaluation, at theta_hat; when that slot is the finite-difference
     fallback, the call costs 2 p^2 + 1 phi_batch calls.
     """
 
@@ -189,13 +189,15 @@ class ModelSpec:
             return np.asarray(theta, dtype=float)
         return np.clip(theta, self.theta_domain[:, 0], self.theta_domain[:, 1])
 
-    def theta_in_domain(self, theta, tol=0.0):
+    def theta_in_domain(self, theta):
+        """Whether theta lies in theta_domain: a bool for one (p,) vector, an
+        (n,) bool array for an (n, p) stack (a NaN entry lies outside a box)."""
+        stack = np.ndim(theta) > 1
         if self.theta_domain is None:
-            return True
-        return bool(
-            np.all(theta >= self.theta_domain[:, 0] - tol)
-            and np.all(theta <= self.theta_domain[:, 1] + tol)
-        )
+            return np.ones(len(theta), dtype=bool) if stack else True
+        lo, hi = self.theta_domain[:, 0], self.theta_domain[:, 1]
+        inside = np.all((theta >= lo) & (theta <= hi), axis=-1)
+        return inside if stack else bool(inside)
 
 
 @dataclass

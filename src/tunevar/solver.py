@@ -113,14 +113,15 @@ def solve_loo_all(model: ModelSpec, data: Dataset, solve: SolveResult):
 
     Problem i solves Phi_i(theta) = (sum_j phi_j(theta) - phi_i(theta)) / (n-1)
     = 0, with Jacobian A_i(theta) = (sum_j G_j(theta) - G_i(theta)) / (n-1)
-    for G = d phi / d theta. One phi, one G and one hess_phi_theta evaluation
-    at theta_hat give every problem its first residual, its Jacobian A_i and
-    the Hessian H_i = (sum_j H_j - H_i) / (n-1) of Phi_i. Each step is one
+    for G = d phi / d theta. One phi and one G evaluation at theta_hat give
+    every problem its first residual and its Jacobian A_i. Each step is one
     batched condition check and one batched solve over the active problems;
     then each problem's residual is evaluated exactly at its new iterate, one
     call over all rows. After its first step, a problem whose residual is at
     most sqrt(tol) takes its next step with the Taylor Jacobian
-    A_i(theta_hat) + H_i[theta - theta_hat] when that is finite; every other
+    A_i(theta_hat) + H_i[theta - theta_hat] when that is finite, where
+    H_i = (sum_j H_j - H_i) / (n-1) comes from one hess_phi_theta evaluation
+    at theta_hat, made only if some problem takes such a step. Every other
     Jacobian is evaluated exactly at its iterate, one call over all rows.
 
     The rules of the per-row Newton solve hold for each problem, whichever
@@ -144,10 +145,8 @@ def solve_loo_all(model: ModelSpec, data: Dataset, solve: SolveResult):
 
     F = phi_matrix(model, Z, theta_hat, lam)
     G = np.asarray(model.dphi_dtheta_batch(Z, theta_hat, lam), dtype=float)
-    H = np.asarray(model.hess_phi_theta(Z, theta_hat, lam), dtype=float)
     Phi = (F.sum(axis=0) - F) / (n - 1)
     A = (G.sum(axis=0) - G) / (n - 1)
-    H = (H.sum(axis=0) - H) / (n - 1)
     alive = np.all(np.isfinite(A), axis=(1, 2))
     thetas = np.tile(theta_hat, (n, 1))
     fval = np.einsum("ij,ij->i", Phi, Phi)
@@ -160,9 +159,10 @@ def solve_loo_all(model: ModelSpec, data: Dataset, solve: SolveResult):
         alive[act[~well]] = False
         act = act[well]
         cands = thetas[act] - np.linalg.solve(A[act], Phi[act][:, :, None])[:, :, 0]
-        # a candidate lies in theta_domain exactly when clipping leaves it unchanged
-        inside = np.all(model.clip_theta(cands) == cands, axis=1)
+        inside = model.theta_in_domain(cands)
         alive[act[~inside]] = False
+        # problems whose next Jacobian is a Taylor update, or is evaluated
+        near, evaluate = [], []
         for i, cand in zip(act[inside], cands[inside]):
             try:
                 Phi_c = loo(phi_matrix(model, Z, cand, lam), i)
@@ -174,15 +174,21 @@ def solve_loo_all(model: ModelSpec, data: Dataset, solve: SolveResult):
                 alive[i] = False
                 continue
             thetas[i], Phi[i], fval[i] = cand, Phi_c, f_c
-            if np.sqrt(f_c) <= tol:
-                continue
-            if it == 0 and f_c <= tol:  # residual at most sqrt(tol) after the first step
+            if np.sqrt(f_c) > tol:
+                # near: the residual is at most sqrt(tol) after the first step
+                (near if it == 0 and f_c <= tol else evaluate).append(i)
+        if near:
+            H = np.asarray(model.hess_phi_theta(Z, theta_hat, lam), dtype=float)
+            H = (H.sum(axis=0) - H) / (n - 1)
+            for i in near:
                 # A[i] still holds A_i(theta_hat); a non-finite H_i makes it non-finite
-                taylor = A[i] + H[i] @ (cand - theta_hat)
+                taylor = A[i] + H[i] @ (thetas[i] - theta_hat)
                 if np.all(np.isfinite(taylor)):
                     A[i] = taylor
-                    continue
-            A[i] = loo(np.asarray(model.dphi_dtheta_batch(Z, cand, lam), dtype=float), i)
+                else:
+                    evaluate.append(i)
+        for i in evaluate:
+            A[i] = loo(np.asarray(model.dphi_dtheta_batch(Z, thetas[i], lam), dtype=float), i)
             alive[i] = np.all(np.isfinite(A[i]))
     converged = alive & (np.sqrt(fval) <= tol)
     thetas[~converged] = np.nan

@@ -64,35 +64,34 @@ class FitResult:
 
 
 class _Evaluator:
-    """Caching criterion evaluator with warm-start chaining and failure counts."""
+    """Caching criterion evaluator with warm-start chaining from model.theta_init.
+
+    The cache maps every attempted lambda to its value, None where it failed.
+    """
 
     def __init__(self, model, loss, data, method, split, seed):
         self.model, self.loss, self.data = model, loss, data
         self.method, self.split, self.seed = method, split, seed
-        self.cache: Dict[Tuple[float, ...], float] = {}
+        self.cache: Dict[Tuple[float, ...], Optional[float]] = {}
         self.trace: List[Tuple[Tuple[float, ...], float]] = []
-        self.failures = 0
-        self.attempts = 0
-        self.warm: Optional[np.ndarray] = None
+        self.warm: np.ndarray = model.theta_init
+
+    @property
+    def failures(self) -> int:
+        return sum(v is None for v in self.cache.values())
 
     def try_value(self, lam) -> Optional[float]:
         key = tuple(float(v) for v in np.atleast_1d(lam))
         if key in self.cache:
             return self.cache[key]
-        self.attempts += 1
         try:
-            solve = solve_theta(
-                self.model, self.data, np.asarray(key),
-                self.warm if self.warm is not None
-                else self.model.theta_init,
-            )
+            solve = solve_theta(self.model, self.data, np.asarray(key), self.warm)
             cv = evaluate_criterion(
                 self.method, self.model, self.loss, self.data, np.asarray(key),
                 theta_init=self.warm, solve=solve,
                 split=self.split, seed=self.seed,
             )
         except TunevarError:
-            self.failures += 1
             self.cache[key] = None
             return None
         self.warm = solve.theta_hat
@@ -115,7 +114,28 @@ def _argmin_trace(trace):
     return np.asarray(best[0]), best[1]
 
 
-def _golden_section(ev: _Evaluator, lo: float, hi: float, width: float):
+def _scan(ev: _Evaluator, points) -> np.ndarray:
+    """Evaluate the criterion at every grid point and return the best one.
+
+    CriterionFailure when more than 20% of the points, or all of them, fail.
+    """
+    for pt in points:
+        ev.try_value(pt)
+    if ev.failures > 0.2 * len(ev.cache):
+        raise CriterionFailure(
+            f"criterion failed on {ev.failures} of {len(ev.cache)} grid points"
+        )
+    if not ev.trace:
+        raise CriterionFailure("criterion failed on every grid point")
+    return _argmin_trace(ev.trace)[0]
+
+
+def _golden_section(ev: _Evaluator, grid, best):
+    """Golden-section search over the grid cells either side of the grid point
+    nearest best, down to REL_WIDTH times the grid's span."""
+    width = grid[-1] - grid[0]
+    k = int(np.argmin(np.abs(grid - best[0])))
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
     c = hi - GOLDEN * (hi - lo)
     d = lo + GOLDEN * (hi - lo)
     fc, fd = ev.value([c]), ev.value([d])
@@ -206,45 +226,20 @@ def tune(
     ev = _Evaluator(model, loss, data, method, split, seed)
 
     if model.q == 1:
-        lo, hi = box[0]
-        grid = np.linspace(lo, hi, grid_size)
-        for g in grid:
-            ev.try_value([g])
-        if ev.failures > 0.2 * ev.attempts:
-            raise CriterionFailure(
-                f"criterion failed on {ev.failures} of {ev.attempts} grid points"
-            )
-        if not ev.trace:
-            raise CriterionFailure("criterion failed on every grid point")
-        best, _ = _argmin_trace(ev.trace)
-        k = int(np.argmin(np.abs(grid - best[0])))
-        blo = grid[max(k - 1, 0)]
-        bhi = grid[min(k + 1, grid_size - 1)]
-        _golden_section(ev, blo, bhi, hi - lo)
+        grid = np.linspace(box[0, 0], box[0, 1], grid_size)
+        _golden_section(ev, grid, _scan(ev, grid[:, None]))
     else:
         m = grid_size
         if m**model.q > 10_000:
             m = max(2, int(np.floor(10_000 ** (1.0 / model.q))))
-        axes = [np.linspace(a, b, m) for a, b in box]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        points = np.stack([g.ravel() for g in mesh], axis=-1)
-        for pt in points:
-            ev.try_value(pt)
-        if ev.failures > 0.2 * ev.attempts:
-            raise CriterionFailure(
-                f"criterion failed on {ev.failures} of {ev.attempts} grid points"
-            )
-        if not ev.trace:
-            raise CriterionFailure("criterion failed on every grid point")
-        best, _ = _argmin_trace(ev.trace)
-        _pattern_search(ev, best, box)
+        mesh = np.meshgrid(*[np.linspace(a, b, m) for a, b in box], indexing="ij")
+        _pattern_search(ev, _scan(ev, np.stack([g.ravel() for g in mesh], axis=-1)), box)
 
     lam_hat, value = _argmin_trace(ev.trace)
     lam_hat = np.clip(lam_hat, box[:, 0], box[:, 1])
     slopes, status = _slope_and_status(ev, lam_hat, box)
 
-    init = ev.warm if ev.warm is not None else model.theta_init
-    solve = solve_theta(model, data, lam_hat, init)
+    solve = solve_theta(model, data, lam_hat, ev.warm)
     D_hat = theta_prime(model, data, solve)
     return FitResult(
         theta_hat=solve.theta_hat,
@@ -292,9 +287,8 @@ def truncated_estimate(
     width = hi - lo
     delta = 2.0 * width / np.sqrt(data.n)
 
-    ext_lo, ext_hi = lo - 0.5 * width, hi + 0.5 * width
     ev = _Evaluator(model, loss, data, method, split, seed)
-    ext_grid = np.linspace(ext_lo, ext_hi, 2 * grid_size)
+    ext_grid = np.linspace(lo - 0.5 * width, hi + 0.5 * width, 2 * grid_size)
     for g in ext_grid:
         ev.try_value([g])
     outside_ok = any(
@@ -302,12 +296,7 @@ def truncated_estimate(
     )
 
     if outside_ok and ev.trace:
-        best, _ = _argmin_trace(ev.trace)
-        k = int(np.argmin(np.abs(ext_grid - best[0])))
-        _golden_section(
-            ev, ext_grid[max(k - 1, 0)], ext_grid[min(k + 1, len(ext_grid) - 1)],
-            ext_hi - ext_lo,
-        )
+        _golden_section(ev, ext_grid, _argmin_trace(ev.trace)[0])
         lam_g = float(_argmin_trace(ev.trace)[0][0])
     else:
         # model not evaluable outside the box: constrained search, then decide
@@ -332,6 +321,5 @@ def truncated_estimate(
     else:
         tag = "interior"
 
-    init = ev.warm if ev.warm is not None else model.theta_init
-    solve = solve_theta(model, data, np.array([lam_c]), init)
+    solve = solve_theta(model, data, np.array([lam_c]), ev.warm)
     return TruncatedResult(solve.theta_hat, tag, lam_g, lam_c)

@@ -114,11 +114,11 @@ def z1_profiled(model, loss, data, fit: FitResult) -> np.ndarray:
 
 
 def z1_chain_rule(model, loss, data, fit: FitResult) -> np.ndarray:
-    """Cross-check path: Jacobian of the profiled TE gradient g(lambda).
+    """Cross-check of z1_profiled: Jacobian of the profiled TE gradient g(lambda).
 
     g(lambda) = D_hat(lambda)' * mean grad_psi(theta_hat(lambda)), differenced
-    centrally in lambda. Kept behind this separate entry point so tests can
-    require agreement with the profiled Hessian.
+    centrally in lambda. assemble_components does not use it; the tests
+    require it to agree with the profiled Hessian.
     """
     def g(lam):
         res = solve_theta(model, data, lam, fit.theta_hat)
@@ -131,9 +131,8 @@ def z1_chain_rule(model, loss, data, fit: FitResult) -> np.ndarray:
 
 def assemble_components(
     model: ModelSpec, loss: LossSpec, data: Dataset, fit: FitResult,
-    z1_method: str = "profile",
 ) -> VarianceComponents:
-    """All plug-in matrices at the tuned fit.
+    """All plug-in matrices at the tuned fit, Z1_hat from z1_profiled.
 
     Boundary and fixed-lambda fits get a partial assembly (J_hat, K_hat
     only): the joint-limit components are meaningless when lambda_hat sits on
@@ -154,12 +153,7 @@ def assemble_components(
     Jinv = checked_solve(J_hat, np.eye(p), "J_hat")
     b_hat = grad_psi_matrix(loss, Z, theta).mean(axis=0)
     Z2_hat = _sym(np.asarray(loss.hess_psi(Z, theta), float).mean(axis=0))
-    if z1_method == "profile":
-        Z1_hat = z1_profiled(model, loss, data, fit)
-    elif z1_method == "chain":
-        Z1_hat = z1_chain_rule(model, loss, data, fit)
-    else:
-        raise ValueError("z1_method must be 'profile' or 'chain'")
+    Z1_hat = z1_profiled(model, loss, data, fit)
 
     bJ = b_hat @ Jinv  # row vector b' J^{-1}
     M_hat = np.zeros((q, p * q))
@@ -281,7 +275,6 @@ class VarianceReport:
 
 def select_variance(
     model: ModelSpec, loss: LossSpec, data: Dataset, fit: FitResult,
-    z1_method: str = "profile",
 ) -> VarianceReport:
     """Assemble components and pick the variance matching the fit's geometry.
 
@@ -290,7 +283,7 @@ def select_variance(
     (FitResult.flat_at_edge) is in the regime where neither estimator is
     justified; V2 is reported with nondegenerate_boundary set.
     """
-    components = assemble_components(model, loss, data, fit, z1_method=z1_method)
+    components = assemble_components(model, loss, data, fit)
     V2 = variance_pointwise(components)
     diagnostics: Dict[str, float] = {}
     if fit.interior:

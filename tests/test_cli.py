@@ -63,7 +63,7 @@ def test_fit_fixed_lambda(data_csv, tmp_path):
     rc = main(["fit", "--data", str(path), "--lam", "0.25", "--out", str(out)])
     assert rc == 0
     d = json.loads((out / "fit.json").read_text())
-    assert d["schema_version"] == 2
+    assert d["schema_version"] == 3
     from tunevar import ridge_closed_form
 
     assert np.allclose(d["theta_hat"], ridge_closed_form(data, 0.25), atol=1e-8)
@@ -290,6 +290,30 @@ def test_simulate_intercept_only_linear(tmp_path, capsys):
     assert main([*argv, "--coef-sq", "0.5", "--out", str(tmp_path / "o2")]) == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"]["type"] == "ValueError"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_all_boundary_simulate_writes_strict_json(tmp_path):
+    # every replication is a boundary fit, so mean_V1 has no finite entry
+    out = tmp_path / "out"
+    assert main(["simulate", "--dgp", "linear", "--beta", "0.4", "--n", "40", "--B", "3",
+                 "--out", str(out)]) == 0
+    s = json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
+    assert s["boundary_count"] == s["completed"] == 3
+    assert s["mean_V1"] == [[None]]
+    assert s["abs_error_V1"] == [[None]]
+
+
+def test_variance_json_writes_booleans(data_csv, tmp_path):
+    path, _ = data_csv
+    out = tmp_path / "out"
+    assert main(["variance", "--data", str(path), "--criterion", "cv_fast",
+                 "--grid-size", "8", "--out", str(out)]) == 0
+    v = json.loads((out / "variance.json").read_text(), parse_constant=_reject_constant)
+    assert v["nondegenerate_boundary"] is False
 
 
 def test_bootstrap_command(data_csv, tmp_path):

@@ -326,6 +326,20 @@ def test_loocv_exact_one_hessian_call_few_jacobian_calls():
     assert cv.diagnostics["refit_fallbacks"] == 0.0
 
 
+def test_loocv_exact_no_hessian_call_without_taylor_step():
+    # every problem's residual after its first step is above sqrt(tol), so
+    # each evaluates its Jacobian after both steps and no Hessian is needed
+    n, lam = 40, [0.1]
+    m = RidgeLogisticModel(2)
+    spec = m.spec()
+    data = make_logistic_data(n=n, seed=0)
+    solve = solve_theta(spec, data, lam, spec.theta_init)
+    calls = _count_calls(spec, "hess_phi_theta", "dphi_dtheta_batch")
+    thetas, converged = solve_loo_all(spec, data, solve)
+    assert converged.all()
+    assert calls == {"hess_phi_theta": 0, "dphi_dtheta_batch": 2 * n + 1}
+
+
 @pytest.mark.parametrize("seed, lam", [(4, 0.3), (7, 0.1)])
 def test_loocv_exact_with_finite_difference_hessian(monkeypatch, seed, lam):
     # a spec without an analytic hess_phi_theta gets the numdiff.hessian

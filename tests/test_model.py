@@ -82,6 +82,19 @@ def test_domain_boxes():
                   theta_domain=np.array([[1.0, -1.0]]))
 
 
+@pytest.mark.parametrize("theta_domain", [None, np.array([[-1.0, 1.0], [0.0, 2.0]])])
+def test_theta_in_domain_stack_matches_rows(theta_domain):
+    m = ModelSpec(p=2, q=1, phi_batch=rowwise(lambda z, th, lm: th), theta_domain=theta_domain)
+    stack = np.array([[0.5, 1.0], [2.0, 1.0], [-1.0, 2.0], [0.0, -0.1], [np.nan, 1.0]])
+    inside = m.theta_in_domain(stack)
+    assert inside.shape == (5,) and inside.dtype == bool
+    assert inside.tolist() == [m.theta_in_domain(th) for th in stack]
+    if theta_domain is None:
+        assert inside.all()
+    else:
+        assert inside.tolist() == [True, False, True, False, False]
+
+
 def test_batched_helpers_match_row_loops():
     m = _toy_model()
     Z = np.random.default_rng(0).standard_normal((7, 2))

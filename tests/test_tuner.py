@@ -81,17 +81,19 @@ def test_scale_equivariance_of_argmin():
     assert abs(f1.lambda_hat[0] - f2.lambda_hat[0]) < 1e-6
 
 
-def test_criterion_failure_on_bad_grid():
+@pytest.mark.parametrize("q", [1, 2], ids=["q1", "q2"])
+def test_criterion_failure_on_bad_grid(q):
+    # phi fails wherever lambda_1 > 0.05: most of the grid for either search
     data, _, _ = _misspec_setup(seed=7)
 
     def bad_phi(z, th, lm):
         if lm[0] > 0.05:
             return np.full(3, np.nan)
         x = np.concatenate([[1.0], z[1:]])
-        return -2.0 * x * (z[0] - th @ x) + 2.0 * lm[0] * np.array([0.0, 1.0, 1.0]) * th
+        return -2.0 * x * (z[0] - th @ x) + 2.0 * lm[-1] * np.array([0.0, 1.0, 1.0]) * th
 
     spec = ModelSpec(
-        p=3, q=1, phi_batch=rowwise(bad_phi), lambda_domain=np.array([[0.0, 1.0]])
+        p=3, q=q, phi_batch=rowwise(bad_phi), lambda_domain=np.array([[0.0, 1.0]] * q)
     )
     m = RidgeLinearModel(2)
     with pytest.raises(CriterionFailure):

@@ -12,7 +12,8 @@ parent, run the script against each checkout's sources and diff the output:
 Runs: fit, tune and variance for each built-in generic model (ridge-linear,
 ridge-logistic, gaussian) under each of the criteria cv, cv_fast, te and
 tic; variance --fit on each model's fixed-lambda record; simulate, bootstrap
-and stone-check. A run that exits non-zero prints its exit code. --out keeps
+and stone-check; and an intercept-only linear simulate whose replications
+all end on the box edge, so its summary holds null (non-finite) entries. A run that exits non-zero prints its exit code. --out keeps
 the files for a byte-level cmp; by default they go to a temporary directory.
 """
 
@@ -64,6 +65,8 @@ def runs(root: Path):
     common = ["--criterion", "cv_fast", "--grid-size", "8", "--seed", "3"]
     yield "simulate", ["simulate", *common, "--dgp", "gaussmix", "--C", "2",
                        "--n", "100", "--B", "5", "--lambda-max", "0.1"]
+    yield "simulate-boundary", ["simulate", "--dgp", "linear", "--beta", "0.4",
+                                "--n", "40", "--B", "3"]
     yield "bootstrap", ["bootstrap", *common, "--data",
                         str(root / "inputs" / "ridge-linear.csv"), "--B", "5"]
     yield "stone-check", ["stone-check", "--n-list", "60", "120", "--reps", "3",
