@@ -7,13 +7,15 @@ criterion, and the AIC/BIC/TIC information criteria.
 Exact LOOCV solves the n leave-one-out problems together by Newton's method
 (solver.solve_loo_all): one phi and one Jacobian evaluation at theta_hat
 start all n problems, each step is one batched solve, and each problem's
-residual is evaluated exactly at every iterate. A problem whose residual
-after the first step is at most sqrt(tol) takes its second step with its
-Jacobian Taylor-updated from theta_hat by the theta-Hessian there, evaluated
-once and only if some problem needs it; every other Jacobian is evaluated at
-its iterate. Rows that the batched solve rejects (ill-conditioned or
-non-finite Jacobian, a step out of theta_domain, non-finite phi, a failed
-Armijo test) or does not converge fall back to the per-row refit
+residual is evaluated exactly at every iterate, by one stacked phi_thetas
+call over all rows per chunk of at most solver.MAX_PHI_ROWS row
+evaluations. A problem whose residual after the first step is at most
+sqrt(tol) takes its second step with its Jacobian Taylor-updated from
+theta_hat by the theta-Hessian there, evaluated once and only if some
+problem needs it; every other Jacobian is evaluated at its iterate. Rows
+that the batched solve rejects (ill-conditioned or non-finite Jacobian, a
+step out of theta_domain, non-finite phi or phi raising EvaluationError, a
+failed Armijo test) or does not converge fall back to the per-row refit
 solver.solve_loo.
 
 Sign conventions (with J_hat = minus the empirical theta-Jacobian of Phi_n):
@@ -104,9 +106,11 @@ def loocv_exact(
     """CV(lam): refit without each row in turn and average the held-out loss.
 
     All n refits are solved together by solve_loo_all, a batched Newton
-    iteration from theta_hat(lam) that makes at most one hess_phi_theta call
-    and evaluates a problem's Jacobian only where a Taylor update from theta_hat
-    does not serve. A row it rejects or does not converge falls back to the
+    iteration from theta_hat(lam) whose every step evaluates the residuals
+    of all active refits with one stacked phi_thetas call per chunk of at
+    most solver.MAX_PHI_ROWS row evaluations. It makes at most one
+    hess_phi_theta call and evaluates a problem's Jacobian only where a
+    Taylor update from theta_hat does not serve. A row it rejects or does not converge falls back to the
     per-row solve_loo, warm-started at theta_hat and retried once from the
     cold start before being counted as failed. More than 1% failed rows
     aborts. Diagnostics: refit_fallbacks counts the rows that took the

@@ -253,8 +253,8 @@ def mixture_law_check(
 ) -> MixtureLawReport:
     """Compare clamped-estimator draws against the simulated boundary mixture.
 
-    The design is assumed to put the population optimum at the stated edge of
-    a q = 1 tuning box. Empirical side: B replications of truncated_estimate,
+    The design is assumed to put the population optimum at the edge of a
+    q = 1 tuning box that boundary names, "lower" or "upper". Empirical side: B replications of truncated_estimate,
     scaled as sqrt(n) * (theta_T - theta0). Theoretical side: the joint normal
     limit of (tuned theta, edge-pinned theta, unconstrained lambda minimizer)
     is estimated from per-observation influences on one reference fit, and the
@@ -263,6 +263,8 @@ def mixture_law_check(
     """
     if config.model.q != 1:
         raise ValueError("mixture_law_check requires q = 1")
+    if boundary not in ("lower", "upper"):
+        raise ValueError(f"boundary must be 'lower' or 'upper', got {boundary!r}")
     theta0 = np.asarray(theta0, float)
     box = _resolve_box(config.model, config.lambda_domain)
     lam_edge = box[0, 0] if boundary == "lower" else box[0, 1]

@@ -123,6 +123,8 @@ class ModelSpec:
       dphi_dlambda_batch(Z, th, lm)   -> (n, p, q)    d phi / d lambda
       hess_phi_theta(Z, th, lm)       -> (n, p, p, p) [i, j] = theta-Hessian of phi^j
       dphi_dlambda_dtheta(Z, th, lm)  -> (n, q, p, p) [i, j] = d_lambda_j of d phi / d theta
+    phi_thetas takes a (k, p) stack of thetas instead:
+      phi_thetas(Z, Th, lm)           -> (k, n, p)    [j] = phi_batch(Z, Th[j], lm)
 
     Per-row code enters through rowwise: phi_batch=rowwise(phi) for a
     phi(z, th, lm) -> (p,).
@@ -131,11 +133,13 @@ class ModelSpec:
     central difference of phi_batch over all rows at once (of
     dphi_dtheta_batch for dphi_dlambda_dtheta). The steps depend only on
     theta or lambda, so the fallback of a rowwise spec matches differencing
-    each row on its own.
+    each row on its own. A missing phi_thetas stacks one phi_batch call per
+    theta; the built-in models supply kernels equal to that bit for bit.
 
-    Exact LOOCV (criteria.loocv_exact) makes at most one hess_phi_theta call
-    per evaluation, at theta_hat; when that slot is the finite-difference
-    fallback, the call costs 2 p^2 + 1 phi_batch calls.
+    Exact LOOCV (criteria.loocv_exact) evaluates the residuals of its
+    leave-one-out Newton steps with phi_thetas, and makes at most one
+    hess_phi_theta call per evaluation, at theta_hat; when that slot is the
+    finite-difference fallback, the call costs 2 p^2 + 1 phi_batch calls.
     """
 
     p: int
@@ -145,6 +149,7 @@ class ModelSpec:
     dphi_dlambda_batch: Optional[Callable] = None
     hess_phi_theta: Optional[Callable] = None
     dphi_dlambda_dtheta: Optional[Callable] = None
+    phi_thetas: Optional[Callable] = None
     theta_domain: Optional[np.ndarray] = None
     lambda_domain: Optional[np.ndarray] = None
     theta_init: Optional[np.ndarray] = None  # default solver start, else clipped zeros
@@ -183,6 +188,8 @@ class ModelSpec:
                 ),
                 -1, 1,
             )
+        if self.phi_thetas is None:
+            self.phi_thetas = lambda Z, Th, lm: np.stack([self.phi_batch(Z, th, lm) for th in Th])
 
     def clip_theta(self, theta):
         if self.theta_domain is None:

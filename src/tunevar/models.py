@@ -9,11 +9,12 @@ Penalty convention: the logistic objective is sum_i loglik_i - n * lam * |beta_1
 so the per-observation estimating function carries lam (not n*lam). The tuned
 lam is therefore small, and n * lam is the "actual" penalty size.
 
-The array kernels of the built-in slots (_expit, _design, the ridge-logistic
-Jacobian, the Gaussian phi) are written for few numpy passes, and each is
-pinned bitwise to the plainer reference formula it replaced by the
-np.array_equal property tests in tests/test_properties.py. A rewrite that
-moves one output bit fails them.
+The array kernels of the built-in slots (_expit, _design, the ridge phis,
+the ridge-logistic Jacobian, the Gaussian phi) are written for few numpy
+passes, and each is pinned bitwise to a plainer reference formula by the
+np.array_equal property tests in tests/test_properties.py; so is every
+slice of each stacked phi_thetas kernel to phi_batch at the same theta. A
+rewrite that moves one output bit fails them.
 """
 
 from __future__ import annotations
@@ -33,6 +34,39 @@ def _design(Z: np.ndarray):
     X[:, 0] = 1.0
     X[:, 1:] = Z[:, 1:]
     return Z[:, 0], X
+
+
+def _products(X, P, Th):
+    """(X th, P th) for every row th of the (k, p) stack Th, as (n, k) and
+    (p, k) arrays. np.matmul against Th[:, :, None] rounds each product as
+    X @ th does; Th @ X.T does not."""
+    col = Th[:, :, None]
+    return np.ascontiguousarray(np.matmul(X, col)[:, :, 0].T), np.matmul(P, col)[:, :, 0].T
+
+
+def _stack(out):
+    """The (k, n, p) phi_thetas result of a kernel that filled out as (p, n, k).
+
+    solver.solve_loo_all sums the result over rows, and each slice's sum must
+    round as phi_batch(...).sum(axis=0) does on a C-ordered (n, p) array:
+    numpy adds those rows one after another when p > 1, and pairwise when
+    p = 1. The transpose of out has the same rounding, over long inner loops,
+    when k > 1 and p > 1. Otherwise its row axis is contiguous, which numpy
+    would sum pairwise, so a C-ordered copy is returned.
+    """
+    F = out.transpose(2, 1, 0)
+    return F if min(F.shape[0], F.shape[2]) > 1 else np.ascontiguousarray(F)
+
+
+def _ridge_thetas(XS, R, pen_lam, PTh):
+    """phi_thetas of a ridge model: phi_j = XS_j R + pen_lam (P th)_j, from
+    the scaled design XS (n, p), the residual factors R (n, k) and P th as
+    (p, k)."""
+    out = np.empty((XS.shape[1],) + R.shape)
+    for j in range(len(out)):
+        np.multiply(XS[:, j, None], R, out=out[j])
+        out[j] += pen_lam * PTh[j]
+    return _stack(out)
 
 
 def default_penalty_mask(p: int) -> np.ndarray:
@@ -58,7 +92,7 @@ class _RidgeModel:
 
     phi carries the penalty as PENALTY * lam * P beta. A subclass sets the
     class constant PENALTY and supplies _link_slots(P), which returns the
-    link-specific (phi_batch, dphi_dtheta_batch, hess_phi_theta).
+    link-specific (phi_batch, phi_thetas, dphi_dtheta_batch, hess_phi_theta).
     """
 
     n_covariates: int
@@ -78,7 +112,7 @@ class _RidgeModel:
         p = self.p
         P = np.diag(self.mask())
         pen = self.PENALTY
-        phi_batch, dphi_dtheta_batch, hess_phi_theta = self._link_slots(P)
+        phi_batch, phi_thetas, dphi_dtheta_batch, hess_phi_theta = self._link_slots(P)
 
         def dphi_dlambda_batch(Z, th, lm):
             base = (pen * (P @ th)).reshape(1, p, 1)
@@ -91,7 +125,7 @@ class _RidgeModel:
             p=p, q=1,
             phi_batch=phi_batch, dphi_dtheta_batch=dphi_dtheta_batch,
             dphi_dlambda_batch=dphi_dlambda_batch, hess_phi_theta=hess_phi_theta,
-            dphi_dlambda_dtheta=dphi_dlambda_dtheta,
+            dphi_dlambda_dtheta=dphi_dlambda_dtheta, phi_thetas=phi_thetas,
             lambda_domain=np.array([self.lambda_domain]),
         )
 
@@ -109,6 +143,11 @@ class RidgeLinearModel(_RidgeModel):
             e = y - X @ th
             return -2.0 * X * e[:, None] + 2.0 * float(lm[0]) * (P @ th)
 
+        def phi_thetas(Z, Th, lm):
+            y, X = _design(Z)
+            T, PTh = _products(X, P, Th)
+            return _ridge_thetas(-2.0 * X, y[:, None] - T, 2.0 * float(lm[0]), PTh)
+
         def dphi_dtheta_batch(Z, th, lm):
             _, X = _design(Z)
             return 2.0 * np.einsum("ni,nj->nij", X, X) + 2.0 * float(lm[0]) * P
@@ -116,7 +155,7 @@ class RidgeLinearModel(_RidgeModel):
         def hess_phi_theta(Z, th, lm):
             return np.zeros((Z.shape[0], p, p, p))
 
-        return phi_batch, dphi_dtheta_batch, hess_phi_theta
+        return phi_batch, phi_thetas, dphi_dtheta_batch, hess_phi_theta
 
     def squared_error_loss(self, weight_fn=None) -> LossSpec:
         """psi(z, beta) = w(x) (y - beta' x~)^2; w defaults to 1."""
@@ -159,6 +198,12 @@ class RidgeLogisticModel(_RidgeModel):
             pi = _expit(X @ th)
             return X * (y - pi)[:, None] - 2.0 * float(lm[0]) * (P @ th)
 
+        def phi_thetas(Z, Th, lm):
+            y, X = _design(Z)
+            T, PTh = _products(X, P, Th)
+            # adding (-2 lam) b rounds as subtracting (2 lam) b: negation is exact
+            return _ridge_thetas(X, y[:, None] - _expit(T), -2.0 * float(lm[0]), PTh)
+
         def dphi_dtheta_batch(Z, th, lm):
             _, X = _design(Z)
             w = _expit(X @ th)
@@ -175,7 +220,7 @@ class RidgeLogisticModel(_RidgeModel):
             core = (-w * (1.0 - 2.0 * pi))[:, None, None] * np.einsum("nk,nl->nkl", X, X)
             return np.einsum("nj,nkl->njkl", X, core)
 
-        return phi_batch, dphi_dtheta_batch, hess_phi_theta
+        return phi_batch, phi_thetas, dphi_dtheta_batch, hess_phi_theta
 
     def brier_loss(self, predictor_covariates: Optional[Sequence[int]] = None) -> LossSpec:
         """psi(z, beta) = (y - expit(u' beta))^2 with u the masked design vector.
@@ -301,6 +346,17 @@ class GaussianLikelihoodModel:
             out[:, 1] = -1.0 / sg + r**2 / sg**3
             return out
 
+        def phi_thetas(Z, Th, lm):
+            r = Z[:, :1] - Th[:, 0]
+            sg = Th[:, 1]
+            # scalar powers, as phi_batch takes them: array powers of sigma
+            # can round differently in the last bit
+            sg2, sg3 = np.array([(s**2, s**3) for s in sg]).T
+            out = np.empty((2, len(r), len(Th)))
+            np.divide(r, sg2, out=out[0])
+            out[1] = -1.0 / sg + r**2 / sg3
+            return _stack(out)
+
         def dphi_dtheta_batch(Z, th, lm):
             mu, sg = th
             r = Z[:, 0] - mu
@@ -332,7 +388,7 @@ class GaussianLikelihoodModel:
             p=2, q=1,
             phi_batch=phi_batch, dphi_dtheta_batch=dphi_dtheta_batch,
             dphi_dlambda_batch=dphi_dlambda_batch, hess_phi_theta=hess_phi_theta,
-            dphi_dlambda_dtheta=dphi_dlambda_dtheta,
+            dphi_dlambda_dtheta=dphi_dlambda_dtheta, phi_thetas=phi_thetas,
             theta_domain=np.array([[-1e8, 1e8], [1e-6, 1e8]]),
             lambda_domain=np.array([[0.0, 1.0]]),
             theta_init=np.array([0.0, 1.0]),

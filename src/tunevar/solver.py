@@ -12,6 +12,9 @@ from .model import (
 )
 
 MAX_ITER = 100
+# row evaluations per stacked phi call in solve_loo_all (at least one theta
+# per call): a (k, n, p) block stays under 1.5 MB at p = 3
+MAX_PHI_ROWS = 2**16
 MAX_HALVINGS = 40
 ARMIJO = 1e-4
 COND_LIMIT = 1e12
@@ -108,6 +111,32 @@ def theta_prime(model: ModelSpec, data: Dataset, solve: SolveResult) -> np.ndarr
     return checked_solve(solve.J_hat, dlam, "Jacobian")
 
 
+def _loo_residuals(model: ModelSpec, Z, Th, rows, lam) -> np.ndarray:
+    """(k, p) residuals Phi_i(Th[j]) = (sum_m phi_m - phi_i) / (n-1), i = rows[j].
+
+    One phi_thetas call over all n rows. If it raises EvaluationError, each
+    theta is evaluated on its own through phi_matrix, and a theta whose phi
+    raises gets a NaN residual. A non-finite phi gives a non-finite residual
+    either way.
+    """
+    n, k = Z.shape[0], len(Th)
+    try:
+        F = np.asarray(model.phi_thetas(Z, Th, lam), dtype=float)
+    except EvaluationError:
+        F = np.full((k, n, model.p), np.nan)
+        for j, th in enumerate(Th):
+            try:
+                F[j] = phi_matrix(model, Z, th, lam)
+            except EvaluationError:
+                pass
+    if F.shape != (k, n, model.p):
+        raise EvaluationError(
+            f"phi_thetas returned shape {F.shape}, expected {(k, n, model.p)}"
+        )
+    with np.errstate(invalid="ignore"):  # inf - inf where row i's own phi is infinite
+        return (F.sum(axis=1) - F[np.arange(k), rows]) / (n - 1)
+
+
 def solve_loo_all(model: ModelSpec, data: Dataset, solve: SolveResult):
     """All n leave-one-out roots by one batched Newton iteration from theta_hat.
 
@@ -116,8 +145,10 @@ def solve_loo_all(model: ModelSpec, data: Dataset, solve: SolveResult):
     for G = d phi / d theta. One phi and one G evaluation at theta_hat give
     every problem its first residual and its Jacobian A_i. Each step is one
     batched condition check and one batched solve over the active problems;
-    then each problem's residual is evaluated exactly at its new iterate, one
-    call over all rows. After its first step, a problem whose residual is at
+    then every problem's residual is evaluated exactly at its new iterate by
+    one stacked phi_thetas call over all rows per chunk of at most
+    MAX_PHI_ROWS row evaluations, and the Armijo and convergence tests run on
+    all of them at once. After its first step, a problem whose residual is at
     most sqrt(tol) takes its next step with the Taylor Jacobian
     A_i(theta_hat) + H_i[theta - theta_hat] when that is finite, where
     H_i = (sum_j H_j - H_i) / (n-1) comes from one hess_phi_theta evaluation
@@ -128,8 +159,9 @@ def solve_loo_all(model: ModelSpec, data: Dataset, solve: SolveResult):
     Jacobian its step used: tolerance tol = default_tol(theta_hat), at most
     MAX_ITER steps, a step accepted only if it passes the Armijo test at
     t = 1. A problem whose Jacobian fails the condition test or is non-finite,
-    whose step leaves theta_domain, whose phi is non-finite or whose step
-    fails the Armijo test leaves the batch; no problem aborts the others.
+    whose step leaves theta_domain, whose phi is non-finite or raises
+    EvaluationError, or whose step fails the Armijo test leaves the batch; no
+    problem aborts the others.
 
     Returns (thetas (n, p), converged (n,) bool); rows not converged are NaN
     and are left to the per-row solve_loo.
@@ -139,9 +171,7 @@ def solve_loo_all(model: ModelSpec, data: Dataset, solve: SolveResult):
     if n < 3:
         raise ValueError("leave-one-out refits need n >= 3")
     tol = default_tol(theta_hat)
-
-    def loo(M, i):
-        return (M.sum(axis=0) - M[i]) / (n - 1)
+    chunk = max(1, MAX_PHI_ROWS // n)
 
     F = phi_matrix(model, Z, theta_hat, lam)
     G = np.asarray(model.dphi_dtheta_batch(Z, theta_hat, lam), dtype=float)
@@ -161,34 +191,33 @@ def solve_loo_all(model: ModelSpec, data: Dataset, solve: SolveResult):
         cands = thetas[act] - np.linalg.solve(A[act], Phi[act][:, :, None])[:, :, 0]
         inside = model.theta_in_domain(cands)
         alive[act[~inside]] = False
-        # problems whose next Jacobian is a Taylor update, or is evaluated
-        near, evaluate = [], []
-        for i, cand in zip(act[inside], cands[inside]):
-            try:
-                Phi_c = loo(phi_matrix(model, Z, cand, lam), i)
-            except EvaluationError:
-                alive[i] = False
-                continue
-            f_c = float(Phi_c @ Phi_c)
-            if f_c > fval[i] * (1.0 - 2.0 * ARMIJO):
-                alive[i] = False
-                continue
-            thetas[i], Phi[i], fval[i] = cand, Phi_c, f_c
-            if np.sqrt(f_c) > tol:
-                # near: the residual is at most sqrt(tol) after the first step
-                (near if it == 0 and f_c <= tol else evaluate).append(i)
-        if near:
+        act, cands = act[inside], cands[inside]
+        Phi_c = np.empty_like(cands)
+        for s in range(0, act.size, chunk):
+            Phi_c[s:s + chunk] = _loo_residuals(model, Z, cands[s:s + chunk], act[s:s + chunk], lam)
+        # a (1, p) @ (p, 1) matmul rounds as the dot product Phi_c[j] @ Phi_c[j]
+        f_c = np.matmul(Phi_c[:, None, :], Phi_c[:, :, None])[:, 0, 0]
+        # False for a NaN or infinite residual
+        accepted = f_c <= fval[act] * (1.0 - 2.0 * ARMIJO)
+        alive[act[~accepted]] = False
+        act = act[accepted]
+        thetas[act], Phi[act], fval[act] = cands[accepted], Phi_c[accepted], f_c[accepted]
+        act = act[np.sqrt(fval[act]) > tol]
+        # near: the residual is at most sqrt(tol) after the first step
+        is_near = (fval[act] <= tol) & (it == 0)
+        near, evaluate = act[is_near], act[~is_near]
+        if near.size:
             H = np.asarray(model.hess_phi_theta(Z, theta_hat, lam), dtype=float)
             H = (H.sum(axis=0) - H) / (n - 1)
-            for i in near:
-                # A[i] still holds A_i(theta_hat); a non-finite H_i makes it non-finite
-                taylor = A[i] + H[i] @ (thetas[i] - theta_hat)
-                if np.all(np.isfinite(taylor)):
-                    A[i] = taylor
-                else:
-                    evaluate.append(i)
+            # A still holds A_i(theta_hat); a non-finite H_i makes it non-finite
+            step = (thetas[near] - theta_hat)[:, None, :, None]
+            taylor = A[near] + np.matmul(H[near], step)[..., 0]
+            finite = np.all(np.isfinite(taylor), axis=(1, 2))
+            A[near[finite]] = taylor[finite]
+            evaluate = np.concatenate([evaluate, near[~finite]])
         for i in evaluate:
-            A[i] = loo(np.asarray(model.dphi_dtheta_batch(Z, thetas[i], lam), dtype=float), i)
+            Gi = np.asarray(model.dphi_dtheta_batch(Z, thetas[i], lam), dtype=float)
+            A[i] = (Gi.sum(axis=0) - Gi[i]) / (n - 1)
             alive[i] = np.all(np.isfinite(A[i]))
     converged = alive & (np.sqrt(fval) <= tol)
     thetas[~converged] = np.nan

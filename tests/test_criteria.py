@@ -28,7 +28,9 @@ from tunevar import (
     te_trace_corrected,
     training_error,
 )
+from tunevar.exceptions import EvaluationError
 from tunevar.model import rowwise
+from tunevar.solver import MAX_PHI_ROWS
 
 from conftest import make_linear_data, make_logistic_data
 
@@ -196,16 +198,19 @@ def test_criteria_permutation_invariant():
         assert abs(v1 - v2) < 1e-10
 
 
-def _cubic_spec(theta_init, hi=None, inf_above=None):
+def _cubic_spec(theta_init, hi=None, inf_above=None, raise_above=None):
     """phi(z, th) = y - a th - th^3 on rows z = (y, a), p = q = 1; lam is inert.
 
     Each leave-one-out problem has one root, but the Newton step from
     theta_hat can overshoot it, and a row's Jacobian -(a + 3 th^2) vanishes at
-    th = 0 when a = 0.
+    th = 0 when a = 0. Above inf_above phi is infinite; above raise_above it
+    raises EvaluationError.
     """
 
     def phi(z, th, lm):
         t = th[0]
+        if raise_above is not None and t > raise_above:
+            raise EvaluationError("phi is undefined above raise_above")
         return [np.inf if inf_above is not None and t > inf_above else z[0] - z[1] * t - t**3]
 
     def dphi(z, th, lm):
@@ -233,6 +238,10 @@ _SINGULAR_ROWS = np.array([[0.125, 0.0]] * 4 + [[-0.5, 1.0]])
     pytest.param(_INSIDE_ROWS, {"hi": 0.48}, id="domain"),
     # phi is infinite where the first step for row 4 lands
     pytest.param(_OVERSHOOT_ROWS, {"inf_above": 0.95}, id="non-finite-phi"),
+    # phi raises where the first step for row 4 lands: the stacked phi call
+    # of that step fails, and re-evaluating it one theta at a time drops
+    # row 4 only
+    pytest.param(_OVERSHOOT_ROWS, {"raise_above": 0.95}, id="evaluation-error"),
     # without row 4 every row has a = 0: A_4 = 0 at theta_hat = 0, and only
     # the cold start reaches the root 0.5
     pytest.param(_SINGULAR_ROWS, {}, id="condition"),
@@ -376,3 +385,31 @@ def test_loocv_exact_with_finite_difference_hessian(monkeypatch, seed, lam):
     assert abs(cv.value - per_row) <= 1e-9 * abs(per_row)
     analytic = loocv_exact(spec, loss, data, [lam], solve=solve)
     assert abs(cv.value - analytic.value) <= 1e-9 * abs(analytic.value)
+
+
+@pytest.mark.parametrize("model", ["ridge-logistic", "gaussian"])
+def test_solve_loo_all_stacked_phi_matches_fallback(model):
+    # at n = 300 a chunk holds fewer problems than the first step, so that
+    # step makes two stacked phi calls; the built-in phi_thetas kernel and
+    # the fallback that stacks one phi_batch call per theta give the same bits
+    n = 300
+    assert MAX_PHI_ROWS // n < n
+    if model == "ridge-logistic":
+        spec = RidgeLogisticModel(2).spec()
+        data = simulate(DGPSpec(DGPKind.LOGISTIC_TRUE, n=n,
+                                params={"beta": (0.2, 1.0, -0.5)}), seed=5)
+        solve = solve_theta(spec, data, [0.01], spec.theta_init)
+    else:
+        spec = GaussianLikelihoodModel().spec()
+        z = np.random.default_rng(5).standard_normal(n) * 1.3 + 0.4
+        data = Dataset(z[:, None])
+        solve = solve_theta(spec, data, [0.0], [z.mean(), z.std()])
+    fallback = dataclasses.replace(spec, phi_thetas=None)
+    phi_calls = _count_calls(spec, "phi_batch")
+    thetas, converged = solve_loo_all(spec, data, solve)
+    assert converged.all()
+    # phi_batch runs once, at theta_hat; every step evaluates phi_thetas
+    assert phi_calls == {"phi_batch": 1}
+    fb_thetas, fb_converged = solve_loo_all(fallback, data, solve)
+    assert np.array_equal(thetas, fb_thetas)
+    assert np.array_equal(converged, fb_converged)

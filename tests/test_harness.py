@@ -9,6 +9,7 @@ from tunevar import (
     PipelineConfig,
     RidgeLinearModel,
     bootstrap,
+    mixture_law_check,
     replicate,
     simulate,
 )
@@ -155,3 +156,12 @@ def test_replicate_validates_b():
     dgp = DGPSpec(DGPKind.LINEAR_GAUSSIAN, n=50)
     with pytest.raises(ValueError):
         replicate(dgp, _config(), B=1, seed=0)
+
+
+@pytest.mark.parametrize("boundary", ["Lower", "UPPER", "", None])
+def test_mixture_law_check_rejects_unknown_boundary(boundary):
+    # any value other than "lower" or "upper" used to run the upper-edge mixture
+    dgp = DGPSpec(DGPKind.LINEAR_GAUSSIAN, n=50, params={"beta": (1.0, 1.0, 0.5)})
+    with pytest.raises(ValueError, match="boundary"):
+        mixture_law_check(dgp, _config(), theta0=[1.0, 1.0, 0.5], B=2, seed=0,
+                          boundary=boundary)

@@ -174,6 +174,16 @@ def _logistic_jac_ref(Z, th, lam, P):
     return -np.einsum("n,ni,nj->nij", w, X, X) - 2.0 * lam * P
 
 
+def _ridge_linear_phi_ref(Z, th, lam, P):
+    y, X = _design_ref(Z)
+    return -2.0 * X * (y - X @ th)[:, None] + 2.0 * lam * (P @ th)
+
+
+def _logistic_phi_ref(Z, th, lam, P):
+    y, X = _design_ref(Z)
+    return X * (y - _expit_ref(X @ th))[:, None] - 2.0 * lam * (P @ th)
+
+
 def _gaussian_phi_ref(Z, th):
     mu, sg = th
     r = Z[:, 0] - mu
@@ -232,3 +242,51 @@ def test_gaussian_phi_matches_reference_bitwise(seed, n, p, lam, scale):
     th = np.array([rng.standard_normal() * scale, rng.uniform(1e-3, 10.0)])
     got = GaussianLikelihoodModel().spec().phi_batch(Z, th, np.array([lam]))
     assert np.array_equal(got, _gaussian_phi_ref(Z, th))
+
+
+@given(lam=LAMS, **KERNEL_CASE)
+def test_ridge_phis_match_reference_bitwise(seed, n, p, lam, scale):
+    Z = _rows(seed, n, p, 1.0)
+    th = np.random.default_rng(seed + 1).standard_normal(p) * scale
+    P = np.diag(default_penalty_mask(p))
+    got = RidgeLinearModel(p - 1).spec().phi_batch(Z, th, np.array([lam]))
+    assert np.array_equal(got, _ridge_linear_phi_ref(Z, th, lam, P))
+    Z[:, 0] = Z[:, 0] > 0
+    got = RidgeLogisticModel(p - 1).spec().phi_batch(Z, th, np.array([lam]))
+    assert np.array_equal(got, _logistic_phi_ref(Z, th, lam, P))
+
+
+def _theta_stack(model, seed, k, p, scale):
+    """(k, p) thetas; Gaussian sigmas span 1e-6 (the domain floor) to 1e3."""
+    rng = np.random.default_rng(seed + 2)
+    Th = rng.standard_normal((k, p)) * scale
+    if model == "gaussian":
+        Th[:, 1] = 10.0 ** rng.uniform(-6.0, 3.0, k)
+        Th[0, 1] = 1e-6
+    return Th
+
+
+@pytest.mark.parametrize("k", [1, 9])
+@pytest.mark.parametrize("model", ["ridge-linear", "ridge-logistic", "gaussian"])
+@settings(deadline=None)
+@given(lam=LAMS, **{**KERNEL_CASE, "p": st.integers(min_value=1, max_value=8)})
+def test_phi_thetas_slices_match_phi_batch_bitwise(model, k, seed, n, p, lam, scale):
+    # solve_loo_all reads leave-one-out residuals from phi_thetas; each slice
+    # must be phi_batch at the same theta to the last bit (p = 1 is an
+    # intercept-only ridge)
+    Z = _rows(seed, n, p, scale)
+    if model == "ridge-linear":
+        spec = RidgeLinearModel(p - 1).spec()
+    elif model == "ridge-logistic":
+        spec = RidgeLogisticModel(p - 1).spec()
+        Z[:, 0] = Z[:, 0] > 0
+    else:
+        spec = GaussianLikelihoodModel().spec()
+    Th = _theta_stack(model, seed, k, spec.p, scale)
+    lm = np.array([lam])
+    F = spec.phi_thetas(Z, Th, lm)
+    assert F.shape == (k, n, spec.p)
+    for j in range(k):
+        assert np.array_equal(F[j], spec.phi_batch(Z, Th[j], lm))
+    # the sum over rows adds them in the order phi_batch(...).sum(axis=0) does
+    assert np.array_equal(F.sum(axis=1), [spec.phi_batch(Z, th, lm).sum(axis=0) for th in Th])

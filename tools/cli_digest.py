@@ -11,10 +11,14 @@ parent, run the script against each checkout's sources and diff the output:
 
 Runs: fit, tune and variance for each built-in generic model (ridge-linear,
 ridge-logistic, gaussian) under each of the criteria cv, cv_fast, te and
-tic; variance --fit on each model's fixed-lambda record; simulate, bootstrap
-and stone-check; and an intercept-only linear simulate whose replications
-all end on the box edge, so its summary holds null (non-finite) entries. A run that exits non-zero prints its exit code. --out keeps
-the files for a byte-level cmp; by default they go to a temporary directory.
+tic; variance --fit on each model's fixed-lambda record; fit --criterion cv
+on n = 300 ridge-logistic and gaussian inputs, where a leave-one-out Newton
+step spans more than one stacked phi call (solver.MAX_PHI_ROWS); simulate,
+bootstrap and stone-check; and an intercept-only linear simulate whose
+replications all end on the box edge, so its summary holds null
+(non-finite) entries. A run that exits non-zero prints its exit code. --out
+keeps the files for a byte-level cmp; by default they go to a temporary
+directory.
 """
 
 from __future__ import annotations
@@ -41,6 +45,14 @@ INPUTS = {
                          params={"beta": (0.4, 0.0), "sigma": 1.3}), 9, 0.0),
 }
 
+# model -> (input DGP, seed, fixed lambda) of the fit --criterion cv runs at n = 300
+LARGE_INPUTS = {
+    "ridge-logistic": (DGPSpec(DGPKind.LOGISTIC_TRUE, n=300,
+                               params={"beta": (0.3, 1.0, -0.5)}), 18, 0.01),
+    "gaussian": (DGPSpec(DGPKind.LINEAR_GAUSSIAN, n=300,
+                         params={"beta": (0.4, 0.0), "sigma": 1.3}), 19, 0.0),
+}
+
 
 def write_csv(path: Path, rows) -> None:
     with open(path, "w") as fh:
@@ -62,6 +74,11 @@ def runs(root: Path):
             yield f"{model}/{crit}/variance", ["variance", *common]
         fixed = root / model / "cv_fast" / "fit" / "fit.json"
         yield f"{model}/variance-fixed", ["variance", *data, "--fit", str(fixed)]
+    for model, (dgp, seed, lam) in LARGE_INPUTS.items():
+        csv = root / "inputs" / f"{model}-n300.csv"
+        write_csv(csv, simulate(dgp, seed).rows)
+        yield f"{model}/cv-n300/fit", ["fit", "--data", str(csv), "--model", model,
+                                       "--criterion", "cv", "--lam", str(lam)]
     common = ["--criterion", "cv_fast", "--grid-size", "8", "--seed", "3"]
     yield "simulate", ["simulate", *common, "--dgp", "gaussmix", "--C", "2",
                        "--n", "100", "--B", "5", "--lambda-max", "0.1"]
