@@ -7,16 +7,17 @@ criterion, and the AIC/BIC/TIC information criteria.
 Exact LOOCV solves the n leave-one-out problems together by Newton's method
 (solver.solve_loo_all): one phi and one Jacobian evaluation at theta_hat
 start all n problems, each step is one batched solve, and each problem's
-residual is evaluated exactly at every iterate, by one stacked phi_thetas
-call over all rows per chunk of at most solver.MAX_PHI_ROWS row
-evaluations. A problem whose residual after the first step is at most
-sqrt(tol) takes its second step with its Jacobian Taylor-updated from
-theta_hat by the theta-Hessian there, evaluated once and only if some
-problem needs it; every other Jacobian is evaluated at its iterate. Rows
-that the batched solve rejects (ill-conditioned or non-finite Jacobian, a
-step out of theta_domain, non-finite phi or phi raising EvaluationError, a
-failed Armijo test) or does not converge fall back to the per-row refit
-solver.solve_loo.
+residual is evaluated exactly at every iterate, by one phi_loo_sum call per
+chunk of at most solver.MAX_PHI_ROWS row evaluations; the built-in models
+compute these leave-one-out sums from sufficient statistics. A problem
+whose residual after the first step is at most sqrt(tol) takes its second
+step with its Jacobian Taylor-updated from theta_hat by the theta-Hessian
+there, evaluated once and only if some problem needs it; every other
+Jacobian is evaluated at its iterate, by one jac_loo_sum call per chunk.
+Rows that the batched solve rejects (ill-conditioned, non-finite or raising
+Jacobian, a step out of theta_domain, non-finite phi or phi raising
+EvaluationError, a failed Armijo test) or does not converge fall back to
+the per-row refit solver.solve_loo.
 
 Sign conventions (with J_hat = minus the empirical theta-Jacobian of Phi_n):
   theta_hat_(-i) ~= theta_hat - (1/n) J_hat^{-1} phi(Z_i, theta_hat, lam)
@@ -107,14 +108,15 @@ def loocv_exact(
 
     All n refits are solved together by solve_loo_all, a batched Newton
     iteration from theta_hat(lam) whose every step evaluates the residuals
-    of all active refits with one stacked phi_thetas call per chunk of at
-    most solver.MAX_PHI_ROWS row evaluations. It makes at most one
-    hess_phi_theta call and evaluates a problem's Jacobian only where a
-    Taylor update from theta_hat does not serve. A row it rejects or does not converge falls back to the
-    per-row solve_loo, warm-started at theta_hat and retried once from the
-    cold start before being counted as failed. More than 1% failed rows
-    aborts. Diagnostics: refit_fallbacks counts the rows that took the
-    per-row path, refit_failures the rows that failed on it.
+    of all active refits with one phi_loo_sum call per chunk of at most
+    solver.MAX_PHI_ROWS row evaluations. It makes one dphi_dtheta_batch and
+    at most one hess_phi_theta call, both at theta_hat, and evaluates a
+    problem's Jacobian, through jac_loo_sum, only where a Taylor update
+    from theta_hat does not serve. A row it rejects or does not converge
+    falls back to the per-row solve_loo, warm-started at theta_hat and
+    retried once from the cold start before being counted as failed. More
+    than 1% failed rows aborts. Diagnostics: refit_fallbacks counts the rows
+    that took the per-row path, refit_failures the rows that failed on it.
     """
     solve = _fit(model, data, lam, theta_init, solve)
     cold = theta_init if theta_init is not None else model.theta_init

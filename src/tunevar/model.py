@@ -112,19 +112,36 @@ def _check_box(box, dim, name):
     return arr
 
 
+def _refill(spec, fallbacks):
+    """Fill each slot of spec that is None or another instance's fallback.
+
+    fallbacks maps a slot name to the function that computes it; a fallback
+    is that function bound to the instance that owns it, so the bound
+    method's __self__ tells whose slots it reads. dataclasses.replace passes
+    the old instance's fallbacks on, and they would keep evaluating the old
+    slots, so the new instance makes its own.
+    """
+    for slot, fn in fallbacks.items():
+        cur = getattr(spec, slot)
+        if cur is None or getattr(cur, "__func__", None) is fn:
+            setattr(spec, slot, fn.__get__(spec))
+
+
 @dataclass
 class ModelSpec:
     """Estimating function phi: (z, theta, lam) -> R^p with its derivatives.
 
-    Every callable slot takes the (n, d) row matrix Z, theta (p,) and lam (q,)
+    Every per-row slot takes the (n, d) row matrix Z, theta (p,) and lam (q,)
     and returns the per-row stack, leading axis n:
       phi_batch(Z, th, lm)            -> (n, p)
       dphi_dtheta_batch(Z, th, lm)    -> (n, p, p)    d phi / d theta
       dphi_dlambda_batch(Z, th, lm)   -> (n, p, q)    d phi / d lambda
       hess_phi_theta(Z, th, lm)       -> (n, p, p, p) [i, j] = theta-Hessian of phi^j
       dphi_dlambda_dtheta(Z, th, lm)  -> (n, q, p, p) [i, j] = d_lambda_j of d phi / d theta
-    phi_thetas takes a (k, p) stack of thetas instead:
-      phi_thetas(Z, Th, lm)           -> (k, n, p)    [j] = phi_batch(Z, Th[j], lm)
+    The two leave-one-out sum slots take a (k, p) stack of thetas Th and k
+    row indices instead, and sum over every row but the problem's own:
+      phi_loo_sum(Z, Th, rows, lm)    -> (k, p)    [j] = sum_{m != rows[j]} phi(Z_m, Th[j], lm)
+      jac_loo_sum(Z, Th, rows, lm)    -> (k, p, p) the same sum of d phi / d theta
 
     Per-row code enters through rowwise: phi_batch=rowwise(phi) for a
     phi(z, th, lm) -> (p,).
@@ -133,13 +150,19 @@ class ModelSpec:
     central difference of phi_batch over all rows at once (of
     dphi_dtheta_batch for dphi_dlambda_dtheta). The steps depend only on
     theta or lambda, so the fallback of a rowwise spec matches differencing
-    each row on its own. A missing phi_thetas stacks one phi_batch call per
-    theta; the built-in models supply kernels equal to that bit for bit.
+    each row on its own. A missing phi_loo_sum (jac_loo_sum) makes one
+    phi_batch (dphi_dtheta_batch) call per theta and subtracts the problem's
+    own row from the sum over all rows. The built-in models supply sum
+    kernels from sufficient statistics, which agree with that to rounding.
+    Each fallback reads the other slots at call time and is bound to its own
+    instance, so dataclasses.replace(spec, phi_batch=g) gives a spec whose
+    fallbacks evaluate g.
 
-    Exact LOOCV (criteria.loocv_exact) evaluates the residuals of its
-    leave-one-out Newton steps with phi_thetas, and makes at most one
-    hess_phi_theta call per evaluation, at theta_hat; when that slot is the
-    finite-difference fallback, the call costs 2 p^2 + 1 phi_batch calls.
+    Exact LOOCV (criteria.loocv_exact) evaluates the residuals and Jacobians
+    of its leave-one-out Newton steps with the two sum slots, and makes one
+    dphi_dtheta_batch call and at most one hess_phi_theta call per
+    evaluation, at theta_hat; when hess_phi_theta is the finite-difference
+    fallback, that call costs 2 p^2 + 1 phi_batch calls.
     """
 
     p: int
@@ -149,7 +172,8 @@ class ModelSpec:
     dphi_dlambda_batch: Optional[Callable] = None
     hess_phi_theta: Optional[Callable] = None
     dphi_dlambda_dtheta: Optional[Callable] = None
-    phi_thetas: Optional[Callable] = None
+    phi_loo_sum: Optional[Callable] = None
+    jac_loo_sum: Optional[Callable] = None
     theta_domain: Optional[np.ndarray] = None
     lambda_domain: Optional[np.ndarray] = None
     theta_init: Optional[np.ndarray] = None  # default solver start, else clipped zeros
@@ -165,31 +189,47 @@ class ModelSpec:
             self.theta_init = np.asarray(self.theta_init, dtype=float)
             if self.theta_init.shape != (self.p,):
                 raise EvaluationError("theta_init must have length p")
-        # Fallbacks look the other slots up at call time, so a slot replaced
-        # after construction is still the one that runs.
-        if self.dphi_dtheta_batch is None:
-            self.dphi_dtheta_batch = lambda Z, th, lm: numdiff.jacobian(
-                lambda t: self.phi_batch(Z, t, lm), th
-            )
-        if self.dphi_dlambda_batch is None:
-            self.dphi_dlambda_batch = lambda Z, th, lm: numdiff.jacobian(
-                lambda l: self.phi_batch(Z, th, l), lm
-            )
-        if self.hess_phi_theta is None:
-            self.hess_phi_theta = lambda Z, th, lm: numdiff.hessian(
-                lambda t: self.phi_batch(Z, t, lm), th
-            )
-        if self.dphi_dlambda_dtheta is None:
-            # (n, p, p, q) lambda-Jacobian of the theta-Jacobian, lambda axis moved to 1
-            self.dphi_dlambda_dtheta = lambda Z, th, lm: np.moveaxis(
-                numdiff.jacobian(
-                    lambda l: self.dphi_dtheta_batch(Z, th, l), lm,
-                    scale=numdiff.STEP_SECOND,
-                ),
-                -1, 1,
-            )
-        if self.phi_thetas is None:
-            self.phi_thetas = lambda Z, Th, lm: np.stack([self.phi_batch(Z, th, lm) for th in Th])
+        _refill(self, {
+            "dphi_dtheta_batch": ModelSpec._fd_dphi_dtheta,
+            "dphi_dlambda_batch": ModelSpec._fd_dphi_dlambda,
+            "hess_phi_theta": ModelSpec._fd_hess_phi_theta,
+            "dphi_dlambda_dtheta": ModelSpec._fd_dphi_dlambda_dtheta,
+            "phi_loo_sum": ModelSpec._stacked_phi_loo_sum,
+            "jac_loo_sum": ModelSpec._stacked_jac_loo_sum,
+        })
+
+    # -- fallbacks, bound to their instance by __post_init__ ----------------
+
+    def _fd_dphi_dtheta(self, Z, th, lm):
+        return numdiff.jacobian(lambda t: self.phi_batch(Z, t, lm), th)
+
+    def _fd_dphi_dlambda(self, Z, th, lm):
+        return numdiff.jacobian(lambda l: self.phi_batch(Z, th, l), lm)
+
+    def _fd_hess_phi_theta(self, Z, th, lm):
+        return numdiff.hessian(lambda t: self.phi_batch(Z, t, lm), th)
+
+    def _fd_dphi_dlambda_dtheta(self, Z, th, lm):
+        # (n, p, p, q) lambda-Jacobian of the theta-Jacobian, lambda axis moved to 1
+        return np.moveaxis(
+            numdiff.jacobian(
+                lambda l: self.dphi_dtheta_batch(Z, th, l), lm, scale=numdiff.STEP_SECOND,
+            ),
+            -1, 1,
+        )
+
+    def _stacked_phi_loo_sum(self, Z, Th, rows, lm):
+        F = np.stack([np.asarray(self.phi_batch(Z, th, lm), dtype=float) for th in Th])
+        with np.errstate(invalid="ignore"):  # inf - inf where row i's own phi is infinite
+            return F.sum(axis=1) - F[np.arange(len(Th)), rows]
+
+    def _stacked_jac_loo_sum(self, Z, Th, rows, lm):
+        out = np.empty((len(Th), self.p, self.p))
+        for j, (th, i) in enumerate(zip(Th, rows)):
+            G = np.asarray(self.dphi_dtheta_batch(Z, th, lm), dtype=float)
+            with np.errstate(invalid="ignore"):
+                out[j] = G.sum(axis=0) - G[i]
+        return out
 
     def clip_theta(self, theta):
         if self.theta_domain is None:
@@ -223,7 +263,8 @@ class LossSpec:
 
     Fallback policy for slots left as None, as for ModelSpec: a missing
     derivative is a central difference of psi_batch over all rows at once,
-    and a missing psi_rowwise evaluates psi row by row.
+    and a missing psi_rowwise evaluates psi row by row. Fallbacks are bound
+    to their own instance, so dataclasses.replace keeps them current.
     """
 
     psi_batch: Callable
@@ -235,16 +276,20 @@ class LossSpec:
         # An instance attribute rather than a method, so that it can be
         # replaced and restored by identity like the slots.
         self.psi = lambda z, th: float(self.psi_batch(np.asarray(z, float)[None, :], th)[0])
-        if self.grad_psi_batch is None:
-            self.grad_psi_batch = lambda Z, th: numdiff.jacobian(
-                lambda t: self.psi_batch(Z, t), th
-            )
-        if self.hess_psi is None:
-            self.hess_psi = lambda Z, th: numdiff.hessian(lambda t: self.psi_batch(Z, t), th)
-        if self.psi_rowwise is None:
-            self.psi_rowwise = lambda Z, Th: np.array(
-                [self.psi(z, t) for z, t in zip(Z, Th)], dtype=float
-            )
+        _refill(self, {
+            "grad_psi_batch": LossSpec._fd_grad_psi,
+            "hess_psi": LossSpec._fd_hess_psi,
+            "psi_rowwise": LossSpec._psi_row_by_row,
+        })
+
+    def _fd_grad_psi(self, Z, th):
+        return numdiff.jacobian(lambda t: self.psi_batch(Z, t), th)
+
+    def _fd_hess_psi(self, Z, th):
+        return numdiff.hessian(lambda t: self.psi_batch(Z, t), th)
+
+    def _psi_row_by_row(self, Z, Th):
+        return np.array([self.psi(z, t) for z, t in zip(Z, Th)], dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,14 @@ Penalty convention: the logistic objective is sum_i loglik_i - n * lam * |beta_1
 so the per-observation estimating function carries lam (not n*lam). The tuned
 lam is therefore small, and n * lam is the "actual" penalty size.
 
-The array kernels of the built-in slots (_expit, _design, the ridge phis,
-the ridge-logistic Jacobian, the Gaussian phi) are written for few numpy
-passes, and each is pinned bitwise to a plainer reference formula by the
-np.array_equal property tests in tests/test_properties.py; so is every
-slice of each stacked phi_thetas kernel to phi_batch at the same theta. A
-rewrite that moves one output bit fails them.
+The array kernels of the built-in per-row slots (_expit, _design, the
+ridge phis, the ridge-logistic Jacobian, the Gaussian phi) are written for
+few numpy passes, and each is pinned bitwise to a plainer reference formula
+by the np.array_equal property tests in tests/test_properties.py; a rewrite
+that moves one output bit fails them. The leave-one-out sum kernels
+(phi_loo_sum, jac_loo_sum) work from sufficient statistics and so round
+differently from the row-by-row fallback; the same tests pin them to it
+within a tolerance relative to the sum of |phi| over the rows.
 """
 
 from __future__ import annotations
@@ -34,39 +36,6 @@ def _design(Z: np.ndarray):
     X[:, 0] = 1.0
     X[:, 1:] = Z[:, 1:]
     return Z[:, 0], X
-
-
-def _products(X, P, Th):
-    """(X th, P th) for every row th of the (k, p) stack Th, as (n, k) and
-    (p, k) arrays. np.matmul against Th[:, :, None] rounds each product as
-    X @ th does; Th @ X.T does not."""
-    col = Th[:, :, None]
-    return np.ascontiguousarray(np.matmul(X, col)[:, :, 0].T), np.matmul(P, col)[:, :, 0].T
-
-
-def _stack(out):
-    """The (k, n, p) phi_thetas result of a kernel that filled out as (p, n, k).
-
-    solver.solve_loo_all sums the result over rows, and each slice's sum must
-    round as phi_batch(...).sum(axis=0) does on a C-ordered (n, p) array:
-    numpy adds those rows one after another when p > 1, and pairwise when
-    p = 1. The transpose of out has the same rounding, over long inner loops,
-    when k > 1 and p > 1. Otherwise its row axis is contiguous, which numpy
-    would sum pairwise, so a C-ordered copy is returned.
-    """
-    F = out.transpose(2, 1, 0)
-    return F if min(F.shape[0], F.shape[2]) > 1 else np.ascontiguousarray(F)
-
-
-def _ridge_thetas(XS, R, pen_lam, PTh):
-    """phi_thetas of a ridge model: phi_j = XS_j R + pen_lam (P th)_j, from
-    the scaled design XS (n, p), the residual factors R (n, k) and P th as
-    (p, k)."""
-    out = np.empty((XS.shape[1],) + R.shape)
-    for j in range(len(out)):
-        np.multiply(XS[:, j, None], R, out=out[j])
-        out[j] += pen_lam * PTh[j]
-    return _stack(out)
 
 
 def default_penalty_mask(p: int) -> np.ndarray:
@@ -92,7 +61,8 @@ class _RidgeModel:
 
     phi carries the penalty as PENALTY * lam * P beta. A subclass sets the
     class constant PENALTY and supplies _link_slots(P), which returns the
-    link-specific (phi_batch, phi_thetas, dphi_dtheta_batch, hess_phi_theta).
+    link-specific slots phi_batch, dphi_dtheta_batch, hess_phi_theta,
+    phi_loo_sum and jac_loo_sum as a dict.
     """
 
     n_covariates: int
@@ -112,7 +82,6 @@ class _RidgeModel:
         p = self.p
         P = np.diag(self.mask())
         pen = self.PENALTY
-        phi_batch, phi_thetas, dphi_dtheta_batch, hess_phi_theta = self._link_slots(P)
 
         def dphi_dlambda_batch(Z, th, lm):
             base = (pen * (P @ th)).reshape(1, p, 1)
@@ -122,10 +91,8 @@ class _RidgeModel:
             return np.repeat((pen * P)[None, None], Z.shape[0], axis=0)
 
         return ModelSpec(
-            p=p, q=1,
-            phi_batch=phi_batch, dphi_dtheta_batch=dphi_dtheta_batch,
-            dphi_dlambda_batch=dphi_dlambda_batch, hess_phi_theta=hess_phi_theta,
-            dphi_dlambda_dtheta=dphi_dlambda_dtheta, phi_thetas=phi_thetas,
+            p=p, q=1, **self._link_slots(P),
+            dphi_dlambda_batch=dphi_dlambda_batch, dphi_dlambda_dtheta=dphi_dlambda_dtheta,
             lambda_domain=np.array([self.lambda_domain]),
         )
 
@@ -143,10 +110,20 @@ class RidgeLinearModel(_RidgeModel):
             e = y - X @ th
             return -2.0 * X * e[:, None] + 2.0 * float(lm[0]) * (P @ th)
 
-        def phi_thetas(Z, Th, lm):
+        def jac_loo_sum(Z, Th, rows, lm):
+            # 2 (X'X - x_i x_i') + 2 (n - 1) lam P, the same for every theta
+            _, X = _design(Z)
+            Xi = X[rows]
+            return 2.0 * (X.T @ X - Xi[:, :, None] * Xi[:, None, :]) + (
+                2.0 * (len(X) - 1) * float(lm[0]) * P
+            )
+
+        def phi_loo_sum(Z, Th, rows, lm):
+            # phi is linear in theta: its sum is the Jacobian sum times theta
+            # plus the sum at theta = 0, -2 (X'y - x_i y_i)
             y, X = _design(Z)
-            T, PTh = _products(X, P, Th)
-            return _ridge_thetas(-2.0 * X, y[:, None] - T, 2.0 * float(lm[0]), PTh)
+            b = X.T @ y - X[rows] * y[rows, None]
+            return np.matmul(jac_loo_sum(Z, Th, rows, lm), Th[:, :, None])[:, :, 0] - 2.0 * b
 
         def dphi_dtheta_batch(Z, th, lm):
             _, X = _design(Z)
@@ -155,7 +132,9 @@ class RidgeLinearModel(_RidgeModel):
         def hess_phi_theta(Z, th, lm):
             return np.zeros((Z.shape[0], p, p, p))
 
-        return phi_batch, phi_thetas, dphi_dtheta_batch, hess_phi_theta
+        return dict(phi_batch=phi_batch, dphi_dtheta_batch=dphi_dtheta_batch,
+                    hess_phi_theta=hess_phi_theta, phi_loo_sum=phi_loo_sum,
+                    jac_loo_sum=jac_loo_sum)
 
     def squared_error_loss(self, weight_fn=None) -> LossSpec:
         """psi(z, beta) = w(x) (y - beta' x~)^2; w defaults to 1."""
@@ -198,11 +177,29 @@ class RidgeLogisticModel(_RidgeModel):
             pi = _expit(X @ th)
             return X * (y - pi)[:, None] - 2.0 * float(lm[0]) * (P @ th)
 
-        def phi_thetas(Z, Th, lm):
+        def loo_parts(Z, Th, rows):
+            # expit(x_m' Th[j]) as (k, n), and the index of problem j's own
+            # row. np.matmul against Th[:, :, None] rounds each x_m' th as
+            # phi_batch's X @ th does (Th @ X.T does not), and expit would
+            # magnify a last-bit difference in x_m' th by |x_m' th|.
             y, X = _design(Z)
-            T, PTh = _products(X, P, Th)
-            # adding (-2 lam) b rounds as subtracting (2 lam) b: negation is exact
-            return _ridge_thetas(X, y[:, None] - _expit(T), -2.0 * float(lm[0]), PTh)
+            Pi = _expit(np.matmul(X, Th[:, :, None])[:, :, 0])
+            return y, X, Pi, (np.arange(len(rows)), rows)
+
+        def phi_loo_sum(Z, Th, rows, lm):
+            y, X, Pi, own = loo_parts(Z, Th, rows)
+            R = y - Pi
+            pen = 2.0 * (len(y) - 1) * float(lm[0])
+            return R @ X - R[own][:, None] * X[rows] - pen * (Th @ P)
+
+        def jac_loo_sum(Z, Th, rows, lm):
+            # w_i x_i x_i' - sum_m w_m x_m x_m' - 2 (n - 1) lam P, w = pi (1 - pi)
+            _, X, Pi, own = loo_parts(Z, Th, rows)
+            n, p = X.shape
+            W = Pi * (1.0 - Pi)
+            XX = X[:, :, None] * X[:, None, :]
+            S = (W @ XX.reshape(n, p * p)).reshape(len(Th), p, p)
+            return W[own][:, None, None] * XX[rows] - S - 2.0 * (n - 1) * float(lm[0]) * P
 
         def dphi_dtheta_batch(Z, th, lm):
             _, X = _design(Z)
@@ -220,7 +217,9 @@ class RidgeLogisticModel(_RidgeModel):
             core = (-w * (1.0 - 2.0 * pi))[:, None, None] * np.einsum("nk,nl->nkl", X, X)
             return np.einsum("nj,nkl->njkl", X, core)
 
-        return phi_batch, phi_thetas, dphi_dtheta_batch, hess_phi_theta
+        return dict(phi_batch=phi_batch, dphi_dtheta_batch=dphi_dtheta_batch,
+                    hess_phi_theta=hess_phi_theta, phi_loo_sum=phi_loo_sum,
+                    jac_loo_sum=jac_loo_sum)
 
     def brier_loss(self, predictor_covariates: Optional[Sequence[int]] = None) -> LossSpec:
         """psi(z, beta) = (y - expit(u' beta))^2 with u the masked design vector.
@@ -346,16 +345,33 @@ class GaussianLikelihoodModel:
             out[:, 1] = -1.0 / sg + r**2 / sg**3
             return out
 
-        def phi_thetas(Z, Th, lm):
-            r = Z[:, :1] - Th[:, 0]
-            sg = Th[:, 1]
-            # scalar powers, as phi_batch takes them: array powers of sigma
-            # can round differently in the last bit
-            sg2, sg3 = np.array([(s**2, s**3) for s in sg]).T
-            out = np.empty((2, len(r), len(Th)))
-            np.divide(r, sg2, out=out[0])
-            out[1] = -1.0 / sg + r**2 / sg3
-            return _stack(out)
+        def loo_moments(Z, Th, rows):
+            # (S1, S2, m, sg): S1 and S2 are the sums of r and r^2 over the
+            # m = n - 1 rows other than rows[j], with r = z - Th[j, 0], from
+            # centred sums of d = z - mean(z); uncentred sums of z and z^2
+            # lose digits when the mean is far from zero
+            z = Z[:, 0]
+            zbar = z.mean()
+            d = z - zbar
+            D1, D2 = d.sum(), d @ d
+            di = d[rows]
+            c = zbar - Th[:, 0]
+            m = len(z) - 1
+            S1 = (D1 - di) + m * c
+            S2 = (D2 - di * di) + 2.0 * c * (D1 - di) + m * c * c
+            return S1, S2, m, Th[:, 1]
+
+        def phi_loo_sum(Z, Th, rows, lm):
+            S1, S2, m, sg = loo_moments(Z, Th, rows)
+            return np.column_stack([S1 / sg**2, -m / sg + S2 / sg**3])
+
+        def jac_loo_sum(Z, Th, rows, lm):
+            S1, S2, m, sg = loo_moments(Z, Th, rows)
+            out = np.empty((len(Th), 2, 2))
+            out[:, 0, 0] = -m / sg**2
+            out[:, 0, 1] = out[:, 1, 0] = -2.0 * S1 / sg**3
+            out[:, 1, 1] = m / sg**2 - 3.0 * S2 / sg**4
+            return out
 
         def dphi_dtheta_batch(Z, th, lm):
             mu, sg = th
@@ -388,7 +404,8 @@ class GaussianLikelihoodModel:
             p=2, q=1,
             phi_batch=phi_batch, dphi_dtheta_batch=dphi_dtheta_batch,
             dphi_dlambda_batch=dphi_dlambda_batch, hess_phi_theta=hess_phi_theta,
-            dphi_dlambda_dtheta=dphi_dlambda_dtheta, phi_thetas=phi_thetas,
+            dphi_dlambda_dtheta=dphi_dlambda_dtheta,
+            phi_loo_sum=phi_loo_sum, jac_loo_sum=jac_loo_sum,
             theta_domain=np.array([[-1e8, 1e8], [1e-6, 1e8]]),
             lambda_domain=np.array([[0.0, 1.0]]),
             theta_init=np.array([0.0, 1.0]),

@@ -12,8 +12,9 @@ from .model import (
 )
 
 MAX_ITER = 100
-# row evaluations per stacked phi call in solve_loo_all (at least one theta
-# per call): a (k, n, p) block stays under 1.5 MB at p = 3
+# row evaluations per leave-one-out sum call in solve_loo_all (at least one
+# theta per call): it bounds the fallback's (k, n, p) block, under 1.5 MB at
+# p = 3, and ridge-logistic's (n, k) block
 MAX_PHI_ROWS = 2**16
 MAX_HALVINGS = 40
 ARMIJO = 1e-4
@@ -111,57 +112,90 @@ def theta_prime(model: ModelSpec, data: Dataset, solve: SolveResult) -> np.ndarr
     return checked_solve(solve.J_hat, dlam, "Jacobian")
 
 
-def _loo_residuals(model: ModelSpec, Z, Th, rows, lam) -> np.ndarray:
-    """(k, p) residuals Phi_i(Th[j]) = (sum_m phi_m - phi_i) / (n-1), i = rows[j].
+def well_conditioned(A) -> np.ndarray:
+    """(m,) bool for an (m, p, p) stack: cond_2(A[j]) <= COND_LIMIT and finite.
 
-    One phi_thetas call over all n rows. If it raises EvaluationError, each
-    theta is evaluated on its own through phi_matrix, and a theta whose phi
-    raises gets a NaN residual. A non-finite phi gives a non-finite residual
-    either way.
+    The same decision as the SVD test np.linalg.cond(A) <= COND_LIMIT, with
+    fewer SVDs: ||A||_F ||A^-1||_F bounds cond_2(A) from above, so a matrix
+    whose bound is at most COND_LIMIT / 10 passes without one. The other
+    matrices, and the whole stack if np.linalg.inv raises LinAlgError, take
+    the SVD test.
+    """
+    ok = np.zeros(len(A), dtype=bool)
+    try:
+        Ainv = np.linalg.inv(A)
+    except np.linalg.LinAlgError:  # some matrix in the stack is exactly singular
+        pass
+    else:
+        with np.errstate(all="ignore"):
+            bound = np.linalg.norm(A, axis=(1, 2)) * np.linalg.norm(Ainv, axis=(1, 2))
+        ok = bound <= COND_LIMIT / 10
+    if not ok.all():
+        cond = np.linalg.cond(A[~ok])
+        ok[~ok] = np.isfinite(cond) & (cond <= COND_LIMIT)
+    return ok
+
+
+def _loo_means(model: ModelSpec, slot: str, Z, Th, rows, lam) -> np.ndarray:
+    """Leave-one-out means of the sum slot phi_loo_sum ((k, p) residuals
+    Phi_i(Th[j])) or jac_loo_sum ((k, p, p) Jacobians A_i(Th[j])), i = rows[j].
+
+    One slot call per chunk of at most MAX_PHI_ROWS row evaluations. If a
+    call raises EvaluationError, its chunk is evaluated again one theta at a
+    time, and a theta that raises gets NaN. A non-finite phi gives a
+    non-finite result either way. A result of the wrong shape raises
+    EvaluationError.
     """
     n, k = Z.shape[0], len(Th)
-    try:
-        F = np.asarray(model.phi_thetas(Z, Th, lam), dtype=float)
-    except EvaluationError:
-        F = np.full((k, n, model.p), np.nan)
-        for j, th in enumerate(Th):
-            try:
-                F[j] = phi_matrix(model, Z, th, lam)
-            except EvaluationError:
-                pass
-    if F.shape != (k, n, model.p):
-        raise EvaluationError(
-            f"phi_thetas returned shape {F.shape}, expected {(k, n, model.p)}"
-        )
-    with np.errstate(invalid="ignore"):  # inf - inf where row i's own phi is infinite
-        return (F.sum(axis=1) - F[np.arange(k), rows]) / (n - 1)
+    want = (k,) + (model.p,) * (1 if slot == "phi_loo_sum" else 2)
+    chunk = max(1, MAX_PHI_ROWS // n)
+
+    def call(js):
+        try:
+            return np.asarray(getattr(model, slot)(Z, Th[js], rows[js], lam), dtype=float)
+        except EvaluationError:
+            if len(js) == 1:
+                return np.full((1,) + want[1:], np.nan)
+            return np.concatenate([call(js[j:j + 1]) for j in range(len(js))])
+
+    out = np.empty(want)
+    for s in range(0, k, chunk):
+        js = np.arange(s, min(s + chunk, k))
+        got = call(js)
+        if got.shape != (len(js),) + want[1:]:
+            raise EvaluationError(
+                f"{slot} returned shape {got.shape}, expected {(len(js),) + want[1:]}"
+            )
+        out[js] = got
+    return out / (n - 1)
 
 
 def solve_loo_all(model: ModelSpec, data: Dataset, solve: SolveResult):
     """All n leave-one-out roots by one batched Newton iteration from theta_hat.
 
-    Problem i solves Phi_i(theta) = (sum_j phi_j(theta) - phi_i(theta)) / (n-1)
-    = 0, with Jacobian A_i(theta) = (sum_j G_j(theta) - G_i(theta)) / (n-1)
-    for G = d phi / d theta. One phi and one G evaluation at theta_hat give
+    Problem i solves Phi_i(theta) = (sum_{j != i} phi_j(theta)) / (n-1) = 0,
+    with Jacobian A_i(theta) = (sum_{j != i} G_j(theta)) / (n-1) for
+    G = d phi / d theta. One phi and one G evaluation at theta_hat give
     every problem its first residual and its Jacobian A_i. Each step is one
-    batched condition check and one batched solve over the active problems;
-    then every problem's residual is evaluated exactly at its new iterate by
-    one stacked phi_thetas call over all rows per chunk of at most
-    MAX_PHI_ROWS row evaluations, and the Armijo and convergence tests run on
-    all of them at once. After its first step, a problem whose residual is at
-    most sqrt(tol) takes its next step with the Taylor Jacobian
+    batched condition check (well_conditioned) and one batched solve over
+    the active problems; then every problem's residual is evaluated exactly
+    at its new iterate by one phi_loo_sum call per chunk of at most
+    MAX_PHI_ROWS row evaluations, and the Armijo and convergence tests run
+    on all of them at once. After its first step, a problem whose residual
+    is at most sqrt(tol) takes its next step with the Taylor Jacobian
     A_i(theta_hat) + H_i[theta - theta_hat] when that is finite, where
     H_i = (sum_j H_j - H_i) / (n-1) comes from one hess_phi_theta evaluation
     at theta_hat, made only if some problem takes such a step. Every other
-    Jacobian is evaluated exactly at its iterate, one call over all rows.
+    Jacobian is evaluated exactly at its iterate, by one jac_loo_sum call
+    per chunk.
 
     The rules of the per-row Newton solve hold for each problem, whichever
     Jacobian its step used: tolerance tol = default_tol(theta_hat), at most
     MAX_ITER steps, a step accepted only if it passes the Armijo test at
-    t = 1. A problem whose Jacobian fails the condition test or is non-finite,
-    whose step leaves theta_domain, whose phi is non-finite or raises
-    EvaluationError, or whose step fails the Armijo test leaves the batch; no
-    problem aborts the others.
+    t = 1. A problem whose Jacobian fails the condition test or is non-finite
+    or raises EvaluationError, whose step leaves theta_domain, whose phi is
+    non-finite or raises EvaluationError, or whose step fails the Armijo
+    test leaves the batch; no problem aborts the others.
 
     Returns (thetas (n, p), converged (n,) bool); rows not converged are NaN
     and are left to the per-row solve_loo.
@@ -171,7 +205,6 @@ def solve_loo_all(model: ModelSpec, data: Dataset, solve: SolveResult):
     if n < 3:
         raise ValueError("leave-one-out refits need n >= 3")
     tol = default_tol(theta_hat)
-    chunk = max(1, MAX_PHI_ROWS // n)
 
     F = phi_matrix(model, Z, theta_hat, lam)
     G = np.asarray(model.dphi_dtheta_batch(Z, theta_hat, lam), dtype=float)
@@ -184,17 +217,14 @@ def solve_loo_all(model: ModelSpec, data: Dataset, solve: SolveResult):
         act = np.flatnonzero(alive & (np.sqrt(fval) > tol))
         if act.size == 0:
             break
-        cond = np.linalg.cond(A[act])
-        well = np.isfinite(cond) & (cond <= COND_LIMIT)
+        well = well_conditioned(A[act])
         alive[act[~well]] = False
         act = act[well]
         cands = thetas[act] - np.linalg.solve(A[act], Phi[act][:, :, None])[:, :, 0]
         inside = model.theta_in_domain(cands)
         alive[act[~inside]] = False
         act, cands = act[inside], cands[inside]
-        Phi_c = np.empty_like(cands)
-        for s in range(0, act.size, chunk):
-            Phi_c[s:s + chunk] = _loo_residuals(model, Z, cands[s:s + chunk], act[s:s + chunk], lam)
+        Phi_c = _loo_means(model, "phi_loo_sum", Z, cands, act, lam)
         # a (1, p) @ (p, 1) matmul rounds as the dot product Phi_c[j] @ Phi_c[j]
         f_c = np.matmul(Phi_c[:, None, :], Phi_c[:, :, None])[:, 0, 0]
         # False for a NaN or infinite residual
@@ -215,10 +245,8 @@ def solve_loo_all(model: ModelSpec, data: Dataset, solve: SolveResult):
             finite = np.all(np.isfinite(taylor), axis=(1, 2))
             A[near[finite]] = taylor[finite]
             evaluate = np.concatenate([evaluate, near[~finite]])
-        for i in evaluate:
-            Gi = np.asarray(model.dphi_dtheta_batch(Z, thetas[i], lam), dtype=float)
-            A[i] = (Gi.sum(axis=0) - Gi[i]) / (n - 1)
-            alive[i] = np.all(np.isfinite(A[i]))
+        A[evaluate] = _loo_means(model, "jac_loo_sum", Z, thetas[evaluate], evaluate, lam)
+        alive[evaluate] = np.all(np.isfinite(A[evaluate]), axis=(1, 2))
     converged = alive & (np.sqrt(fval) <= tol)
     thetas[~converged] = np.nan
     return thetas, converged

@@ -307,12 +307,17 @@ def test_loocv_exact_failed_refits_counted_then_abort():
 
 
 def _count_calls(spec, *slots):
+    # a leave-one-out sum slot also counts its problems, under "<slot>.rows"
     calls = dict.fromkeys(slots, 0)
     for slot in slots:
         fn = getattr(spec, slot)
+        if slot.endswith("_loo_sum"):
+            calls[slot + ".rows"] = 0
 
         def counted(*args, fn=fn, slot=slot):
             calls[slot] += 1
+            if slot.endswith("_loo_sum"):
+                calls[slot + ".rows"] += len(args[2])
             return fn(*args)
 
         setattr(spec, slot, counted)
@@ -328,25 +333,29 @@ def test_loocv_exact_one_hessian_call_few_jacobian_calls():
     dgp = DGPSpec(DGPKind.LOGISTIC_TRUE, n=n, params={"beta": (0.2, 1.0, -0.5)})
     data = simulate(dgp, seed=3)
     solve = solve_theta(spec, data, lam, spec.theta_init)
-    calls = _count_calls(spec, "hess_phi_theta", "dphi_dtheta_batch")
+    calls = _count_calls(spec, "hess_phi_theta", "dphi_dtheta_batch", "jac_loo_sum")
     cv = loocv_exact(spec, loss, data, lam, solve=solve)
     assert calls["hess_phi_theta"] == 1
-    assert calls["dphi_dtheta_batch"] <= 0.25 * n
+    assert calls["dphi_dtheta_batch"] == 1
+    assert calls["jac_loo_sum.rows"] <= 0.25 * n
     assert cv.diagnostics["refit_fallbacks"] == 0.0
 
 
 def test_loocv_exact_no_hessian_call_without_taylor_step():
     # every problem's residual after its first step is above sqrt(tol), so
-    # each evaluates its Jacobian after both steps and no Hessian is needed
+    # each evaluates its Jacobian after both steps and no Hessian is needed;
+    # the full-data Jacobian is evaluated once, at theta_hat, and the rest
+    # come from one jac_loo_sum call per step
     n, lam = 40, [0.1]
     m = RidgeLogisticModel(2)
     spec = m.spec()
     data = make_logistic_data(n=n, seed=0)
     solve = solve_theta(spec, data, lam, spec.theta_init)
-    calls = _count_calls(spec, "hess_phi_theta", "dphi_dtheta_batch")
+    calls = _count_calls(spec, "hess_phi_theta", "dphi_dtheta_batch", "jac_loo_sum")
     thetas, converged = solve_loo_all(spec, data, solve)
     assert converged.all()
-    assert calls == {"hess_phi_theta": 0, "dphi_dtheta_batch": 2 * n + 1}
+    assert calls == {"hess_phi_theta": 0, "dphi_dtheta_batch": 1,
+                     "jac_loo_sum": 2, "jac_loo_sum.rows": 2 * n}
 
 
 @pytest.mark.parametrize("seed, lam", [(4, 0.3), (7, 0.1)])
@@ -370,9 +379,9 @@ def test_loocv_exact_with_finite_difference_hessian(monkeypatch, seed, lam):
     solve = solve_theta(spec, data, [lam], spec.theta_init)
     jacobians = []
     for s in (spec, fd_spec):
-        calls = _count_calls(s, "dphi_dtheta_batch")
+        calls = _count_calls(s, "jac_loo_sum")
         thetas, converged = solve_loo_all(s, data, solve)
-        jacobians.append(calls["dphi_dtheta_batch"])
+        jacobians.append(calls["jac_loo_sum.rows"])
     assert len(hessians) == 1 and converged.all()
     assert jacobians[1] == jacobians[0] <= 0.25 * n
     refits = np.array([
@@ -390,8 +399,9 @@ def test_loocv_exact_with_finite_difference_hessian(monkeypatch, seed, lam):
 @pytest.mark.parametrize("model", ["ridge-logistic", "gaussian"])
 def test_solve_loo_all_stacked_phi_matches_fallback(model):
     # at n = 300 a chunk holds fewer problems than the first step, so that
-    # step makes two stacked phi calls; the built-in phi_thetas kernel and
-    # the fallback that stacks one phi_batch call per theta give the same bits
+    # step makes two phi_loo_sum calls; the built-in sum kernels and the
+    # fallbacks that sum phi_batch (dphi_dtheta_batch) over all rows but the
+    # problem's own agree on which problems converge and on their roots
     n = 300
     assert MAX_PHI_ROWS // n < n
     if model == "ridge-logistic":
@@ -404,12 +414,13 @@ def test_solve_loo_all_stacked_phi_matches_fallback(model):
         z = np.random.default_rng(5).standard_normal(n) * 1.3 + 0.4
         data = Dataset(z[:, None])
         solve = solve_theta(spec, data, [0.0], [z.mean(), z.std()])
-    fallback = dataclasses.replace(spec, phi_thetas=None)
-    phi_calls = _count_calls(spec, "phi_batch")
+    fallback = dataclasses.replace(spec, phi_loo_sum=None, jac_loo_sum=None)
+    calls = _count_calls(spec, "phi_batch", "dphi_dtheta_batch", "phi_loo_sum")
     thetas, converged = solve_loo_all(spec, data, solve)
     assert converged.all()
-    # phi_batch runs once, at theta_hat; every step evaluates phi_thetas
-    assert phi_calls == {"phi_batch": 1}
+    # the per-row slots run once, at theta_hat; every step evaluates the sums
+    assert calls["phi_batch"] == calls["dphi_dtheta_batch"] == 1
+    assert calls["phi_loo_sum"] >= 2
     fb_thetas, fb_converged = solve_loo_all(fallback, data, solve)
-    assert np.array_equal(thetas, fb_thetas)
     assert np.array_equal(converged, fb_converged)
+    assert np.all(np.abs(thetas - fb_thetas) <= 1e-12 * np.abs(fb_thetas))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -136,3 +138,48 @@ def test_rowwise_stacks_per_row_results():
     out = f(Z, 2.0, 5.0)
     assert out.dtype == float
     assert np.array_equal(out, [[2.0, 5.0], [4.0, 5.0], [6.0, 5.0]])
+
+
+def _line_spec(scale=1.0):
+    # phi(z, th) = scale * (z - th), p = 1
+    return ModelSpec(p=1, q=1, phi_batch=rowwise(lambda z, th, lm: scale * (z - th)))
+
+
+def test_replace_refills_fallbacks_of_the_old_instance():
+    # dataclasses.replace passes the old fallbacks on; the new spec must not
+    # keep evaluating the old phi_batch through them
+    spec = _line_spec()
+    twice = dataclasses.replace(spec, phi_batch=_line_spec(2.0).phi_batch)
+    Z, th, lm = np.ones((3, 1)), np.zeros(1), np.zeros(1)
+    assert np.allclose(twice.phi_batch(Z, th, lm), 2.0)
+    assert np.allclose(twice.dphi_dtheta_batch(Z, th, lm), -2.0)
+    assert np.allclose(twice.hess_phi_theta(Z, th, lm), 0.0, atol=1e-3)
+    assert np.allclose(twice.phi_loo_sum(Z, th[None], [0], lm), 4.0)
+    assert np.allclose(twice.jac_loo_sum(Z, th[None], [0], lm), -4.0)
+    # the old spec is untouched, and a slot given explicitly is kept
+    assert np.allclose(spec.phi_loo_sum(Z, th[None], [0], lm), 2.0)
+    kept = dataclasses.replace(twice, dphi_dtheta_batch=spec.phi_batch)
+    assert kept.dphi_dtheta_batch is spec.phi_batch
+    assert np.allclose(kept.jac_loo_sum(Z, th[None], [0], lm), 2.0)
+
+    loss = LossSpec(psi_batch=rowwise(lambda z, th: (z[0] - th[0]) ** 2))
+    double = dataclasses.replace(loss, psi_batch=rowwise(lambda z, th: 2 * (z[0] - th[0]) ** 2))
+    assert np.allclose(double.grad_psi_batch(Z, th), -4.0, rtol=1e-6)
+    assert np.allclose(double.hess_psi(Z, th), 4.0, rtol=1e-4)
+    assert np.allclose(double.psi_rowwise(Z, np.zeros((3, 1))), 2.0)
+
+
+def test_loo_sum_fallbacks_of_a_rowwise_spec_are_exact():
+    # the fallbacks sum the per-row slots over all rows and subtract the
+    # problem's own row, to the last bit
+    m = _toy_model()
+    rng = np.random.default_rng(3)
+    Z = rng.standard_normal((11, 2))
+    Th = rng.standard_normal((4, 2))
+    rows = np.array([0, 10, 3, 3])
+    lm = np.array([0.3])
+    F = np.stack([m.phi_batch(Z, th, lm) for th in Th])
+    assert np.array_equal(m.phi_loo_sum(Z, Th, rows, lm), F.sum(axis=1) - F[np.arange(4), rows])
+    G = np.stack([m.dphi_dtheta_batch(Z, th, lm) for th in Th])
+    want = np.stack([g.sum(axis=0) - g[i] for g, i in zip(G, rows)])
+    assert np.array_equal(m.jac_loo_sum(Z, Th, rows, lm), want)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from tunevar import (
 from tunevar.model import Dataset
 from tunevar.models import _design, _expit, default_penalty_mask
 from tunevar.rng import SplitMix64, derive_stream, fisher_yates_permutation, splitmix64
+from tunevar.solver import COND_LIMIT, well_conditioned
 
 from conftest import make_logistic_data
 
@@ -256,25 +259,40 @@ def test_ridge_phis_match_reference_bitwise(seed, n, p, lam, scale):
     assert np.array_equal(got, _logistic_phi_ref(Z, th, lam, P))
 
 
-def _theta_stack(model, seed, k, p, scale):
-    """(k, p) thetas; Gaussian sigmas span 1e-6 (the domain floor) to 1e3."""
+def _theta_stack(model, seed, k, p, scale, center):
+    """(k, p) thetas around center; Gaussian sigmas span 1e-6 (the domain
+    floor) to 1e3."""
     rng = np.random.default_rng(seed + 2)
     Th = rng.standard_normal((k, p)) * scale
     if model == "gaussian":
+        Th[:, 0] += center
         Th[:, 1] = 10.0 ** rng.uniform(-6.0, 3.0, k)
         Th[0, 1] = 1e-6
     return Th
 
 
+# Tolerance of a leave-one-out sum kernel against its fallback, relative to
+# the sum of |phi| (|d phi / d theta| for the Jacobian) over all n rows and
+# every component at the same theta, plus the smallest normal float: below
+# it (ridge-logistic weights far in expit's tails) rounding is absolute.
+LOO_SUM_RTOL = 1e-13
+LOO_SUM_ATOL = np.finfo(float).tiny
+
+
 @pytest.mark.parametrize("k", [1, 9])
 @pytest.mark.parametrize("model", ["ridge-linear", "ridge-logistic", "gaussian"])
 @settings(deadline=None)
-@given(lam=LAMS, **{**KERNEL_CASE, "p": st.integers(min_value=1, max_value=8)})
-def test_phi_thetas_slices_match_phi_batch_bitwise(model, k, seed, n, p, lam, scale):
-    # solve_loo_all reads leave-one-out residuals from phi_thetas; each slice
-    # must be phi_batch at the same theta to the last bit (p = 1 is an
-    # intercept-only ridge)
+@given(lam=LAMS, far=st.booleans(),
+       **{**KERNEL_CASE, "p": st.integers(min_value=1, max_value=8)})
+def test_loo_sum_kernels_match_fallback(model, k, seed, n, p, lam, scale, far):
+    # solve_loo_all reads leave-one-out residuals and Jacobians from
+    # phi_loo_sum and jac_loo_sum; each built-in kernel sums from sufficient
+    # statistics and must agree with the fallback, which sums phi_batch
+    # (dphi_dtheta_batch) over all rows and subtracts the problem's own row.
+    # p = 1 is an intercept-only ridge; far puts the Gaussian data's mean at
+    # 1e4, where uncentred sums lose digits
     Z = _rows(seed, n, p, scale)
+    center = 0.0
     if model == "ridge-linear":
         spec = RidgeLinearModel(p - 1).spec()
     elif model == "ridge-logistic":
@@ -282,11 +300,43 @@ def test_phi_thetas_slices_match_phi_batch_bitwise(model, k, seed, n, p, lam, sc
         Z[:, 0] = Z[:, 0] > 0
     else:
         spec = GaussianLikelihoodModel().spec()
-    Th = _theta_stack(model, seed, k, spec.p, scale)
+        if far:
+            Z[:, 0] += 1e4
+            center = Z[:, 0].mean()
+    Th = _theta_stack(model, seed, k, spec.p, scale, center)
+    rows = np.random.default_rng(seed + 3).integers(0, n, k)
     lm = np.array([lam])
-    F = spec.phi_thetas(Z, Th, lm)
-    assert F.shape == (k, n, spec.p)
-    for j in range(k):
-        assert np.array_equal(F[j], spec.phi_batch(Z, Th[j], lm))
-    # the sum over rows adds them in the order phi_batch(...).sum(axis=0) does
-    assert np.array_equal(F.sum(axis=1), [spec.phi_batch(Z, th, lm).sum(axis=0) for th in Th])
+    fallback = dataclasses.replace(spec, phi_loo_sum=None, jac_loo_sum=None)
+    for slot, per_row in (("phi_loo_sum", spec.phi_batch),
+                          ("jac_loo_sum", spec.dphi_dtheta_batch)):
+        got = getattr(spec, slot)(Z, Th, rows, lm)
+        want = getattr(fallback, slot)(Z, Th, rows, lm)
+        assert got.shape == want.shape == (k,) + (spec.p,) * (1 if slot == "phi_loo_sum" else 2)
+        scale_j = np.array([np.abs(per_row(Z, th, lm)).sum() for th in Th])
+        err = np.abs(got - want).reshape(k, -1).max(axis=1)
+        assert np.all(err <= LOO_SUM_RTOL * scale_j + LOO_SUM_ATOL), (slot, err, scale_j)
+
+
+def _conditioned_stack(seed, m, p, singular):
+    """(m, p, p) matrices with condition numbers 10^U(0, 16); with singular,
+    some are exactly singular (a zero row, two equal rows, all zeros)."""
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((m, p, p)))[0]
+    V = np.linalg.qr(rng.standard_normal((m, p, p)))[0]
+    s = 10.0 ** -(rng.uniform(0.0, 16.0, (m, 1)) * np.linspace(0.0, 1.0, p))
+    A = (U * s[:, None, :]) @ V.transpose(0, 2, 1) * 10.0 ** rng.uniform(-3.0, 3.0, (m, 1, 1))
+    if singular:
+        A[0, -1] = 0.0
+        A[1, 0] = A[1, -1]
+        A[2] = 0.0
+    return A
+
+
+@settings(deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31), p=st.integers(min_value=1, max_value=8),
+       singular=st.booleans())
+def test_well_conditioned_matches_svd_test(seed, p, singular):
+    # 300 matrices per example, 30,000 over hypothesis's default 100 examples
+    A = _conditioned_stack(seed, 300, p, singular)
+    cond = np.linalg.cond(A)
+    assert np.array_equal(well_conditioned(A), np.isfinite(cond) & (cond <= COND_LIMIT))

@@ -14,6 +14,7 @@ from tunevar import (
     theta_prime,
 )
 from tunevar.model import phi_mean, rowwise
+from tunevar.solver import well_conditioned
 
 from conftest import make_linear_data, rel_err
 
@@ -176,3 +177,31 @@ def test_gaussian_small_sample_from_theta_init():
     spec = GaussianLikelihoodModel().spec()
     res = solve_theta(spec, Dataset(z[:, None]), [0.0], spec.theta_init)
     assert np.allclose(res.theta_hat, [z.mean(), z.std()], atol=1e-8)
+
+
+def test_well_conditioned_skips_the_svd_when_the_bound_decides(monkeypatch):
+    # a stack whose Frobenius bound passes needs no SVD; a singular member
+    # makes np.linalg.inv raise, and the whole stack takes the SVD test
+    rng = np.random.default_rng(0)
+    A = np.eye(3) + 0.1 * rng.standard_normal((50, 3, 3))
+    svds = []
+    cond = np.linalg.cond
+
+    def counted(M):
+        svds.append(len(M))
+        return cond(M)
+
+    monkeypatch.setattr(np.linalg, "cond", counted)
+    assert well_conditioned(A).all()
+    assert svds == []
+    A[7] = np.diag([1.0, 1.0, 1e-13])
+    A[9] = np.diag([1.0, 1.0, 1e-11])
+    A[11] = 0.0
+    ok = well_conditioned(A)
+    assert np.flatnonzero(~ok).tolist() == [7, 11]
+    assert svds == [50]
+    # without it, only the two matrices the bound cannot clear take the SVD
+    A[11] = np.eye(3)
+    ok = well_conditioned(A)
+    assert np.flatnonzero(~ok).tolist() == [7]
+    assert svds == [50, 2]

@@ -13,18 +13,31 @@ Runs: fit, tune and variance for each built-in generic model (ridge-linear,
 ridge-logistic, gaussian) under each of the criteria cv, cv_fast, te and
 tic; variance --fit on each model's fixed-lambda record; fit --criterion cv
 on n = 300 ridge-logistic and gaussian inputs, where a leave-one-out Newton
-step spans more than one stacked phi call (solver.MAX_PHI_ROWS); simulate,
-bootstrap and stone-check; and an intercept-only linear simulate whose
-replications all end on the box edge, so its summary holds null
+step spans more than one leave-one-out sum call (solver.MAX_PHI_ROWS);
+simulate, bootstrap and stone-check; and an intercept-only linear simulate
+whose replications all end on the box edge, so its summary holds null
 (non-finite) entries. A run that exits non-zero prints its exit code. --out
 keeps the files for a byte-level cmp; by default they go to a temporary
 directory.
+
+--compare OLD_DIR NEW_DIR runs nothing. It reads two --out directories and
+prints each file whose bytes differ, with the largest relative difference
+|a - b| / max(|a|, |b|) over its numeric JSON values and CSV cells, or
+"non-numeric" when a key, a string or the number of values changed. It
+exits 1 if any file differs:
+
+    PYTHONPATH=../parent/src python tools/cli_digest.py --out old
+    PYTHONPATH=src python tools/cli_digest.py --out new
+    PYTHONPATH=src python tools/cli_digest.py --compare old new
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -103,10 +116,80 @@ def digest_all(root: Path) -> list[str]:
     return lines
 
 
+def _tokens(path: Path):
+    """The values of a JSON or CSV file in reading order, numbers as floats
+    and everything else (keys, strings, flags, null) as is."""
+    if path.suffix == ".csv":
+        with open(path, newline="") as fh:
+            for row in csv.reader(fh):
+                for cell in row:
+                    try:
+                        yield float(cell)
+                    except ValueError:
+                        yield cell
+        return
+
+    def walk(value):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                yield key
+                yield from walk(item)
+        elif isinstance(value, list):
+            for item in value:
+                yield from walk(item)
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield float(value)
+        else:
+            yield value
+
+    yield from walk(json.loads(path.read_text()))
+
+
+def max_rel_diff(old: Path, new: Path):
+    """Largest |a - b| / max(|a|, |b|) over the numbers of two JSON or CSV
+    files, or None if anything but a number differs."""
+    a, b = list(_tokens(old)), list(_tokens(new))
+    if len(a) != len(b):
+        return None
+    worst = 0.0
+    for x, y in zip(a, b):
+        if isinstance(x, float) and isinstance(y, float):
+            if x != y and not (math.isnan(x) and math.isnan(y)):
+                worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+        elif x != y:
+            return None
+    return worst
+
+
+def compare(old_dir: Path, new_dir: Path) -> list[str]:
+    """One line per file that is not byte-identical in the two directories."""
+    def files(root):
+        return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+    old, new = files(old_dir), files(new_dir)
+    lines = [f"only in {old_dir}  {name}" for name in sorted(old - new)]
+    lines += [f"only in {new_dir}  {name}" for name in sorted(new - old)]
+    for name in sorted(old & new):
+        a, b = old_dir / name, new_dir / name
+        if a.read_bytes() == b.read_bytes():
+            continue
+        rel = max_rel_diff(a, b) if a.suffix in (".json", ".csv") else None
+        lines.append(f"{'non-numeric' if rel is None else f'{rel:.3e}'}  {name}")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default=None, help="keep the outputs in this directory")
+    group = ap.add_mutually_exclusive_group()
+    group.add_argument("--out", default=None, help="keep the outputs in this directory")
+    group.add_argument("--compare", nargs=2, metavar=("OLD_DIR", "NEW_DIR"),
+                       help="compare two --out directories instead of running")
     args = ap.parse_args(argv)
+    if args.compare is not None:
+        lines = compare(*map(Path, args.compare))
+        if lines:
+            print("\n".join(lines))
+        return 1 if lines else 0
     if args.out is not None:
         lines = digest_all(Path(args.out))
     else:
