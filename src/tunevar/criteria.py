@@ -5,10 +5,11 @@ cross-validation, the trace-corrected training error, a seeded holdout
 criterion, and the AIC/BIC/TIC information criteria.
 
 Exact LOOCV solves the n leave-one-out problems together by Newton's method
-(solver.solve_loo_all): one phi and one Jacobian evaluation at theta_hat
-start all n problems, each step is one batched solve, and each problem's
-residual is evaluated exactly at every iterate, by one phi_loo_sum call per
-chunk of at most solver.MAX_PHI_ROWS row evaluations; the built-in models
+(solver.solve_loo_all): the root's per-row phi (SolveResult.Phi) and one
+Jacobian evaluation at theta_hat start all n problems, each step is one
+batched solve, and each problem's residual is evaluated exactly at every
+iterate, by one phi_loo_sum call per chunk of at most
+solver.MAX_PHI_ROWS row evaluations; the built-in models
 compute these leave-one-out sums from sufficient statistics. A problem
 whose residual after the first step is at most sqrt(tol) takes its second
 step with its Jacobian Taylor-updated from theta_hat by the theta-Hessian
@@ -39,7 +40,6 @@ from .model import (
     LossSpec,
     ModelSpec,
     grad_psi_matrix,
-    phi_matrix,
     psi_rowwise_values,
     psi_values,
 )
@@ -80,12 +80,14 @@ def _fit(model, data, lam, theta_init, solve):
     return solve_theta(model, data, lam, theta_init)
 
 
-def _trace_term(solve: SolveResult, Phi, G) -> float:
-    """(1/n) Tr(J_hat^{-1} M) with M = (1/n) sum_i Phi_i G_i' over the n rows.
+def _trace_term(solve: SolveResult, G) -> float:
+    """(1/n) Tr(J_hat^{-1} M) with M = (1/n) sum_i phi_i G_i' over the n rows,
+    phi_i = solve.Phi[i].
 
     G = grad_psi gives the trace correction of te_trace_corrected (M = C_hat),
-    G = Phi the TIC penalty (M = K_hat).
+    G = solve.Phi the TIC penalty (M = K_hat).
     """
+    Phi = solve.Phi
     n = len(Phi)
     return float(np.trace(checked_solve(solve.J_hat, Phi.T @ G / n, "J_hat"))) / n
 
@@ -109,14 +111,16 @@ def loocv_exact(
     All n refits are solved together by solve_loo_all, a batched Newton
     iteration from theta_hat(lam) whose every step evaluates the residuals
     of all active refits with one phi_loo_sum call per chunk of at most
-    solver.MAX_PHI_ROWS row evaluations. It makes one dphi_dtheta_batch and
-    at most one hess_phi_theta call, both at theta_hat, and evaluates a
-    problem's Jacobian, through jac_loo_sum, only where a Taylor update
-    from theta_hat does not serve. A row it rejects or does not converge
-    falls back to the per-row solve_loo, warm-started at theta_hat and
-    retried once from the cold start before being counted as failed. More
-    than 1% failed rows aborts. Diagnostics: refit_fallbacks counts the rows
-    that took the per-row path, refit_failures the rows that failed on it.
+    solver.MAX_PHI_ROWS row evaluations. It takes phi at theta_hat from the
+    root's solve.Phi, so a given solve must be the root of model on data.
+    It makes one dphi_dtheta_batch and at most one hess_phi_theta call,
+    both at theta_hat, and evaluates a problem's Jacobian, through
+    jac_loo_sum, only where a Taylor update from theta_hat does not serve.
+    A row it rejects or does not converge falls back to the per-row
+    solve_loo, warm-started at theta_hat and retried once from the cold
+    start before being counted as failed. More than 1% failed rows aborts.
+    Diagnostics: refit_fallbacks counts the rows that took the per-row path,
+    refit_failures the rows that failed on it.
     """
     solve = _fit(model, data, lam, theta_init, solve)
     cold = theta_init if theta_init is not None else model.theta_init
@@ -153,11 +157,11 @@ def loocv_fast(
 
     Each leave-one-out estimate is approximated by one influence step,
     theta_hat - (1/n) J_hat^{-1} phi(Z_i, theta_hat, lam), and psi is averaged
-    at the approximated points.
+    at the approximated points. The phi values are the root's solve.Phi, so
+    a given solve must be the root of model on data; no phi is evaluated.
     """
     solve = _fit(model, data, lam, theta_init, solve)
-    Phi = phi_matrix(model, data.rows, solve.theta_hat, solve.lam)
-    steps = checked_solve(solve.J_hat, Phi.T, "J_hat").T / data.n  # (n, p)
+    steps = checked_solve(solve.J_hat, solve.Phi.T, "J_hat").T / data.n  # (n, p)
     thetas = solve.theta_hat[None, :] - steps
     value = float(psi_rowwise_values(loss, data.rows, thetas).mean())
     return CriterionValue(value, Method.CV_FAST, np.asarray(solve.lam, float))
@@ -167,11 +171,14 @@ def te_trace_corrected(
     model: ModelSpec, loss: LossSpec, data: Dataset, lam,
     theta_init=None, solve: Optional[SolveResult] = None,
 ) -> CriterionValue:
-    """TE(lam) - (1/n) Tr(J_hat^{-1} C_hat), the first-order CV surrogate."""
+    """TE(lam) - (1/n) Tr(J_hat^{-1} C_hat), the first-order CV surrogate.
+
+    C_hat takes its phi values from the root's solve.Phi, so a given solve
+    must be the root of model on data; no phi is evaluated.
+    """
     solve = _fit(model, data, lam, theta_init, solve)
     te = float(psi_values(loss, data.rows, solve.theta_hat).mean())
-    Phi = phi_matrix(model, data.rows, solve.theta_hat, solve.lam)
-    corr = _trace_term(solve, Phi, grad_psi_matrix(loss, data.rows, solve.theta_hat))
+    corr = _trace_term(solve, grad_psi_matrix(loss, data.rows, solve.theta_hat))
     return CriterionValue(
         te - corr, Method.TE_TRACE_CORRECTED, np.asarray(solve.lam, float),
         {"trace_correction": corr},
@@ -213,7 +220,8 @@ def info_criterion(
 
     Contract: phi is the score of a log-density and psi = -log f, so the mean
     of psi at theta_hat is minus the scaled log-likelihood. The caller asserts
-    this; it is not checkable here.
+    this; it is not checkable here. TIC's penalty reads the root's per-row
+    phi, solve.Phi, so a given solve must be the root of model on data.
     """
     if kind not in (Method.AIC, Method.BIC, Method.TIC):
         raise ValueError("kind must be one of Method.AIC, Method.BIC, Method.TIC")
@@ -226,8 +234,7 @@ def info_criterion(
     elif kind is Method.BIC:
         penalty = p * np.log(n) / n
     else:
-        Phi = phi_matrix(model, data.rows, solve.theta_hat, solve.lam)
-        penalty = _trace_term(solve, Phi, Phi)
+        penalty = _trace_term(solve, solve.Phi)
         diagnostics["trace_correction"] = penalty
     return CriterionValue(
         neg_loglik + penalty, kind, np.asarray(solve.lam, float), diagnostics

@@ -18,7 +18,7 @@ from scipy import stats
 
 from .criteria import Method
 from .exceptions import FailureRateExceeded, TunevarError
-from .model import Dataset, LossSpec, ModelSpec, phi_matrix
+from .model import Dataset, LossSpec, ModelSpec
 from .rng import derive_stream, rng_for
 from .solver import checked_solve, solve_theta, theta_prime
 from .tuner import _resolve_box, truncated_estimate, tune
@@ -298,8 +298,7 @@ def mixture_law_check(
     infl_alpha = alpha_influences(
         config.model, config.loss, ref, solve0.theta_hat, lam0, D0
     )
-    Phi0 = phi_matrix(config.model, ref.rows, solve0.theta_hat, lam0)
-    infl_pinned = checked_solve(solve0.J_hat, Phi0.T, "J_hat").T
+    infl_pinned = checked_solve(solve0.J_hat, solve0.Phi.T, "J_hat").T
     p, q = config.model.p, config.model.q
     U = np.column_stack(
         [infl_alpha[:, :p], infl_pinned, infl_alpha[:, p : p + q]]

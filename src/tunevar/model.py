@@ -308,18 +308,25 @@ def phi_matrix(model: ModelSpec, Z: np.ndarray, theta, lam) -> np.ndarray:
     return out
 
 
+def row_mean(A) -> np.ndarray:
+    """A.mean(axis=0) of a float array, bit for bit: numpy's float64 mean is
+    the same sum divided by the row count, after more dispatch overhead."""
+    A = np.asarray(A, dtype=float)
+    return A.sum(axis=0) / len(A)
+
+
 def phi_mean(model: ModelSpec, Z: np.ndarray, theta, lam) -> np.ndarray:
-    return phi_matrix(model, Z, theta, lam).mean(axis=0)
+    return row_mean(phi_matrix(model, Z, theta, lam))
 
 
 def jac_theta_mean(model: ModelSpec, Z: np.ndarray, theta, lam) -> np.ndarray:
     """(p, p) empirical mean of d phi / d theta."""
-    return np.asarray(model.dphi_dtheta_batch(Z, theta, lam), dtype=float).mean(axis=0)
+    return row_mean(model.dphi_dtheta_batch(Z, theta, lam))
 
 
 def jac_lambda_mean(model: ModelSpec, Z: np.ndarray, theta, lam) -> np.ndarray:
     """(p, q) empirical mean of d phi / d lambda."""
-    return np.asarray(model.dphi_dlambda_batch(Z, theta, lam), dtype=float).mean(axis=0)
+    return row_mean(model.dphi_dlambda_batch(Z, theta, lam))
 
 
 def psi_values(loss: LossSpec, Z: np.ndarray, theta) -> np.ndarray:

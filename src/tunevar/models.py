@@ -13,7 +13,10 @@ The array kernels of the built-in per-row slots (_expit, _design, the
 ridge phis, the ridge-logistic Jacobian, the Gaussian phi) are written for
 few numpy passes, and each is pinned bitwise to a plainer reference formula
 by the np.array_equal property tests in tests/test_properties.py; a rewrite
-that moves one output bit fails them. The leave-one-out sum kernels
+that moves one output bit fails them. _expit, on the hot path of exact
+LOOCV for ridge-logistic, avoids np.where: it computes both branches in one
+pass, selecting the numerator with np.maximum, which matches the two-branch
+formula bit for bit (see its comment). The leave-one-out sum kernels
 (phi_loo_sum, jac_loo_sum) work from sufficient statistics and so round
 differently from the row-by-row fallback; the same tests pin them to it
 within a tolerance relative to the sum of |phi| over the rows.
@@ -45,10 +48,21 @@ def default_penalty_mask(p: int) -> np.ndarray:
 
 
 def _expit(t):
-    # exp(-|t|) never overflows; for t < 0 it is exp(t), so both branches
-    # round exactly as 1/(1+exp(-t)) and exp(t)/(1+exp(t)) would
-    e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # e = exp(-|t|) never overflows; for t < 0 it is exp(t). The numerator
+    # maximum(e, t >= 0) is exactly 1.0 for t >= 0 (there e <= 1) and e
+    # otherwise (there e < 1, and a NaN t gives NaN), so the quotient rounds
+    # as 1/(1+exp(-t)) and exp(t)/(1+exp(t)) would, bit for bit. It replaces
+    # np.where over both quotients, whose data-dependent select costs several
+    # times a pass of exp. Every pass runs in place on the function's own
+    # temporaries; t is only read.
+    e = np.empty(np.shape(t))
+    np.abs(t, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, t >= 0)
+    e += 1.0
+    out /= e
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 
 from .exceptions import DomainEscape, EvaluationError, NoConvergence, SingularJacobian
 from .model import (
-    Dataset, ModelSpec, jac_lambda_mean, jac_theta_mean, phi_matrix, phi_mean,
+    Dataset, ModelSpec, jac_lambda_mean, jac_theta_mean, phi_matrix, row_mean,
 )
 
 MAX_ITER = 100
@@ -23,13 +23,21 @@ COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Root of the empirical estimating equation at a fixed tuning vector."""
+    """Root of the empirical estimating equation at a fixed tuning vector.
+
+    Phi is the (n, p) per-row phi matrix at the root, phi_matrix(model, Z,
+    theta_hat, lam) for the rows Z that were solved on, as the solver
+    evaluated it for its last accepted iterate. Criteria that take a solve
+    read it instead of evaluating phi again, so a SolveResult passed along
+    with a dataset must be the root of the same model on that dataset.
+    """
 
     theta_hat: np.ndarray
     lam: np.ndarray
     iterations: int
     residual_norm: float
     J_hat: np.ndarray  # minus the empirical theta-Jacobian at the root
+    Phi: np.ndarray  # (n, p) per-row phi at the root
 
 
 def default_tol(theta_init) -> float:
@@ -53,7 +61,9 @@ def checked_solve(A, rhs, label):
 def _newton(model: ModelSpec, Z: np.ndarray, lam, theta_init, tol) -> SolveResult:
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     theta = model.clip_theta(np.asarray(theta_init, dtype=float).copy())
-    Phi = phi_mean(model, Z, theta, lam)
+    # F: the per-row phi of the current iterate, kept for SolveResult.Phi
+    F = phi_matrix(model, Z, theta, lam)
+    Phi = row_mean(F)
     fval = float(Phi @ Phi)
     it = 0
     for it in range(1, MAX_ITER + 1):
@@ -70,11 +80,12 @@ def _newton(model: ModelSpec, Z: np.ndarray, lam, theta_init, tol) -> SolveResul
             if not model.theta_in_domain(cand):
                 cand = model.clip_theta(cand)
                 projected = True
-            Phi_c = phi_mean(model, Z, cand, lam)
+            F_c = phi_matrix(model, Z, cand, lam)
+            Phi_c = row_mean(F_c)
             f_c = float(Phi_c @ Phi_c)
             # Newton direction: directional derivative of ||Phi||^2 is -2 fval.
             if f_c <= fval * (1.0 - 2.0 * ARMIJO * t):
-                theta, Phi, fval = cand, Phi_c, f_c
+                theta, F, Phi, fval = cand, F_c, Phi_c, f_c
                 accepted = True
                 break
             t *= 0.5
@@ -94,7 +105,7 @@ def _newton(model: ModelSpec, Z: np.ndarray, lam, theta_init, tol) -> SolveResul
     J_hat = -jac_theta_mean(model, Z, theta, lam)
     if not np.all(np.isfinite(J_hat)):
         raise SingularJacobian("empirical Jacobian has non-finite entries")
-    return SolveResult(theta, lam, it, residual, J_hat)
+    return SolveResult(theta, lam, it, residual, J_hat, F)
 
 
 def solve_theta(model: ModelSpec, data: Dataset, lam, theta_init, tol=None) -> SolveResult:
@@ -175,9 +186,10 @@ def solve_loo_all(model: ModelSpec, data: Dataset, solve: SolveResult):
 
     Problem i solves Phi_i(theta) = (sum_{j != i} phi_j(theta)) / (n-1) = 0,
     with Jacobian A_i(theta) = (sum_{j != i} G_j(theta)) / (n-1) for
-    G = d phi / d theta. One phi and one G evaluation at theta_hat give
-    every problem its first residual and its Jacobian A_i. Each step is one
-    batched condition check (well_conditioned) and one batched solve over
+    G = d phi / d theta. The root's per-row phi, solve.Phi, and one G
+    evaluation at theta_hat give every problem its first residual and its
+    Jacobian A_i, so solve must be the root of model on data. Each step is
+    one batched condition check (well_conditioned) and one batched solve over
     the active problems; then every problem's residual is evaluated exactly
     at its new iterate by one phi_loo_sum call per chunk of at most
     MAX_PHI_ROWS row evaluations, and the Armijo and convergence tests run
@@ -206,7 +218,7 @@ def solve_loo_all(model: ModelSpec, data: Dataset, solve: SolveResult):
         raise ValueError("leave-one-out refits need n >= 3")
     tol = default_tol(theta_hat)
 
-    F = phi_matrix(model, Z, theta_hat, lam)
+    F = solve.Phi
     G = np.asarray(model.dphi_dtheta_batch(Z, theta_hat, lam), dtype=float)
     Phi = (F.sum(axis=0) - F) / (n - 1)
     A = (G.sum(axis=0) - G) / (n - 1)

@@ -32,7 +32,7 @@ from .model import (
     phi_matrix,
     psi_values,
 )
-from .solver import checked_solve, solve_theta, theta_prime
+from .solver import checked_solve, solve_theta
 from .tuner import FitResult
 
 
@@ -111,22 +111,6 @@ def z1_profiled(model, loss, data, fit: FitResult) -> np.ndarray:
     H1 = numdiff.hessian(te, lam_hat, scale=1e-3)
     H2 = numdiff.hessian(te, lam_hat, scale=5e-4)
     return _sym((4.0 * H2 - H1) / 3.0)
-
-
-def z1_chain_rule(model, loss, data, fit: FitResult) -> np.ndarray:
-    """Cross-check of z1_profiled: Jacobian of the profiled TE gradient g(lambda).
-
-    g(lambda) = D_hat(lambda)' * mean grad_psi(theta_hat(lambda)), differenced
-    centrally in lambda. assemble_components does not use it; the tests
-    require it to agree with the profiled Hessian.
-    """
-    def g(lam):
-        res = solve_theta(model, data, lam, fit.theta_hat)
-        D = theta_prime(model, data, res)
-        b = grad_psi_matrix(loss, data.rows, res.theta_hat).mean(axis=0)
-        return D.T @ b
-
-    return _sym(numdiff.jacobian(g, np.asarray(fit.lambda_hat, float), scale=1e-3))
 
 
 def assemble_components(

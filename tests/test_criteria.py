@@ -93,9 +93,10 @@ def test_loocv_fast_close_to_exact_and_converging():
     assert gaps[400] < gaps[100]
 
 
-def test_loocv_fast_one_phi_call_no_gradient_call():
-    # CV_FAST needs phi once at theta_hat and psi at the influence points;
-    # it computes no trace-correction diagnostic
+def test_loocv_fast_no_phi_call_no_gradient_call():
+    # CV_FAST reads phi at theta_hat from the solve (SolveResult.Phi) and
+    # evaluates psi at the influence points; it computes no trace-correction
+    # diagnostic
     spec, loss = _ridge()
     data = make_linear_data(n=50, seed=11)
     solve = solve_theta(spec, data, [0.2], spec.theta_init)
@@ -113,8 +114,25 @@ def test_loocv_fast_one_phi_call_no_gradient_call():
     count(spec, "phi_batch")
     count(loss, "grad_psi_batch")
     cv = loocv_fast(spec, loss, data, [0.2], solve=solve)
-    assert calls == {"phi_batch": 1, "grad_psi_batch": 0}
+    assert calls == {"phi_batch": 0, "grad_psi_batch": 0}
     assert "trace_correction" not in cv.diagnostics
+
+
+def test_te_trace_corrected_given_solve_makes_no_phi_call():
+    # C_hat takes phi at theta_hat from the solve; the value is the one
+    # computed from a fresh phi evaluation
+    spec, loss = _ridge()
+    data = make_linear_data(n=50, seed=11)
+    solve = solve_theta(spec, data, [0.2], spec.theta_init)
+    F = spec.phi_batch(data.rows, solve.theta_hat, solve.lam)
+    G = loss.grad_psi_batch(data.rows, solve.theta_hat)
+    te = loss.psi_batch(data.rows, solve.theta_hat).mean()
+    corr = np.trace(np.linalg.solve(solve.J_hat, F.T @ G / data.n)) / data.n
+    calls = _count_calls(spec, "phi_batch")
+    tc = te_trace_corrected(spec, loss, data, [0.2], solve=solve)
+    assert calls == {"phi_batch": 0}
+    assert tc.diagnostics["trace_correction"] == pytest.approx(corr, rel=1e-12)
+    assert tc.value == pytest.approx(te - corr, rel=1e-12)
 
 
 def test_loocv_fast_equals_exact_on_replicated_point_mass():
@@ -418,8 +436,9 @@ def test_solve_loo_all_stacked_phi_matches_fallback(model):
     calls = _count_calls(spec, "phi_batch", "dphi_dtheta_batch", "phi_loo_sum")
     thetas, converged = solve_loo_all(spec, data, solve)
     assert converged.all()
-    # the per-row slots run once, at theta_hat; every step evaluates the sums
-    assert calls["phi_batch"] == calls["dphi_dtheta_batch"] == 1
+    # phi at theta_hat comes from the solve and the per-row Jacobian runs
+    # once, there; every step evaluates the sums
+    assert calls["phi_batch"] == 0 and calls["dphi_dtheta_batch"] == 1
     assert calls["phi_loo_sum"] >= 2
     fb_thetas, fb_converged = solve_loo_all(fallback, data, solve)
     assert np.array_equal(converged, fb_converged)

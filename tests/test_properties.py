@@ -10,12 +10,15 @@ from tunevar import (
     GaussianLikelihoodModel, RefitFailure, RidgeLinearModel, RidgeLogisticModel, TunevarError,
     loocv_exact, solve_loo, solve_loo_all, solve_theta, training_error,
 )
-from tunevar.model import Dataset
+from tunevar.model import (
+    Dataset, ModelSpec, jac_lambda_mean, jac_theta_mean, phi_matrix, phi_mean, row_mean,
+    rowwise,
+)
 from tunevar.models import _design, _expit, default_penalty_mask
 from tunevar.rng import SplitMix64, derive_stream, fisher_yates_permutation, splitmix64
-from tunevar.solver import COND_LIMIT, well_conditioned
+from tunevar.solver import COND_LIMIT, default_tol, well_conditioned
 
-from conftest import make_logistic_data
+from conftest import make_linear_data, make_logistic_data
 
 SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -152,6 +155,59 @@ def test_batched_loo_matches_per_row_refits(model, data_seed, lam, n):
     assert abs(cv.value - per_row) <= 1e-9 * abs(per_row)
 
 
+def _root_phi_case(model, seed, n, scale):
+    """(spec, data, lam, start): a start scale * N(0, 1) away from the ridge
+    roots, the moment start for the Gaussian; "rowwise" is ridge-logistic's
+    phi row by row, with finite-difference derivatives."""
+    rng = np.random.default_rng(seed)
+    if model == "gaussian":
+        z = rng.standard_normal(n) * 1.3 + 0.4
+        start = [z.mean() + 0.1 * scale * rng.standard_normal(), z.std()]
+        return GaussianLikelihoodModel().spec(), Dataset(z[:, None]), [0.0], start
+    start = rng.standard_normal(3) * scale
+    if model == "ridge-linear":
+        return RidgeLinearModel(2).spec(), make_linear_data(n=n, seed=seed), [0.2], start
+    spec = RidgeLogisticModel(2).spec()
+    if model == "rowwise":
+        batch = spec.phi_batch
+        spec = ModelSpec(p=3, q=1, phi_batch=rowwise(lambda z, th, lm: batch(z[None], th, lm)[0]))
+    return spec, make_logistic_data(n=n, seed=seed), [0.01], start
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["ridge-linear", "ridge-logistic", "gaussian", "rowwise"]),
+       st.integers(min_value=0, max_value=2**31),
+       st.integers(min_value=10, max_value=80),
+       st.floats(min_value=0.0, max_value=10.0))
+def test_solve_result_phi_is_phi_at_root(model, seed, n, scale):
+    # the kept per-row phi of the accepted iterate is the phi a consumer
+    # would evaluate at the root, from a start that takes Newton steps (and
+    # halvings, far from the root) and from the root itself (iteration 0)
+    spec, data, lam, start = _root_phi_case(model, seed, n, scale)
+    tol = default_tol(start)
+    try:
+        res = solve_theta(spec, data, lam, start, tol=tol)
+    except TunevarError:
+        return
+    at_root = phi_matrix(spec, data.rows, res.theta_hat, res.lam)
+    assert np.array_equal(res.Phi, at_root)
+    again = solve_theta(spec, data, lam, res.theta_hat, tol=tol)
+    assert again.iterations == 0
+    assert np.array_equal(again.Phi, at_root)
+
+
+def test_solve_result_phi_after_halvings():
+    # a far start: the built-in slots make one phi call per iteration and
+    # one per halving, so more calls than iterations + 1 means halvings
+    spec, data, lam, _ = _root_phi_case("ridge-logistic", 3, 80, 0.0)
+    calls = []
+    batch = spec.phi_batch
+    spec.phi_batch = lambda *args: calls.append(1) or batch(*args)
+    res = solve_theta(spec, data, lam, [10.0, 0.0, 0.0])
+    assert len(calls) > res.iterations + 1
+    assert np.array_equal(res.Phi, phi_matrix(spec, data.rows, res.theta_hat, res.lam))
+
+
 # ---------------------------------------------------------------------------
 # Built-in model kernels against the formulas they replaced. Equality is
 # exact (np.array_equal): the rewrites must not move a single output bit.
@@ -164,6 +220,12 @@ def _expit_ref(t):
     e = np.exp(t[~pos])
     out[~pos] = e / (1.0 + e)
     return out
+
+
+def _expit_where(t):
+    # the np.where form that _expit replaced
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _design_ref(Z):
@@ -194,14 +256,46 @@ def _gaussian_phi_ref(Z, th):
 
 
 EXPIT_EDGES = np.array([0.0, -0.0, np.inf, -np.inf, 745.5, -745.5, 746.0, -746.0,
-                        1e4, -1e4, 1e-320, -1e-320])
+                        1e4, -1e4, 1e-320, -1e-320, np.nan])
 
 
 @given(hnp.arrays(np.float64, st.integers(min_value=0, max_value=200),
-                  elements=st.floats(allow_nan=False, allow_infinity=True)))
+                  elements=st.floats(allow_nan=True, allow_infinity=True)))
 def test_expit_matches_reference_bitwise(t):
+    # a vector (phi_batch's X @ theta) and a (k, n) block (the leave-one-out
+    # kernels' x_m' Th[j]); t is only read
     t = np.concatenate([t, EXPIT_EDGES])
-    assert np.array_equal(_expit(t), _expit_ref(t))
+    for arg in (t, np.stack([t, -t, t[::-1]])):
+        before = arg.copy()
+        got = _expit(arg)
+        assert got.shape == arg.shape
+        assert np.array_equal(got, _expit_ref(arg), equal_nan=True)
+        # every bit of the np.where form, signs of zero and NaN included
+        assert np.array_equal(got.view(np.int64), _expit_where(arg).view(np.int64))
+        assert np.array_equal(arg.view(np.int64), before.view(np.int64))
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=3, min_side=1, max_side=12),
+                  elements=st.floats()))
+def test_row_mean_is_numpy_mean_bitwise(A):
+    # (n, p) phi and (n, p, p) Jacobian stacks: sum / n is numpy's mean,
+    # overflow, infinities and NaN included
+    n, p = A.shape[:2]
+    Z = np.zeros((n, 1))
+
+    def stack(Z, th, lm):
+        return A
+
+    spec = ModelSpec(p=p, q=1, phi_batch=stack, dphi_dtheta_batch=stack,
+                     dphi_dlambda_batch=stack)
+    th, lm = np.zeros(p), np.zeros(1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = A.mean(axis=0)
+        assert np.array_equal(row_mean(A), want, equal_nan=True)
+        assert np.array_equal(jac_theta_mean(spec, Z, th, lm), want, equal_nan=True)
+        assert np.array_equal(jac_lambda_mean(spec, Z, th, lm), want, equal_nan=True)
+        if A.ndim == 2 and np.all(np.isfinite(A)):  # phi_matrix rejects non-finite phi
+            assert np.array_equal(phi_mean(spec, Z, th, lm), want)
 
 
 def _rows(seed, n, d, scale):

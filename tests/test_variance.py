@@ -19,10 +19,28 @@ from tunevar import (
     variance_pointwise,
     variance_tuned,
 )
-from tunevar.model import Dataset, LossSpec, ModelSpec, phi_matrix, rowwise
-from tunevar.variance import z1_chain_rule, z1_profiled
+from tunevar import numdiff
+from tunevar.model import Dataset, LossSpec, ModelSpec, grad_psi_matrix, phi_matrix, rowwise
+from tunevar.tuner import FitResult
+from tunevar.variance import _sym, z1_profiled
 
 from conftest import make_linear_data, make_logistic_data, rel_err
+
+
+def z1_chain_rule(model, loss, data, fit: FitResult) -> np.ndarray:
+    """Cross-check of z1_profiled: Jacobian of the profiled TE gradient g(lambda).
+
+    g(lambda) = D_hat(lambda)' * mean grad_psi(theta_hat(lambda)), differenced
+    centrally in lambda. assemble_components does not use it; the tests
+    require it to agree with the profiled Hessian.
+    """
+    def g(lam):
+        res = solve_theta(model, data, lam, fit.theta_hat)
+        D = theta_prime(model, data, res)
+        b = grad_psi_matrix(loss, data.rows, res.theta_hat).mean(axis=0)
+        return D.T @ b
+
+    return _sym(numdiff.jacobian(g, np.asarray(fit.lambda_hat, float), scale=1e-3))
 
 
 def _interior_fit(n=250, seed=0):

@@ -10,15 +10,15 @@ parent, run the script against each checkout's sources and diff the output:
     diff old.txt new.txt
 
 Runs: fit, tune and variance for each built-in generic model (ridge-linear,
-ridge-logistic, gaussian) under each of the criteria cv, cv_fast, te and
-tic; variance --fit on each model's fixed-lambda record; fit --criterion cv
-on n = 300 ridge-logistic and gaussian inputs, where a leave-one-out Newton
-step spans more than one leave-one-out sum call (solver.MAX_PHI_ROWS);
-simulate, bootstrap and stone-check; and an intercept-only linear simulate
-whose replications all end on the box edge, so its summary holds null
-(non-finite) entries. A run that exits non-zero prints its exit code. --out
-keeps the files for a byte-level cmp; by default they go to a temporary
-directory.
+ridge-logistic, gaussian) under each of the criteria cv, cv_fast, te,
+te_trace and tic; variance --fit on each model's fixed-lambda record; fit
+--criterion cv on n = 300 ridge-logistic and gaussian inputs, where a
+leave-one-out Newton step spans more than one leave-one-out sum call
+(solver.MAX_PHI_ROWS); simulate, bootstrap and stone-check; and an
+intercept-only linear simulate whose replications all end on the box edge,
+so its summary holds null (non-finite) entries. A run that exits non-zero
+prints its exit code. --out keeps the files for a byte-level cmp; by
+default they go to a temporary directory.
 
 --compare OLD_DIR NEW_DIR runs nothing. It reads two --out directories and
 prints each file whose bytes differ, with the largest relative difference
@@ -45,7 +45,7 @@ from pathlib import Path
 from tunevar import DGPKind, DGPSpec, simulate
 from tunevar.cli import main as cli_main
 
-CRITERIA = ("cv", "cv_fast", "te", "tic")
+CRITERIA = ("cv", "cv_fast", "te", "te_trace", "tic")
 
 # model -> (input DGP, seed, fixed lambda for fit)
 INPUTS = {
