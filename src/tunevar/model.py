@@ -138,8 +138,11 @@ class ModelSpec:
       dphi_dlambda_batch(Z, th, lm)   -> (n, p, q)    d phi / d lambda
       hess_phi_theta(Z, th, lm)       -> (n, p, p, p) [i, j] = theta-Hessian of phi^j
       dphi_dlambda_dtheta(Z, th, lm)  -> (n, q, p, p) [i, j] = d_lambda_j of d phi / d theta
-    The two leave-one-out sum slots take a (k, p) stack of thetas Th and k
-    row indices instead, and sum over every row but the problem's own:
+    Three sum slots return sums over the rows instead. jac_theta_sum sums
+    over all n rows; the two leave-one-out sum slots take a (k, p) stack of
+    thetas Th and k row indices, and sum over every row but the problem's
+    own:
+      jac_theta_sum(Z, th, lm)        -> (p, p)    sum_m d phi(Z_m, th, lm) / d theta
       phi_loo_sum(Z, Th, rows, lm)    -> (k, p)    [j] = sum_{m != rows[j]} phi(Z_m, Th[j], lm)
       jac_loo_sum(Z, Th, rows, lm)    -> (k, p, p) the same sum of d phi / d theta
 
@@ -150,13 +153,19 @@ class ModelSpec:
     central difference of phi_batch over all rows at once (of
     dphi_dtheta_batch for dphi_dlambda_dtheta). The steps depend only on
     theta or lambda, so the fallback of a rowwise spec matches differencing
-    each row on its own. A missing phi_loo_sum (jac_loo_sum) makes one
-    phi_batch (dphi_dtheta_batch) call per theta and subtracts the problem's
-    own row from the sum over all rows. The built-in models supply sum
-    kernels from sufficient statistics, which agree with that to rounding.
+    each row on its own. A missing jac_theta_sum sums dphi_dtheta_batch over
+    the rows, so jac_theta_mean is then row_mean of it, bit for bit. A
+    missing phi_loo_sum (jac_loo_sum) makes one phi_batch (dphi_dtheta_batch)
+    call per theta and subtracts the problem's own row from the sum over all
+    rows. The built-in models supply sum kernels from sufficient statistics,
+    which agree with that to rounding.
     Each fallback reads the other slots at call time and is bound to its own
     instance, so dataclasses.replace(spec, phi_batch=g) gives a spec whose
     fallbacks evaluate g.
+
+    The Newton solve (solver.solve_theta) evaluates the Jacobian of each
+    step and its J_hat by one jac_theta_sum call each, and makes no
+    dphi_dtheta_batch call when jac_theta_sum is supplied.
 
     Exact LOOCV (criteria.loocv_exact) evaluates the residuals and Jacobians
     of its leave-one-out Newton steps with the two sum slots, and makes one
@@ -172,6 +181,7 @@ class ModelSpec:
     dphi_dlambda_batch: Optional[Callable] = None
     hess_phi_theta: Optional[Callable] = None
     dphi_dlambda_dtheta: Optional[Callable] = None
+    jac_theta_sum: Optional[Callable] = None
     phi_loo_sum: Optional[Callable] = None
     jac_loo_sum: Optional[Callable] = None
     theta_domain: Optional[np.ndarray] = None
@@ -194,6 +204,7 @@ class ModelSpec:
             "dphi_dlambda_batch": ModelSpec._fd_dphi_dlambda,
             "hess_phi_theta": ModelSpec._fd_hess_phi_theta,
             "dphi_dlambda_dtheta": ModelSpec._fd_dphi_dlambda_dtheta,
+            "jac_theta_sum": ModelSpec._summed_jac_theta,
             "phi_loo_sum": ModelSpec._stacked_phi_loo_sum,
             "jac_loo_sum": ModelSpec._stacked_jac_loo_sum,
         })
@@ -217,6 +228,9 @@ class ModelSpec:
             ),
             -1, 1,
         )
+
+    def _summed_jac_theta(self, Z, th, lm):
+        return np.asarray(self.dphi_dtheta_batch(Z, th, lm), dtype=float).sum(axis=0)
 
     def _stacked_phi_loo_sum(self, Z, Th, rows, lm):
         F = np.stack([np.asarray(self.phi_batch(Z, th, lm), dtype=float) for th in Th])
@@ -320,8 +334,19 @@ def phi_mean(model: ModelSpec, Z: np.ndarray, theta, lam) -> np.ndarray:
 
 
 def jac_theta_mean(model: ModelSpec, Z: np.ndarray, theta, lam) -> np.ndarray:
-    """(p, p) empirical mean of d phi / d theta."""
-    return row_mean(model.dphi_dtheta_batch(Z, theta, lam))
+    """(p, p) empirical mean of d phi / d theta: jac_theta_sum over the row count.
+
+    A jac_theta_sum the spec supplies must return a (p, p) array, else
+    EvaluationError. The fallback's sum is passed on as it is, so a spec
+    without the slot gets row_mean(dphi_dtheta_batch(...)) bit for bit.
+    """
+    S = np.asarray(model.jac_theta_sum(Z, theta, lam), dtype=float)
+    supplied = getattr(model.jac_theta_sum, "__func__", None) is not ModelSpec._summed_jac_theta
+    if supplied and S.shape != (model.p, model.p):
+        raise EvaluationError(
+            f"jac_theta_sum returned shape {S.shape}, expected {(model.p, model.p)}"
+        )
+    return S / len(Z)
 
 
 def jac_lambda_mean(model: ModelSpec, Z: np.ndarray, theta, lam) -> np.ndarray:

@@ -16,10 +16,11 @@ by the np.array_equal property tests in tests/test_properties.py; a rewrite
 that moves one output bit fails them. _expit, on the hot path of exact
 LOOCV for ridge-logistic, avoids np.where: it computes both branches in one
 pass, selecting the numerator with np.maximum, which matches the two-branch
-formula bit for bit (see its comment). The leave-one-out sum kernels
-(phi_loo_sum, jac_loo_sum) work from sufficient statistics and so round
-differently from the row-by-row fallback; the same tests pin them to it
-within a tolerance relative to the sum of |phi| over the rows.
+formula bit for bit (see its comment). The sum kernels (jac_theta_sum and
+the leave-one-out phi_loo_sum and jac_loo_sum) work from sufficient
+statistics or one matrix product and so round differently from the
+row-by-row fallback: the same tests pin them to it within a tolerance
+relative to the sum of |phi| (|d phi / d theta|) over the rows, not bitwise.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ class _RidgeModel:
 
     phi carries the penalty as PENALTY * lam * P beta. A subclass sets the
     class constant PENALTY and supplies _link_slots(P), which returns the
-    link-specific slots phi_batch, dphi_dtheta_batch, hess_phi_theta,
-    phi_loo_sum and jac_loo_sum as a dict.
+    link-specific slots phi_batch, dphi_dtheta_batch, jac_theta_sum,
+    hess_phi_theta, phi_loo_sum and jac_loo_sum as a dict.
     """
 
     n_covariates: int
@@ -143,12 +144,16 @@ class RidgeLinearModel(_RidgeModel):
             _, X = _design(Z)
             return 2.0 * np.einsum("ni,nj->nij", X, X) + 2.0 * float(lm[0]) * P
 
+        def jac_theta_sum(Z, th, lm):
+            _, X = _design(Z)
+            return 2.0 * (X.T @ X) + 2.0 * len(X) * float(lm[0]) * P
+
         def hess_phi_theta(Z, th, lm):
             return np.zeros((Z.shape[0], p, p, p))
 
         return dict(phi_batch=phi_batch, dphi_dtheta_batch=dphi_dtheta_batch,
-                    hess_phi_theta=hess_phi_theta, phi_loo_sum=phi_loo_sum,
-                    jac_loo_sum=jac_loo_sum)
+                    jac_theta_sum=jac_theta_sum, hess_phi_theta=hess_phi_theta,
+                    phi_loo_sum=phi_loo_sum, jac_loo_sum=jac_loo_sum)
 
     def squared_error_loss(self, weight_fn=None) -> LossSpec:
         """psi(z, beta) = w(x) (y - beta' x~)^2; w defaults to 1."""
@@ -224,6 +229,13 @@ class RidgeLogisticModel(_RidgeModel):
             out -= 2.0 * float(lm[0]) * P
             return out
 
+        def jac_theta_sum(Z, th, lm):
+            # -X' diag(w) X - 2 n lam P, w = pi (1 - pi)
+            _, X = _design(Z)
+            w = _expit(X @ th)
+            w = w * (1.0 - w)
+            return -(X.T @ (w[:, None] * X)) - 2.0 * len(X) * float(lm[0]) * P
+
         def hess_phi_theta(Z, th, lm):
             _, X = _design(Z)
             pi = _expit(X @ th)
@@ -232,8 +244,8 @@ class RidgeLogisticModel(_RidgeModel):
             return np.einsum("nj,nkl->njkl", X, core)
 
         return dict(phi_batch=phi_batch, dphi_dtheta_batch=dphi_dtheta_batch,
-                    hess_phi_theta=hess_phi_theta, phi_loo_sum=phi_loo_sum,
-                    jac_loo_sum=jac_loo_sum)
+                    jac_theta_sum=jac_theta_sum, hess_phi_theta=hess_phi_theta,
+                    phi_loo_sum=phi_loo_sum, jac_loo_sum=jac_loo_sum)
 
     def brier_loss(self, predictor_covariates: Optional[Sequence[int]] = None) -> LossSpec:
         """psi(z, beta) = (y - expit(u' beta))^2 with u the masked design vector.
@@ -398,6 +410,15 @@ class GaussianLikelihoodModel:
             out[:, 1, 1] = 1.0 / sg**2 - 3.0 * r**2 / sg**4
             return out
 
+        def jac_theta_sum(Z, th, lm):
+            # from the sums of r and r^2; r = z - mu row by row keeps the
+            # digits that sums of z and z^2 lose when the mean is far from mu
+            mu, sg = th
+            r = Z[:, 0] - mu
+            n = Z.shape[0]
+            off = -2.0 * r.sum() / sg**3
+            return np.array([[-n / sg**2, off], [off, n / sg**2 - 3.0 * (r @ r) / sg**4]])
+
         def dphi_dlambda_batch(Z, th, lm):
             return np.zeros((Z.shape[0], 2, 1))
 
@@ -418,7 +439,7 @@ class GaussianLikelihoodModel:
             p=2, q=1,
             phi_batch=phi_batch, dphi_dtheta_batch=dphi_dtheta_batch,
             dphi_dlambda_batch=dphi_dlambda_batch, hess_phi_theta=hess_phi_theta,
-            dphi_dlambda_dtheta=dphi_dlambda_dtheta,
+            dphi_dlambda_dtheta=dphi_dlambda_dtheta, jac_theta_sum=jac_theta_sum,
             phi_loo_sum=phi_loo_sum, jac_loo_sum=jac_loo_sum,
             theta_domain=np.array([[-1e8, 1e8], [1e-6, 1e8]]),
             lambda_domain=np.array([[0.0, 1.0]]),

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tunevar import Dataset, EvaluationError, LossSpec, ModelSpec, rowwise
+from tunevar import Dataset, EvaluationError, LossSpec, ModelSpec, rowwise, solve_theta
 from tunevar.model import (
     grad_psi_matrix,
     jac_lambda_mean,
@@ -156,6 +156,7 @@ def test_replace_refills_fallbacks_of_the_old_instance():
     assert np.allclose(twice.hess_phi_theta(Z, th, lm), 0.0, atol=1e-3)
     assert np.allclose(twice.phi_loo_sum(Z, th[None], [0], lm), 4.0)
     assert np.allclose(twice.jac_loo_sum(Z, th[None], [0], lm), -4.0)
+    assert np.allclose(twice.jac_theta_sum(Z, th, lm), -6.0)
     # the old spec is untouched, and a slot given explicitly is kept
     assert np.allclose(spec.phi_loo_sum(Z, th[None], [0], lm), 2.0)
     kept = dataclasses.replace(twice, dphi_dtheta_batch=spec.phi_batch)
@@ -183,3 +184,14 @@ def test_loo_sum_fallbacks_of_a_rowwise_spec_are_exact():
     G = np.stack([m.dphi_dtheta_batch(Z, th, lm) for th in Th])
     want = np.stack([g.sum(axis=0) - g[i] for g, i in zip(G, rows)])
     assert np.array_equal(m.jac_loo_sum(Z, Th, rows, lm), want)
+
+
+@pytest.mark.parametrize("shape", [(1,), (3, 1, 1), (1, 2)])
+def test_jac_theta_mean_rejects_a_wrong_shape_sum_slot(shape):
+    # (3, 1, 1) is the per-row stack, a dphi_dtheta_batch passed as the sum
+    spec = dataclasses.replace(_line_spec(), jac_theta_sum=lambda Z, th, lm: np.zeros(shape))
+    Z, th, lm = np.ones((3, 1)), np.zeros(1), np.zeros(1)
+    with pytest.raises(EvaluationError, match=r"jac_theta_sum returned shape"):
+        jac_theta_mean(spec, Z, th, lm)
+    with pytest.raises(EvaluationError, match=r"jac_theta_sum"):
+        solve_theta(spec, Dataset(Z), lm, th)

@@ -373,18 +373,16 @@ LOO_SUM_RTOL = 1e-13
 LOO_SUM_ATOL = np.finfo(float).tiny
 
 
-@pytest.mark.parametrize("k", [1, 9])
-@pytest.mark.parametrize("model", ["ridge-linear", "ridge-logistic", "gaussian"])
-@settings(deadline=None)
-@given(lam=LAMS, far=st.booleans(),
-       **{**KERNEL_CASE, "p": st.integers(min_value=1, max_value=8)})
-def test_loo_sum_kernels_match_fallback(model, k, seed, n, p, lam, scale, far):
-    # solve_loo_all reads leave-one-out residuals and Jacobians from
-    # phi_loo_sum and jac_loo_sum; each built-in kernel sums from sufficient
-    # statistics and must agree with the fallback, which sums phi_batch
-    # (dphi_dtheta_batch) over all rows and subtracts the problem's own row.
-    # p = 1 is an intercept-only ridge; far puts the Gaussian data's mean at
-    # 1e4, where uncentred sums lose digits
+# The sum-kernel cases: p = 1 is an intercept-only ridge; far puts the
+# Gaussian data's mean at 1e4, where uncentred sums lose digits.
+SUM_KERNEL_MODELS = ["ridge-linear", "ridge-logistic", "gaussian"]
+SUM_KERNEL_CASE = dict(lam=LAMS, far=st.booleans(),
+                       **{**KERNEL_CASE, "p": st.integers(min_value=1, max_value=8)})
+
+
+def _sum_kernel_case(model, seed, n, p, scale, far):
+    """(spec, Z, center): a built-in spec, its rows, and the Gaussian data's
+    mean for far (else 0)."""
     Z = _rows(seed, n, p, scale)
     center = 0.0
     if model == "ridge-linear":
@@ -397,6 +395,19 @@ def test_loo_sum_kernels_match_fallback(model, k, seed, n, p, lam, scale, far):
         if far:
             Z[:, 0] += 1e4
             center = Z[:, 0].mean()
+    return spec, Z, center
+
+
+@pytest.mark.parametrize("k", [1, 9])
+@pytest.mark.parametrize("model", SUM_KERNEL_MODELS)
+@settings(deadline=None)
+@given(**SUM_KERNEL_CASE)
+def test_loo_sum_kernels_match_fallback(model, k, seed, n, p, lam, scale, far):
+    # solve_loo_all reads leave-one-out residuals and Jacobians from
+    # phi_loo_sum and jac_loo_sum; each built-in kernel sums from sufficient
+    # statistics and must agree with the fallback, which sums phi_batch
+    # (dphi_dtheta_batch) over all rows and subtracts the problem's own row
+    spec, Z, center = _sum_kernel_case(model, seed, n, p, scale, far)
     Th = _theta_stack(model, seed, k, spec.p, scale, center)
     rows = np.random.default_rng(seed + 3).integers(0, n, k)
     lm = np.array([lam])
@@ -409,6 +420,25 @@ def test_loo_sum_kernels_match_fallback(model, k, seed, n, p, lam, scale, far):
         scale_j = np.array([np.abs(per_row(Z, th, lm)).sum() for th in Th])
         err = np.abs(got - want).reshape(k, -1).max(axis=1)
         assert np.all(err <= LOO_SUM_RTOL * scale_j + LOO_SUM_ATOL), (slot, err, scale_j)
+
+
+@pytest.mark.parametrize("model", SUM_KERNEL_MODELS)
+@settings(deadline=None)
+@given(**SUM_KERNEL_CASE)
+def test_jac_theta_sum_kernels_match_fallback(model, seed, n, p, lam, scale, far):
+    # the Newton solve's Jacobian mean is jac_theta_sum / n; each built-in
+    # kernel sums in one matrix product or from sums of r and r^2, and must
+    # agree with the fallback, which sums dphi_dtheta_batch over the rows
+    spec, Z, center = _sum_kernel_case(model, seed, n, p, scale, far)
+    lm = np.array([lam])
+    fallback = dataclasses.replace(spec, jac_theta_sum=None)
+    for th in _theta_stack(model, seed, 9, spec.p, scale, center):
+        got = spec.jac_theta_sum(Z, th, lm)
+        want = fallback.jac_theta_sum(Z, th, lm)
+        assert got.shape == want.shape == (spec.p, spec.p)
+        scale_th = np.abs(spec.dphi_dtheta_batch(Z, th, lm)).sum()
+        err = np.abs(got - want).max()
+        assert err <= LOO_SUM_RTOL * scale_th + LOO_SUM_ATOL, (th, err, scale_th)
 
 
 def _conditioned_stack(seed, m, p, singular):

@@ -4,9 +4,11 @@ import pytest
 from tunevar import (
     Dataset,
     DomainEscape,
+    GaussianLikelihoodModel,
     ModelSpec,
     NoConvergence,
     RidgeLinearModel,
+    RidgeLogisticModel,
     SingularJacobian,
     ridge_closed_form,
     solve_loo,
@@ -16,7 +18,7 @@ from tunevar import (
 from tunevar.model import phi_mean, rowwise
 from tunevar.solver import well_conditioned
 
-from conftest import make_linear_data, rel_err
+from conftest import make_linear_data, make_logistic_data, rel_err
 
 
 def test_lambda_zero_equals_ols():
@@ -205,3 +207,26 @@ def test_well_conditioned_skips_the_svd_when_the_bound_decides(monkeypatch):
     ok = well_conditioned(A)
     assert np.flatnonzero(~ok).tolist() == [7]
     assert svds == [50, 2]
+
+
+@pytest.mark.parametrize("name", ["ridge-linear", "ridge-logistic", "gaussian"])
+def test_newton_sums_each_jacobian_in_one_call(name):
+    # a built-in spec's Newton solve never builds the (n, p, p) per-row
+    # stack: one jac_theta_sum call per step and one for J_hat
+    if name == "ridge-linear":
+        spec, data, lam = RidgeLinearModel(2).spec(), make_linear_data(n=150, seed=1), [0.3]
+    elif name == "ridge-logistic":
+        spec, data, lam = RidgeLogisticModel(2).spec(), make_logistic_data(n=150, seed=1), [0.01]
+    else:
+        rows = np.random.default_rng(1).normal(3.0, 2.0, (150, 1))
+        spec, data, lam = GaussianLikelihoodModel().spec(), Dataset(rows), [0.0]
+    calls = dict.fromkeys(("dphi_dtheta_batch", "jac_theta_sum"), 0)
+    for slot in calls:
+        def counted(*args, fn=getattr(spec, slot), slot=slot):
+            calls[slot] += 1
+            return fn(*args)
+
+        setattr(spec, slot, counted)
+    res = solve_theta(spec, data, lam, spec.theta_init)
+    assert res.iterations >= 1
+    assert calls == {"dphi_dtheta_batch": 0, "jac_theta_sum": res.iterations + 1}

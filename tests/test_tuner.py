@@ -1,18 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from tunevar import (
     BoundaryStatus,
     CriterionFailure,
+    DGPKind,
+    DGPSpec,
     LossSpec,
     Method,
     RidgeLinearModel,
+    RidgeLogisticModel,
+    simulate,
     truncated_estimate,
     tune,
 )
 from tunevar.model import ModelSpec, rowwise
 
-from conftest import make_linear_data
+from conftest import make_linear_data, rel_err
 
 
 def _misspec_setup(n=200, seed=0):
@@ -157,3 +163,26 @@ def test_truncated_estimate_case_b_for_decreasing_criterion():
     res = truncated_estimate(m.spec(), loss, data, Method.TE, grid_size=12)
     assert res.case_tag == "b"
     assert res.lambda_clamped == 1.0
+
+
+@pytest.mark.parametrize("case", ["gaussmix", "logistic-wide"])
+def test_tune_with_the_jacobian_sum_kernel_matches_the_fallback(case):
+    # the kernel sums the Newton Jacobian in another order than the
+    # fallback's per-row stack: theta-hat moves at roundoff, lambda-hat not
+    if case == "gaussmix":
+        model = RidgeLogisticModel(2, lambda_domain=(0.0, 0.1))
+        loss = model.brier_loss(predictor_covariates=[0])
+        dgp = DGPSpec(DGPKind.GAUSSMIX_C, n=100, params={"C": 2.0})
+    else:
+        beta = (0.2, 1.0, 1 / 2, 1 / 3, 1 / 4, 1 / 5, 1 / 6)
+        model = RidgeLogisticModel(len(beta) - 1, lambda_domain=(0.0, 0.1))
+        loss = model.brier_loss(predictor_covariates=[0, 1])
+        dgp = DGPSpec(DGPKind.LOGISTIC_TRUE, n=1000, params={"beta": beta})
+    spec = model.spec()
+    fallback = dataclasses.replace(spec, jac_theta_sum=None)
+    for seed in range(3):
+        data = simulate(dgp, seed=seed)
+        fit = tune(spec, loss, data, Method.CV_FAST)
+        want = tune(fallback, loss, data, Method.CV_FAST)
+        assert np.array_equal(fit.lambda_hat, want.lambda_hat)
+        assert rel_err(fit.theta_hat, want.theta_hat) <= 1e-12
