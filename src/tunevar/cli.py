@@ -113,7 +113,8 @@ def _check_in_box(lam, box, what: str) -> None:
 def load_fit_json(path, spec: ModelSpec, data: Dataset) -> FitResult:
     """Read a fit.json and check it against the model and data it is applied to.
 
-    SchemaError on another schema_version, a missing field, an array whose
+    SchemaError on a record that is not a JSON object, another
+    schema_version, a missing field or one of the wrong type, an array whose
     shape does not match the model's p and q, a lambda_box other than the
     model's lambda box, a lambda_hat outside that box, or a theta_hat that
     does not solve the estimating equation on this data: a residual
@@ -122,12 +123,16 @@ def load_fit_json(path, spec: ModelSpec, data: Dataset) -> FitResult:
     """
     with open(path) as fh:
         d = json.load(fh)
+    if not isinstance(d, dict):
+        raise SchemaError(f"fit.json holds a JSON {type(d).__name__}, not an object")
     if d.get("schema_version") != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema_version {d.get('schema_version')}")
     try:
         fit = fit_result_from_dict(d)
     except KeyError as exc:
         raise SchemaError(f"fit.json has no field {exc}") from None
+    except (IndexError, TypeError, ValueError) as exc:
+        raise SchemaError(f"fit.json is not a fit record: {exc}") from None
     p, q = spec.p, spec.q
     for name, got, want in (
         ("theta_hat", fit.theta_hat.shape, (p,)),
@@ -201,10 +206,7 @@ def _load_data_and_model(args):
         if args.response_col is not None:
             raise SchemaError("--response-col does not apply to --model pima, "
                               "whose response is the Outcome column")
-        data, spec, loss = make_pima_model(
-            args.data, lambda_domain=(args.lambda_min, args.lambda_max)
-        )
-        return data, spec, loss
+        return make_pima_model(args.data, lambda_domain=(args.lambda_min, args.lambda_max))
     data = load_csv(args.data, response_col=args.response_col or 0)
     spec, loss = build_model(args, data)
     return data, spec, loss
@@ -242,13 +244,19 @@ def cmd_fit(args, out: Path) -> int:
     return 0
 
 
-def cmd_tune(args, out: Path) -> int:
-    data, spec, loss = _load_data_and_model(args)
+def _tune(args, spec, loss, data, out: Path) -> FitResult:
+    """Tune with the CLI's criterion flags and write the fit to out/fit.json."""
     fit = tune(
         spec, loss, data, Method(args.criterion),
         grid_size=args.grid_size, seed=args.seed, split=args.split,
     )
     _write_json(out / "fit.json", fit_result_to_dict(fit))
+    return fit
+
+
+def cmd_tune(args, out: Path) -> int:
+    data, spec, loss = _load_data_and_model(args)
+    fit = _tune(args, spec, loss, data, out)
     _write_csv(
         out / "trace.csv",
         [f"lambda_{j + 1}" for j in range(spec.q)] + ["value"],
@@ -262,11 +270,7 @@ def cmd_variance(args, out: Path) -> int:
     if args.fit:
         fit = load_fit_json(args.fit, spec, data)
     else:
-        fit = tune(
-            spec, loss, data, Method(args.criterion),
-            grid_size=args.grid_size, seed=args.seed, split=args.split,
-        )
-        _write_json(out / "fit.json", fit_result_to_dict(fit))
+        fit = _tune(args, spec, loss, data, out)
     report = select_variance(spec, loss, data, fit)
     _write_json(out / "variance.json", {
         "V1": report.V1,
@@ -354,12 +358,12 @@ def cmd_bootstrap(args, out: Path) -> int:
 
 def cmd_stone_check(args, out: Path) -> int:
     """Scaled gap n * |CV_exact - trace-corrected TE| on a grid of sample sizes."""
+    if args.reps < 1:
+        raise ValueError(f"--reps must be at least 1, got {args.reps}")
     rows = []
     medians = {}
     lam = np.array([args.lam])
-    m = RidgeLinearModel(
-        n_covariates=len(args.beta) - 1, lambda_domain=(args.lambda_min, args.lambda_max)
-    )
+    m = RidgeLinearModel(n_covariates=len(args.beta) - 1)
     spec, loss = m.spec(), m.squared_error_loss()
     for n in args.n_list:
         gaps = []
@@ -387,12 +391,19 @@ def cmd_stone_check(args, out: Path) -> int:
 def _add_common(p):
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--seed", type=int, default=0)
+
+
+def _add_criterion(p):  # what a fit at one lambda reads
     p.add_argument("--criterion", default="cv",
                    choices=[m.value for m in Method])
-    p.add_argument("--grid-size", type=int, default=20, dest="grid_size")
     p.add_argument("--lambda-min", type=float, default=0.0, dest="lambda_min")
     p.add_argument("--lambda-max", type=float, default=1.0, dest="lambda_max")
     p.add_argument("--split", type=float, default=0.5)
+
+
+def _add_tuning(p):
+    _add_criterion(p)
+    p.add_argument("--grid-size", type=int, default=20, dest="grid_size")
 
 
 def _add_data_model(p):
@@ -423,43 +434,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fit", help="solve the estimating equation at a fixed lambda")
-    _add_common(p)
-    _add_data_model(p)
+    def add(name, func, summary, *groups):
+        """A subcommand with --out, --seed and the flags of each group."""
+        p = sub.add_parser(name, help=summary)
+        for group in (_add_common, *groups):
+            group(p)
+        p.set_defaults(func=func)
+        return p
+
+    p = add("fit", cmd_fit, "solve the estimating equation at a fixed lambda",
+            _add_criterion, _add_data_model)
     p.add_argument("--lam", type=float, default=0.0)
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("tune", help="minimize a risk criterion over the tuning box")
-    _add_common(p)
-    _add_data_model(p)
-    p.set_defaults(func=cmd_tune)
-
-    p = sub.add_parser("variance", help="tuning-aware and pointwise variance report")
-    _add_common(p)
-    _add_data_model(p)
+    add("tune", cmd_tune, "minimize a risk criterion over the tuning box",
+        _add_tuning, _add_data_model)
+    p = add("variance", cmd_variance, "tuning-aware and pointwise variance report",
+            _add_tuning, _add_data_model)
     p.add_argument("--fit", default=None, help="reuse a previously written fit.json")
-    p.set_defaults(func=cmd_variance)
-
-    p = sub.add_parser("simulate", help="Monte Carlo replication study")
-    _add_common(p)
-    _add_dgp(p)
+    p = add("simulate", cmd_simulate, "Monte Carlo replication study", _add_tuning, _add_dgp)
     p.add_argument("--B", type=int, default=100)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("bootstrap", help="nonparametric bootstrap of the tuned fit")
-    _add_common(p)
-    _add_data_model(p)
+    p = add("bootstrap", cmd_bootstrap, "nonparametric bootstrap of the tuned fit",
+            _add_tuning, _add_data_model)
     p.add_argument("--B", type=int, default=200)
-    p.set_defaults(func=cmd_bootstrap)
-
-    p = sub.add_parser("stone-check",
-                       help="scaled CV-vs-corrected-TE gap across sample sizes")
-    _add_common(p)
+    p = add("stone-check", cmd_stone_check,
+            "scaled CV-vs-corrected-TE gap across sample sizes", _add_linear_dgp)
     p.add_argument("--n-list", type=int, nargs="+", default=[200, 800], dest="n_list")
     p.add_argument("--reps", type=int, default=20)
     p.add_argument("--lam", type=float, default=0.1)
-    _add_linear_dgp(p)
-    p.set_defaults(func=cmd_stone_check)
 
     return ap
 

@@ -72,12 +72,11 @@ class CriterionValue:
             raise TunevarError(f"{self.method.value} produced a non-finite value")
 
 
-def _fit(model, data, lam, theta_init, solve):
+def _fit(model, data, lam, solve):
+    """solve if given, else the root at lam from model.theta_init."""
     if solve is not None:
         return solve
-    if theta_init is None:
-        theta_init = model.theta_init
-    return solve_theta(model, data, lam, theta_init)
+    return solve_theta(model, data, lam, model.theta_init)
 
 
 def _trace_term(solve: SolveResult, G) -> float:
@@ -94,10 +93,10 @@ def _trace_term(solve: SolveResult, G) -> float:
 
 def training_error(
     model: ModelSpec, loss: LossSpec, data: Dataset, lam,
-    theta_init=None, solve: Optional[SolveResult] = None,
+    solve: Optional[SolveResult] = None,
 ) -> CriterionValue:
     """TE(lam) = mean_i psi(Z_i, theta_hat(lam))."""
-    solve = _fit(model, data, lam, theta_init, solve)
+    solve = _fit(model, data, lam, solve)
     value = float(psi_values(loss, data.rows, solve.theta_hat).mean())
     return CriterionValue(value, Method.TE, np.asarray(solve.lam, float), {})
 
@@ -117,13 +116,16 @@ def loocv_exact(
     both at theta_hat, and evaluates a problem's Jacobian, through
     jac_loo_sum, only where a Taylor update from theta_hat does not serve.
     A row it rejects or does not converge falls back to the per-row
-    solve_loo, warm-started at theta_hat and retried once from the cold
-    start before being counted as failed. More than 1% failed rows aborts.
+    solve_loo, warm-started at theta_hat and retried once from theta_init,
+    the tuner's warm start (else model.theta_init, which also starts
+    theta_hat(lam) when no solve is given), before being counted as failed.
+    More than 1% failed rows aborts.
     Diagnostics: refit_fallbacks counts the rows that took the per-row path,
     refit_failures the rows that failed on it.
     """
-    solve = _fit(model, data, lam, theta_init, solve)
-    cold = theta_init if theta_init is not None else model.theta_init
+    start = model.theta_init if theta_init is None else theta_init
+    if solve is None:
+        solve = solve_theta(model, data, lam, start)
     thetas, ok = solve_loo_all(model, data, solve)
     fallbacks = np.flatnonzero(~ok)
     for i in fallbacks:
@@ -131,7 +133,7 @@ def loocv_exact(
             res = solve_loo(model, data, solve.lam, i, warm_start=solve.theta_hat)
         except TunevarError:
             try:
-                res = solve_loo(model, data, solve.lam, i, warm_start=cold)
+                res = solve_loo(model, data, solve.lam, i, warm_start=start)
             except TunevarError:
                 continue
         thetas[i] = res.theta_hat
@@ -151,7 +153,7 @@ def loocv_exact(
 
 def loocv_fast(
     model: ModelSpec, loss: LossSpec, data: Dataset, lam,
-    theta_init=None, solve: Optional[SolveResult] = None,
+    solve: Optional[SolveResult] = None,
 ) -> CriterionValue:
     """Influence-approximated CV: no refits.
 
@@ -160,7 +162,7 @@ def loocv_fast(
     at the approximated points. The phi values are the root's solve.Phi, so
     a given solve must be the root of model on data; no phi is evaluated.
     """
-    solve = _fit(model, data, lam, theta_init, solve)
+    solve = _fit(model, data, lam, solve)
     steps = checked_solve(solve.J_hat, solve.Phi.T, "J_hat").T / data.n  # (n, p)
     thetas = solve.theta_hat[None, :] - steps
     value = float(psi_rowwise_values(loss, data.rows, thetas).mean())
@@ -169,14 +171,14 @@ def loocv_fast(
 
 def te_trace_corrected(
     model: ModelSpec, loss: LossSpec, data: Dataset, lam,
-    theta_init=None, solve: Optional[SolveResult] = None,
+    solve: Optional[SolveResult] = None,
 ) -> CriterionValue:
     """TE(lam) - (1/n) Tr(J_hat^{-1} C_hat), the first-order CV surrogate.
 
     C_hat takes its phi values from the root's solve.Phi, so a given solve
     must be the root of model on data; no phi is evaluated.
     """
-    solve = _fit(model, data, lam, theta_init, solve)
+    solve = _fit(model, data, lam, solve)
     te = float(psi_values(loss, data.rows, solve.theta_hat).mean())
     corr = _trace_term(solve, grad_psi_matrix(loss, data.rows, solve.theta_hat))
     return CriterionValue(
@@ -214,7 +216,7 @@ def holdout_error(
 
 def info_criterion(
     model: ModelSpec, loss: LossSpec, data: Dataset, lam, kind: Method,
-    theta_init=None, solve: Optional[SolveResult] = None,
+    solve: Optional[SolveResult] = None,
 ) -> CriterionValue:
     """AIC / BIC / TIC for likelihood models.
 
@@ -225,7 +227,7 @@ def info_criterion(
     """
     if kind not in (Method.AIC, Method.BIC, Method.TIC):
         raise ValueError("kind must be one of Method.AIC, Method.BIC, Method.TIC")
-    solve = _fit(model, data, lam, theta_init, solve)
+    solve = _fit(model, data, lam, solve)
     neg_loglik = float(psi_values(loss, data.rows, solve.theta_hat).mean())
     n, p = data.n, model.p
     diagnostics: Dict[str, float] = {}
@@ -246,16 +248,17 @@ def evaluate_criterion(
     theta_init=None, solve: Optional[SolveResult] = None,
     split: float = 0.5, seed: int = 0,
 ) -> CriterionValue:
-    """Dispatch a single criterion evaluation; used by the tuner and the CLI."""
+    """Dispatch a single criterion evaluation; used by the tuner and the CLI.
+    Only loocv_exact and holdout_error read theta_init."""
     if method is Method.TE:
-        return training_error(model, loss, data, lam, theta_init, solve)
+        return training_error(model, loss, data, lam, solve)
     if method is Method.CV_EXACT:
         return loocv_exact(model, loss, data, lam, theta_init, solve)
     if method is Method.CV_FAST:
-        return loocv_fast(model, loss, data, lam, theta_init, solve)
+        return loocv_fast(model, loss, data, lam, solve)
     if method is Method.TE_TRACE_CORRECTED:
-        return te_trace_corrected(model, loss, data, lam, theta_init, solve)
+        return te_trace_corrected(model, loss, data, lam, solve)
     if method is Method.HOLDOUT:
         return holdout_error(model, loss, data, lam, split=split, seed=seed,
                              theta_init=theta_init)
-    return info_criterion(model, loss, data, lam, method, theta_init, solve)
+    return info_criterion(model, loss, data, lam, method, solve)

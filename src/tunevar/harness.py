@@ -25,6 +25,7 @@ from .tuner import _resolve_box, truncated_estimate, tune
 from .variance import alpha_influences, select_variance
 
 MAX_FAILURE_RATE = 0.05
+N_MIXTURE = 20000  # draws of the simulated boundary mixture in mixture_law_check
 
 
 class DGPKind(enum.Enum):
@@ -249,7 +250,7 @@ class MixtureLawReport:
 
 def mixture_law_check(
     dgp: DGPSpec, config: PipelineConfig, theta0, B: int, seed: int,
-    boundary: str = "lower", n_mixture: int = 20000,
+    boundary: str = "lower",
 ) -> MixtureLawReport:
     """Compare clamped-estimator draws against the simulated boundary mixture.
 
@@ -306,7 +307,7 @@ def mixture_law_check(
     joint_cov = U.T @ U / ref.n
 
     rng = rng_for(derive_stream(seed, B + 2))
-    sims = rng.multivariate_normal(np.zeros(2 * p + 1), joint_cov, size=n_mixture,
+    sims = rng.multivariate_normal(np.zeros(2 * p + 1), joint_cov, size=N_MIXTURE,
                                    method="svd")
     N1, N2, N3 = sims[:, :p], sims[:, p : 2 * p], sims[:, 2 * p]
     # N3 is the limit of sqrt(n) * (lambda_G - edge); the tuned branch applies

@@ -102,13 +102,15 @@ def rowwise(f):
 
 
 def _check_box(box, dim, name):
+    """box as a (dim, 2) float array (a (2,) pair is tiled), None for None;
+    ValueError, an input error, unless every lower bound is below its upper."""
     if box is None:
         return None
     arr = np.asarray(box, dtype=float)
     if arr.shape == (2,):
         arr = np.tile(arr, (dim, 1))
     if arr.shape != (dim, 2) or not np.all(arr[:, 0] < arr[:, 1]):
-        raise EvaluationError(f"{name} must be a ({dim}, 2) box with lower < upper")
+        raise ValueError(f"{name} must be a ({dim}, 2) box with lower < upper")
     return arr
 
 

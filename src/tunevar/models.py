@@ -2,8 +2,8 @@
 
 Rows are laid out as (response, covariates...); only the CLI loader picks
 which CSV column becomes the response. Regression models augment the
-covariate vector with a leading intercept; the intercept is never penalized
-by default.
+covariate vector with a leading intercept; the penalty matrix P =
+diag(default_penalty_mask(p)) never penalizes the intercept.
 
 Penalty convention: the logistic objective is sum_i loglik_i - n * lam * |beta_1:|^2,
 so the per-observation estimating function carries lam (not n*lam). The tuned
@@ -32,6 +32,7 @@ import numpy as np
 
 from .exceptions import EvaluationError, SchemaError
 from .model import Dataset, LossSpec, ModelSpec, read_numeric_csv, rowwise
+from .solver import checked_solve
 
 
 def _design(Z: np.ndarray):
@@ -81,21 +82,15 @@ class _RidgeModel:
     """
 
     n_covariates: int
-    penalty_mask: Optional[np.ndarray] = None
     lambda_domain: tuple = (0.0, 1.0)
 
     @property
     def p(self) -> int:
         return self.n_covariates + 1
 
-    def mask(self) -> np.ndarray:
-        if self.penalty_mask is None:
-            return default_penalty_mask(self.p)
-        return np.asarray(self.penalty_mask, dtype=float)
-
     def spec(self) -> ModelSpec:
         p = self.p
-        P = np.diag(self.mask())
+        P = np.diag(default_penalty_mask(p))
         pen = self.PENALTY
 
         def dphi_dlambda_batch(Z, th, lm):
@@ -484,18 +479,16 @@ class GaussianLikelihoodModel:
 # Closed-form ridge oracles (used by tests and the acceptance suite).
 # ---------------------------------------------------------------------------
 
-def ridge_closed_form(data: Dataset, lam: float, mask=None) -> np.ndarray:
-    """Direct solve of (mean x~ x~' + lam P) beta = mean x~ y."""
+def ridge_closed_form(data: Dataset, lam: float) -> np.ndarray:
+    """Direct solve of (mean x~ x~' + lam P) beta = mean x~ y; SingularJacobian
+    when the system's condition number exceeds 1e12."""
     y, X = _design(data.rows)
-    p = X.shape[1]
-    P = np.diag(default_penalty_mask(p) if mask is None else np.asarray(mask, float))
+    P = np.diag(default_penalty_mask(X.shape[1]))
     A = X.T @ X / data.n + float(lam) * P
-    if np.linalg.cond(A) > 1e12:
-        raise EvaluationError("ridge system is rank deficient")
-    return np.linalg.solve(A, X.T @ y / data.n)
+    return checked_solve(A, X.T @ y / data.n, "ridge system")
 
 
-def ridge_loocv_closed_form(data: Dataset, lam: float, mask=None) -> float:
+def ridge_loocv_closed_form(data: Dataset, lam: float) -> float:
     """Exact hat-matrix identity for the leave-one-out squared error.
 
     The leave-one-out fit drops row i from the estimating equation, so the
@@ -505,7 +498,7 @@ def ridge_loocv_closed_form(data: Dataset, lam: float, mask=None) -> float:
     """
     y, X = _design(data.rows)
     n, p = X.shape
-    P = np.diag(default_penalty_mask(p) if mask is None else np.asarray(mask, float))
+    P = np.diag(default_penalty_mask(p))
     B = X.T @ X + (n - 1) * float(lam) * P
     Binv = np.linalg.inv(B)
     h = np.einsum("ni,ij,nj->n", X, Binv, X)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .criteria import Method, evaluate_criterion
 from .exceptions import CriterionFailure, TunevarError
-from .model import Dataset, LossSpec, ModelSpec
+from .model import Dataset, LossSpec, ModelSpec, _check_box
 from .solver import solve_theta, theta_prime
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -202,17 +202,10 @@ def _slope_and_status(ev: _Evaluator, lam_hat, box):
 
 
 def _resolve_box(model: ModelSpec, lambda_domain):
-    if lambda_domain is not None:
-        box = np.asarray(lambda_domain, float)
-        if box.shape == (2,):
-            box = np.tile(box, (model.q, 1))
-    elif model.lambda_domain is not None:
-        box = model.lambda_domain
-    else:
+    box = model.lambda_domain if lambda_domain is None else lambda_domain
+    if box is None:
         raise ValueError("no lambda_domain available")
-    if box.shape != (model.q, 2) or not np.all(box[:, 0] < box[:, 1]):
-        raise ValueError("lambda_domain must be a (q, 2) box with lower < upper")
-    return box
+    return _check_box(box, model.q, "lambda_domain")
 
 
 def tune(

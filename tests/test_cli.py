@@ -91,9 +91,10 @@ def test_fit_json_round_trips_byte_identical(data_csv, tmp_path):
     # every fit.json the CLI writes goes through the one writer; reading it
     # back with the one reader and writing it again gives the same bytes
     path, data = data_csv
-    common = ["--data", str(path), "--criterion", "cv_fast", "--grid-size", "8"]
-    runs = {"fit": ["fit", *common, "--lam", "0.3"], "tune": ["tune", *common],
-            "variance": ["variance", *common]}
+    common = ["--data", str(path), "--criterion", "cv_fast"]
+    tuned = [*common, "--grid-size", "8"]
+    runs = {"fit": ["fit", *common, "--lam", "0.3"], "tune": ["tune", *tuned],
+            "variance": ["variance", *tuned]}
     spec = RidgeLinearModel(2, lambda_domain=(0.0, 1.0)).spec()
     for name, argv in runs.items():
         out = tmp_path / name
@@ -122,6 +123,67 @@ def test_fit_json_on_other_data_exits_2(data_csv, tmp_path, capsys):
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"]["type"] == "SchemaError"
         assert field in err["error"]["message"]
+
+
+@pytest.mark.parametrize("record", [
+    {"trace": [[]]},  # a trace row with no value
+    {"trace": 5},
+    [],  # not a JSON object
+    {"diagnostics": [1]},
+], ids=["empty-trace-row", "scalar-trace", "top-level-list", "list-diagnostics"])
+def test_malformed_fit_json_exits_2(data_csv, tmp_path, capsys, record):
+    path, _ = data_csv
+    out = tmp_path / "out"
+    assert main(["fit", "--data", str(path), "--lam", "0.2", "--out", str(out)]) == 0
+    d = json.loads((out / "fit.json").read_text())
+    if isinstance(record, dict):
+        d.update(record)
+    else:
+        d = record
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    rc = main(["variance", "--data", str(path), "--fit", str(bad),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["type"] == "SchemaError"
+    assert err["error"]["kind"] == "input"
+    assert "fit.json" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["fit", "tune", "simulate"])
+@pytest.mark.parametrize("lo, hi", [("1", "0"), ("0.5", "0.5")])
+def test_inverted_lambda_box_is_an_input_error(data_csv, tmp_path, capsys, command, lo, hi):
+    path, _ = data_csv
+    args = {"fit": ["--data", str(path), "--lam", "0.5"],
+            "tune": ["--data", str(path), "--grid-size", "5"],
+            "simulate": ["--n", "40", "--B", "2", "--grid-size", "5"]}[command]
+    rc = main([command, *args, "--lambda-min", lo, "--lambda-max", hi,
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["type"] == "ValueError"
+    assert err["error"]["kind"] == "input"
+    assert "lower < upper" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("stone-check", "--criterion", "te"),
+    ("stone-check", "--grid-size", "5"),
+    ("stone-check", "--split", "0.3"),
+    ("stone-check", "--lambda-min", "0.5"),
+    ("stone-check", "--lambda-max", "0.6"),
+    ("fit", "--grid-size", "99"),
+])
+def test_removed_flags_exit_2(data_csv, tmp_path, capsys, command, flag, value):
+    # flags the subcommand never read are refused by the parser
+    path, _ = data_csv
+    args = {"stone-check": ["--n-list", "20", "--reps", "1"],
+            "fit": ["--data", str(path), "--lam", "0.2"]}[command]
+    out = tmp_path / "o"
+    assert main([command, *args, flag, value, "--out", str(out)]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_lambda_outside_box_exits_2(data_csv, tmp_path, capsys):
@@ -340,6 +402,18 @@ def test_stone_check_outputs(tmp_path):
     lines = (out / "draws.csv").read_text().strip().splitlines()
     assert lines[0] == "n,rep,scaled_gap"
     assert len(lines) == 1 + 2 * 3
+
+
+@pytest.mark.parametrize("reps", ["0", "-1"])
+def test_stone_check_needs_a_rep(tmp_path, capsys, reps):
+    out = tmp_path / "out"
+    rc = main(["stone-check", "--n-list", "50", "--reps", reps, "--out", str(out)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["type"] == "ValueError"
+    assert err["error"]["kind"] == "input"
+    assert "--reps" in err["error"]["message"]
+    assert not (out / "summary.json").exists()
 
 
 def test_fit_json_schema_version_enforced(data_csv, tmp_path):

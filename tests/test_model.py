@@ -79,7 +79,8 @@ def test_domain_boxes():
     assert m.theta_in_domain(np.array([0.5, 1.0]))
     assert not m.theta_in_domain(np.array([2.0, 1.0]))
     assert np.allclose(m.clip_theta(np.array([5.0, -1.0])), [1.0, 0.0])
-    with pytest.raises(EvaluationError):
+    # an inverted box is an input error
+    with pytest.raises(ValueError):
         ModelSpec(p=1, q=1, phi_batch=rowwise(lambda z, th, lm: th),
                   theta_domain=np.array([[1.0, -1.0]]))
 

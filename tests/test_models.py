@@ -8,6 +8,7 @@ from tunevar import (
     RidgeLinearModel,
     RidgeLogisticModel,
     SchemaError,
+    SingularJacobian,
     load_pima_csv,
     ridge_closed_form,
 )
@@ -138,6 +139,15 @@ def test_ridge_dominant_penalty_limit():
     beta = ridge_closed_form(data, 1e8)
     assert np.all(np.abs(beta[1:]) < 1e-4)
     assert abs(beta[0] - data.rows[:, 0].mean()) < 1e-4
+
+
+def test_ridge_closed_form_singular_system_raises_singular_jacobian():
+    # two identical covariate columns and lam = 0: X'X has rank 2 of 3
+    data = make_linear_data(n=50, seed=3)
+    rows = data.rows.copy()
+    rows[:, 2] = rows[:, 1]
+    with pytest.raises(SingularJacobian, match="ridge system"):
+        ridge_closed_form(Dataset(rows), 0.0)
 
 
 def test_brier_loss_sub_model_ignores_excluded_coef():

@@ -79,14 +79,15 @@ def runs(root: Path):
     for model, (dgp, seed, lam) in INPUTS.items():
         csv = root / "inputs" / f"{model}.csv"
         write_csv(csv, simulate(dgp, seed).rows)
-        data = ["--data", str(csv), "--model", model, "--grid-size", "8"]
+        data = ["--data", str(csv), "--model", model]
+        tuned = [*data, "--grid-size", "8"]  # fit takes no grid
         for crit in CRITERIA:
-            common = [*data, "--criterion", crit]
-            yield f"{model}/{crit}/fit", ["fit", *common, "--lam", str(lam)]
-            yield f"{model}/{crit}/tune", ["tune", *common]
-            yield f"{model}/{crit}/variance", ["variance", *common]
+            yield f"{model}/{crit}/fit", ["fit", *data, "--criterion", crit,
+                                          "--lam", str(lam)]
+            yield f"{model}/{crit}/tune", ["tune", *tuned, "--criterion", crit]
+            yield f"{model}/{crit}/variance", ["variance", *tuned, "--criterion", crit]
         fixed = root / model / "cv_fast" / "fit" / "fit.json"
-        yield f"{model}/variance-fixed", ["variance", *data, "--fit", str(fixed)]
+        yield f"{model}/variance-fixed", ["variance", *tuned, "--fit", str(fixed)]
     for model, (dgp, seed, lam) in LARGE_INPUTS.items():
         csv = root / "inputs" / f"{model}-n300.csv"
         write_csv(csv, simulate(dgp, seed).rows)
