@@ -86,7 +86,9 @@ def fit_result_to_dict(fit: FitResult) -> dict:
 
 
 def fit_result_from_dict(d: dict) -> FitResult:
-    trace = tuple((tuple(row[:-1]), row[-1]) for row in d["trace"])
+    trace = tuple(
+        (tuple(float(v) for v in row[:-1]), float(row[-1])) for row in d["trace"]
+    )
     return FitResult(
         theta_hat=np.asarray(d["theta_hat"], float),
         lambda_hat=np.asarray(d["lambda_hat"], float),
@@ -115,7 +117,8 @@ def load_fit_json(path, spec: ModelSpec, data: Dataset) -> FitResult:
 
     SchemaError on a record that is not a JSON object, another
     schema_version, a missing field or one of the wrong type, an array whose
-    shape does not match the model's p and q, a lambda_box other than the
+    shape does not match the model's p and q, a trace that is empty or has a
+    row other than q + 1 numbers, a lambda_box other than the
     model's lambda box, a lambda_hat outside that box, or a theta_hat that
     does not solve the estimating equation on this data: a residual
     ||mean phi(Z, theta_hat, lambda_hat)|| above 1e4 times the solver's
@@ -143,6 +146,12 @@ def load_fit_json(path, spec: ModelSpec, data: Dataset) -> FitResult:
     ):
         if got != want:
             raise SchemaError(f"fit.json {name} has shape {got}; the model needs {want}")
+    widths = {len(lam) + 1 for lam, _ in fit.trace}
+    if widths != {q + 1}:
+        raise SchemaError(
+            f"fit.json trace rows hold {sorted(widths)} numbers; the model needs "
+            f"{q + 1}: lambda_1..lambda_q, then the value"
+        )
     box = spec.lambda_domain
     if box is not None:
         if not np.array_equal(fit.lambda_box, box):
@@ -197,7 +206,13 @@ def build_model(args, data: Dataset):
         return m.spec(), m.brier_loss()
     if args.model == "gaussian":
         m = GaussianLikelihoodModel()
-        return m.spec(), m.neg_loglik_loss()
+        spec = m.spec()
+        if not np.array_equal([lam_box], spec.lambda_domain):
+            raise SchemaError(
+                f"--lambda-min/--lambda-max give the box {list(lam_box)}; --model gaussian "
+                f"has the fixed box {spec.lambda_domain[0].tolist()} (its lambda is inert)"
+            )
+        return spec, m.neg_loglik_loss()
     raise SchemaError(f"unknown model {args.model!r}")
 
 

@@ -265,7 +265,10 @@ def select_variance(
     Interior fits get V1; boundary fits and fits at a fixed lambda get V2. A
     boundary fit whose one-sided slope is indistinguishable from zero
     (FitResult.flat_at_edge) is in the regime where neither estimator is
-    justified; V2 is reported with nondegenerate_boundary set.
+    justified; V2 is reported with nondegenerate_boundary set. An interior
+    fit whose Z1_hat has an eigenvalue <= 0 (lambda_hat where the profiled
+    training error is not strictly convex, outside the theory behind V1)
+    still reports V1, with the diagnostic z1_not_positive_definite set.
     """
     components = assemble_components(model, loss, data, fit)
     V2 = variance_pointwise(components)
@@ -274,6 +277,8 @@ def select_variance(
         V1 = variance_tuned(components)
         selected, chosen = "V1", V1
         nondegenerate = False
+        if np.linalg.eigvalsh(components.Z1_hat)[0] <= 0.0:
+            diagnostics["z1_not_positive_definite"] = 1.0
     else:
         V1 = None
         selected, chosen = "V2", V2

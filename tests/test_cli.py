@@ -130,7 +130,11 @@ def test_fit_json_on_other_data_exits_2(data_csv, tmp_path, capsys):
     {"trace": 5},
     [],  # not a JSON object
     {"diagnostics": [1]},
-], ids=["empty-trace-row", "scalar-trace", "top-level-list", "list-diagnostics"])
+    {"trace": [[7.0], [1, 2, 3, 4]]},  # rows of 1 and 4 numbers for a q = 1 model
+    {"trace": [[0.2, 1.5, 3.0]]},
+    {"trace": []},
+], ids=["empty-trace-row", "scalar-trace", "top-level-list", "list-diagnostics",
+        "ragged-trace", "wide-trace-row", "empty-trace"])
 def test_malformed_fit_json_exits_2(data_csv, tmp_path, capsys, record):
     path, _ = data_csv
     out = tmp_path / "out"
@@ -149,6 +153,28 @@ def test_malformed_fit_json_exits_2(data_csv, tmp_path, capsys, record):
     assert err["error"]["type"] == "SchemaError"
     assert err["error"]["kind"] == "input"
     assert "fit.json" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["fit", "tune", "variance"])
+def test_gaussian_refuses_another_lambda_box(data_csv, tmp_path, capsys, command):
+    # the gaussian model's lambda is inert and its box fixed at [0, 1]
+    path, _ = data_csv
+    common = ["--data", str(path), "--model", "gaussian", "--criterion", "cv_fast"]
+    common += ["--lam", "0.5"] if command == "fit" else ["--grid-size", "5"]
+    for lo, hi in (("1", "0"), ("0", "0.5"), ("0.2", "1")):
+        rc = main([command, *common, "--lambda-min", lo, "--lambda-max", hi,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["type"] == "SchemaError"
+        assert "--model gaussian" in err["error"]["message"]
+        assert not (tmp_path / "o" / "fit.json").exists()
+    # its own box, given or not, writes the same bytes
+    given, default = tmp_path / "given", tmp_path / "default"
+    assert main([command, *common, "--lambda-min", "0", "--lambda-max", "1",
+                 "--out", str(given)]) == 0
+    assert main([command, *common, "--out", str(default)]) == 0
+    assert (given / "fit.json").read_bytes() == (default / "fit.json").read_bytes()
 
 
 @pytest.mark.parametrize("command", ["fit", "tune", "simulate"])

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -165,3 +170,16 @@ def test_mixture_law_check_rejects_unknown_boundary(boundary):
     with pytest.raises(ValueError, match="boundary"):
         mixture_law_check(dgp, _config(), theta0=[1.0, 1.0, 0.5], B=2, seed=0,
                           boundary=boundary)
+
+
+def test_import_loads_no_scipy():
+    # the package and its CLI need numpy only; scipy is a test dependency
+    root = Path(__file__).resolve().parents[1]
+    path = filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    code = ("import sys, tunevar, tunevar.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

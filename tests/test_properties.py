@@ -10,6 +10,7 @@ from tunevar import (
     GaussianLikelihoodModel, RefitFailure, RidgeLinearModel, RidgeLogisticModel, TunevarError,
     loocv_exact, solve_loo, solve_loo_all, solve_theta, training_error,
 )
+from tunevar.harness import N_MIXTURE, _ks_statistic
 from tunevar.model import (
     Dataset, ModelSpec, jac_lambda_mean, jac_theta_mean, phi_matrix, phi_mean, row_mean,
     rowwise,
@@ -464,3 +465,38 @@ def test_well_conditioned_matches_svd_test(seed, p, singular):
     A = _conditioned_stack(seed, 300, p, singular)
     cond = np.linalg.cond(A)
     assert np.array_equal(well_conditioned(A), np.isfinite(cond) & (cond <= COND_LIMIT))
+
+
+# a few distinct values make ties within and across the two samples
+KS_SAMPLES = st.lists(st.sampled_from([-2.5, -1.0, 0.0, 0.5, 1.0, 3.0])
+                      | st.floats(-1e3, 1e3), min_size=1, max_size=80)
+
+
+@settings(deadline=None)
+@given(a=KS_SAMPLES, b=KS_SAMPLES)
+def test_ks_statistic_matches_scipy_bitwise(a, b):
+    # scipy's exact method (both samples <= 10000 draws) rounds the statistic
+    # to a multiple of 1 / lcm(n_a, n_b); its asymptotic method, the one
+    # mixture_law_check's N_MIXTURE draws take, keeps the ECDF difference
+    stats = pytest.importorskip("scipy.stats")
+    with np.errstate(divide="ignore"):  # scipy's p-value for two 1-draw samples
+        want = stats.ks_2samp(a, b, method="asymp").statistic
+    assert np.array_equal(_ks_statistic(np.array(a), np.array(b)), want)
+
+
+def test_ks_statistic_matches_scipy_at_mixture_size():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(5)
+    mixture = rng.standard_normal(N_MIXTURE)
+    tied = np.round(mixture, 1)  # ties within and across the samples
+    for a, b in ((rng.standard_normal(1), mixture), (rng.standard_normal(7) + 0.1, mixture),
+                 (np.round(1.2 * rng.standard_normal(500), 1), tied)):
+        assert np.array_equal(_ks_statistic(a, b), stats.ks_2samp(a, b).statistic)
+        assert np.array_equal(_ks_statistic(b, a), stats.ks_2samp(b, a).statistic)
+
+
+@pytest.mark.parametrize("a, b", [([0.3, np.nan, -1.0], [0.1, 2.0]), ([0.1, 2.0], [np.nan])])
+def test_ks_statistic_propagates_nan(a, b):
+    stats = pytest.importorskip("scipy.stats")
+    assert np.isnan(stats.ks_2samp(a, b).statistic)
+    assert np.isnan(_ks_statistic(np.array(a), np.array(b)))

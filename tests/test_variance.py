@@ -4,6 +4,8 @@ import pytest
 from tunevar import (
     BoundaryFit,
     BoundaryStatus,
+    DGPKind,
+    DGPSpec,
     FlatLimitSuspected,
     Method,
     RidgeLinearModel,
@@ -12,6 +14,7 @@ from tunevar import (
     assemble_components,
     eta_matrix,
     select_variance,
+    simulate,
     solve_theta,
     theta_prime,
     tune,
@@ -21,6 +24,7 @@ from tunevar import (
 )
 from tunevar import numdiff
 from tunevar.model import Dataset, LossSpec, ModelSpec, grad_psi_matrix, phi_matrix, rowwise
+from tunevar.rng import derive_stream
 from tunevar.tuner import FitResult
 from tunevar.variance import _sym, z1_profiled
 
@@ -251,6 +255,28 @@ def test_select_variance_interior_picks_v1():
     assert np.allclose(
         report.standard_errors, np.sqrt(np.diag(report.V1) / data.n)
     )
+
+
+def test_select_variance_flags_z1_not_positive_definite():
+    # draw 34 of the GAUSSMIX C = 0, n = 100, CV_FAST study at seed 900: an
+    # interior fit where the profiled training error is concave (Z1_hat < 0)
+    # and V1's trace is about 2.7e5; draw 0 is a typical interior fit
+    m = RidgeLogisticModel(n_covariates=2, lambda_domain=(0.0, 1.0))
+    spec, loss = m.spec(), m.brier_loss(predictor_covariates=[0])
+    dgp = DGPSpec(DGPKind.GAUSSMIX_C, n=100, params={"C": 0.0})
+    flags = []
+    for j in (34, 0):
+        data = simulate(dgp, seed=derive_stream(900, j))
+        fit = tune(spec, loss, data, Method.CV_FAST)
+        report = select_variance(spec, loss, data, fit)
+        assert fit.interior and report.selected == "V1"
+        # the flag changes no reported number
+        assert np.array_equal(report.standard_errors, np.sqrt(np.diag(report.V1) / data.n))
+        flags.append((float(report.components.Z1_hat[0, 0]),
+                      report.diagnostics.get("z1_not_positive_definite")))
+    (z1_bad, flag_bad), (z1_ok, flag_ok) = flags
+    assert z1_bad < 0.0 and flag_bad == 1.0
+    assert z1_ok > 0.0 and flag_ok is None
 
 
 def _two_penalty_rowwise_spec():
