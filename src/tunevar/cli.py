@@ -403,22 +403,62 @@ def cmd_stone_check(args, out: Path) -> int:
 # Argument parsing.
 # ---------------------------------------------------------------------------
 
+# Flags that some paths of a subcommand do not read, dest -> (flag, default).
+# They parse to None, and _resolve_flags fills in the default.
+_PATH_FLAGS = {
+    "criterion": ("--criterion", Method.CV_EXACT.value),
+    "grid_size": ("--grid-size", 20),
+    "split": ("--split", 0.5),
+    "seed": ("--seed", 0),
+}
+# subcommands that draw or resample data from --seed whatever the criterion
+_SEEDED = ("simulate", "bootstrap", "stone-check")
+
+
+def _resolve_flags(args) -> None:
+    """Fill in the defaults of _PATH_FLAGS; SchemaError naming each of them
+    that was given but that the chosen path does not read.
+
+    variance --fit takes lambda-hat from the record and reads none of them.
+    Every other path reads --criterion and --grid-size, and --split and
+    --seed only under --criterion holdout; a subcommand in _SEEDED always
+    reads --seed.
+    """
+    fixed = getattr(args, "fit", None) is not None
+    criterion = getattr(args, "criterion", None) or _PATH_FLAGS["criterion"][1]
+    reads = set()
+    if not fixed:
+        reads |= {"criterion", "grid_size"}
+        if criterion == Method.HOLDOUT.value:
+            reads |= {"split", "seed"}
+    if args.command in _SEEDED:
+        reads.add("seed")
+    ignored = [flag for dest, (flag, _) in _PATH_FLAGS.items()
+               if getattr(args, dest, None) is not None and dest not in reads]
+    if ignored:
+        path = "--fit" if fixed else f"--criterion {criterion}"
+        raise SchemaError(f"{args.command} {path} does not read {', '.join(ignored)}")
+    for dest, (_, default) in _PATH_FLAGS.items():
+        if hasattr(args, dest) and getattr(args, dest) is None:
+            setattr(args, dest, default)
+
+
 def _add_common(p):
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
 
 
 def _add_criterion(p):  # what a fit at one lambda reads
-    p.add_argument("--criterion", default="cv",
+    p.add_argument("--criterion", default=None,
                    choices=[m.value for m in Method])
     p.add_argument("--lambda-min", type=float, default=0.0, dest="lambda_min")
     p.add_argument("--lambda-max", type=float, default=1.0, dest="lambda_max")
-    p.add_argument("--split", type=float, default=0.5)
+    p.add_argument("--split", type=float, default=None)
 
 
 def _add_tuning(p):
     _add_criterion(p)
-    p.add_argument("--grid-size", type=int, default=20, dest="grid_size")
+    p.add_argument("--grid-size", type=int, default=None, dest="grid_size")
 
 
 def _add_data_model(p):
@@ -495,6 +535,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     out = Path(args.out)
     try:
+        _resolve_flags(args)
         out.mkdir(parents=True, exist_ok=True)
         return args.func(args, out)
     except (SchemaError, FileNotFoundError, ValueError) as exc:

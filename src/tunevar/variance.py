@@ -9,9 +9,11 @@ Two estimators of the variance of sqrt(n) * (theta_hat(lambda_hat) - theta_0):
       lambda fixed in advance.
 
 V_alpha is the full-vector variance of alpha_hat = (theta_hat, lambda_hat,
-vec theta_hat'), computed through an independent numerical Jacobian of the
-stacked estimating system; its theta-block must agree with V1, which the test
-suite uses as a cross-check of the component algebra.
+vec theta_hat') from the Jacobian of the stacked estimating system. That
+Jacobian is analytic in theta and theta', from the model's derivative slots,
+and a central difference in lambda; its theta-block agrees with V1. The test
+suite keeps the independent check: a central difference of the stacked
+system in every coordinate, which the analytic Jacobian must match.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .model import (
     jac_theta_mean,
     phi_matrix,
     psi_values,
+    row_mean,
 )
 from .solver import checked_solve, solve_theta
 from .tuner import FitResult
@@ -183,24 +186,55 @@ def variance_pointwise(components: VarianceComponents) -> np.ndarray:
     return _sym(Jinv @ components.K_hat @ Jinv.T)
 
 
-def _joint_system(model: ModelSpec, loss: LossSpec, Z: np.ndarray, theta, lam, D):
-    """(Psi'^{-1}, eta matrix) of the stacked system at alpha = (theta, lam, vec D).
+def _joint_jacobian(model: ModelSpec, loss: LossSpec, Z: np.ndarray, theta, lam, D) -> np.ndarray:
+    """Psi', the Jacobian of alpha -> mean_i eta(Z_i, alpha) at alpha = (theta, lam, vec D).
 
-    Psi' is the central-difference Jacobian of alpha -> mean_i eta(Z_i, alpha).
-    FlatLimitSuspected is raised when its singular-value ratio is below 1e-8,
-    which also keeps its condition number at or below 1e8, far inside
-    solver.COND_LIMIT, so no further condition check is made before inverting.
+    With J = mean dphi/dtheta, b = mean grad_psi, Z2 = mean hess_psi,
+    H = mean hess_phi_theta and C = mean dphi_dlambda_dtheta, the theta- and
+    D-columns are analytic:
+      phi rows:      theta-columns J, D-columns 0;
+      eta2 row j:    theta-columns D_j' Z2, b in D-column block j;
+      eta3 block j:  theta-columns sum_b H[:, b, :] D[b, j] + C[j], J in
+                     D-column block j.
+    The lambda-columns hold d^2 phi / d lambda^2 in the eta3 rows, which no
+    slot supplies: they are the central difference in lambda alone of the
+    stacked mean, 2q eta_matrix evaluations.
     """
     p, q = model.p, model.q
     theta = np.asarray(theta, float)
     lam = np.atleast_1d(np.asarray(lam, float))
-    D = np.asarray(D, float).reshape(p, q)
+    # column-major like the vec D coordinates of alpha: the memory layout
+    # sets the rounding of eta_matrix's products with D
+    D = np.asarray(D, float).reshape(p, q).ravel(order="F").reshape(p, q, order="F")
 
-    def psi_bar(alpha):
-        Dm = alpha[p + q :].reshape(p, q, order="F")
-        return eta_matrix(model, loss, Z, alpha[:p], alpha[p : p + q], Dm).mean(axis=0)
+    J = jac_theta_mean(model, Z, theta, lam)
+    H = row_mean(model.hess_phi_theta(Z, theta, lam))  # (p, p, p)
+    C = row_mean(model.dphi_dlambda_dtheta(Z, theta, lam))  # (q, p, p)
+    P = np.zeros((p + q + p * q,) * 2)
+    P[:p, :p] = J
+    P[p : p + q, :p] = D.T @ row_mean(loss.hess_psi(Z, theta))
+    P[p + q :, :p] = (np.einsum("abk,bj->jak", H, D) + C).reshape(p * q, p)
+    P[:, p : p + q] = numdiff.jacobian(
+        lambda l: eta_matrix(model, loss, Z, theta, l, D).mean(axis=0), lam
+    )
+    b = row_mean(grad_psi_matrix(loss, Z, theta))
+    for j in range(q):
+        block = slice(p + q + j * p, p + q + (j + 1) * p)
+        P[p + j, block] = b
+        P[block, block] = J
+    return P
 
-    Psi_prime = numdiff.jacobian(psi_bar, np.concatenate([theta, lam, D.ravel(order="F")]))
+
+def _joint_system(model: ModelSpec, loss: LossSpec, Z: np.ndarray, theta, lam, D):
+    """(Psi'^{-1}, eta matrix) of the stacked system at alpha = (theta, lam, vec D).
+
+    Psi' is _joint_jacobian: analytic in theta and D, a central difference in
+    lambda. FlatLimitSuspected is raised when its singular-value ratio is
+    below 1e-8, which also keeps its condition number at or below 1e8, far
+    inside solver.COND_LIMIT, so no further condition check is made before
+    inverting.
+    """
+    Psi_prime = _joint_jacobian(model, loss, Z, theta, lam, D)
     sv = np.linalg.svd(Psi_prime, compute_uv=False)
     if sv[-1] < 1e-8 * sv[0]:
         raise FlatLimitSuspected(
@@ -216,9 +250,11 @@ def variance_alpha(
 ) -> np.ndarray:
     """Full-vector variance of alpha_hat = (theta_hat, lambda_hat, vec D_hat).
 
-    The Jacobian of the stacked estimating system is computed numerically at
-    alpha_hat, independently of the component algebra, so agreement of the
-    theta-block with variance_tuned is a genuine cross-check.
+    Psi'^{-1} K* Psi'^{-T} with the Jacobian Psi' of _joint_jacobian at
+    alpha_hat. Psi' reads the same derivative slots as assemble_components,
+    so its theta-block differs from variance_tuned only where z1_profiled
+    differs from the curvature in lambda that Psi' implies. The test suite
+    checks Psi' against a central difference in every coordinate of alpha.
     """
     if not fit.interior:
         raise BoundaryFit("variance_alpha needs an interior fit")

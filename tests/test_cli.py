@@ -51,7 +51,7 @@ def test_rerun_byte_identical(data_csv, tmp_path):
     o1, o2 = tmp_path / "a", tmp_path / "b"
     for out in (o1, o2):
         rc = main(["tune", "--data", str(path), "--criterion", "cv_fast",
-                   "--grid-size", "8", "--seed", "5", "--out", str(out)])
+                   "--grid-size", "8", "--out", str(out)])
         assert rc == 0
     assert (o1 / "fit.json").read_bytes() == (o2 / "fit.json").read_bytes()
     assert (o1 / "trace.csv").read_bytes() == (o2 / "trace.csv").read_bytes()
@@ -210,6 +210,52 @@ def test_removed_flags_exit_2(data_csv, tmp_path, capsys, command, flag, value):
     assert main([command, *args, flag, value, "--out", str(out)]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, argv, ignored", [
+    ("variance", ["--fit", "FIT", "--criterion", "cv"], "--criterion"),
+    ("variance", ["--fit", "FIT", "--grid-size", "8"], "--grid-size"),
+    ("variance", ["--fit", "FIT", "--split", "0.3"], "--split"),
+    ("variance", ["--fit", "FIT", "--seed", "5"], "--seed"),
+    ("fit", ["--lam", "0.2", "--criterion", "cv_fast", "--split", "0.3"], "--split"),
+    ("fit", ["--lam", "0.2", "--seed", "5"], "--seed"),
+    ("tune", ["--criterion", "cv_fast", "--split", "0.9"], "--split"),
+    ("tune", ["--criterion", "cv_fast", "--seed", "5"], "--seed"),
+    ("variance", ["--criterion", "te", "--split", "0.3"], "--split"),
+    ("variance", ["--seed", "5"], "--seed"),
+    ("simulate", ["--n", "40", "--B", "2", "--split", "0.3"], "--split"),
+    ("bootstrap", ["--B", "2", "--criterion", "cv_fast", "--split", "0.3"], "--split"),
+])
+def test_flag_the_path_ignores_exits_2(data_csv, tmp_path, capsys, command, argv, ignored):
+    # a flag that the subcommand reads on another path is refused, by name,
+    # on a path that would ignore it
+    path, _ = data_csv
+    fit_dir = tmp_path / "fit"
+    assert main(["fit", "--data", str(path), "--lam", "0.2", "--out", str(fit_dir)]) == 0
+    capsys.readouterr()
+    argv = [str(fit_dir / "fit.json") if a == "FIT" else a for a in argv]
+    data = [] if command == "simulate" else ["--data", str(path)]
+    out = tmp_path / "o"
+    assert main([command, *data, *argv, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["type"] == "SchemaError"
+    assert ignored in err["error"]["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "tune", "variance"])
+def test_holdout_reads_split_and_seed(data_csv, tmp_path, command):
+    # the flags a path reads are accepted, and their defaults are the values
+    # a run without them uses
+    path, _ = data_csv
+    common = ["--data", str(path), "--criterion", "holdout"]
+    common += ["--lam", "0.2"] if command == "fit" else ["--grid-size", "6"]
+    given, default, other = tmp_path / "given", tmp_path / "default", tmp_path / "other"
+    assert main([command, *common, "--split", "0.5", "--seed", "0", "--out", str(given)]) == 0
+    assert main([command, *common, "--out", str(default)]) == 0
+    assert main([command, *common, "--split", "0.6", "--seed", "3", "--out", str(other)]) == 0
+    assert (given / "fit.json").read_bytes() == (default / "fit.json").read_bytes()
+    assert (other / "fit.json").read_bytes() != (default / "fit.json").read_bytes()
 
 
 def test_fit_lambda_outside_box_exits_2(data_csv, tmp_path, capsys):
@@ -528,8 +574,8 @@ def test_response_col_moves_response_to_front(data_csv, tmp_path, model):
     for path, col in ((front, "0"), (moved, "2")):
         out = tmp_path / f"out{col}"
         common = ["--data", str(path), "--model", model, "--response-col", col,
-                  "--criterion", "cv_fast", "--grid-size", "8", "--out", str(out)]
-        assert main(["tune", *common]) == 0
+                  "--out", str(out)]
+        assert main(["tune", *common, "--criterion", "cv_fast", "--grid-size", "8"]) == 0
         assert main(["variance", *common, "--fit", str(out / "fit.json")]) == 0
         outs.append(out)
     for name in ("fit.json", "trace.csv", "variance.json"):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from tunevar import (
     assemble_components,
     eta_matrix,
     select_variance,
+    alpha_influences,
     simulate,
     solve_theta,
     theta_prime,
@@ -22,11 +25,11 @@ from tunevar import (
     variance_pointwise,
     variance_tuned,
 )
-from tunevar import numdiff
+from tunevar import numdiff, variance
 from tunevar.model import Dataset, LossSpec, ModelSpec, grad_psi_matrix, phi_matrix, rowwise
 from tunevar.rng import derive_stream
 from tunevar.tuner import FitResult
-from tunevar.variance import _sym, z1_profiled
+from tunevar.variance import _joint_jacobian, _sym, z1_profiled
 
 from conftest import make_linear_data, make_logistic_data, rel_err
 
@@ -45,6 +48,25 @@ def z1_chain_rule(model, loss, data, fit: FitResult) -> np.ndarray:
         return D.T @ b
 
     return _sym(numdiff.jacobian(g, np.asarray(fit.lambda_hat, float), scale=1e-3))
+
+
+def fd_joint_jacobian(model, loss, Z, theta, lam, D) -> np.ndarray:
+    """Cross-check of variance._joint_jacobian: the central-difference Jacobian
+    of alpha -> mean_i eta(Z_i, alpha) in every coordinate of alpha = (theta,
+    lam, vec D), 2 (p + q + pq) eta_matrix evaluations.
+
+    It reads no second-order slot, so agreement with the analytic Psi' checks
+    hess_phi_theta, dphi_dlambda_dtheta and hess_psi.
+    """
+    p, q = model.p, model.q
+    D = np.asarray(D, float).reshape(p, q)
+
+    def psi_bar(alpha):
+        Dm = alpha[p + q :].reshape(p, q, order="F")
+        return eta_matrix(model, loss, Z, alpha[:p], alpha[p : p + q], Dm).mean(axis=0)
+
+    alpha = np.concatenate([np.asarray(theta, float), np.atleast_1d(lam), D.ravel(order="F")])
+    return numdiff.jacobian(psi_bar, alpha)
 
 
 def _interior_fit(n=250, seed=0):
@@ -316,3 +338,82 @@ def test_two_penalty_rowwise_spec_z1_and_v1_cross_checks(seed, coef_sq):
     Va = variance_alpha(spec, loss, data, fit)
     assert Va.shape == (3 + 2 + 6, 3 + 2 + 6)
     assert rel_err(Va[:3, :3], report.V1) < 1e-4
+    # Psi' with two D-column blocks in vec order; the fallback second-order
+    # slots difference phi with steps near 1e-4, hence the wider bound
+    args = (data.rows, fit.theta_hat, fit.lambda_hat, fit.D_hat)
+    analytic, fd = _joint_jacobian(spec, loss, *args), fd_joint_jacobian(spec, loss, *args)
+    assert rel_err(analytic, fd) < 1e-6
+    assert np.array_equal(analytic[:, 3:5], fd[:, 3:5])
+
+
+def _interior_logistic_fit():
+    data = make_logistic_data(n=200, seed=0)
+    m = RidgeLogisticModel(2, lambda_domain=(0.0, 0.1))
+    spec, loss = m.spec(), m.brier_loss(predictor_covariates=[0])
+    fit = tune(spec, loss, data, Method.CV_FAST, grid_size=10)
+    assert fit.interior
+    return data, spec, loss, fit
+
+
+def test_joint_jacobian_matches_central_differences():
+    # the theta- and D-columns come from the slots, the lambda-columns are
+    # the same central differences as the all-coordinate helper's, bit for bit
+    data, spec, loss, fit = _interior_logistic_fit()
+    args = (data.rows, fit.theta_hat, fit.lambda_hat, fit.D_hat)
+    analytic, fd = _joint_jacobian(spec, loss, *args), fd_joint_jacobian(spec, loss, *args)
+    assert rel_err(analytic, fd) < 1e-8
+    assert np.array_equal(analytic[:, 3:4], fd[:, 3:4])
+
+
+def test_alpha_influences_match_all_coordinate_differences():
+    # at the interior fit and, as mixture_law_check uses it, at the box edge
+    data, spec, loss, fit = _interior_logistic_fit()
+    edge = solve_theta(spec, data, [0.0], fit.theta_hat)
+    for theta, lam, D in ((fit.theta_hat, fit.lambda_hat, fit.D_hat),
+                          (edge.theta_hat, edge.lam, theta_prime(spec, data, edge))):
+        Eta = eta_matrix(spec, loss, data.rows, theta, lam, D)
+        fd = fd_joint_jacobian(spec, loss, data.rows, theta, lam, D)
+        old = -(np.linalg.inv(fd) @ Eta.T).T
+        assert rel_err(alpha_influences(spec, loss, data, theta, lam, D), old) < 1e-9
+
+
+def test_variance_alpha_evaluation_counts(monkeypatch):
+    # 2q eta_matrix evaluations for the lambda-columns and one for K*; one
+    # call to each second-order slot; the theta-Jacobian mean from the sum slot
+    data, spec, loss, fit = _interior_logistic_fit()
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    spec = dataclasses.replace(spec, **{
+        name: counted(name, getattr(spec, name))
+        for name in ("dphi_dtheta_batch", "hess_phi_theta", "dphi_dlambda_dtheta")
+    })
+    loss = dataclasses.replace(loss, hess_psi=counted("hess_psi", loss.hess_psi))
+    monkeypatch.setattr(variance, "eta_matrix", counted("eta_matrix", variance.eta_matrix))
+    variance_alpha(spec, loss, data, fit)
+    q = spec.q
+    assert calls == {"eta_matrix": 2 * q + 1, "dphi_dtheta_batch": 2 * q + 1,
+                     "hess_phi_theta": 1, "dphi_dlambda_dtheta": 1, "hess_psi": 1}
+
+
+def test_wrong_second_order_slot_fails_the_joint_jacobian_check():
+    # an interior GAUSSMIX ridge-logistic fit with a sign-flipped
+    # hess_phi_theta: V1 and variance_alpha both read the slot, the
+    # all-coordinate central difference does not
+    m = RidgeLogisticModel(2, lambda_domain=(0.0, 1.0))
+    spec, loss = m.spec(), m.brier_loss(predictor_covariates=[0])
+    data = simulate(DGPSpec(DGPKind.GAUSSMIX_C, n=300, params={"C": 2.0}), 3)
+    fit = tune(spec, loss, data, Method.CV_FAST)
+    assert fit.interior
+    flipped = dataclasses.replace(
+        spec, hess_phi_theta=lambda Z, th, lm: -spec.hess_phi_theta(Z, th, lm)
+    )
+    args = (data.rows, fit.theta_hat, fit.lambda_hat, fit.D_hat)
+    fd = fd_joint_jacobian(spec, loss, *args)
+    assert rel_err(_joint_jacobian(spec, loss, *args), fd) < 1e-8
+    assert rel_err(_joint_jacobian(flipped, loss, *args), fd) > 1e-2

@@ -87,7 +87,7 @@ def runs(root: Path):
             yield f"{model}/{crit}/tune", ["tune", *tuned, "--criterion", crit]
             yield f"{model}/{crit}/variance", ["variance", *tuned, "--criterion", crit]
         fixed = root / model / "cv_fast" / "fit" / "fit.json"
-        yield f"{model}/variance-fixed", ["variance", *tuned, "--fit", str(fixed)]
+        yield f"{model}/variance-fixed", ["variance", *data, "--fit", str(fixed)]
     for model, (dgp, seed, lam) in LARGE_INPUTS.items():
         csv = root / "inputs" / f"{model}-n300.csv"
         write_csv(csv, simulate(dgp, seed).rows)
