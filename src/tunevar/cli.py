@@ -19,7 +19,7 @@ import numpy as np
 from .criteria import Method, evaluate_criterion, loocv_exact, te_trace_corrected
 from .exceptions import EvaluationError, SchemaError, TunevarError
 from .harness import DGPKind, DGPSpec, PipelineConfig, bootstrap, replicate, simulate
-from .model import Dataset, ModelSpec, phi_mean, read_numeric_csv
+from .model import Dataset, ModelSpec, read_numeric_csv, row_mean, slot_values
 from .models import (
     GaussianLikelihoodModel,
     RidgeLinearModel,
@@ -161,7 +161,9 @@ def load_fit_json(path, spec: ModelSpec, data: Dataset) -> FitResult:
             )
         _check_in_box(fit.lambda_hat, box, "fit.json lambda_hat")
     try:
-        phi_bar = phi_mean(spec, data.rows, fit.theta_hat, fit.lambda_hat)
+        phi_bar = row_mean(
+            slot_values(spec, "phi_batch", data.rows, fit.theta_hat, fit.lambda_hat)
+        )
     except EvaluationError:
         phi_bar = np.full(p, np.inf)
     residual = float(np.linalg.norm(phi_bar))

@@ -35,14 +35,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .exceptions import RefitFailure, TunevarError
-from .model import (
-    Dataset,
-    LossSpec,
-    ModelSpec,
-    grad_psi_matrix,
-    psi_rowwise_values,
-    psi_values,
-)
+from .model import Dataset, LossSpec, ModelSpec, slot_values
 from .rng import fisher_yates_permutation
 from .solver import SolveResult, checked_solve, solve_loo, solve_loo_all, solve_theta
 
@@ -97,7 +90,7 @@ def training_error(
 ) -> CriterionValue:
     """TE(lam) = mean_i psi(Z_i, theta_hat(lam))."""
     solve = _fit(model, data, lam, solve)
-    value = float(psi_values(loss, data.rows, solve.theta_hat).mean())
+    value = float(slot_values(loss, "psi_batch", data.rows, solve.theta_hat).mean())
     return CriterionValue(value, Method.TE, np.asarray(solve.lam, float), {})
 
 
@@ -144,7 +137,7 @@ def loocv_exact(
             f"{len(failed)} of {data.n} leave-one-out refits failed",
             failed_indices=failed,
         )
-    value = float(psi_rowwise_values(loss, data.rows[ok], thetas[ok]).mean())
+    value = float(slot_values(loss, "psi_rowwise", data.rows[ok], thetas[ok]).mean())
     return CriterionValue(
         value, Method.CV_EXACT, np.asarray(solve.lam, float),
         {"refit_failures": float(len(failed)), "refit_fallbacks": float(len(fallbacks))},
@@ -165,7 +158,7 @@ def loocv_fast(
     solve = _fit(model, data, lam, solve)
     steps = checked_solve(solve.J_hat, solve.Phi.T, "J_hat").T / data.n  # (n, p)
     thetas = solve.theta_hat[None, :] - steps
-    value = float(psi_rowwise_values(loss, data.rows, thetas).mean())
+    value = float(slot_values(loss, "psi_rowwise", data.rows, thetas).mean())
     return CriterionValue(value, Method.CV_FAST, np.asarray(solve.lam, float))
 
 
@@ -179,8 +172,8 @@ def te_trace_corrected(
     must be the root of model on data; no phi is evaluated.
     """
     solve = _fit(model, data, lam, solve)
-    te = float(psi_values(loss, data.rows, solve.theta_hat).mean())
-    corr = _trace_term(solve, grad_psi_matrix(loss, data.rows, solve.theta_hat))
+    te = float(slot_values(loss, "psi_batch", data.rows, solve.theta_hat).mean())
+    corr = _trace_term(solve, slot_values(loss, "grad_psi_batch", data.rows, solve.theta_hat))
     return CriterionValue(
         te - corr, Method.TE_TRACE_CORRECTED, np.asarray(solve.lam, float),
         {"trace_correction": corr},
@@ -207,7 +200,7 @@ def holdout_error(
     if theta_init is None:
         theta_init = model.theta_init
     res = solve_theta(model, est_part, lam, theta_init)
-    value = float(psi_values(loss, tune_part.rows, res.theta_hat).mean())
+    value = float(slot_values(loss, "psi_batch", tune_part.rows, res.theta_hat).mean())
     return CriterionValue(
         value, Method.HOLDOUT, np.asarray(res.lam, float),
         {"n_tune": float(n1), "n_est": float(data.n - n1), "seed": float(seed)},
@@ -228,7 +221,7 @@ def info_criterion(
     if kind not in (Method.AIC, Method.BIC, Method.TIC):
         raise ValueError("kind must be one of Method.AIC, Method.BIC, Method.TIC")
     solve = _fit(model, data, lam, solve)
-    neg_loglik = float(psi_values(loss, data.rows, solve.theta_hat).mean())
+    neg_loglik = float(slot_values(loss, "psi_batch", data.rows, solve.theta_hat).mean())
     n, p = data.n, model.p
     diagnostics: Dict[str, float] = {}
     if kind is Method.AIC:

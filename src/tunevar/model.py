@@ -156,14 +156,19 @@ class ModelSpec:
     dphi_dtheta_batch for dphi_dlambda_dtheta). The steps depend only on
     theta or lambda, so the fallback of a rowwise spec matches differencing
     each row on its own. A missing jac_theta_sum sums dphi_dtheta_batch over
-    the rows, so jac_theta_mean is then row_mean of it, bit for bit. A
-    missing phi_loo_sum (jac_loo_sum) makes one phi_batch (dphi_dtheta_batch)
-    call per theta and subtracts the problem's own row from the sum over all
+    the rows, so the mean theta-Jacobian, jac_theta_sum over the row count,
+    is then row_mean of dphi_dtheta_batch, bit for bit. A missing
+    phi_loo_sum (jac_loo_sum) makes one phi_batch (dphi_dtheta_batch) call
+    per theta and subtracts the problem's own row from the sum over all
     rows. The built-in models supply sum kernels from sufficient statistics,
     which agree with that to rounding.
     Each fallback reads the other slots at call time and is bound to its own
     instance, so dataclasses.replace(spec, phi_batch=g) gives a spec whose
     fallbacks evaluate g.
+
+    The solver, criteria and variance code call every slot through
+    slot_values, which checks the result's shape against SLOT_SHAPES (and
+    that phi_batch is finite) and raises EvaluationError naming the slot.
 
     The Newton solve (solver.solve_theta) evaluates the Jacobian of each
     step and its J_hat by one jac_theta_sum call each, and makes no
@@ -280,7 +285,9 @@ class LossSpec:
     Fallback policy for slots left as None, as for ModelSpec: a missing
     derivative is a central difference of psi_batch over all rows at once,
     and a missing psi_rowwise evaluates psi row by row. Fallbacks are bound
-    to their own instance, so dataclasses.replace keeps them current.
+    to their own instance, so dataclasses.replace keeps them current. As
+    for ModelSpec, every slot is called through slot_values, which checks
+    its shape and that psi_batch and psi_rowwise are finite.
     """
 
     psi_batch: Callable
@@ -309,18 +316,40 @@ class LossSpec:
 
 
 # ---------------------------------------------------------------------------
-# Batched empirical means used throughout the solver and variance code.
+# The one checked call of a slot, used throughout the solver, criteria and
+# variance code.
 # ---------------------------------------------------------------------------
 
-def phi_matrix(model: ModelSpec, Z: np.ndarray, theta, lam) -> np.ndarray:
-    """(n, p) matrix of per-row phi values."""
-    out = np.asarray(model.phi_batch(Z, theta, lam), dtype=float)
-    if out.shape != (Z.shape[0], model.p):
-        raise EvaluationError(
-            f"phi returned shape {out.shape}, expected {(Z.shape[0], model.p)}"
-        )
-    if not np.all(np.isfinite(out)):
-        raise EvaluationError("phi produced non-finite values")
+# slot name -> the shape of its result, from the call's row matrix Z, its
+# theta (the (k, p) stack Th of a leave-one-out sum slot, the per-row theta
+# matrix of psi_rowwise) and the spec
+SLOT_SHAPES = {
+    "phi_batch": lambda Z, th, m: (len(Z), m.p),
+    "dphi_dtheta_batch": lambda Z, th, m: (len(Z), m.p, m.p),
+    "dphi_dlambda_batch": lambda Z, th, m: (len(Z), m.p, m.q),
+    "hess_phi_theta": lambda Z, th, m: (len(Z), m.p, m.p, m.p),
+    "dphi_dlambda_dtheta": lambda Z, th, m: (len(Z), m.q, m.p, m.p),
+    "jac_theta_sum": lambda Z, th, m: (m.p, m.p),
+    "phi_loo_sum": lambda Z, Th, m: (len(Th), m.p),
+    "jac_loo_sum": lambda Z, Th, m: (len(Th), m.p, m.p),
+    "psi_batch": lambda Z, th, loss: (len(Z),),
+    "grad_psi_batch": lambda Z, th, loss: (len(Z), len(th)),
+    "hess_psi": lambda Z, th, loss: (len(Z), len(th), len(th)),
+    "psi_rowwise": lambda Z, Th, loss: (len(Z),),
+}
+_FINITE_SLOTS = ("phi_batch", "psi_batch", "psi_rowwise")
+
+
+def slot_values(spec, slot: str, Z: np.ndarray, theta, *rest) -> np.ndarray:
+    """spec.<slot>(Z, theta, *rest) as a float array of the shape SLOT_SHAPES
+    gives, else EvaluationError; the values of phi_batch, psi_batch and
+    psi_rowwise must also be finite."""
+    out = np.asarray(getattr(spec, slot)(Z, theta, *rest), dtype=float)
+    want = SLOT_SHAPES[slot](Z, theta, spec)
+    if out.shape != want:
+        raise EvaluationError(f"{slot} returned shape {out.shape}, expected {want}")
+    if slot in _FINITE_SLOTS and not np.all(np.isfinite(out)):
+        raise EvaluationError(f"{slot} produced non-finite values")
     return out
 
 
@@ -329,47 +358,3 @@ def row_mean(A) -> np.ndarray:
     the same sum divided by the row count, after more dispatch overhead."""
     A = np.asarray(A, dtype=float)
     return A.sum(axis=0) / len(A)
-
-
-def phi_mean(model: ModelSpec, Z: np.ndarray, theta, lam) -> np.ndarray:
-    return row_mean(phi_matrix(model, Z, theta, lam))
-
-
-def jac_theta_mean(model: ModelSpec, Z: np.ndarray, theta, lam) -> np.ndarray:
-    """(p, p) empirical mean of d phi / d theta: jac_theta_sum over the row count.
-
-    A jac_theta_sum the spec supplies must return a (p, p) array, else
-    EvaluationError. The fallback's sum is passed on as it is, so a spec
-    without the slot gets row_mean(dphi_dtheta_batch(...)) bit for bit.
-    """
-    S = np.asarray(model.jac_theta_sum(Z, theta, lam), dtype=float)
-    supplied = getattr(model.jac_theta_sum, "__func__", None) is not ModelSpec._summed_jac_theta
-    if supplied and S.shape != (model.p, model.p):
-        raise EvaluationError(
-            f"jac_theta_sum returned shape {S.shape}, expected {(model.p, model.p)}"
-        )
-    return S / len(Z)
-
-
-def jac_lambda_mean(model: ModelSpec, Z: np.ndarray, theta, lam) -> np.ndarray:
-    """(p, q) empirical mean of d phi / d lambda."""
-    return row_mean(model.dphi_dlambda_batch(Z, theta, lam))
-
-
-def psi_values(loss: LossSpec, Z: np.ndarray, theta) -> np.ndarray:
-    vals = np.asarray(loss.psi_batch(Z, theta), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError("psi produced non-finite values")
-    return vals
-
-
-def grad_psi_matrix(loss: LossSpec, Z: np.ndarray, theta) -> np.ndarray:
-    return np.asarray(loss.grad_psi_batch(Z, theta), dtype=float)
-
-
-def psi_rowwise_values(loss: LossSpec, Z: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """psi(Z[i], thetas[i]) for every row."""
-    vals = np.asarray(loss.psi_rowwise(Z, thetas), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError("psi produced non-finite values")
-    return vals

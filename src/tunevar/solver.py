@@ -7,9 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainEscape, EvaluationError, NoConvergence, SingularJacobian
-from .model import (
-    Dataset, ModelSpec, jac_lambda_mean, jac_theta_mean, phi_matrix, row_mean,
-)
+from .model import SLOT_SHAPES, Dataset, ModelSpec, row_mean, slot_values
 
 MAX_ITER = 100
 # row evaluations per leave-one-out sum call in solve_loo_all (at least one
@@ -25,11 +23,12 @@ COND_LIMIT = 1e12
 class SolveResult:
     """Root of the empirical estimating equation at a fixed tuning vector.
 
-    Phi is the (n, p) per-row phi matrix at the root, phi_matrix(model, Z,
-    theta_hat, lam) for the rows Z that were solved on, as the solver
-    evaluated it for its last accepted iterate. Criteria that take a solve
-    read it instead of evaluating phi again, so a SolveResult passed along
-    with a dataset must be the root of the same model on that dataset.
+    Phi is the (n, p) per-row phi matrix at the root, slot_values(model,
+    "phi_batch", Z, theta_hat, lam) for the rows Z that were solved on, as
+    the solver evaluated it for its last accepted iterate. Criteria that
+    take a solve read it instead of evaluating phi again, so a SolveResult
+    passed along with a dataset must be the root of the same model on that
+    dataset.
     """
 
     theta_hat: np.ndarray
@@ -62,7 +61,7 @@ def _newton(model: ModelSpec, Z: np.ndarray, lam, theta_init, tol) -> SolveResul
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     theta = model.clip_theta(np.asarray(theta_init, dtype=float).copy())
     # F: the per-row phi of the current iterate, kept for SolveResult.Phi
-    F = phi_matrix(model, Z, theta, lam)
+    F = slot_values(model, "phi_batch", Z, theta, lam)
     Phi = row_mean(F)
     fval = float(Phi @ Phi)
     it = 0
@@ -70,7 +69,7 @@ def _newton(model: ModelSpec, Z: np.ndarray, lam, theta_init, tol) -> SolveResul
         if np.sqrt(fval) <= tol:
             it -= 1
             break
-        Jm = jac_theta_mean(model, Z, theta, lam)
+        Jm = slot_values(model, "jac_theta_sum", Z, theta, lam) / len(Z)
         step = -checked_solve(Jm, Phi, "Jacobian")
         accepted = False
         projected = False
@@ -80,7 +79,7 @@ def _newton(model: ModelSpec, Z: np.ndarray, lam, theta_init, tol) -> SolveResul
             if not model.theta_in_domain(cand):
                 cand = model.clip_theta(cand)
                 projected = True
-            F_c = phi_matrix(model, Z, cand, lam)
+            F_c = slot_values(model, "phi_batch", Z, cand, lam)
             Phi_c = row_mean(F_c)
             f_c = float(Phi_c @ Phi_c)
             # Newton direction: directional derivative of ||Phi||^2 is -2 fval.
@@ -102,7 +101,7 @@ def _newton(model: ModelSpec, Z: np.ndarray, lam, theta_init, tol) -> SolveResul
             residual_norm=residual,
             theta=theta,
         )
-    J_hat = -jac_theta_mean(model, Z, theta, lam)
+    J_hat = -(slot_values(model, "jac_theta_sum", Z, theta, lam) / len(Z))
     if not np.all(np.isfinite(J_hat)):
         raise SingularJacobian("empirical Jacobian has non-finite entries")
     return SolveResult(theta, lam, it, residual, J_hat, F)
@@ -119,7 +118,9 @@ def solve_theta(model: ModelSpec, data: Dataset, lam, theta_init, tol=None) -> S
 
 def theta_prime(model: ModelSpec, data: Dataset, solve: SolveResult) -> np.ndarray:
     """Implicit-function-theorem derivative of lambda -> theta_hat(lambda), (p, q)."""
-    dlam = jac_lambda_mean(model, data.rows, solve.theta_hat, solve.lam)
+    dlam = row_mean(
+        slot_values(model, "dphi_dlambda_batch", data.rows, solve.theta_hat, solve.lam)
+    )
     return checked_solve(solve.J_hat, dlam, "Jacobian")
 
 
@@ -154,11 +155,12 @@ def _loo_means(model: ModelSpec, slot: str, Z, Th, rows, lam) -> np.ndarray:
     One slot call per chunk of at most MAX_PHI_ROWS row evaluations. If a
     call raises EvaluationError, its chunk is evaluated again one theta at a
     time, and a theta that raises gets NaN. A non-finite phi gives a
-    non-finite result either way. A result of the wrong shape raises
-    EvaluationError.
+    non-finite result either way. A result whose shape is not the one
+    SLOT_SHAPES gives raises EvaluationError outside that retry, so a
+    wrong-shaped slot aborts instead of making every theta NaN.
     """
     n, k = Z.shape[0], len(Th)
-    want = (k,) + (model.p,) * (1 if slot == "phi_loo_sum" else 2)
+    want = SLOT_SHAPES[slot](Z, Th, model)
     chunk = max(1, MAX_PHI_ROWS // n)
 
     def call(js):
@@ -219,7 +221,7 @@ def solve_loo_all(model: ModelSpec, data: Dataset, solve: SolveResult):
     tol = default_tol(theta_hat)
 
     F = solve.Phi
-    G = np.asarray(model.dphi_dtheta_batch(Z, theta_hat, lam), dtype=float)
+    G = slot_values(model, "dphi_dtheta_batch", Z, theta_hat, lam)
     Phi = (F.sum(axis=0) - F) / (n - 1)
     A = (G.sum(axis=0) - G) / (n - 1)
     alive = np.all(np.isfinite(A), axis=(1, 2))
@@ -249,7 +251,7 @@ def solve_loo_all(model: ModelSpec, data: Dataset, solve: SolveResult):
         is_near = (fval[act] <= tol) & (it == 0)
         near, evaluate = act[is_near], act[~is_near]
         if near.size:
-            H = np.asarray(model.hess_phi_theta(Z, theta_hat, lam), dtype=float)
+            H = slot_values(model, "hess_phi_theta", Z, theta_hat, lam)
             H = (H.sum(axis=0) - H) / (n - 1)
             # A still holds A_i(theta_hat); a non-finite H_i makes it non-finite
             step = (thetas[near] - theta_hat)[:, None, :, None]

@@ -66,7 +66,9 @@ class FitResult:
 class _Evaluator:
     """Caching criterion evaluator with warm-start chaining from model.theta_init.
 
-    The cache maps every attempted lambda to its value, None where it failed.
+    The cache maps every attempted lambda to its value, None where it failed;
+    first_failure describes the first failure: its lambda, exception type and
+    message.
     """
 
     def __init__(self, model, loss, data, method, split, seed):
@@ -75,6 +77,7 @@ class _Evaluator:
         self.cache: Dict[Tuple[float, ...], Optional[float]] = {}
         self.trace: List[Tuple[Tuple[float, ...], float]] = []
         self.warm: np.ndarray = model.theta_init
+        self.first_failure: Optional[str] = None
 
     @property
     def failures(self) -> int:
@@ -91,8 +94,10 @@ class _Evaluator:
                 theta_init=self.warm, solve=solve,
                 split=self.split, seed=self.seed,
             )
-        except TunevarError:
+        except TunevarError as exc:
             self.cache[key] = None
+            if self.first_failure is None:
+                self.first_failure = f"lambda = {np.asarray(key)}: {type(exc).__name__}: {exc}"
             return None
         self.warm = solve.theta_hat
         self.cache[key] = cv.value
@@ -117,16 +122,20 @@ def _argmin_trace(trace):
 def _scan(ev: _Evaluator, points) -> np.ndarray:
     """Evaluate the criterion at every grid point and return the best one.
 
-    CriterionFailure when more than 20% of the points, or all of them, fail.
+    CriterionFailure when more than 20% of the points, or all of them, fail;
+    its message quotes the first failure.
     """
     for pt in points:
         ev.try_value(pt)
     if ev.failures > 0.2 * len(ev.cache):
         raise CriterionFailure(
-            f"criterion failed on {ev.failures} of {len(ev.cache)} grid points"
+            f"criterion failed on {ev.failures} of {len(ev.cache)} grid points; "
+            f"first failure at {ev.first_failure}"
         )
     if not ev.trace:
-        raise CriterionFailure("criterion failed on every grid point")
+        raise CriterionFailure(
+            f"criterion failed on every grid point; first failure at {ev.first_failure}"
+        )
     return _argmin_trace(ev.trace)[0]
 
 

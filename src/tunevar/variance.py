@@ -25,16 +25,7 @@ import numpy as np
 
 from . import numdiff
 from .exceptions import BoundaryFit, FlatLimitSuspected
-from .model import (
-    Dataset,
-    LossSpec,
-    ModelSpec,
-    grad_psi_matrix,
-    jac_theta_mean,
-    phi_matrix,
-    psi_values,
-    row_mean,
-)
+from .model import Dataset, LossSpec, ModelSpec, row_mean, slot_values
 from .solver import checked_solve, solve_theta
 from .tuner import FitResult
 
@@ -57,11 +48,11 @@ def eta_matrix(model: ModelSpec, loss: LossSpec, Z: np.ndarray, theta, lam, D) -
     theta = np.asarray(theta, float)
     lam = np.atleast_1d(np.asarray(lam, float))
     D = np.asarray(D, float).reshape(model.p, model.q)
-    Phi = phi_matrix(model, Z, theta, lam)
-    G = grad_psi_matrix(loss, Z, theta)
+    Phi = slot_values(model, "phi_batch", Z, theta, lam)
+    G = slot_values(loss, "grad_psi_batch", Z, theta)
     e2 = G @ D
-    T = np.einsum("nij,jk->nik", np.asarray(model.dphi_dtheta_batch(Z, theta, lam), float), D)
-    T = T + np.asarray(model.dphi_dlambda_batch(Z, theta, lam), float)
+    T = np.einsum("nij,jk->nik", slot_values(model, "dphi_dtheta_batch", Z, theta, lam), D)
+    T = T + slot_values(model, "dphi_dlambda_batch", Z, theta, lam)
     e3 = np.transpose(T, (0, 2, 1)).reshape(Z.shape[0], model.p * model.q)
     return np.concatenate([Phi, e2, e3], axis=1)
 
@@ -109,7 +100,7 @@ def z1_profiled(model, loss, data, fit: FitResult) -> np.ndarray:
 
     def te(lam):
         res = solve_theta(model, data, lam, fit.theta_hat)
-        return float(psi_values(loss, data.rows, res.theta_hat).mean())
+        return float(slot_values(loss, "psi_batch", data.rows, res.theta_hat).mean())
 
     H1 = numdiff.hessian(te, lam_hat, scale=1e-3)
     H2 = numdiff.hessian(te, lam_hat, scale=5e-4)
@@ -129,8 +120,8 @@ def assemble_components(
     Z = data.rows
     n, p, q = data.n, model.p, model.q
 
-    Phi = phi_matrix(model, Z, theta, lam)
-    J_hat = -jac_theta_mean(model, Z, theta, lam)
+    Phi = slot_values(model, "phi_batch", Z, theta, lam)
+    J_hat = -(slot_values(model, "jac_theta_sum", Z, theta, lam) / n)
     K_hat = _sym(Phi.T @ Phi / n)
 
     if not fit.interior:
@@ -138,8 +129,8 @@ def assemble_components(
 
     D_hat = fit.D_hat
     Jinv = checked_solve(J_hat, np.eye(p), "J_hat")
-    b_hat = grad_psi_matrix(loss, Z, theta).mean(axis=0)
-    Z2_hat = _sym(np.asarray(loss.hess_psi(Z, theta), float).mean(axis=0))
+    b_hat = slot_values(loss, "grad_psi_batch", Z, theta).mean(axis=0)
+    Z2_hat = _sym(slot_values(loss, "hess_psi", Z, theta).mean(axis=0))
     Z1_hat = z1_profiled(model, loss, data, fit)
 
     bJ = b_hat @ Jinv  # row vector b' J^{-1}
@@ -148,8 +139,8 @@ def assemble_components(
         M_hat[j, j * p : (j + 1) * p] = bJ
     # W_hat[j] = b' J^{-1} mean_i (H_i D_j + d_lambda_j dphi_dtheta_i), where
     # row k of H_i D_j is (theta-Hessian of phi^k at row i) @ D_j
-    HD = np.asarray(model.hess_phi_theta(Z, theta, lam), float) @ D_hat  # (n, p, p, q)
-    cross = np.asarray(model.dphi_dlambda_dtheta(Z, theta, lam), float)  # (n, q, p, p)
+    HD = slot_values(model, "hess_phi_theta", Z, theta, lam) @ D_hat  # (n, p, p, q)
+    cross = slot_values(model, "dphi_dlambda_dtheta", Z, theta, lam)  # (n, q, p, p)
     W_hat = bJ @ (np.moveaxis(HD, -1, 1).mean(axis=0) + cross.mean(axis=0))
 
     Eta = eta_matrix(model, loss, Z, theta, lam, D_hat)
@@ -207,17 +198,17 @@ def _joint_jacobian(model: ModelSpec, loss: LossSpec, Z: np.ndarray, theta, lam,
     # sets the rounding of eta_matrix's products with D
     D = np.asarray(D, float).reshape(p, q).ravel(order="F").reshape(p, q, order="F")
 
-    J = jac_theta_mean(model, Z, theta, lam)
-    H = row_mean(model.hess_phi_theta(Z, theta, lam))  # (p, p, p)
-    C = row_mean(model.dphi_dlambda_dtheta(Z, theta, lam))  # (q, p, p)
+    J = slot_values(model, "jac_theta_sum", Z, theta, lam) / len(Z)
+    H = row_mean(slot_values(model, "hess_phi_theta", Z, theta, lam))  # (p, p, p)
+    C = row_mean(slot_values(model, "dphi_dlambda_dtheta", Z, theta, lam))  # (q, p, p)
     P = np.zeros((p + q + p * q,) * 2)
     P[:p, :p] = J
-    P[p : p + q, :p] = D.T @ row_mean(loss.hess_psi(Z, theta))
+    P[p : p + q, :p] = D.T @ row_mean(slot_values(loss, "hess_psi", Z, theta))
     P[p + q :, :p] = (np.einsum("abk,bj->jak", H, D) + C).reshape(p * q, p)
     P[:, p : p + q] = numdiff.jacobian(
         lambda l: eta_matrix(model, loss, Z, theta, l, D).mean(axis=0), lam
     )
-    b = row_mean(grad_psi_matrix(loss, Z, theta))
+    b = row_mean(slot_values(loss, "grad_psi_batch", Z, theta))
     for j in range(q):
         block = slice(p + q + j * p, p + q + (j + 1) * p)
         P[p + j, block] = b

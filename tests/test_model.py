@@ -3,16 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tunevar import Dataset, EvaluationError, LossSpec, ModelSpec, rowwise, solve_theta
-from tunevar.model import (
-    grad_psi_matrix,
-    jac_lambda_mean,
-    jac_theta_mean,
-    phi_matrix,
-    phi_mean,
-    psi_rowwise_values,
-    psi_values,
+from tunevar import (
+    Dataset, EvaluationError, LossSpec, Method, ModelSpec, RidgeLogisticModel, loocv_exact,
+    rowwise, select_variance, solve_theta, theta_prime, tune,
 )
+from tunevar.model import SLOT_SHAPES, row_mean, slot_values
+
+from conftest import make_logistic_data
 
 
 def test_dataset_validation():
@@ -61,14 +58,14 @@ def test_derivative_fallbacks_populated_and_accurate():
         assert np.array_equal(H[i], m.hess_phi_theta(z[None], th, lm)[0])
 
 
-def test_phi_matrix_rejects_bad_output():
+def test_slot_values_rejects_bad_phi_output():
     Z = np.array([[1.0], [2.0]])
     bad = ModelSpec(p=2, q=1, phi_batch=rowwise(lambda z, th, lm: np.array([np.nan, 0.0])))
-    with pytest.raises(EvaluationError):
-        phi_matrix(bad, Z, np.zeros(2), np.zeros(1))
+    with pytest.raises(EvaluationError, match=r"phi_batch produced non-finite values"):
+        slot_values(bad, "phi_batch", Z, np.zeros(2), np.zeros(1))
     short = ModelSpec(p=3, q=1, phi_batch=rowwise(lambda z, th, lm: np.zeros(2)))
-    with pytest.raises(EvaluationError):
-        phi_matrix(short, Z, np.zeros(3), np.zeros(1))
+    with pytest.raises(EvaluationError, match=r"phi_batch returned shape \(2, 2\)"):
+        slot_values(short, "phi_batch", Z, np.zeros(3), np.zeros(1))
 
 
 def test_domain_boxes():
@@ -103,13 +100,14 @@ def test_batched_helpers_match_row_loops():
     Z = np.random.default_rng(0).standard_normal((7, 2))
     th = np.array([0.2, -0.4])
     lm = np.array([0.3])
-    P = phi_matrix(m, Z, th, lm)
+    P = slot_values(m, "phi_batch", Z, th, lm)
     assert P.shape == (7, 2)
-    assert np.allclose(phi_mean(m, Z, th, lm), P.mean(axis=0))
+    assert np.allclose(row_mean(P), P.mean(axis=0))
     assert np.allclose(
-        jac_theta_mean(m, Z, th, lm), np.diag(1.0 + 3 * 0.3 * th**2), rtol=1e-6
+        slot_values(m, "jac_theta_sum", Z, th, lm) / len(Z),
+        np.diag(1.0 + 3 * 0.3 * th**2), rtol=1e-6,
     )
-    assert jac_lambda_mean(m, Z, th, lm).shape == (2, 1)
+    assert row_mean(slot_values(m, "dphi_dlambda_batch", Z, th, lm)).shape == (2, 1)
 
 
 def test_loss_fallbacks_and_rowwise():
@@ -120,17 +118,17 @@ def test_loss_fallbacks_and_rowwise():
     assert np.allclose(loss.grad_psi_batch(z[None], th), [[-2 * 0.7, 1.0]], rtol=1e-6)
     assert np.allclose(loss.hess_psi(z[None], th), np.diag([2.0, 2.0]), atol=1e-3)
     Z = np.array([[1.0], [2.0]])
-    vals = psi_values(loss, Z, th)
+    vals = slot_values(loss, "psi_batch", Z, th)
     assert np.allclose(vals, [(1 - 0.3) ** 2 + 0.25, (2 - 0.3) ** 2 + 0.25])
     Th = np.array([[0.3, 0.5], [1.0, 0.0]])
-    rw = psi_rowwise_values(loss, Z, Th)
+    rw = slot_values(loss, "psi_rowwise", Z, Th)
     assert np.allclose(rw, [(1 - 0.3) ** 2 + 0.25, 1.0])
-    G = grad_psi_matrix(loss, Z, th)
+    G = slot_values(loss, "grad_psi_batch", Z, th)
     assert G.shape == (2, 2)
     assert np.allclose(G[1], [-2 * 1.7, 1.0], rtol=1e-6)
     assert loss.hess_psi(Z, th).shape == (2, 2, 2)
     with pytest.raises(EvaluationError):
-        psi_rowwise_values(loss, Z, np.array([[0.3, 0.5], [np.inf, 0.0]]))
+        slot_values(loss, "psi_rowwise", Z, np.array([[0.3, 0.5], [np.inf, 0.0]]))
 
 
 def test_rowwise_stacks_per_row_results():
@@ -193,6 +191,62 @@ def test_jac_theta_mean_rejects_a_wrong_shape_sum_slot(shape):
     spec = dataclasses.replace(_line_spec(), jac_theta_sum=lambda Z, th, lm: np.zeros(shape))
     Z, th, lm = np.ones((3, 1)), np.zeros(1), np.zeros(1)
     with pytest.raises(EvaluationError, match=r"jac_theta_sum returned shape"):
-        jac_theta_mean(spec, Z, th, lm)
+        slot_values(spec, "jac_theta_sum", Z, th, lm)
     with pytest.raises(EvaluationError, match=r"jac_theta_sum"):
         solve_theta(spec, Dataset(Z), lm, th)
+
+
+def test_slot_shapes_cover_every_callable_slot():
+    # a slot added later cannot skip the shape check
+    slots = {
+        f.name for cls in (ModelSpec, LossSpec) for f in dataclasses.fields(cls)
+        if "Callable" in str(f.type)
+    }
+    assert set(SLOT_SHAPES) == slots
+
+
+@pytest.fixture(scope="module")
+def interior_logistic_fit():
+    data = make_logistic_data(n=200, seed=0)
+    m = RidgeLogisticModel(2, lambda_domain=(0.0, 0.1))
+    spec, loss = m.spec(), m.brier_loss(predictor_covariates=[0])
+    fit = tune(spec, loss, data, Method.CV_FAST, grid_size=10)
+    assert fit.interior
+    return data, spec, loss, fit
+
+
+def _fit_and_theta_prime(spec, loss, data, fit):
+    theta_prime(spec, data, solve_theta(spec, data, fit.lambda_hat, fit.theta_hat))
+
+
+def _loocv_exact(spec, loss, data, fit):
+    loocv_exact(spec, loss, data, fit.lambda_hat)
+
+
+# slot -> the public call that reads it
+SLOT_READERS = {
+    "phi_batch": _fit_and_theta_prime,
+    "jac_theta_sum": _fit_and_theta_prime,
+    "dphi_dlambda_batch": _fit_and_theta_prime,
+    "dphi_dtheta_batch": _loocv_exact,
+    "phi_loo_sum": _loocv_exact,
+    "jac_loo_sum": _loocv_exact,
+    "psi_rowwise": _loocv_exact,
+    "psi_batch": select_variance,
+    "hess_phi_theta": select_variance,
+    "dphi_dlambda_dtheta": select_variance,
+    "grad_psi_batch": select_variance,
+    "hess_psi": select_variance,
+}
+
+
+@pytest.mark.parametrize("slot", sorted(SLOT_SHAPES))
+def test_a_wrong_shape_slot_raises_evaluation_error_naming_it(slot, interior_logistic_fit):
+    data, spec, loss, fit = interior_logistic_fit
+    owner = spec if hasattr(spec, slot) else loss
+    good = getattr(owner, slot)
+    # one trailing axis too many
+    bad = dataclasses.replace(owner, **{slot: lambda *args: np.asarray(good(*args))[..., None]})
+    spec, loss = (bad, loss) if owner is spec else (spec, bad)
+    with pytest.raises(EvaluationError, match=rf"^{slot} returned shape"):
+        SLOT_READERS[slot](spec, loss, data, fit)

@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tunevar import (
-    GaussianLikelihoodModel, RefitFailure, RidgeLinearModel, RidgeLogisticModel, TunevarError,
+    EvaluationError, GaussianLikelihoodModel, RefitFailure, RidgeLinearModel, RidgeLogisticModel,
+    TunevarError,
     loocv_exact, solve_loo, solve_loo_all, solve_theta, training_error,
 )
 from tunevar.harness import N_MIXTURE, _ks_statistic
-from tunevar.model import (
-    Dataset, ModelSpec, jac_lambda_mean, jac_theta_mean, phi_matrix, phi_mean, row_mean,
-    rowwise,
-)
+from tunevar.model import Dataset, ModelSpec, row_mean, rowwise, slot_values
 from tunevar.models import _design, _expit, default_penalty_mask
 from tunevar.rng import SplitMix64, derive_stream, fisher_yates_permutation, splitmix64
 from tunevar.solver import COND_LIMIT, default_tol, well_conditioned
@@ -97,13 +95,10 @@ def test_pointwise_variance_symmetric_psd(data_seed, lam):
     m = RidgeLinearModel(2)
     spec = m.spec()
     from tunevar import theta_prime
-    from tunevar.model import phi_matrix
 
     res = solve_theta(spec, data, [lam], np.zeros(3))
-    from tunevar.model import jac_theta_mean
-
-    J = -jac_theta_mean(spec, data.rows, res.theta_hat, res.lam)
-    phis = phi_matrix(spec, data.rows, res.theta_hat, res.lam)
+    J = -slot_values(spec, "jac_theta_sum", data.rows, res.theta_hat, res.lam) / n
+    phis = slot_values(spec, "phi_batch", data.rows, res.theta_hat, res.lam)
     K = phis.T @ phis / n
     Jinv = np.linalg.inv(J)
     V2 = Jinv @ K @ Jinv.T
@@ -190,7 +185,7 @@ def test_solve_result_phi_is_phi_at_root(model, seed, n, scale):
         res = solve_theta(spec, data, lam, start, tol=tol)
     except TunevarError:
         return
-    at_root = phi_matrix(spec, data.rows, res.theta_hat, res.lam)
+    at_root = slot_values(spec, "phi_batch", data.rows, res.theta_hat, res.lam)
     assert np.array_equal(res.Phi, at_root)
     again = solve_theta(spec, data, lam, res.theta_hat, tol=tol)
     assert again.iterations == 0
@@ -206,7 +201,9 @@ def test_solve_result_phi_after_halvings():
     spec.phi_batch = lambda *args: calls.append(1) or batch(*args)
     res = solve_theta(spec, data, lam, [10.0, 0.0, 0.0])
     assert len(calls) > res.iterations + 1
-    assert np.array_equal(res.Phi, phi_matrix(spec, data.rows, res.theta_hat, res.lam))
+    assert np.array_equal(
+        res.Phi, slot_values(spec, "phi_batch", data.rows, res.theta_hat, res.lam)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -276,27 +273,46 @@ def test_expit_matches_reference_bitwise(t):
         assert np.array_equal(arg.view(np.int64), before.view(np.int64))
 
 
-@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=3, min_side=1, max_side=12),
-                  elements=st.floats()))
+@st.composite
+def _stacks(draw):
+    """An (n, p), (n, p, p) or (n, p, q) array of any floats, sides 1 to 12:
+    every 2-d and 3-d shape, with the square Jacobian shape drawn often."""
+    n, p, q = (draw(st.integers(min_value=1, max_value=12)) for _ in range(3))
+    shape = draw(st.sampled_from([(n, p), (n, p, p), (n, p, q)]))
+    return draw(hnp.arrays(np.float64, shape, elements=st.floats()))
+
+
+@given(_stacks())
 def test_row_mean_is_numpy_mean_bitwise(A):
-    # (n, p) phi and (n, p, p) Jacobian stacks: sum / n is numpy's mean,
-    # overflow, infinities and NaN included
+    # sum / n is numpy's mean, overflow, infinities and NaN included, and
+    # slot_values passes each stack on unchanged: A as an (n, p) phi, an
+    # (n, p, q) lambda-Jacobian and, when square, an (n, p, p) theta-Jacobian
+    # whose fallback sum over the row count is the mean
     n, p = A.shape[:2]
+    q = A.shape[2] if A.ndim == 3 else 1
     Z = np.zeros((n, 1))
 
     def stack(Z, th, lm):
         return A
 
-    spec = ModelSpec(p=p, q=1, phi_batch=stack, dphi_dtheta_batch=stack,
+    spec = ModelSpec(p=p, q=q, phi_batch=stack, dphi_dtheta_batch=stack,
                      dphi_dlambda_batch=stack)
-    th, lm = np.zeros(p), np.zeros(1)
+    th, lm = np.zeros(p), np.zeros(q)
     with np.errstate(over="ignore", invalid="ignore"):
         want = A.mean(axis=0)
         assert np.array_equal(row_mean(A), want, equal_nan=True)
-        assert np.array_equal(jac_theta_mean(spec, Z, th, lm), want, equal_nan=True)
-        assert np.array_equal(jac_lambda_mean(spec, Z, th, lm), want, equal_nan=True)
-        if A.ndim == 2 and np.all(np.isfinite(A)):  # phi_matrix rejects non-finite phi
-            assert np.array_equal(phi_mean(spec, Z, th, lm), want)
+        if A.ndim == 2:
+            if np.all(np.isfinite(A)):
+                assert np.array_equal(row_mean(slot_values(spec, "phi_batch", Z, th, lm)), want)
+            else:
+                with pytest.raises(EvaluationError, match="phi_batch produced non-finite"):
+                    slot_values(spec, "phi_batch", Z, th, lm)
+            return
+        got = row_mean(slot_values(spec, "dphi_dlambda_batch", Z, th, lm))
+        assert np.array_equal(got, want, equal_nan=True)
+        if q == p:
+            got = slot_values(spec, "jac_theta_sum", Z, th, lm) / n
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 def _rows(seed, n, d, scale):

@@ -15,7 +15,7 @@ from tunevar import (
     solve_theta,
     theta_prime,
 )
-from tunevar.model import phi_mean, rowwise
+from tunevar.model import row_mean, rowwise, slot_values
 from tunevar.solver import well_conditioned
 
 from conftest import make_linear_data, make_logistic_data, rel_err
@@ -43,7 +43,8 @@ def test_residual_recomputation_matches():
     data = make_linear_data(n=80, seed=4)
     spec = RidgeLinearModel(2).spec()
     res = solve_theta(spec, data, [0.5], np.zeros(3))
-    recomputed = float(np.linalg.norm(phi_mean(spec, data.rows, res.theta_hat, res.lam)))
+    F = slot_values(spec, "phi_batch", data.rows, res.theta_hat, res.lam)
+    recomputed = float(np.linalg.norm(row_mean(F)))
     assert recomputed == res.residual_norm
     assert res.residual_norm <= 1e-10 * (1.0 + 0.0) + 1e-10
 
@@ -103,7 +104,8 @@ def test_solve_loo_residual_and_warm_start():
     for i in [0, 17, 39]:
         loo = solve_loo(spec, data, [0.2], i, warm_start=res.theta_hat)
         Z = np.delete(data.rows, i, axis=0)
-        assert np.linalg.norm(phi_mean(spec, Z, loo.theta_hat, loo.lam)) <= 1e-9
+        F = slot_values(spec, "phi_batch", Z, loo.theta_hat, loo.lam)
+        assert np.linalg.norm(row_mean(F)) <= 1e-9
     with pytest.raises(IndexError):
         solve_loo(spec, data, [0.2], data.n, warm_start=res.theta_hat)
     tiny = Dataset(data.rows[:2])

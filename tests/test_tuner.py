@@ -186,3 +186,13 @@ def test_tune_with_the_jacobian_sum_kernel_matches_the_fallback(case):
         want = tune(fallback, loss, data, Method.CV_FAST)
         assert np.array_equal(fit.lambda_hat, want.lambda_hat)
         assert rel_err(fit.theta_hat, want.theta_hat) <= 1e-12
+
+
+def test_criterion_failure_names_the_first_failure():
+    data, spec, loss = _misspec_setup(seed=1)
+    bad = dataclasses.replace(spec, jac_theta_sum=lambda Z, th, lm: np.zeros(3))
+    with pytest.raises(CriterionFailure, match=(
+        r"criterion failed on 20 of 20 grid points; first failure at lambda = \[0\.\]: "
+        r"EvaluationError: jac_theta_sum returned shape \(3,\), expected \(3, 3\)"
+    )):
+        tune(bad, loss, data, Method.CV_FAST)

@@ -26,7 +26,7 @@ from tunevar import (
     variance_tuned,
 )
 from tunevar import numdiff, variance
-from tunevar.model import Dataset, LossSpec, ModelSpec, grad_psi_matrix, phi_matrix, rowwise
+from tunevar.model import Dataset, LossSpec, ModelSpec, rowwise, slot_values
 from tunevar.rng import derive_stream
 from tunevar.tuner import FitResult
 from tunevar.variance import _joint_jacobian, _sym, z1_profiled
@@ -44,7 +44,7 @@ def z1_chain_rule(model, loss, data, fit: FitResult) -> np.ndarray:
     def g(lam):
         res = solve_theta(model, data, lam, fit.theta_hat)
         D = theta_prime(model, data, res)
-        b = grad_psi_matrix(loss, data.rows, res.theta_hat).mean(axis=0)
+        b = slot_values(loss, "grad_psi_batch", data.rows, res.theta_hat).mean(axis=0)
         return D.T @ b
 
     return _sym(numdiff.jacobian(g, np.asarray(fit.lambda_hat, float), scale=1e-3))
@@ -108,8 +108,8 @@ def test_eta3_chain_rule_cross_check():
     e = eta_matrix(spec, loss, z[None], th, lam, D)[0]
     h = 1e-5
     fd = (
-        phi_matrix(spec, z[None], th + D[:, 0] * h, lam + h)[0]
-        - phi_matrix(spec, z[None], th - D[:, 0] * h, lam - h)[0]
+        slot_values(spec, "phi_batch", z[None], th + D[:, 0] * h, lam + h)[0]
+        - slot_values(spec, "phi_batch", z[None], th - D[:, 0] * h, lam - h)[0]
     ) / (2 * h)
     assert np.allclose(e[4:], fd, atol=1e-7)
 
