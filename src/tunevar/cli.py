@@ -27,8 +27,8 @@ from .models import (
     make_pima_model,
 )
 from .rng import derive_stream
-from .solver import default_tol, solve_theta, theta_prime
-from .tuner import BoundaryStatus, FitResult, tune
+from .solver import SolveResult, default_tol, solve_theta, theta_prime
+from .tuner import BoundaryStatus, FitResult, edge_status, tune
 from .variance import select_variance
 
 SCHEMA_VERSION = 3
@@ -117,12 +117,16 @@ def load_fit_json(path, spec: ModelSpec, data: Dataset) -> FitResult:
 
     SchemaError on a record that is not a JSON object, another
     schema_version, a missing field or one of the wrong type, an array whose
-    shape does not match the model's p and q, a trace that is empty or has a
-    row other than q + 1 numbers, a lambda_box other than the
-    model's lambda box, a lambda_hat outside that box, or a theta_hat that
-    does not solve the estimating equation on this data: a residual
+    shape does not match the model's p and q (criterion_slope_at_opt
+    included), a trace that is empty or has a row other than q + 1 numbers,
+    a lambda_box other than the model's lambda box, a lambda_hat outside
+    that box, boundary_status labels that are neither all "fixed" nor the
+    tuner's own labels of lambda_hat (tuner.edge_status), a theta_hat that
+    does not solve the estimating equation on this data (a residual
     ||mean phi(Z, theta_hat, lambda_hat)|| above 1e4 times the solver's
-    tolerance, 1e-6 * (1 + ||theta_hat||).
+    tolerance, 1e-6 * (1 + ||theta_hat||)), or a D_hat more than
+    1e-8 * (1 + max|D|) from D = theta' recomputed at theta_hat and
+    lambda_hat on this data.
     """
     with open(path) as fh:
         d = json.load(fh)
@@ -143,6 +147,7 @@ def load_fit_json(path, spec: ModelSpec, data: Dataset) -> FitResult:
         ("D_hat", fit.D_hat.shape, (p, q)),
         ("lambda_box", fit.lambda_box.shape, (q, 2)),
         ("boundary_status", (len(fit.boundary_status),), (q,)),
+        ("criterion_slope_at_opt", fit.criterion_slope_at_opt.shape, (q,)),
     ):
         if got != want:
             raise SchemaError(f"fit.json {name} has shape {got}; the model needs {want}")
@@ -160,17 +165,32 @@ def load_fit_json(path, spec: ModelSpec, data: Dataset) -> FitResult:
                 f"lambda box {box.tolist()}; the fit was made in another box"
             )
         _check_in_box(fit.lambda_hat, box, "fit.json lambda_hat")
-    try:
-        phi_bar = row_mean(
-            slot_values(spec, "phi_batch", data.rows, fit.theta_hat, fit.lambda_hat)
+    tuned = edge_status(fit.lambda_hat, fit.lambda_box)
+    if set(fit.boundary_status) != {BoundaryStatus.FIXED} and fit.boundary_status != tuned:
+        raise SchemaError(
+            f"fit.json boundary_status {[s.value for s in fit.boundary_status]} is "
+            f"neither all 'fixed' nor the tuner's labels of lambda_hat, "
+            f"{[s.value for s in tuned]}"
         )
+    theta, lam = fit.theta_hat, fit.lambda_hat
+    try:
+        Phi = slot_values(spec, "phi_batch", data.rows, theta, lam)
+        residual = float(np.linalg.norm(row_mean(Phi)))
     except EvaluationError:
-        phi_bar = np.full(p, np.inf)
-    residual = float(np.linalg.norm(phi_bar))
-    tol = 1e4 * default_tol(fit.theta_hat)
+        residual = np.inf
+    tol = 1e4 * default_tol(theta)
     if not residual <= tol:
         raise SchemaError(
             f"fit.json theta_hat leaves the residual {residual:.3e} > {tol:.3e} on "
+            "this data; the fit was made on other data or with another model"
+        )
+    # D = theta' at the record's root, as tune and fit compute it
+    J_hat = -(slot_values(spec, "jac_theta_sum", data.rows, theta, lam) / data.n)
+    D = theta_prime(spec, data, SolveResult(theta, lam, 0, residual, J_hat, Phi))
+    gap = float(np.max(np.abs(fit.D_hat - D)))
+    if not gap <= 1e-8 * (1.0 + float(np.max(np.abs(D)))):
+        raise SchemaError(
+            f"fit.json D_hat is {gap:.3e} from theta' at theta_hat and lambda_hat on "
             "this data; the fit was made on other data or with another model"
         )
     return fit

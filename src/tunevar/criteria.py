@@ -65,11 +65,18 @@ class CriterionValue:
             raise TunevarError(f"{self.method.value} produced a non-finite value")
 
 
-def _fit(model, data, lam, solve):
-    """solve if given, else the root at lam from model.theta_init."""
-    if solve is not None:
-        return solve
-    return solve_theta(model, data, lam, model.theta_init)
+def _fit(model, data, lam, solve, start):
+    """solve if given, else the root at lam from start.
+
+    ValueError when the given solve was made at another lambda than lam: the
+    criterion reads its values from the solve, so it would report that
+    lambda's value under lam.
+    """
+    if solve is None:
+        return solve_theta(model, data, lam, start)
+    if not np.array_equal(solve.lam, np.atleast_1d(lam)):
+        raise ValueError(f"solve was made at lambda = {solve.lam}, not at {np.atleast_1d(lam)}")
+    return solve
 
 
 def _trace_term(solve: SolveResult, G) -> float:
@@ -89,7 +96,7 @@ def training_error(
     solve: Optional[SolveResult] = None,
 ) -> CriterionValue:
     """TE(lam) = mean_i psi(Z_i, theta_hat(lam))."""
-    solve = _fit(model, data, lam, solve)
+    solve = _fit(model, data, lam, solve, model.theta_init)
     value = float(slot_values(loss, "psi_batch", data.rows, solve.theta_hat).mean())
     return CriterionValue(value, Method.TE, np.asarray(solve.lam, float), {})
 
@@ -117,8 +124,7 @@ def loocv_exact(
     refit_failures the rows that failed on it.
     """
     start = model.theta_init if theta_init is None else theta_init
-    if solve is None:
-        solve = solve_theta(model, data, lam, start)
+    solve = _fit(model, data, lam, solve, start)
     thetas, ok = solve_loo_all(model, data, solve)
     fallbacks = np.flatnonzero(~ok)
     for i in fallbacks:
@@ -155,7 +161,7 @@ def loocv_fast(
     at the approximated points. The phi values are the root's solve.Phi, so
     a given solve must be the root of model on data; no phi is evaluated.
     """
-    solve = _fit(model, data, lam, solve)
+    solve = _fit(model, data, lam, solve, model.theta_init)
     steps = checked_solve(solve.J_hat, solve.Phi.T, "J_hat").T / data.n  # (n, p)
     thetas = solve.theta_hat[None, :] - steps
     value = float(slot_values(loss, "psi_rowwise", data.rows, thetas).mean())
@@ -171,7 +177,7 @@ def te_trace_corrected(
     C_hat takes its phi values from the root's solve.Phi, so a given solve
     must be the root of model on data; no phi is evaluated.
     """
-    solve = _fit(model, data, lam, solve)
+    solve = _fit(model, data, lam, solve, model.theta_init)
     te = float(slot_values(loss, "psi_batch", data.rows, solve.theta_hat).mean())
     corr = _trace_term(solve, slot_values(loss, "grad_psi_batch", data.rows, solve.theta_hat))
     return CriterionValue(
@@ -220,7 +226,7 @@ def info_criterion(
     """
     if kind not in (Method.AIC, Method.BIC, Method.TIC):
         raise ValueError("kind must be one of Method.AIC, Method.BIC, Method.TIC")
-    solve = _fit(model, data, lam, solve)
+    solve = _fit(model, data, lam, solve, model.theta_init)
     neg_loglik = float(slot_values(loss, "psi_batch", data.rows, solve.theta_hat).mean())
     n, p = data.n, model.p
     diagnostics: Dict[str, float] = {}

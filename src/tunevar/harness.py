@@ -10,8 +10,9 @@ Failed replications are excluded and reported; more than MAX_FAILURE_RATE
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -108,12 +109,12 @@ def simulate(dgp: DGPSpec, seed: int) -> Dataset:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything needed to run tune-then-variance on one dataset."""
+    """Everything needed to run tune-then-variance on one dataset; the tuning
+    box is model.lambda_domain."""
 
     model: ModelSpec
     loss: LossSpec
     method: Method = Method.CV_FAST
-    lambda_domain: Optional[np.ndarray] = None
     grid_size: int = 20
     split: float = 0.5
     compute_variance: bool = True
@@ -164,8 +165,7 @@ class ReplicationSummary:
 def _run_one(data: Dataset, config: PipelineConfig, seed: int):
     fit = tune(
         config.model, config.loss, data, config.method,
-        lambda_domain=config.lambda_domain, grid_size=config.grid_size,
-        seed=seed, split=config.split,
+        grid_size=config.grid_size, seed=seed, split=config.split,
     )
     p = config.model.p
     V1 = np.full((p, p), np.nan)
@@ -178,61 +178,59 @@ def _run_one(data: Dataset, config: PipelineConfig, seed: int):
     return fit, V1, V2
 
 
-def _collect(runner: Callable[[int], tuple], B: int, n: int,
-             requested_label: str) -> ReplicationSummary:
-    lams: List[np.ndarray] = []
-    thetas: List[np.ndarray] = []
-    V1s: List[np.ndarray] = []
-    V2s: List[np.ndarray] = []
-    failures: List[int] = []
-    boundary = 0
+def _replications(step: Callable[[int], object], B: int, seed: int,
+                  label: str) -> Tuple[list, List[int]]:
+    """(results, failure indices) of step(derive_stream(seed, j)) for j = 0..B-1.
+
+    A step that raises TunevarError is a failure; more than MAX_FAILURE_RATE
+    * B of them raise FailureRateExceeded.
+    """
+    results, failures = [], []
     for j in range(B):
         try:
-            fit, V1, V2 = runner(j)
+            results.append(step(derive_stream(seed, j)))
         except TunevarError:
             failures.append(j)
-            continue
-        lams.append(np.asarray(fit.lambda_hat, float))
-        thetas.append(np.asarray(fit.theta_hat, float))
-        V1s.append(V1)
-        V2s.append(V2)
-        if not fit.interior:
-            boundary += 1
     if len(failures) > MAX_FAILURE_RATE * B:
-        raise FailureRateExceeded(
-            f"{len(failures)} of {B} {requested_label} replications failed"
-        )
+        raise FailureRateExceeded(f"{len(failures)} of {B} {label} replications failed")
+    return results, failures
+
+
+def _collect(runner: Callable[[int], tuple], B: int, seed: int, n: int,
+             label: str) -> ReplicationSummary:
+    """Summary of runner(stream) -> (fit, V1, V2) on B streams; ValueError if B < 2."""
+    if B < 2:
+        raise ValueError("B must be at least 2")
+    runs, failures = _replications(runner, B, seed, label)
+    fits = [fit for fit, _, _ in runs]
     return ReplicationSummary(
         n=n, requested=B,
-        lambda_draws=np.asarray(lams), theta_draws=np.asarray(thetas),
-        V1_draws=np.asarray(V1s), V2_draws=np.asarray(V2s),
-        failure_indices=tuple(failures), boundary_count=boundary,
+        lambda_draws=np.asarray([np.asarray(fit.lambda_hat, float) for fit in fits]),
+        theta_draws=np.asarray([np.asarray(fit.theta_hat, float) for fit in fits]),
+        V1_draws=np.asarray([V1 for _, V1, _ in runs]),
+        V2_draws=np.asarray([V2 for _, _, V2 in runs]),
+        failure_indices=tuple(failures),
+        boundary_count=sum(not fit.interior for fit in fits),
     )
 
 
 def replicate(dgp: DGPSpec, config: PipelineConfig, B: int, seed: int) -> ReplicationSummary:
     """Simulate -> tune -> variance, B times on independent seeded streams."""
-    if B < 2:
-        raise ValueError("B must be at least 2")
 
-    def runner(j):
-        data = simulate(dgp, seed=derive_stream(seed, j))
-        return _run_one(data, config, seed=derive_stream(seed, j))
+    def runner(stream):
+        return _run_one(simulate(dgp, seed=stream), config, seed=stream)
 
-    return _collect(runner, B, dgp.n, "simulation")
+    return _collect(runner, B, seed, dgp.n, "simulation")
 
 
 def bootstrap(data: Dataset, config: PipelineConfig, B: int, seed: int) -> ReplicationSummary:
     """Nonparametric bootstrap: resample rows, rerun tune-and-fit per resample."""
-    if B < 2:
-        raise ValueError("B must be at least 2")
 
-    def runner(j):
-        rng = rng_for(derive_stream(seed, j))
-        idx = rng.integers(0, data.n, size=data.n)
-        return _run_one(data.take(idx), config, seed=derive_stream(seed, j))
+    def runner(stream):
+        idx = rng_for(stream).integers(0, data.n, size=data.n)
+        return _run_one(data.take(idx), config, seed=stream)
 
-    return _collect(runner, B, data.n, "bootstrap")
+    return _collect(runner, B, seed, data.n, "bootstrap")
 
 
 @dataclass(frozen=True)
@@ -270,42 +268,34 @@ def mixture_law_check(
 ) -> MixtureLawReport:
     """Compare clamped-estimator draws against the simulated boundary mixture.
 
-    The design is assumed to put the population optimum at the edge of a
-    q = 1 tuning box that boundary names, "lower" or "upper". Empirical side: B replications of truncated_estimate,
-    scaled as sqrt(n) * (theta_T - theta0). Theoretical side: the joint normal
-    limit of (tuned theta, edge-pinned theta, unconstrained lambda minimizer)
-    is estimated from per-observation influences on one reference fit, and the
-    mixture picks the tuned branch when the simulated minimizer lands inside
-    the box, the pinned branch otherwise.
+    The design is assumed to put the population optimum at the edge of the
+    q = 1 tuning box config.model.lambda_domain that boundary names, "lower"
+    or "upper". Empirical side: B replications of simulate and
+    truncated_estimate, scaled as sqrt(n) * (theta_T - theta0); a
+    replication that fails in either counts against MAX_FAILURE_RATE.
+    Theoretical side: the joint normal limit of (tuned theta, edge-pinned
+    theta, unconstrained lambda minimizer) is estimated from per-observation
+    influences on one reference fit, and the mixture picks the tuned branch
+    when the simulated minimizer lands inside the box, the pinned branch
+    otherwise.
     """
     if config.model.q != 1:
         raise ValueError("mixture_law_check requires q = 1")
     if boundary not in ("lower", "upper"):
         raise ValueError(f"boundary must be 'lower' or 'upper', got {boundary!r}")
     theta0 = np.asarray(theta0, float)
-    box = _resolve_box(config.model, config.lambda_domain)
+    box = _resolve_box(config.model)
     lam_edge = box[0, 0] if boundary == "lower" else box[0, 1]
 
-    # empirical draws of the clamped estimator
-    draws = []
-    cases: Dict[str, int] = {}
-    failures = 0
-    for j in range(B):
-        data = simulate(dgp, seed=derive_stream(seed, j))
-        try:
-            res = truncated_estimate(
-                config.model, config.loss, data, config.method,
-                lambda_domain=box, grid_size=config.grid_size,
-                seed=derive_stream(seed, j), split=config.split,
-            )
-        except TunevarError:
-            failures += 1
-            continue
-        cases[res.case_tag] = cases.get(res.case_tag, 0) + 1
-        draws.append(np.sqrt(dgp.n) * (res.theta_hat - theta0))
-    if failures > MAX_FAILURE_RATE * B:
-        raise FailureRateExceeded(f"{failures} of {B} mixture replications failed")
-    empirical = np.asarray(draws)
+    def draw(stream):  # one clamped-estimator draw
+        return truncated_estimate(
+            config.model, config.loss, simulate(dgp, seed=stream), config.method,
+            grid_size=config.grid_size, seed=stream, split=config.split,
+        )
+
+    results, failures = _replications(draw, B, seed, "mixture")
+    cases = dict(Counter(res.case_tag for res in results))
+    empirical = np.asarray([np.sqrt(dgp.n) * (res.theta_hat - theta0) for res in results])
 
     # reference fit at the edge for the influence-based joint covariance
     ref = simulate(dgp, seed=derive_stream(seed, B + 1))
@@ -334,5 +324,5 @@ def mixture_law_check(
     ks = np.array([_ks_statistic(empirical[:, k], mixture[:, k]) for k in range(p)])
     return MixtureLawReport(
         ks_statistics=ks, empirical_draws=empirical, mixture_draws=mixture,
-        case_counts=cases, failure_count=failures,
+        case_counts=cases, failure_count=len(failures),
     )

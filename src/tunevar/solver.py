@@ -266,7 +266,7 @@ def solve_loo_all(model: ModelSpec, data: Dataset, solve: SolveResult):
     return thetas, converged
 
 
-def solve_loo(model: ModelSpec, data: Dataset, lam, i: int, warm_start, tol=None) -> SolveResult:
+def solve_loo(model: ModelSpec, data: Dataset, lam, i: int, warm_start) -> SolveResult:
     """Refit on the n-1 rows excluding row i, warm-started (typically at theta_hat).
 
     The per-row fallback of loocv_exact for the rows solve_loo_all did not
@@ -276,7 +276,5 @@ def solve_loo(model: ModelSpec, data: Dataset, lam, i: int, warm_start, tol=None
         raise ValueError("leave-one-out refits need n >= 3")
     if not (0 <= i < data.n):
         raise IndexError(f"row index {i} out of range")
-    if tol is None:
-        tol = default_tol(warm_start)
     Z = np.delete(data.rows, i, axis=0)
-    return _newton(model, Z, lam, warm_start, tol)
+    return _newton(model, Z, lam, warm_start, default_tol(warm_start))

@@ -181,50 +181,52 @@ def _pattern_search(ev: _Evaluator, start, box):
             steps /= 2.0
 
 
-def _slope_and_status(ev: _Evaluator, lam_hat, box):
-    """Criterion slope per axis (one-sided at an edge, else central) plus labels."""
-    q = len(lam_hat)
-    slopes = np.zeros(q)
-    status = []
-    for j in range(q):
+def edge_status(lam_hat, box) -> Tuple[BoundaryStatus, ...]:
+    """The tuner's label per axis: the edge that lam_hat is within
+    BOUNDARY_PROXIMITY times the box width of, else INTERIOR."""
+    near = BOUNDARY_PROXIMITY * (box[:, 1] - box[:, 0])
+    return tuple(
+        BoundaryStatus.LOWER_BOUNDARY if lam - lo <= w
+        else BoundaryStatus.UPPER_BOUNDARY if hi - lam <= w
+        else BoundaryStatus.INTERIOR
+        for lam, (lo, hi), w in zip(lam_hat, box, near)
+    )
+
+
+def _slopes(ev: _Evaluator, lam_hat, box, status) -> np.ndarray:
+    """Criterion slope per axis: one-sided at an edge, else central."""
+    slopes = np.zeros(len(lam_hat))
+    for j, s in enumerate(status):
         lo, hi = box[j]
-        width = hi - lo
-        h = SLOPE_STEP * width
-        at_lower = lam_hat[j] - lo <= BOUNDARY_PROXIMITY * width
-        at_upper = hi - lam_hat[j] <= BOUNDARY_PROXIMITY * width
-        up = lam_hat.copy()
-        dn = lam_hat.copy()
-        if at_lower:
+        h = SLOPE_STEP * (hi - lo)
+        up, dn = lam_hat.copy(), lam_hat.copy()
+        if s is BoundaryStatus.LOWER_BOUNDARY:
             up[j] = lo + h
             slopes[j] = (ev.value(up) - ev.value(lam_hat)) / h
-            status.append(BoundaryStatus.LOWER_BOUNDARY)
-        elif at_upper:
+        elif s is BoundaryStatus.UPPER_BOUNDARY:
             dn[j] = hi - h
             slopes[j] = (ev.value(lam_hat) - ev.value(dn)) / h
-            status.append(BoundaryStatus.UPPER_BOUNDARY)
         else:
-            up[j] = min(lam_hat[j] + h, hi)
-            dn[j] = max(lam_hat[j] - h, lo)
+            up[j], dn[j] = min(lam_hat[j] + h, hi), max(lam_hat[j] - h, lo)
             slopes[j] = (ev.value(up) - ev.value(dn)) / (up[j] - dn[j])
-            status.append(BoundaryStatus.INTERIOR)
-    return slopes, tuple(status)
+    return slopes
 
 
-def _resolve_box(model: ModelSpec, lambda_domain):
-    box = model.lambda_domain if lambda_domain is None else lambda_domain
-    if box is None:
+def _resolve_box(model: ModelSpec):
+    if model.lambda_domain is None:
         raise ValueError("no lambda_domain available")
-    return _check_box(box, model.q, "lambda_domain")
+    return _check_box(model.lambda_domain, model.q, "lambda_domain")
 
 
 def tune(
     model: ModelSpec, loss: LossSpec, data: Dataset, method: Method = Method.CV_EXACT,
-    lambda_domain=None, grid_size: int = 20, seed: int = 0, split: float = 0.5,
+    grid_size: int = 20, seed: int = 0, split: float = 0.5,
 ) -> FitResult:
-    """Minimize the criterion over the tuning box and classify the minimizer."""
+    """Minimize the criterion over model.lambda_domain and classify the minimizer.
+    For another box, tune dataclasses.replace(model, lambda_domain=box)."""
     if grid_size < 5:
         raise ValueError("grid_size must be at least 5")
-    box = _resolve_box(model, lambda_domain)
+    box = _resolve_box(model)
     ev = _Evaluator(model, loss, data, method, split, seed)
 
     if model.q == 1:
@@ -239,7 +241,8 @@ def tune(
 
     lam_hat, value = _argmin_trace(ev.trace)
     lam_hat = np.clip(lam_hat, box[:, 0], box[:, 1])
-    slopes, status = _slope_and_status(ev, lam_hat, box)
+    status = edge_status(lam_hat, box)
+    slopes = _slopes(ev, lam_hat, box, status)
 
     solve = solve_theta(model, data, lam_hat, ev.warm)
     D_hat = theta_prime(model, data, solve)
@@ -272,20 +275,19 @@ class TruncatedResult:
 
 def truncated_estimate(
     model: ModelSpec, loss: LossSpec, data: Dataset, method: Method = Method.CV_EXACT,
-    lambda_domain=None, grid_size: int = 20, seed: int = 0, split: float = 0.5,
+    grid_size: int = 20, seed: int = 0, split: float = 0.5,
 ) -> TruncatedResult:
     """Clamped estimator with the boundary-case label of its minimizer.
 
-    The criterion is searched over an interval extended by half a width on
-    each side, where the model permits evaluation; the returned theta is the
-    fit at the clamp of the extended minimizer into the original box. Labels:
+    The criterion is searched over model.lambda_domain extended by half a
+    width on each side, where the model permits evaluation; the returned
+    theta is the fit at the clamp of the extended minimizer into that box. Labels:
     "a"/"b" for minimizers clearly below/above the box, "c"/"d" for within
     delta = 2 * n^{-1/2} * width of the lower/upper edge, "interior" otherwise.
     """
     if model.q != 1:
         raise ValueError("truncated_estimate requires q = 1")
-    box = _resolve_box(model, lambda_domain)
-    lo, hi = box[0]
+    lo, hi = _resolve_box(model)[0]
     width = hi - lo
     delta = 2.0 * width / np.sqrt(data.n)
 
@@ -303,7 +305,7 @@ def truncated_estimate(
     else:
         # model not evaluable outside the box: constrained search, then decide
         # the clear-exceedance cases from the boundary slope sign
-        fit = tune(model, loss, data, method, lambda_domain, grid_size, seed, split)
+        fit = tune(model, loss, data, method, grid_size, seed, split)
         lam_g = float(fit.lambda_hat[0])
         slope = float(fit.criterion_slope_at_opt[0])
         if fit.boundary_status[0] is BoundaryStatus.LOWER_BOUNDARY and slope > 0:

@@ -9,11 +9,13 @@ Two estimators of the variance of sqrt(n) * (theta_hat(lambda_hat) - theta_0):
       lambda fixed in advance.
 
 V_alpha is the full-vector variance of alpha_hat = (theta_hat, lambda_hat,
-vec theta_hat') from the Jacobian of the stacked estimating system. That
-Jacobian is analytic in theta and theta', from the model's derivative slots,
-and a central difference in lambda; its theta-block agrees with V1. The test
-suite keeps the independent check: a central difference of the stacked
-system in every coordinate, which the analytic Jacobian must match.
+vec theta_hat'): the covariance of the per-row influences of the stacked
+estimating system (alpha_influences), which use the inverse of its Jacobian.
+That Jacobian is analytic in theta and theta', from the model's derivative
+slots, and a central difference in lambda; the theta-block of V_alpha agrees
+with V1. The test suite keeps the independent check: a central difference
+of the stacked system in every coordinate, which the analytic Jacobian must
+match.
 """
 
 from __future__ import annotations
@@ -216,16 +218,18 @@ def _joint_jacobian(model: ModelSpec, loss: LossSpec, Z: np.ndarray, theta, lam,
     return P
 
 
-def _joint_system(model: ModelSpec, loss: LossSpec, Z: np.ndarray, theta, lam, D):
-    """(Psi'^{-1}, eta matrix) of the stacked system at alpha = (theta, lam, vec D).
+def alpha_influences(
+    model: ModelSpec, loss: LossSpec, data: Dataset, theta, lam, D
+) -> np.ndarray:
+    """(n, p + q + pq) per-row influence values of the joint system.
 
-    Psi' is _joint_jacobian: analytic in theta and D, a central difference in
-    lambda. FlatLimitSuspected is raised when its singular-value ratio is
-    below 1e-8, which also keeps its condition number at or below 1e8, far
-    inside solver.COND_LIMIT, so no further condition check is made before
-    inverting.
+    Row i is the first-order effect of observation i on alpha_hat,
+    -Psi'^{-1} eta(Z_i, alpha) at the supplied alpha, Psi' from
+    _joint_jacobian. FlatLimitSuspected when Psi' has a singular-value ratio
+    below 1e-8, which also keeps its condition number within 1e8, far inside
+    solver.COND_LIMIT, so it is inverted without a further check.
     """
-    Psi_prime = _joint_jacobian(model, loss, Z, theta, lam, D)
+    Psi_prime = _joint_jacobian(model, loss, data.rows, theta, lam, D)
     sv = np.linalg.svd(Psi_prime, compute_uv=False)
     if sv[-1] < 1e-8 * sv[0]:
         raise FlatLimitSuspected(
@@ -233,7 +237,8 @@ def _joint_system(model: ModelSpec, loss: LossSpec, Z: np.ndarray, theta, lam, D
             f"(singular value ratio {sv[-1] / sv[0]:.3e}); the tuning target "
             "appears unidentified and the tuned-limit theory does not apply"
         )
-    return np.linalg.inv(Psi_prime), eta_matrix(model, loss, Z, theta, lam, D)
+    Eta = eta_matrix(model, loss, data.rows, theta, lam, D)
+    return -(np.linalg.inv(Psi_prime) @ Eta.T).T
 
 
 def variance_alpha(
@@ -241,31 +246,16 @@ def variance_alpha(
 ) -> np.ndarray:
     """Full-vector variance of alpha_hat = (theta_hat, lambda_hat, vec D_hat).
 
-    Psi'^{-1} K* Psi'^{-T} with the Jacobian Psi' of _joint_jacobian at
-    alpha_hat. Psi' reads the same derivative slots as assemble_components,
-    so its theta-block differs from variance_tuned only where z1_profiled
-    differs from the curvature in lambda that Psi' implies. The test suite
-    checks Psi' against a central difference in every coordinate of alpha.
+    U'U / n over the rows U of alpha_influences at alpha_hat, which is
+    Psi'^{-1} K* Psi'^{-T} in exact arithmetic. Psi' reads the same
+    derivative slots as assemble_components, so its theta-block differs from
+    variance_tuned only where z1_profiled differs from the curvature in
+    lambda that Psi' implies.
     """
     if not fit.interior:
         raise BoundaryFit("variance_alpha needs an interior fit")
-    Pinv, Eta = _joint_system(model, loss, data.rows, fit.theta_hat, fit.lambda_hat, fit.D_hat)
-    Kstar = _sym(Eta.T @ Eta / data.n)
-    return _sym(Pinv @ Kstar @ Pinv.T)
-
-
-def alpha_influences(
-    model: ModelSpec, loss: LossSpec, data: Dataset, theta, lam, D
-) -> np.ndarray:
-    """(n, p + q + pq) per-row influence values of the joint system.
-
-    Row i is the first-order effect of observation i on alpha_hat:
-    -Psi'^{-1} eta(Z_i, alpha), evaluated at the supplied point. Used to
-    simulate the joint normal limit of (theta_hat(lambda_hat), theta_hat at a
-    fixed lambda, lambda_hat) in boundary-case diagnostics.
-    """
-    Pinv, Eta = _joint_system(model, loss, data.rows, theta, lam, D)
-    return -(Pinv @ Eta.T).T
+    U = alpha_influences(model, loss, data, fit.theta_hat, fit.lambda_hat, fit.D_hat)
+    return _sym(U.T @ U / data.n)
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,59 @@ def test_fit_json_from_another_box_exits_2(data_csv, tmp_path, capsys):
     assert "lambda_hat" in err["error"]["message"]
 
 
+def _tuned_record(path, tmp_path, criterion):
+    out = tmp_path / criterion
+    assert main(["tune", "--data", str(path), "--criterion", criterion,
+                 "--grid-size", "8", "--out", str(out)]) == 0
+    return json.loads((out / "fit.json").read_text())
+
+
+def _variance_on(path, tmp_path, capsys, record):
+    """(exit code, stderr error object or None) of variance --fit record."""
+    bad = tmp_path / "record.json"
+    bad.write_text(json.dumps(record))
+    rc = main(["variance", "--data", str(path), "--fit", str(bad),
+               "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.strip()
+    return rc, json.loads(err)["error"] if err else None
+
+
+def test_fit_json_with_another_d_hat_exits_2(data_csv, tmp_path, capsys):
+    # V1 reads D_hat: ten times theta' used to give other standard errors, exit 0
+    path, _ = data_csv
+    d = _tuned_record(path, tmp_path, "cv_fast")
+    assert d["boundary_status"] == ["interior"]
+    assert _variance_on(path, tmp_path, capsys, d) == (0, None)
+    d["D_hat"] = (10 * np.asarray(d["D_hat"])).tolist()
+    rc, err = _variance_on(path, tmp_path, capsys, d)
+    assert rc == 2
+    assert err["type"] == "SchemaError" and "D_hat" in err["message"]
+
+
+@pytest.mark.parametrize("slope", [5.0, [], [1.0, 2.0]])
+def test_fit_json_slope_of_another_shape_exits_2(data_csv, tmp_path, capsys, slope):
+    # a scalar slope on an edge fit used to crash flat_at_edge with a TypeError
+    path, _ = data_csv
+    d = _tuned_record(path, tmp_path, "te")
+    assert d["boundary_status"] == ["lower_boundary"]
+    d["criterion_slope_at_opt"] = slope
+    rc, err = _variance_on(path, tmp_path, capsys, d)
+    assert rc == 2
+    assert err["type"] == "SchemaError" and "criterion_slope_at_opt" in err["message"]
+
+
+@pytest.mark.parametrize("labels", [["interior"], ["upper_boundary"]])
+def test_fit_json_relabelled_edge_fit_exits_2(data_csv, tmp_path, capsys, labels):
+    # an edge fit relabelled interior used to get V1
+    path, _ = data_csv
+    d = _tuned_record(path, tmp_path, "te")
+    assert _variance_on(path, tmp_path, capsys, d) == (0, None)
+    d["boundary_status"] = labels
+    rc, err = _variance_on(path, tmp_path, capsys, d)
+    assert rc == 2
+    assert err["type"] == "SchemaError" and "boundary_status" in err["message"]
+
+
 def test_variance_fit_roundtrip_equals_direct(data_csv, tmp_path):
     path, data = data_csv
     out = tmp_path / "out"

@@ -443,3 +443,18 @@ def test_solve_loo_all_stacked_phi_matches_fallback(model):
     fb_thetas, fb_converged = solve_loo_all(fallback, data, solve)
     assert np.array_equal(converged, fb_converged)
     assert np.all(np.abs(thetas - fb_thetas) <= 1e-12 * np.abs(fb_thetas))
+
+
+@pytest.mark.parametrize("criterion", [
+    training_error, loocv_exact, loocv_fast, te_trace_corrected,
+    lambda *a, **kw: info_criterion(*a, Method.TIC, **kw),
+], ids=["te", "cv", "cv_fast", "te_trace", "tic"])
+def test_criteria_refuse_a_solve_at_another_lambda(criterion):
+    # the value is read from the solve: a root at 0.1 gave TE(0.1) under lam 0.9
+    spec, loss = _ridge()
+    data = make_linear_data(n=80, seed=3)
+    solve = solve_theta(spec, data, [0.1], spec.theta_init)
+    with pytest.raises(ValueError, match="solve was made at lambda"):
+        criterion(spec, loss, data, [0.9], solve=solve)
+    at_solve = criterion(spec, loss, data, [0.1], solve=solve)
+    assert at_solve.value == criterion(spec, loss, data, [0.1]).value

@@ -157,6 +157,24 @@ def test_failure_rate_policy():
         replicate(dgp, config, B=6, seed=1)
 
 
+def test_mixture_failure_rule_counts_simulate():
+    # every second draw has a NaN, so simulate raises EvaluationError; as in
+    # replicate, that is a failed replication, not an escaping error
+    calls = {"k": 0}
+
+    def sampler(rng, n):
+        calls["k"] += 1
+        x = rng.standard_normal((n, 2))
+        rows = np.column_stack([x @ np.ones(2) + rng.standard_normal(n), x])
+        if calls["k"] % 2 == 0:
+            rows[0, 0] = np.nan
+        return rows
+
+    dgp = DGPSpec(DGPKind.CUSTOM, n=40, params={"sampler": sampler})
+    with pytest.raises(FailureRateExceeded, match="^3 of 6 mixture replications failed$"):
+        mixture_law_check(dgp, _config(), theta0=[0.0, 1.0, 1.0], B=6, seed=0)
+
+
 def test_replicate_validates_b():
     dgp = DGPSpec(DGPKind.LINEAR_GAUSSIAN, n=50)
     with pytest.raises(ValueError):

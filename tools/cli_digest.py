@@ -11,7 +11,8 @@ parent, run the script against each checkout's sources and diff the output:
 
 Runs: fit, tune and variance for each built-in generic model (ridge-linear,
 ridge-logistic, gaussian) under each of the criteria cv, cv_fast, te,
-te_trace and tic; variance --fit on each model's fixed-lambda record; fit
+te_trace, tic and holdout (the seeded Fisher-Yates split at the default
+--split and --seed); variance --fit on each model's fixed-lambda record; fit
 --criterion cv on n = 300 ridge-logistic and gaussian inputs, where a
 leave-one-out Newton step spans more than one leave-one-out sum call
 (solver.MAX_PHI_ROWS); simulate, bootstrap and stone-check; and an
@@ -45,7 +46,7 @@ from pathlib import Path
 from tunevar import DGPKind, DGPSpec, simulate
 from tunevar.cli import main as cli_main
 
-CRITERIA = ("cv", "cv_fast", "te", "te_trace", "tic")
+CRITERIA = ("cv", "cv_fast", "te", "te_trace", "tic", "holdout")
 
 # model -> (input DGP, seed, fixed lambda for fit)
 INPUTS = {
