@@ -314,7 +314,7 @@ def cmd_variance(args, out: Path) -> int:
         "V2": report.V2,
         "selected": report.selected,
         "standard_errors": report.standard_errors,
-        "boundary_status": [s.value for s in report.boundary_status],
+        "boundary_status": [s.value for s in fit.boundary_status],
         "nondegenerate_boundary": bool(report.nondegenerate_boundary),
         "J_hat": report.components.J_hat,
         "K_hat": report.components.K_hat,
@@ -402,6 +402,7 @@ def cmd_stone_check(args, out: Path) -> int:
     lam = np.array([args.lam])
     m = RidgeLinearModel(n_covariates=len(args.beta) - 1)
     spec, loss = m.spec(), m.squared_error_loss()
+    _check_in_box(lam, spec.lambda_domain, "--lam")
     for n in args.n_list:
         gaps = []
         dgp = _linear_dgp(args, n)
@@ -432,9 +433,15 @@ _PATH_FLAGS = {
     "grid_size": ("--grid-size", 20),
     "split": ("--split", 0.5),
     "seed": ("--seed", 0),
+    "C": ("--C", 0.0),
+    "beta": ("--beta", (1.0, 1.0)),
+    "sigma": ("--sigma", 1.0),
+    "coef_sq": ("--coef-sq", 0.0),
 }
 # subcommands that draw or resample data from --seed whatever the criterion
 _SEEDED = ("simulate", "bootstrap", "stone-check")
+# the DGP flags that each --dgp reads
+_DGP_READS = {"gaussmix": {"C"}, "linear": {"beta", "sigma", "coef_sq"}, "logistic": {"beta"}}
 
 
 def _resolve_flags(args) -> None:
@@ -444,10 +451,12 @@ def _resolve_flags(args) -> None:
     variance --fit takes lambda-hat from the record and reads none of them.
     Every other path reads --criterion and --grid-size, and --split and
     --seed only under --criterion holdout; a subcommand in _SEEDED always
-    reads --seed.
+    reads --seed. simulate reads the DGP flags of its --dgp (_DGP_READS),
+    and stone-check, whose DGP is linear, reads all of its own.
     """
     fixed = getattr(args, "fit", None) is not None
     criterion = getattr(args, "criterion", None) or _PATH_FLAGS["criterion"][1]
+    path = "--fit" if fixed else f"--criterion {criterion}"
     reads = set()
     if not fixed:
         reads |= {"criterion", "grid_size"}
@@ -455,10 +464,14 @@ def _resolve_flags(args) -> None:
             reads |= {"split", "seed"}
     if args.command in _SEEDED:
         reads.add("seed")
+    if args.command == "simulate":
+        reads |= _DGP_READS[args.dgp]
+        path += f" --dgp {args.dgp}"
+    elif args.command == "stone-check":
+        reads |= _DGP_READS["linear"]
     ignored = [flag for dest, (flag, _) in _PATH_FLAGS.items()
                if getattr(args, dest, None) is not None and dest not in reads]
     if ignored:
-        path = "--fit" if fixed else f"--criterion {criterion}"
         raise SchemaError(f"{args.command} {path} does not read {', '.join(ignored)}")
     for dest, (_, default) in _PATH_FLAGS.items():
         if hasattr(args, dest) and getattr(args, dest) is None:
@@ -492,15 +505,15 @@ def _add_data_model(p):
 
 
 def _add_linear_dgp(p):
-    p.add_argument("--beta", type=float, nargs="+", default=[1.0, 1.0])
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--coef-sq", type=float, default=0.0, dest="coef_sq")
+    p.add_argument("--beta", type=float, nargs="+", default=None)
+    p.add_argument("--sigma", type=float, default=None)
+    p.add_argument("--coef-sq", type=float, default=None, dest="coef_sq")
 
 
 def _add_dgp(p):
-    p.add_argument("--dgp", default="linear", choices=["gaussmix", "linear", "logistic"])
+    p.add_argument("--dgp", default="linear", choices=list(_DGP_READS))
     p.add_argument("--n", type=int, default=200)
-    p.add_argument("--C", type=float, default=0.0)
+    p.add_argument("--C", type=float, default=None)
     _add_linear_dgp(p)
 
 

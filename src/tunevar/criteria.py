@@ -4,21 +4,10 @@ Implements the training error, exact and influence-approximated leave-one-out
 cross-validation, the trace-corrected training error, a seeded holdout
 criterion, and the AIC/BIC/TIC information criteria.
 
-Exact LOOCV solves the n leave-one-out problems together by Newton's method
-(solver.solve_loo_all): the root's per-row phi (SolveResult.Phi) and one
-Jacobian evaluation at theta_hat start all n problems, each step is one
-batched solve, and each problem's residual is evaluated exactly at every
-iterate, by one phi_loo_sum call per chunk of at most
-solver.MAX_PHI_ROWS row evaluations; the built-in models
-compute these leave-one-out sums from sufficient statistics. A problem
-whose residual after the first step is at most sqrt(tol) takes its second
-step with its Jacobian Taylor-updated from theta_hat by the theta-Hessian
-there, evaluated once and only if some problem needs it; every other
-Jacobian is evaluated at its iterate, by one jac_loo_sum call per chunk.
-Rows that the batched solve rejects (ill-conditioned, non-finite or raising
-Jacobian, a step out of theta_domain, non-finite phi or phi raising
-EvaluationError, a failed Armijo test) or does not converge fall back to
-the per-row refit solver.solve_loo.
+Exact LOOCV solves the n leave-one-out problems together by the batched
+Newton iteration of solver.solve_loo_all, which describes it; a row that
+the batch rejects or does not converge falls back to the per-row refit
+solver.solve_loo.
 
 Sign conventions (with J_hat = minus the empirical theta-Jacobian of Phi_n):
   theta_hat_(-i) ~= theta_hat - (1/n) J_hat^{-1} phi(Z_i, theta_hat, lam)
@@ -57,7 +46,6 @@ class CriterionValue:
 
     value: float
     method: Method
-    lam: np.ndarray
     diagnostics: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -98,7 +86,7 @@ def training_error(
     """TE(lam) = mean_i psi(Z_i, theta_hat(lam))."""
     solve = _fit(model, data, lam, solve, model.theta_init)
     value = float(slot_values(loss, "psi_batch", data.rows, solve.theta_hat).mean())
-    return CriterionValue(value, Method.TE, np.asarray(solve.lam, float), {})
+    return CriterionValue(value, Method.TE)
 
 
 def loocv_exact(
@@ -107,14 +95,10 @@ def loocv_exact(
 ) -> CriterionValue:
     """CV(lam): refit without each row in turn and average the held-out loss.
 
-    All n refits are solved together by solve_loo_all, a batched Newton
-    iteration from theta_hat(lam) whose every step evaluates the residuals
-    of all active refits with one phi_loo_sum call per chunk of at most
-    solver.MAX_PHI_ROWS row evaluations. It takes phi at theta_hat from the
-    root's solve.Phi, so a given solve must be the root of model on data.
-    It makes one dphi_dtheta_batch and at most one hess_phi_theta call,
-    both at theta_hat, and evaluates a problem's Jacobian, through
-    jac_loo_sum, only where a Taylor update from theta_hat does not serve.
+    All n refits are solved together from theta_hat(lam) by
+    solver.solve_loo_all, whose docstring gives the iteration and the slots
+    it calls. It takes phi at theta_hat from the root's solve.Phi, so a
+    given solve must be the root of model on data.
     A row it rejects or does not converge falls back to the per-row
     solve_loo, warm-started at theta_hat and retried once from theta_init,
     the tuner's warm start (else model.theta_init, which also starts
@@ -145,7 +129,7 @@ def loocv_exact(
         )
     value = float(slot_values(loss, "psi_rowwise", data.rows[ok], thetas[ok]).mean())
     return CriterionValue(
-        value, Method.CV_EXACT, np.asarray(solve.lam, float),
+        value, Method.CV_EXACT,
         {"refit_failures": float(len(failed)), "refit_fallbacks": float(len(fallbacks))},
     )
 
@@ -165,7 +149,7 @@ def loocv_fast(
     steps = checked_solve(solve.J_hat, solve.Phi.T, "J_hat").T / data.n  # (n, p)
     thetas = solve.theta_hat[None, :] - steps
     value = float(slot_values(loss, "psi_rowwise", data.rows, thetas).mean())
-    return CriterionValue(value, Method.CV_FAST, np.asarray(solve.lam, float))
+    return CriterionValue(value, Method.CV_FAST)
 
 
 def te_trace_corrected(
@@ -180,10 +164,7 @@ def te_trace_corrected(
     solve = _fit(model, data, lam, solve, model.theta_init)
     te = float(slot_values(loss, "psi_batch", data.rows, solve.theta_hat).mean())
     corr = _trace_term(solve, slot_values(loss, "grad_psi_batch", data.rows, solve.theta_hat))
-    return CriterionValue(
-        te - corr, Method.TE_TRACE_CORRECTED, np.asarray(solve.lam, float),
-        {"trace_correction": corr},
-    )
+    return CriterionValue(te - corr, Method.TE_TRACE_CORRECTED, {"trace_correction": corr})
 
 
 def holdout_error(
@@ -208,7 +189,7 @@ def holdout_error(
     res = solve_theta(model, est_part, lam, theta_init)
     value = float(slot_values(loss, "psi_batch", tune_part.rows, res.theta_hat).mean())
     return CriterionValue(
-        value, Method.HOLDOUT, np.asarray(res.lam, float),
+        value, Method.HOLDOUT,
         {"n_tune": float(n1), "n_est": float(data.n - n1), "seed": float(seed)},
     )
 
@@ -237,9 +218,7 @@ def info_criterion(
     else:
         penalty = _trace_term(solve, solve.Phi)
         diagnostics["trace_correction"] = penalty
-    return CriterionValue(
-        neg_loglik + penalty, kind, np.asarray(solve.lam, float), diagnostics
-    )
+    return CriterionValue(neg_loglik + penalty, kind, diagnostics)
 
 
 def evaluate_criterion(

@@ -16,11 +16,6 @@ class SingularJacobian(TunevarError):
 class NoConvergence(TunevarError):
     """Newton iteration hit its cap with residual above tolerance."""
 
-    def __init__(self, message, residual_norm=None, theta=None):
-        super().__init__(message)
-        self.residual_norm = residual_norm
-        self.theta = theta
-
 
 class DomainEscape(TunevarError):
     """An iterate left the parameter box and projection failed to make progress."""

@@ -174,11 +174,10 @@ class ModelSpec:
     step and its J_hat by one jac_theta_sum call each, and makes no
     dphi_dtheta_batch call when jac_theta_sum is supplied.
 
-    Exact LOOCV (criteria.loocv_exact) evaluates the residuals and Jacobians
-    of its leave-one-out Newton steps with the two sum slots, and makes one
-    dphi_dtheta_batch call and at most one hess_phi_theta call per
-    evaluation, at theta_hat; when hess_phi_theta is the finite-difference
-    fallback, that call costs 2 p^2 + 1 phi_batch calls.
+    Exact LOOCV (criteria.loocv_exact) reads the two leave-one-out sum
+    slots, one dphi_dtheta_batch and at most one hess_phi_theta call per
+    evaluation, as solver.solve_loo_all describes; a hess_phi_theta
+    fallback call costs 2 p^2 + 1 phi_batch calls.
     """
 
     p: int

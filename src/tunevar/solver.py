@@ -96,11 +96,7 @@ def _newton(model: ModelSpec, Z: np.ndarray, lam, theta_init, tol) -> SolveResul
             break
     residual = float(np.sqrt(fval))
     if residual > tol:
-        raise NoConvergence(
-            f"Newton stalled at residual {residual:.3e} > tol {tol:.3e}",
-            residual_norm=residual,
-            theta=theta,
-        )
+        raise NoConvergence(f"Newton stalled at residual {residual:.3e} > tol {tol:.3e}")
     J_hat = -(slot_values(model, "jac_theta_sum", Z, theta, lam) / len(Z))
     if not np.all(np.isfinite(J_hat)):
         raise SingularJacobian("empirical Jacobian has non-finite entries")

@@ -75,13 +75,17 @@ class _Evaluator:
         self.model, self.loss, self.data = model, loss, data
         self.method, self.split, self.seed = method, split, seed
         self.cache: Dict[Tuple[float, ...], Optional[float]] = {}
-        self.trace: List[Tuple[Tuple[float, ...], float]] = []
         self.warm: np.ndarray = model.theta_init
         self.first_failure: Optional[str] = None
 
     @property
     def failures(self) -> int:
         return sum(v is None for v in self.cache.values())
+
+    @property
+    def trace(self) -> List[Tuple[Tuple[float, ...], float]]:
+        """The (lambda, value) pairs that succeeded, in evaluation order."""
+        return [(k, v) for k, v in self.cache.items() if v is not None]
 
     def try_value(self, lam) -> Optional[float]:
         key = tuple(float(v) for v in np.atleast_1d(lam))
@@ -101,7 +105,6 @@ class _Evaluator:
             return None
         self.warm = solve.theta_hat
         self.cache[key] = cv.value
-        self.trace.append((key, cv.value))
         return cv.value
 
     def value(self, lam) -> float:
@@ -246,6 +249,7 @@ def tune(
 
     solve = solve_theta(model, data, lam_hat, ev.warm)
     D_hat = theta_prime(model, data, solve)
+    trace = tuple(ev.trace)
     return FitResult(
         theta_hat=solve.theta_hat,
         lambda_hat=lam_hat,
@@ -254,11 +258,11 @@ def tune(
         criterion=method,
         criterion_value=float(value),
         criterion_slope_at_opt=slopes,
-        trace=tuple(ev.trace),
+        trace=trace,
         lambda_box=box,
         diagnostics={
             "grid_failures": float(ev.failures),
-            "evaluations": float(len(ev.trace)),
+            "evaluations": float(len(trace)),
             "solver_iterations": float(solve.iterations),
             "residual_norm": solve.residual_norm,
         },

@@ -73,16 +73,12 @@ class VarianceComponents:
 
     J_hat: np.ndarray
     K_hat: np.ndarray
-    D_hat: Optional[np.ndarray] = None
     Z1_hat: Optional[np.ndarray] = None
     Z2_hat: Optional[np.ndarray] = None
     b_hat: Optional[np.ndarray] = None
     W_hat: Optional[np.ndarray] = None
     M_hat: Optional[np.ndarray] = None
     Kstar_hat: Optional[np.ndarray] = None
-    A1: Optional[np.ndarray] = None
-    A2: Optional[np.ndarray] = None
-    A3: Optional[np.ndarray] = None
     Astar: Optional[np.ndarray] = None
 
     @property
@@ -150,15 +146,14 @@ def assemble_components(
 
     Z1_inv = checked_solve(Z1_hat, np.eye(q), "Z1_hat")
     DZ1 = D_hat @ Z1_inv  # (p, q)
+    # Astar's column blocks act on eta1 = phi (A1), eta2 and eta3 (A3)
     A1 = Jinv - DZ1 @ (D_hat.T @ Z2_hat + W_hat) @ Jinv
-    A2 = -DZ1 @ D_hat.T
     A3 = -DZ1 @ M_hat
     Astar = np.concatenate([A1, -DZ1, A3], axis=1)
 
     return VarianceComponents(
-        J_hat=J_hat, K_hat=K_hat, D_hat=D_hat, Z1_hat=Z1_hat, Z2_hat=Z2_hat,
-        b_hat=b_hat, W_hat=W_hat, M_hat=M_hat, Kstar_hat=Kstar_hat,
-        A1=A1, A2=A2, A3=A3, Astar=Astar,
+        J_hat=J_hat, K_hat=K_hat, Z1_hat=Z1_hat, Z2_hat=Z2_hat, b_hat=b_hat,
+        W_hat=W_hat, M_hat=M_hat, Kstar_hat=Kstar_hat, Astar=Astar,
     )
 
 
@@ -268,7 +263,6 @@ class VarianceReport:
     V2: np.ndarray
     selected: str  # "V1" or "V2"
     standard_errors: np.ndarray
-    boundary_status: tuple
     nondegenerate_boundary: bool
     components: VarianceComponents
     diagnostics: Dict[str, float]
@@ -300,12 +294,8 @@ def select_variance(
         V1 = None
         selected, chosen = "V2", V2
         nondegenerate = fit.flat_at_edge()
-        if nondegenerate:
-            diagnostics["nondegenerate_boundary"] = 1.0
     se = np.sqrt(np.clip(np.diag(chosen), 0.0, None) / data.n)
     return VarianceReport(
         V1=V1, V2=V2, selected=selected, standard_errors=se,
-        boundary_status=fit.boundary_status,
-        nondegenerate_boundary=nondegenerate,
-        components=components, diagnostics=diagnostics,
+        nondegenerate_boundary=nondegenerate, components=components, diagnostics=diagnostics,
     )

@@ -6,7 +6,7 @@ import pytest
 from tunevar import Dataset, Method, RidgeLinearModel, select_variance, tune
 from tunevar.cli import _write_json, fit_result_to_dict, load_csv, load_fit_json, main
 
-from conftest import make_linear_data
+from conftest import make_linear_data, make_logistic_data
 
 
 def _write_data_csv(path, data):
@@ -464,6 +464,67 @@ def test_simulate_writes_summary_and_draws(tmp_path):
     assert len(draws) == 1 + s["completed"]
 
 
+SUMMARY_KEYS = {"schema_version", "n", "requested", "completed", "failure_indices",
+                "boundary_count", "empirical_variance", "mean_V1", "mean_V2",
+                "abs_error_V1", "abs_error_V2", "dgp", "C"}
+
+
+@pytest.mark.parametrize("dgp, flags, C, header", [
+    ("gaussmix", ["--C", "2"], 2.0, "lambda_1,theta_1,theta_2,theta_3"),
+    ("logistic", ["--beta", "0.3", "1.0", "-0.5"], 0.0, "lambda_1,theta_1,theta_2,theta_3"),
+    ("logistic", [], 0.0, "lambda_1,theta_1,theta_2"),
+], ids=["gaussmix", "logistic", "logistic-default-beta"])
+def test_simulate_classification_dgps(tmp_path, dgp, flags, C, header):
+    # summary.json writes C for every --dgp, 0.0 where --dgp does not read it
+    out = tmp_path / "out"
+    assert main(["simulate", "--dgp", dgp, *flags, "--n", "40", "--B", "2",
+                 "--criterion", "cv_fast", "--grid-size", "6", "--seed", "1",
+                 "--out", str(out)]) == 0
+    s = json.loads((out / "summary.json").read_text())
+    assert set(s) == SUMMARY_KEYS
+    assert (s["dgp"], s["C"], s["n"], s["requested"]) == (dgp, C, 40, 2)
+    draws = (out / "draws.csv").read_text().splitlines()
+    assert draws[0] == header
+    assert len(draws) == 1 + s["completed"]
+
+
+@pytest.mark.parametrize("dgp, flags, ignored", [
+    ("linear", ["--C", "5"], "--C"),
+    ("gaussmix", ["--beta", "3", "4", "--sigma", "9"], "--beta, --sigma"),
+    ("logistic", ["--sigma", "3", "--coef-sq", "2"], "--sigma, --coef-sq"),
+], ids=["linear", "gaussmix", "logistic"])
+def test_simulate_refuses_a_flag_its_dgp_ignores(tmp_path, capsys, dgp, flags, ignored):
+    out = tmp_path / "out"
+    assert main(["simulate", "--dgp", dgp, *flags, "--n", "40", "--B", "2",
+                 "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["type"] == "SchemaError"
+    assert err["error"]["message"].endswith(f"--dgp {dgp} does not read {ignored}")
+    assert not out.exists()
+
+
+def test_dgp_flags_default_to_the_values_a_run_without_them_uses(tmp_path):
+    common = ["simulate", "--dgp", "linear", "--beta", "0.4", "--n", "40", "--B", "2"]
+    default, given = tmp_path / "default", tmp_path / "given"
+    assert main([*common, "--out", str(default)]) == 0
+    assert main([*common, "--sigma", "1", "--coef-sq", "0", "--out", str(given)]) == 0
+    for name in ("summary.json", "draws.csv"):
+        assert (given / name).read_bytes() == (default / name).read_bytes()
+
+
+def test_ridge_logistic_model_tunes_from_csv(tmp_path):
+    path = tmp_path / "logistic.csv"
+    _write_data_csv(path, make_logistic_data(n=40, seed=2))
+    out = tmp_path / "out"
+    assert main(["tune", "--data", str(path), "--model", "ridge-logistic",
+                 "--criterion", "cv_fast", "--grid-size", "6", "--out", str(out)]) == 0
+    fit = json.loads((out / "fit.json").read_text())
+    assert np.shape(fit["theta_hat"]) == (3,)
+    assert np.shape(fit["D_hat"]) == (3, 1)
+    assert fit["criterion"] == "cv_fast"
+    assert (out / "trace.csv").read_text().splitlines()[0] == "lambda_1,value"
+
+
 def test_simulate_intercept_only_linear(tmp_path, capsys):
     # no covariate: a (1, 1) variance summary; coef_sq without a covariate exits 2
     out = tmp_path / "out"
@@ -527,6 +588,19 @@ def test_stone_check_outputs(tmp_path):
     lines = (out / "draws.csv").read_text().strip().splitlines()
     assert lines[0] == "n,rep,scaled_gap"
     assert len(lines) == 1 + 2 * 3
+
+
+@pytest.mark.parametrize("lam", ["5", "-5", "1.5"])
+def test_stone_check_lambda_outside_box_exits_2(tmp_path, capsys, lam):
+    # stone-check fits ridge-linear, whose lambda box is [0, 1]
+    out = tmp_path / "out"
+    rc = main(["stone-check", "--n-list", "50", "--reps", "1", "--lam", lam,
+               "--out", str(out)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["type"] == "SchemaError"
+    assert "--lam" in err["error"]["message"]
+    assert not (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize("reps", ["0", "-1"])

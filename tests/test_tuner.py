@@ -165,6 +165,30 @@ def test_truncated_estimate_case_b_for_decreasing_criterion():
     assert res.lambda_clamped == 1.0
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("box, tag", [((0.3, 1.0), "a"), ((0.0, 1e-4), "b")])
+def test_truncated_estimate_in_box_fallback(box, tag, seed):
+    # phi is NaN outside the box, so no lambda outside it can be evaluated:
+    # truncated_estimate tunes inside the box and reads an edge minimizer
+    # whose slope points out of the box as a clear exceedance
+    spec = RidgeLinearModel(2, lambda_domain=box).spec()
+    inner = spec.phi_batch
+
+    def phi_batch(Z, th, lm):
+        F = inner(Z, th, lm)
+        return F if box[0] <= lm[0] <= box[1] else np.full_like(F, np.nan)
+
+    spec = dataclasses.replace(spec, phi_batch=phi_batch)
+    loss = RidgeLinearModel(2).squared_error_loss()
+    dgp = DGPSpec(DGPKind.LINEAR_GAUSSIAN, n=200,
+                  params={"beta": (1.0, 1.0, 0.5), "coef_sq": 0.5})
+    res = truncated_estimate(spec, loss, simulate(dgp, seed), Method.CV_FAST, grid_size=10)
+    assert res.case_tag == tag
+    edge = box[0] if tag == "a" else box[1]
+    assert res.lambda_clamped == edge
+    assert (res.lambda_g < box[0]) if tag == "a" else (res.lambda_g > box[1])
+
+
 @pytest.mark.parametrize("case", ["gaussmix", "logistic-wide"])
 def test_tune_with_the_jacobian_sum_kernel_matches_the_fallback(case):
     # the kernel sums the Newton Jacobian in another order than the

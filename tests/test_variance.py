@@ -138,9 +138,9 @@ def test_components_match_bruteforce_ridge():
     # W for ridge: hess_phi_theta = 0 and cross derivative = 2P
     W_direct = (bJ @ (2.0 * P)).reshape(1, 3)
     assert rel_err(comp.W_hat, W_direct) < 1e-10
-    # Astar shape and A blocks
+    # Astar shape and its eta2 block, the one V1 reads through Z1_hat
     assert comp.Astar.shape == (3, 3 + 1 + 3)
-    assert rel_err(comp.A2, -comp.D_hat @ np.linalg.inv(comp.Z1_hat) @ comp.D_hat.T) < 1e-12
+    assert rel_err(comp.Astar[:, 3:4], -fit.D_hat @ np.linalg.inv(comp.Z1_hat)) < 1e-12
 
 
 def test_batch_w_and_z2_match_row_loops():

@@ -15,7 +15,8 @@ te_trace, tic and holdout (the seeded Fisher-Yates split at the default
 --split and --seed); variance --fit on each model's fixed-lambda record; fit
 --criterion cv on n = 300 ridge-logistic and gaussian inputs, where a
 leave-one-out Newton step spans more than one leave-one-out sum call
-(solver.MAX_PHI_ROWS); simulate, bootstrap and stone-check; and an
+(solver.MAX_PHI_ROWS); simulate with --dgp gaussmix and with --dgp
+logistic, bootstrap and stone-check; and an
 intercept-only linear simulate whose replications all end on the box edge,
 so its summary holds null (non-finite) entries. A run that exits non-zero
 prints its exit code. --out keeps the files for a byte-level cmp; by
@@ -97,6 +98,8 @@ def runs(root: Path):
     common = ["--criterion", "cv_fast", "--grid-size", "8", "--seed", "3"]
     yield "simulate", ["simulate", *common, "--dgp", "gaussmix", "--C", "2",
                        "--n", "100", "--B", "5", "--lambda-max", "0.1"]
+    yield "simulate-logistic", ["simulate", *common, "--dgp", "logistic",
+                                "--beta", "0.3", "1.0", "-0.5", "--n", "100", "--B", "5"]
     yield "simulate-boundary", ["simulate", "--dgp", "linear", "--beta", "0.4",
                                 "--n", "40", "--B", "3"]
     yield "bootstrap", ["bootstrap", *common, "--data",
