@@ -28,7 +28,7 @@ from .models import (
 )
 from .rng import derive_stream
 from .solver import SolveResult, default_tol, solve_theta, theta_prime
-from .tuner import BoundaryStatus, FitResult, edge_status, tune
+from .tuner import BoundaryStatus, FitResult, _slopes, edge_status, tune
 from .variance import select_variance
 
 SCHEMA_VERSION = 3
@@ -112,6 +112,29 @@ def _check_in_box(lam, box, what: str) -> None:
         )
 
 
+def _check_slopes(fit: FitResult) -> None:
+    """SchemaError unless fit.criterion_slope_at_opt is, bit for bit, the slope
+    tuner._slopes takes from the criterion values in fit.trace. The tuner
+    evaluates every slope point through its cache, so each is a trace entry."""
+    values = dict(fit.trace)
+
+    def traced(lam):
+        key = tuple(float(v) for v in lam)
+        if key not in values:
+            raise SchemaError(
+                f"fit.json trace has no value at lambda = {list(key)}, a point of "
+                "its criterion_slope_at_opt"
+            )
+        return values[key]
+
+    slopes = _slopes(traced, fit.lambda_hat, fit.lambda_box, fit.boundary_status)
+    if not np.array_equal(slopes, fit.criterion_slope_at_opt):
+        raise SchemaError(
+            f"fit.json criterion_slope_at_opt {fit.criterion_slope_at_opt.tolist()} is "
+            f"not {slopes.tolist()}, the slope its own trace gives"
+        )
+
+
 def load_fit_json(path, spec: ModelSpec, data: Dataset) -> FitResult:
     """Read a fit.json and check it against the model and data it is applied to.
 
@@ -121,7 +144,9 @@ def load_fit_json(path, spec: ModelSpec, data: Dataset) -> FitResult:
     included), a trace that is empty or has a row other than q + 1 numbers,
     a lambda_box other than the model's lambda box, a lambda_hat outside
     that box, boundary_status labels that are neither all "fixed" nor the
-    tuner's own labels of lambda_hat (tuner.edge_status), a theta_hat that
+    tuner's own labels of lambda_hat (tuner.edge_status), a tuned record
+    whose criterion_slope_at_opt is not the slope that the tuner's rule
+    (tuner._slopes) gives from the record's own trace, a theta_hat that
     does not solve the estimating equation on this data (a residual
     ||mean phi(Z, theta_hat, lambda_hat)|| above 1e4 times the solver's
     tolerance, 1e-6 * (1 + ||theta_hat||)), or a D_hat more than
@@ -172,6 +197,8 @@ def load_fit_json(path, spec: ModelSpec, data: Dataset) -> FitResult:
             f"neither all 'fixed' nor the tuner's labels of lambda_hat, "
             f"{[s.value for s in tuned]}"
         )
+    if fit.boundary_status == tuned:  # all "fixed" records hold no slope
+        _check_slopes(fit)
     theta, lam = fit.theta_hat, fit.lambda_hat
     try:
         Phi = slot_values(spec, "phi_batch", data.rows, theta, lam)

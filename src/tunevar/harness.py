@@ -20,7 +20,7 @@ from .criteria import Method
 from .exceptions import FailureRateExceeded, TunevarError
 from .model import Dataset, LossSpec, ModelSpec
 from .rng import derive_stream, rng_for
-from .solver import checked_solve, solve_theta, theta_prime
+from .solver import pinned_influences, solve_theta, theta_prime
 from .tuner import _resolve_box, truncated_estimate, tune
 from .variance import alpha_influences, select_variance
 
@@ -305,7 +305,7 @@ def mixture_law_check(
     infl_alpha = alpha_influences(
         config.model, config.loss, ref, solve0.theta_hat, lam0, D0
     )
-    infl_pinned = checked_solve(solve0.J_hat, solve0.Phi.T, "J_hat").T
+    infl_pinned = pinned_influences(solve0)
     p, q = config.model.p, config.model.q
     U = np.column_stack(
         [infl_alpha[:, :p], infl_pinned, infl_alpha[:, p : p + q]]

@@ -11,7 +11,8 @@ lam is therefore small, and n * lam is the "actual" penalty size.
 
 The array kernels of the built-in per-row slots (_expit, _design, the
 ridge phis, the ridge-logistic Jacobian, the Gaussian phi) are written for
-few numpy passes, and each is pinned bitwise to a plainer reference formula
+few numpy passes (_design makes one C-ordered copy of the rows and sets its
+intercept column), and each is pinned bitwise to a plainer reference formula
 by the np.array_equal property tests in tests/test_properties.py; a rewrite
 that moves one output bit fails them. _expit, on the hot path of exact
 LOOCV for ridge-logistic, avoids np.where: it computes both branches in one
@@ -36,10 +37,14 @@ from .solver import checked_solve
 
 
 def _design(Z: np.ndarray):
-    """(y, X): the response column and the intercept-augmented covariates."""
-    X = np.empty(Z.shape)
+    """(y, X): the response column and the intercept-augmented covariates.
+
+    X is a fresh C-ordered float copy of Z with its first column set to 1.
+    order="C" keeps X row-major for an F-ordered Z (numpy's default "K"
+    would copy Z's layout), so X @ theta takes the same BLAS path either way.
+    """
+    X = np.array(Z, dtype=float, order="C")
     X[:, 0] = 1.0
-    X[:, 1:] = Z[:, 1:]
     return Z[:, 0], X
 
 

@@ -120,6 +120,19 @@ def theta_prime(model: ModelSpec, data: Dataset, solve: SolveResult) -> np.ndarr
     return checked_solve(solve.J_hat, dlam, "Jacobian")
 
 
+def pinned_influences(solve: SolveResult) -> np.ndarray:
+    """(n, p) rows J_hat^{-1} phi_i of the root's per-row phi, solve.Phi: the
+    influence of each row on theta_hat at the fixed lambda.
+
+    J_hat^{-1} is one checked_solve against the (p, p) identity, applied to
+    the rows by one matrix product. A solve with the n rows as right-hand
+    sides gives the same rows to roundoff (about 1e-16 relative), but its
+    LAPACK time grows with n and was most of a loocv_fast call.
+    """
+    Jinv = checked_solve(solve.J_hat, np.eye(len(solve.J_hat)), "J_hat")
+    return solve.Phi @ Jinv.T
+
+
 def well_conditioned(A) -> np.ndarray:
     """(m,) bool for an (m, p, p) stack: cond_2(A[j]) <= COND_LIMIT and finite.
 

@@ -196,8 +196,12 @@ def edge_status(lam_hat, box) -> Tuple[BoundaryStatus, ...]:
     )
 
 
-def _slopes(ev: _Evaluator, lam_hat, box, status) -> np.ndarray:
-    """Criterion slope per axis: one-sided at an edge, else central."""
+def _slopes(value, lam_hat, box, status) -> np.ndarray:
+    """Criterion slope per axis: one-sided at an edge, else central.
+
+    value(lam) gives the criterion at lam: _Evaluator.value while tuning,
+    and a lookup in a record's trace when cli.load_fit_json checks the slope.
+    """
     slopes = np.zeros(len(lam_hat))
     for j, s in enumerate(status):
         lo, hi = box[j]
@@ -205,13 +209,13 @@ def _slopes(ev: _Evaluator, lam_hat, box, status) -> np.ndarray:
         up, dn = lam_hat.copy(), lam_hat.copy()
         if s is BoundaryStatus.LOWER_BOUNDARY:
             up[j] = lo + h
-            slopes[j] = (ev.value(up) - ev.value(lam_hat)) / h
+            slopes[j] = (value(up) - value(lam_hat)) / h
         elif s is BoundaryStatus.UPPER_BOUNDARY:
             dn[j] = hi - h
-            slopes[j] = (ev.value(lam_hat) - ev.value(dn)) / h
+            slopes[j] = (value(lam_hat) - value(dn)) / h
         else:
             up[j], dn[j] = min(lam_hat[j] + h, hi), max(lam_hat[j] - h, lo)
-            slopes[j] = (ev.value(up) - ev.value(dn)) / (up[j] - dn[j])
+            slopes[j] = (value(up) - value(dn)) / (up[j] - dn[j])
     return slopes
 
 
@@ -245,7 +249,7 @@ def tune(
     lam_hat, value = _argmin_trace(ev.trace)
     lam_hat = np.clip(lam_hat, box[:, 0], box[:, 1])
     status = edge_status(lam_hat, box)
-    slopes = _slopes(ev, lam_hat, box, status)
+    slopes = _slopes(ev.value, lam_hat, box, status)
 
     solve = solve_theta(model, data, lam_hat, ev.warm)
     D_hat = theta_prime(model, data, solve)

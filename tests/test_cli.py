@@ -351,6 +351,29 @@ def test_fit_json_relabelled_edge_fit_exits_2(data_csv, tmp_path, capsys, labels
     assert err["type"] == "SchemaError" and "boundary_status" in err["message"]
 
 
+@pytest.mark.parametrize("criterion", ["te", "cv_fast"])
+def test_fit_json_slope_its_trace_does_not_give_exits_2(data_csv, tmp_path, capsys,
+                                                        criterion):
+    # an edge fit's slope edited to 100 used to flip nondegenerate_boundary, exit 0
+    path, _ = data_csv
+    d = _tuned_record(path, tmp_path, criterion)
+    assert d["boundary_status"] == [{"te": "lower_boundary", "cv_fast": "interior"}[criterion]]
+    assert _variance_on(path, tmp_path, capsys, d) == (0, None)
+    edited = dict(d, criterion_slope_at_opt=[100.0])
+    rc, err = _variance_on(path, tmp_path, capsys, edited)
+    assert rc == 2
+    assert err["type"] == "SchemaError" and "criterion_slope_at_opt" in err["message"]
+    # without the trace row of the slope's upper point it is not checkable
+    (lo, hi), = d["lambda_box"]
+    h = 1e-5 * (hi - lo)
+    up = lo + h if criterion == "te" else min(d["lambda_hat"][0] + h, hi)
+    short = dict(d, trace=[row for row in d["trace"] if row[0] != up])
+    assert len(short["trace"]) == len(d["trace"]) - 1
+    rc, err = _variance_on(path, tmp_path, capsys, short)
+    assert rc == 2
+    assert err["type"] == "SchemaError" and "trace has no value" in err["message"]
+
+
 def test_variance_fit_roundtrip_equals_direct(data_csv, tmp_path):
     path, data = data_csv
     out = tmp_path / "out"

@@ -8,14 +8,14 @@ from hypothesis.extra import numpy as hnp
 
 from tunevar import (
     EvaluationError, GaussianLikelihoodModel, RefitFailure, RidgeLinearModel, RidgeLogisticModel,
-    TunevarError,
-    loocv_exact, solve_loo, solve_loo_all, solve_theta, training_error,
+    SingularJacobian, TunevarError,
+    loocv_exact, loocv_fast, solve_loo, solve_loo_all, solve_theta, training_error,
 )
 from tunevar.harness import N_MIXTURE, _ks_statistic
 from tunevar.model import Dataset, ModelSpec, row_mean, rowwise, slot_values
 from tunevar.models import _design, _expit, default_penalty_mask
 from tunevar.rng import SplitMix64, derive_stream, fisher_yates_permutation, splitmix64
-from tunevar.solver import COND_LIMIT, default_tol, well_conditioned
+from tunevar.solver import COND_LIMIT, default_tol, pinned_influences, well_conditioned
 
 from conftest import make_linear_data, make_logistic_data
 
@@ -206,6 +206,71 @@ def test_solve_result_phi_after_halvings():
     )
 
 
+def _cv_fast_case(model, seed, n, lam):
+    """(spec, loss, data, solve) of a built-in model at lam, or None where
+    Newton fails; the Gaussian starts from the sample moments."""
+    if model == "ridge-linear":
+        m = RidgeLinearModel(2)
+        spec, loss, data = m.spec(), m.squared_error_loss(), make_linear_data(n=n, seed=seed)
+        start = spec.theta_init
+    elif model == "ridge-logistic":
+        m = RidgeLogisticModel(2)
+        spec, loss, data = m.spec(), m.brier_loss(), make_logistic_data(n=n, seed=seed)
+        start = spec.theta_init
+    else:
+        m = GaussianLikelihoodModel()
+        z = np.random.default_rng(seed).standard_normal(n) * 1.3 + 0.4
+        spec, loss, data = m.spec(), m.neg_loglik_loss(), Dataset(z[:, None])
+        start = [z.mean(), z.std()]
+    try:
+        return spec, loss, data, solve_theta(spec, data, [lam], start)
+    except TunevarError:
+        return None
+
+
+CV_FAST_CASE = dict(
+    model=st.sampled_from(["ridge-linear", "ridge-logistic", "gaussian"]),
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=10, max_value=400),
+    lam=st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**CV_FAST_CASE)
+def test_loocv_fast_matches_n_column_solve(model, seed, n, lam):
+    # the influence steps from one checked inverse against the solve with n
+    # right-hand sides that they replace, and CV_FAST on each
+    case = _cv_fast_case(model, seed, n, lam)
+    if case is None:
+        return
+    spec, loss, data, solve = case
+    want = np.linalg.solve(solve.J_hat, solve.Phi.T).T
+    got = pinned_influences(solve)
+    assert got.shape == want.shape == (n, spec.p)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    thetas = solve.theta_hat - want / n
+    cv_want = float(slot_values(loss, "psi_rowwise", data.rows, thetas).mean())
+    cv = loocv_fast(spec, loss, data, [lam], solve=solve).value
+    assert abs(cv - cv_want) <= 1e-13 * abs(cv_want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(gap=st.sampled_from([0.0, 1e-14, 1e-13]), **CV_FAST_CASE)
+def test_loocv_fast_refuses_a_singular_j_hat(model, seed, n, lam, gap):
+    # the inverse keeps the solve's check: a J_hat whose last column is its
+    # first (singular) or within gap of it (cond above 1e12) is refused
+    case = _cv_fast_case(model, seed, n, lam)
+    if case is None:
+        return
+    spec, loss, data, solve = case
+    J = solve.J_hat.copy()
+    J[:, -1] = J[:, 0] * (1.0 + gap)
+    bad = dataclasses.replace(solve, J_hat=J)
+    with pytest.raises(SingularJacobian, match="J_hat condition number"):
+        loocv_fast(spec, loss, data, [lam], solve=bad)
+
+
 # ---------------------------------------------------------------------------
 # Built-in model kernels against the formulas they replaced. Equality is
 # exact (np.array_equal): the rewrites must not move a single output bit.
@@ -334,6 +399,19 @@ def test_design_matches_reference_bitwise(seed, n, p, scale):
     for got, want in zip(_design(Z), _design_ref(Z)):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+@given(order=st.sampled_from("CF"), **KERNEL_CASE)
+def test_design_is_a_fresh_c_ordered_copy(seed, n, p, scale, order):
+    # values alone would not show a copy that keeps an F-ordered Z's layout
+    # (numpy's order="K"), which changes the BLAS path of X @ theta
+    Z = np.asarray(_rows(seed, n, p, scale), order=order)
+    before = Z.copy(order="K")
+    y, X = _design(Z)
+    assert X.dtype == np.float64 and X.flags.c_contiguous and X.flags.owndata
+    assert not np.shares_memory(X, Z)
+    assert np.array_equal(Z, before) and Z.flags.f_contiguous == before.flags.f_contiguous
+    assert np.array_equal(y, Z[:, 0])
 
 
 @given(lam=LAMS, **KERNEL_CASE)

@@ -24,9 +24,10 @@ default they go to a temporary directory.
 
 --compare OLD_DIR NEW_DIR runs nothing. It reads two --out directories and
 prints each file whose bytes differ, with the largest relative difference
-|a - b| / max(|a|, |b|) over its numeric JSON values and CSV cells, or
-"non-numeric" when a key, a string or the number of values changed. It
-exits 1 if any file differs:
+|a - b| / max(|a|, |b|) over its numeric JSON values and CSV cells and where
+it is (a JSON key path such as "criterion_slope_at_opt[0]", or a CSV "line
+3, column value"), or "non-numeric" when a key, a string or the number of
+values changed. It exits 1 if any file differs:
 
     PYTHONPATH=../parent/src python tools/cli_digest.py --out old
     PYTHONPATH=src python tools/cli_digest.py --out new
@@ -122,48 +123,58 @@ def digest_all(root: Path) -> list[str]:
 
 
 def _tokens(path: Path):
-    """The values of a JSON or CSV file in reading order, numbers as floats
-    and everything else (keys, strings, flags, null) as is."""
+    """(where, value) for the values of a JSON or CSV file in reading order,
+    numbers as floats and everything else (keys, strings, flags, null) as
+    is. where is the JSON key path (a key's own path is its value's), or
+    "line L, column C" in a CSV, C being the header cell of its column."""
     if path.suffix == ".csv":
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                for cell in row:
+            header = []
+            for line, row in enumerate(csv.reader(fh), start=1):
+                header = header or row
+                for j, cell in enumerate(row):
+                    where = f"line {line}, column {header[j] if j < len(header) else j}"
                     try:
-                        yield float(cell)
+                        yield where, float(cell)
                     except ValueError:
-                        yield cell
+                        yield where, cell
         return
 
-    def walk(value):
+    def walk(value, where):
         if isinstance(value, dict):
             for key, item in value.items():
-                yield key
-                yield from walk(item)
+                child = f"{where}.{key}" if where else key
+                yield child, key
+                yield from walk(item, child)
         elif isinstance(value, list):
-            for item in value:
-                yield from walk(item)
+            for i, item in enumerate(value):
+                yield from walk(item, f"{where}[{i}]")
         elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            yield float(value)
+            yield where, float(value)
         else:
-            yield value
+            yield where, value
 
-    yield from walk(json.loads(path.read_text()))
+    yield from walk(json.loads(path.read_text()), "")
 
 
 def max_rel_diff(old: Path, new: Path):
-    """Largest |a - b| / max(|a|, |b|) over the numbers of two JSON or CSV
-    files, or None if anything but a number differs."""
+    """(drift, where): the largest |a - b| / max(|a|, |b|) over the numbers
+    of two JSON or CSV files and the place of the first number that reaches
+    it (None when no number moved), or None if anything but a number
+    differs."""
     a, b = list(_tokens(old)), list(_tokens(new))
     if len(a) != len(b):
         return None
-    worst = 0.0
-    for x, y in zip(a, b):
+    worst, at = 0.0, None
+    for (where, x), (_, y) in zip(a, b):
         if isinstance(x, float) and isinstance(y, float):
             if x != y and not (math.isnan(x) and math.isnan(y)):
-                worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+                rel = abs(x - y) / max(abs(x), abs(y))
+                if rel > worst:
+                    worst, at = rel, where
         elif x != y:
             return None
-    return worst
+    return worst, at
 
 
 def compare(old_dir: Path, new_dir: Path) -> list[str]:
@@ -178,8 +189,12 @@ def compare(old_dir: Path, new_dir: Path) -> list[str]:
         a, b = old_dir / name, new_dir / name
         if a.read_bytes() == b.read_bytes():
             continue
-        rel = max_rel_diff(a, b) if a.suffix in (".json", ".csv") else None
-        lines.append(f"{'non-numeric' if rel is None else f'{rel:.3e}'}  {name}")
+        drift = max_rel_diff(a, b) if a.suffix in (".json", ".csv") else None
+        if drift is None:
+            lines.append(f"non-numeric  {name}")
+        else:
+            rel, where = drift
+            lines.append(f"{rel:.3e}  {name}" + (f"  at {where}" if where else ""))
     return lines
 
 
