@@ -43,17 +43,41 @@ def default_tol(theta_init) -> float:
     return 1e-10 * (1.0 + float(np.linalg.norm(theta_init)))
 
 
+def checked_inv(A, label):
+    """A^-1; SingularJacobian unless A is finite with cond(A) <= COND_LIMIT.
+
+    label names the matrix in the error message. A^-1 is np.linalg.inv(A),
+    bitwise np.linalg.solve(A, np.eye(len(A))), and the check screens with
+    it by the rule of well_conditioned: ||A||_F ||A^-1||_F bounds cond_2(A)
+    from above, so a bound at most COND_LIMIT / 10 passes without an SVD.
+    Any other matrix, and one that np.linalg.inv finds exactly singular,
+    takes the SVD test np.linalg.cond(A) <= COND_LIMIT, which decides and
+    puts its condition number in the message.
+    """
+    if not np.isfinite(A).all():
+        raise SingularJacobian(f"{label} has non-finite entries")
+    try:
+        Ainv = np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        Ainv = None
+    # Python floats: an overflowing bound is inf (or nan), not a warning
+    bound = np.inf if Ainv is None else float(np.linalg.norm(A)) * float(np.linalg.norm(Ainv))
+    if not bound <= COND_LIMIT / 10:
+        cond = np.linalg.cond(A)
+        if not np.isfinite(cond) or cond > COND_LIMIT:
+            raise SingularJacobian(f"{label} condition number {cond:.3e} exceeds 1e12")
+    # None only when LU meets an exact zero pivot in a matrix the SVD test
+    # passes: inv raises LinAlgError again, as a solve against A would
+    return np.linalg.inv(A) if Ainv is None else Ainv
+
+
 def checked_solve(A, rhs, label):
     """Solve A x = rhs; SingularJacobian unless A is finite with cond(A) <= COND_LIMIT.
 
-    label names the matrix in the error message. Pass np.eye(len(A)) as rhs
-    for a checked inverse.
+    The check is checked_inv's. x is np.linalg.solve(A, rhs), not the
+    inverse times rhs, whose rounding differs.
     """
-    if not np.all(np.isfinite(A)):
-        raise SingularJacobian(f"{label} has non-finite entries")
-    cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularJacobian(f"{label} condition number {cond:.3e} exceeds 1e12")
+    checked_inv(A, label)
     return np.linalg.solve(A, rhs)
 
 
@@ -124,12 +148,12 @@ def pinned_influences(solve: SolveResult) -> np.ndarray:
     """(n, p) rows J_hat^{-1} phi_i of the root's per-row phi, solve.Phi: the
     influence of each row on theta_hat at the fixed lambda.
 
-    J_hat^{-1} is one checked_solve against the (p, p) identity, applied to
-    the rows by one matrix product. A solve with the n rows as right-hand
-    sides gives the same rows to roundoff (about 1e-16 relative), but its
-    LAPACK time grows with n and was most of a loocv_fast call.
+    J_hat^{-1} is the inverse that checked_inv's condition check forms,
+    applied to the rows by one matrix product. A solve with the n rows as
+    right-hand sides gives the same rows to roundoff (about 1e-16 relative),
+    but its LAPACK time grows with n and was most of a loocv_fast call.
     """
-    Jinv = checked_solve(solve.J_hat, np.eye(len(solve.J_hat)), "J_hat")
+    Jinv = checked_inv(solve.J_hat, "J_hat")
     return solve.Phi @ Jinv.T
 
 
@@ -138,9 +162,9 @@ def well_conditioned(A) -> np.ndarray:
 
     The same decision as the SVD test np.linalg.cond(A) <= COND_LIMIT, with
     fewer SVDs: ||A||_F ||A^-1||_F bounds cond_2(A) from above, so a matrix
-    whose bound is at most COND_LIMIT / 10 passes without one. The other
-    matrices, and the whole stack if np.linalg.inv raises LinAlgError, take
-    the SVD test.
+    whose bound is at most COND_LIMIT / 10 passes without one, as in
+    checked_inv. The other matrices, and the whole stack if np.linalg.inv
+    raises LinAlgError, take the SVD test.
     """
     ok = np.zeros(len(A), dtype=bool)
     try:

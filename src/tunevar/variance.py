@@ -28,7 +28,7 @@ import numpy as np
 from . import numdiff
 from .exceptions import BoundaryFit, FlatLimitSuspected
 from .model import Dataset, LossSpec, ModelSpec, row_mean, slot_values
-from .solver import checked_solve, solve_theta
+from .solver import checked_inv, solve_theta
 from .tuner import FitResult
 
 
@@ -126,7 +126,7 @@ def assemble_components(
         return VarianceComponents(J_hat=J_hat, K_hat=K_hat)
 
     D_hat = fit.D_hat
-    Jinv = checked_solve(J_hat, np.eye(p), "J_hat")
+    Jinv = checked_inv(J_hat, "J_hat")
     b_hat = slot_values(loss, "grad_psi_batch", Z, theta).mean(axis=0)
     Z2_hat = _sym(slot_values(loss, "hess_psi", Z, theta).mean(axis=0))
     Z1_hat = z1_profiled(model, loss, data, fit)
@@ -144,7 +144,7 @@ def assemble_components(
     Eta = eta_matrix(model, loss, Z, theta, lam, D_hat)
     Kstar_hat = _sym(Eta.T @ Eta / n)
 
-    Z1_inv = checked_solve(Z1_hat, np.eye(q), "Z1_hat")
+    Z1_inv = checked_inv(Z1_hat, "Z1_hat")
     DZ1 = D_hat @ Z1_inv  # (p, q)
     # Astar's column blocks act on eta1 = phi (A1), eta2 and eta3 (A3)
     A1 = Jinv - DZ1 @ (D_hat.T @ Z2_hat + W_hat) @ Jinv
@@ -170,7 +170,7 @@ def variance_tuned(components: VarianceComponents) -> np.ndarray:
 
 def variance_pointwise(components: VarianceComponents) -> np.ndarray:
     """V2 = J^{-1} K J^{-T}, the classic sandwich at the tuned fit."""
-    Jinv = checked_solve(components.J_hat, np.eye(len(components.J_hat)), "J_hat")
+    Jinv = checked_inv(components.J_hat, "J_hat")
     return _sym(Jinv @ components.K_hat @ Jinv.T)
 
 

@@ -15,7 +15,9 @@ from tunevar.harness import N_MIXTURE, _ks_statistic
 from tunevar.model import Dataset, ModelSpec, row_mean, rowwise, slot_values
 from tunevar.models import _design, _expit, default_penalty_mask
 from tunevar.rng import SplitMix64, derive_stream, fisher_yates_permutation, splitmix64
-from tunevar.solver import COND_LIMIT, default_tol, pinned_influences, well_conditioned
+from tunevar.solver import (
+    COND_LIMIT, checked_inv, checked_solve, default_tol, pinned_influences, well_conditioned,
+)
 
 from conftest import make_linear_data, make_logistic_data
 
@@ -559,6 +561,27 @@ def test_well_conditioned_matches_svd_test(seed, p, singular):
     A = _conditioned_stack(seed, 300, p, singular)
     cond = np.linalg.cond(A)
     assert np.array_equal(well_conditioned(A), np.isfinite(cond) & (cond <= COND_LIMIT))
+
+
+@settings(deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31), p=st.integers(min_value=1, max_value=8),
+       singular=st.booleans())
+def test_checked_solve_matches_svd_test(seed, p, singular):
+    # one matrix at a time: the screened check raises exactly where the SVD
+    # test fails, with its message, and otherwise solves and inverts as
+    # np.linalg.solve does, bit for bit
+    A = _conditioned_stack(seed, 40, p, singular)
+    rhs = np.random.default_rng(seed).standard_normal((40, p))
+    cond = np.linalg.cond(A)
+    for M, b, c in zip(A, rhs, cond):
+        if np.isfinite(c) and c <= COND_LIMIT:
+            assert np.array_equal(checked_solve(M, b, "A"), np.linalg.solve(M, b))
+            assert np.array_equal(checked_inv(M, "A"), np.linalg.solve(M, np.eye(p)))
+        else:
+            for check in (lambda: checked_solve(M, b, "A"), lambda: checked_inv(M, "A")):
+                with pytest.raises(SingularJacobian) as err:
+                    check()
+                assert str(err.value) == f"A condition number {c:.3e} exceeds 1e12"
 
 
 # a few distinct values make ties within and across the two samples

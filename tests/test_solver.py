@@ -5,18 +5,21 @@ from tunevar import (
     Dataset,
     DomainEscape,
     GaussianLikelihoodModel,
+    Method,
     ModelSpec,
     NoConvergence,
     RidgeLinearModel,
     RidgeLogisticModel,
     SingularJacobian,
     ridge_closed_form,
+    select_variance,
     solve_loo,
     solve_theta,
     theta_prime,
+    tune,
 )
 from tunevar.model import row_mean, rowwise, slot_values
-from tunevar.solver import well_conditioned
+from tunevar.solver import checked_inv, checked_solve, well_conditioned
 
 from conftest import make_linear_data, make_logistic_data, rel_err
 
@@ -171,7 +174,7 @@ def test_domain_escape_raises():
 
 @pytest.mark.xfail(strict=True, raises=DomainEscape,
                    reason="Newton from theta_init (0, 1) leaves theta_domain on some "
-                          "small Gaussian samples (ROADMAP item 3(c))")
+                          "small Gaussian samples (ROADMAP item 1)")
 def test_gaussian_small_sample_from_theta_init():
     # the MLE is (mean, sd) in closed form; Newton from the sample moments
     # converges at once, but from theta_init the projected step is rejected
@@ -209,6 +212,43 @@ def test_well_conditioned_skips_the_svd_when_the_bound_decides(monkeypatch):
     ok = well_conditioned(A)
     assert np.flatnonzero(~ok).tolist() == [7]
     assert svds == [50, 2]
+
+
+def test_checked_solve_skips_the_svd_when_the_bound_decides(monkeypatch):
+    # every Newton step, influence step and inverse of an interior
+    # ridge-logistic tune and select_variance is cleared by the Frobenius
+    # screen; a matrix it cannot clear takes one SVD, and a non-finite one none
+    data = make_logistic_data(n=200, seed=0)
+    m = RidgeLogisticModel(2, lambda_domain=(0.0, 0.1))
+    spec, loss = m.spec(), m.brier_loss(predictor_covariates=[0])
+    svds = []
+    cond = np.linalg.cond
+
+    def counted(M):
+        svds.append(np.shape(M))
+        return cond(M)
+
+    monkeypatch.setattr(np.linalg, "cond", counted)
+    fit = tune(spec, loss, data, Method.CV_FAST, grid_size=10)
+    assert fit.interior
+    assert np.all(np.isfinite(select_variance(spec, loss, data, fit).V1))
+    assert svds == []
+    # cond 5e11: above the screen's 1e11, within COND_LIMIT
+    A = np.diag([1.0, 2e-12])
+    assert np.array_equal(checked_solve(A, np.ones(2), "A"), np.linalg.solve(A, np.ones(2)))
+    assert np.array_equal(checked_inv(A, "A"), np.linalg.solve(A, np.eye(2)))
+    assert len(svds) == 2
+    svds.clear()
+    # np.linalg.inv finds the second exactly singular, the third has cond inf
+    for A in (np.diag([1.0, 1e-13]), np.ones((2, 2)), np.zeros((2, 2))):
+        with pytest.raises(SingularJacobian) as err:
+            checked_solve(A, np.ones(2), "A")
+        assert str(err.value) == f"A condition number {cond(A):.3e} exceeds 1e12"
+        assert len(svds) == 1
+        svds.clear()
+    with pytest.raises(SingularJacobian, match="^A has non-finite entries$"):
+        checked_solve(np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2), "A")
+    assert svds == []
 
 
 @pytest.mark.parametrize("name", ["ridge-linear", "ridge-logistic", "gaussian"])
