@@ -211,8 +211,10 @@ def load_fit_json(path, spec: ModelSpec, data: Dataset) -> FitResult:
             f"fit.json theta_hat leaves the residual {residual:.3e} > {tol:.3e} on "
             "this data; the fit was made on other data or with another model"
         )
-    # D = theta' at the record's root, as tune and fit compute it
-    J_hat = -(slot_values(spec, "jac_theta_sum", data.rows, theta, lam) / data.n)
+    # D = theta' at the record's root, as tune and fit compute it; the
+    # Jacobian comes from a call of its own, outside the residual's try, so
+    # that its failure raises instead of reading as an infinite residual
+    J_hat = -(slot_values(spec, "phi_jac_sum", data.rows, theta, lam)[1] / data.n)
     D = theta_prime(spec, data, SolveResult(theta, lam, 0, residual, J_hat, Phi))
     gap = float(np.max(np.abs(fit.D_hat - D)))
     if not gap <= 1e-8 * (1.0 + float(np.max(np.abs(D)))):

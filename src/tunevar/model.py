@@ -140,11 +140,12 @@ class ModelSpec:
       dphi_dlambda_batch(Z, th, lm)   -> (n, p, q)    d phi / d lambda
       hess_phi_theta(Z, th, lm)       -> (n, p, p, p) [i, j] = theta-Hessian of phi^j
       dphi_dlambda_dtheta(Z, th, lm)  -> (n, q, p, p) [i, j] = d_lambda_j of d phi / d theta
-    Three sum slots return sums over the rows instead. jac_theta_sum sums
-    over all n rows; the two leave-one-out sum slots take a (k, p) stack of
-    thetas Th and k row indices, and sum over every row but the problem's
-    own:
-      jac_theta_sum(Z, th, lm)        -> (p, p)    sum_m d phi(Z_m, th, lm) / d theta
+    Three sum slots return sums over the rows instead. phi_jac_sum returns
+    the pair (F, S) at one (theta, lam): F is the per-row phi, as phi_batch
+    gives it, and S sums d phi / d theta over all n rows. The two
+    leave-one-out sum slots take a (k, p) stack of thetas Th and k row
+    indices, and sum over every row but the problem's own:
+      phi_jac_sum(Z, th, lm)          -> (F (n, p), S (p, p)), S = sum_m d phi(Z_m, ...) / d theta
       phi_loo_sum(Z, Th, rows, lm)    -> (k, p)    [j] = sum_{m != rows[j]} phi(Z_m, Th[j], lm)
       jac_loo_sum(Z, Th, rows, lm)    -> (k, p, p) the same sum of d phi / d theta
 
@@ -155,24 +156,34 @@ class ModelSpec:
     central difference of phi_batch over all rows at once (of
     dphi_dtheta_batch for dphi_dlambda_dtheta). The steps depend only on
     theta or lambda, so the fallback of a rowwise spec matches differencing
-    each row on its own. A missing jac_theta_sum sums dphi_dtheta_batch over
-    the rows, so the mean theta-Jacobian, jac_theta_sum over the row count,
-    is then row_mean of dphi_dtheta_batch, bit for bit. A missing
-    phi_loo_sum (jac_loo_sum) makes one phi_batch (dphi_dtheta_batch) call
-    per theta and subtracts the problem's own row from the sum over all
-    rows. The built-in models supply sum kernels from sufficient statistics,
-    which agree with that to rounding.
+    each row on its own. A missing phi_jac_sum is the pair (phi_batch,
+    dphi_dtheta_batch summed over the rows), with the phi_batch call
+    checked as slot_values checks it, so the mean theta-Jacobian, S over
+    the row count, is then row_mean of dphi_dtheta_batch, bit for bit.
+    A missing phi_loo_sum (jac_loo_sum) makes one phi_batch
+    (dphi_dtheta_batch) call per theta and subtracts the problem's own row
+    from the sum over all rows. The built-in models supply sum kernels from
+    sufficient statistics, which agree with that to rounding; their
+    phi_jac_sum shares its intermediates between F and S, and its F is
+    phi_batch bit for bit.
     Each fallback reads the other slots at call time and is bound to its own
     instance, so dataclasses.replace(spec, phi_batch=g) gives a spec whose
-    fallbacks evaluate g.
+    fallbacks evaluate g. A phi_jac_sum kernel does not read phi_batch, so
+    one that names the phi_batch it was made with, as its attribute
+    phi_batch (each built-in kernel does), is kept only beside that
+    phi_batch: dataclasses.replace(spec, phi_batch=g) of a built-in spec
+    takes the fallback pair, whose F is g.
 
     The solver, criteria and variance code call every slot through
     slot_values, which checks the result's shape against SLOT_SHAPES (and
-    that phi_batch is finite) and raises EvaluationError naming the slot.
+    that phi_batch and the F of phi_jac_sum are finite) and raises
+    EvaluationError naming the slot.
 
-    The Newton solve (solver.solve_theta) evaluates the Jacobian of each
-    step and its J_hat by one jac_theta_sum call each, and makes no
-    dphi_dtheta_batch call when jac_theta_sum is supplied.
+    The Newton solve (solver.solve_theta) makes one phi_jac_sum call per
+    iterate it evaluates: at its start and at each line-search candidate.
+    The accepted iterate's F and S give the next step and, at the root,
+    SolveResult.Phi and J_hat. It makes no phi_batch call, and no
+    dphi_dtheta_batch call when phi_jac_sum is supplied.
 
     Exact LOOCV (criteria.loocv_exact) reads the two leave-one-out sum
     slots, one dphi_dtheta_batch and at most one hess_phi_theta call per
@@ -187,7 +198,7 @@ class ModelSpec:
     dphi_dlambda_batch: Optional[Callable] = None
     hess_phi_theta: Optional[Callable] = None
     dphi_dlambda_dtheta: Optional[Callable] = None
-    jac_theta_sum: Optional[Callable] = None
+    phi_jac_sum: Optional[Callable] = None
     phi_loo_sum: Optional[Callable] = None
     jac_loo_sum: Optional[Callable] = None
     theta_domain: Optional[np.ndarray] = None
@@ -205,12 +216,15 @@ class ModelSpec:
             self.theta_init = np.asarray(self.theta_init, dtype=float)
             if self.theta_init.shape != (self.p,):
                 raise EvaluationError("theta_init must have length p")
+        # a kernel made beside another phi_batch would give that phi as F
+        if getattr(self.phi_jac_sum, "phi_batch", self.phi_batch) is not self.phi_batch:
+            self.phi_jac_sum = None
         _refill(self, {
             "dphi_dtheta_batch": ModelSpec._fd_dphi_dtheta,
             "dphi_dlambda_batch": ModelSpec._fd_dphi_dlambda,
             "hess_phi_theta": ModelSpec._fd_hess_phi_theta,
             "dphi_dlambda_dtheta": ModelSpec._fd_dphi_dlambda_dtheta,
-            "jac_theta_sum": ModelSpec._summed_jac_theta,
+            "phi_jac_sum": ModelSpec._phi_and_summed_jac,
             "phi_loo_sum": ModelSpec._stacked_phi_loo_sum,
             "jac_loo_sum": ModelSpec._stacked_jac_loo_sum,
         })
@@ -235,8 +249,13 @@ class ModelSpec:
             -1, 1,
         )
 
-    def _summed_jac_theta(self, Z, th, lm):
-        return np.asarray(self.dphi_dtheta_batch(Z, th, lm), dtype=float).sum(axis=0)
+    def _phi_and_summed_jac(self, Z, th, lm):
+        # phi_batch is checked on its own, so that its failure names it and
+        # comes before any Jacobian work
+        return (
+            slot_values(self, "phi_batch", Z, th, lm),
+            np.asarray(self.dphi_dtheta_batch(Z, th, lm), dtype=float).sum(axis=0),
+        )
 
     def _stacked_phi_loo_sum(self, Z, Th, rows, lm):
         F = np.stack([np.asarray(self.phi_batch(Z, th, lm), dtype=float) for th in Th])
@@ -321,14 +340,15 @@ class LossSpec:
 
 # slot name -> the shape of its result, from the call's row matrix Z, its
 # theta (the (k, p) stack Th of a leave-one-out sum slot, the per-row theta
-# matrix of psi_rowwise) and the spec
+# matrix of psi_rowwise) and the spec; for phi_jac_sum, the pair of the
+# shapes of F and S
 SLOT_SHAPES = {
     "phi_batch": lambda Z, th, m: (len(Z), m.p),
     "dphi_dtheta_batch": lambda Z, th, m: (len(Z), m.p, m.p),
     "dphi_dlambda_batch": lambda Z, th, m: (len(Z), m.p, m.q),
     "hess_phi_theta": lambda Z, th, m: (len(Z), m.p, m.p, m.p),
     "dphi_dlambda_dtheta": lambda Z, th, m: (len(Z), m.q, m.p, m.p),
-    "jac_theta_sum": lambda Z, th, m: (m.p, m.p),
+    "phi_jac_sum": lambda Z, th, m: ((len(Z), m.p), (m.p, m.p)),
     "phi_loo_sum": lambda Z, Th, m: (len(Th), m.p),
     "jac_loo_sum": lambda Z, Th, m: (len(Th), m.p, m.p),
     "psi_batch": lambda Z, th, loss: (len(Z),),
@@ -339,17 +359,28 @@ SLOT_SHAPES = {
 _FINITE_SLOTS = ("phi_batch", "psi_batch", "psi_rowwise")
 
 
-def slot_values(spec, slot: str, Z: np.ndarray, theta, *rest) -> np.ndarray:
-    """spec.<slot>(Z, theta, *rest) as a float array of the shape SLOT_SHAPES
-    gives, else EvaluationError; the values of phi_batch, psi_batch and
-    psi_rowwise must also be finite."""
-    out = np.asarray(getattr(spec, slot)(Z, theta, *rest), dtype=float)
-    want = SLOT_SHAPES[slot](Z, theta, spec)
+def _checked(slot, values, want, finite):
+    out = np.asarray(values, dtype=float)
     if out.shape != want:
         raise EvaluationError(f"{slot} returned shape {out.shape}, expected {want}")
-    if slot in _FINITE_SLOTS and not np.all(np.isfinite(out)):
+    if finite and not np.all(np.isfinite(out)):
         raise EvaluationError(f"{slot} produced non-finite values")
     return out
+
+
+def slot_values(spec, slot: str, Z: np.ndarray, theta, *rest):
+    """spec.<slot>(Z, theta, *rest) as a float array of the shape SLOT_SHAPES
+    gives, else EvaluationError; the values of phi_batch, psi_batch and
+    psi_rowwise must also be finite. phi_jac_sum gives the pair (F, S) of
+    float arrays, each part checked against its shape, and F must be
+    finite."""
+    got = getattr(spec, slot)(Z, theta, *rest)
+    want = SLOT_SHAPES[slot](Z, theta, spec)
+    if slot != "phi_jac_sum":
+        return _checked(slot, got, want, slot in _FINITE_SLOTS)
+    if not (isinstance(got, (tuple, list)) and len(got) == 2):
+        raise EvaluationError(f"{slot} returned {type(got).__name__}, expected a pair (F, S)")
+    return _checked(slot, got[0], want[0], True), _checked(slot, got[1], want[1], False)
 
 
 def row_mean(A) -> np.ndarray:

@@ -17,11 +17,15 @@ by the np.array_equal property tests in tests/test_properties.py; a rewrite
 that moves one output bit fails them. _expit, on the hot path of exact
 LOOCV for ridge-logistic, avoids np.where: it computes both branches in one
 pass, selecting the numerator with np.maximum, which matches the two-branch
-formula bit for bit (see its comment). The sum kernels (jac_theta_sum and
-the leave-one-out phi_loo_sum and jac_loo_sum) work from sufficient
-statistics or one matrix product and so round differently from the
-row-by-row fallback: the same tests pin them to it within a tolerance
+formula bit for bit (see its comment). The sum kernels (the Jacobian sum S
+of phi_jac_sum, and the leave-one-out phi_loo_sum and jac_loo_sum) work from
+sufficient statistics or one matrix product and so round differently from
+the row-by-row fallback: the same tests pin them to it within a tolerance
 relative to the sum of |phi| (|d phi / d theta|) over the rows, not bitwise.
+Each model's phi_jac_sum builds _design(Z) and expit(X theta) (the
+Gaussian's r = z - mu) once for F and S, through helpers that phi_batch
+shares, so its F is phi_batch bit for bit; it names that phi_batch as its
+attribute phi_batch, so that a spec with another phi_batch drops it.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ class _RidgeModel:
 
     phi carries the penalty as PENALTY * lam * P beta. A subclass sets the
     class constant PENALTY and supplies _link_slots(P), which returns the
-    link-specific slots phi_batch, dphi_dtheta_batch, jac_theta_sum,
+    link-specific slots phi_batch, dphi_dtheta_batch, phi_jac_sum,
     hess_phi_theta, phi_loo_sum and jac_loo_sum as a dict.
     """
 
@@ -120,10 +124,12 @@ class RidgeLinearModel(_RidgeModel):
     def _link_slots(self, P):
         p = self.p
 
-        def phi_batch(Z, th, lm):
-            y, X = _design(Z)
+        def phi(y, X, th, lm):
             e = y - X @ th
             return -2.0 * X * e[:, None] + 2.0 * float(lm[0]) * (P @ th)
+
+        def phi_batch(Z, th, lm):
+            return phi(*_design(Z), th, lm)
 
         def jac_loo_sum(Z, Th, rows, lm):
             # 2 (X'X - x_i x_i') + 2 (n - 1) lam P, the same for every theta
@@ -144,15 +150,17 @@ class RidgeLinearModel(_RidgeModel):
             _, X = _design(Z)
             return 2.0 * np.einsum("ni,nj->nij", X, X) + 2.0 * float(lm[0]) * P
 
-        def jac_theta_sum(Z, th, lm):
-            _, X = _design(Z)
-            return 2.0 * (X.T @ X) + 2.0 * len(X) * float(lm[0]) * P
+        def phi_jac_sum(Z, th, lm):
+            y, X = _design(Z)
+            return phi(y, X, th, lm), 2.0 * (X.T @ X) + 2.0 * len(X) * float(lm[0]) * P
+
+        phi_jac_sum.phi_batch = phi_batch
 
         def hess_phi_theta(Z, th, lm):
             return np.zeros((Z.shape[0], p, p, p))
 
         return dict(phi_batch=phi_batch, dphi_dtheta_batch=dphi_dtheta_batch,
-                    jac_theta_sum=jac_theta_sum, hess_phi_theta=hess_phi_theta,
+                    phi_jac_sum=phi_jac_sum, hess_phi_theta=hess_phi_theta,
                     phi_loo_sum=phi_loo_sum, jac_loo_sum=jac_loo_sum)
 
     def squared_error_loss(self, weight_fn=None) -> LossSpec:
@@ -191,10 +199,12 @@ class RidgeLogisticModel(_RidgeModel):
     PENALTY = -2.0
 
     def _link_slots(self, P):
+        def phi(y, X, pi, th, lm):
+            return X * (y - pi)[:, None] - 2.0 * float(lm[0]) * (P @ th)
+
         def phi_batch(Z, th, lm):
             y, X = _design(Z)
-            pi = _expit(X @ th)
-            return X * (y - pi)[:, None] - 2.0 * float(lm[0]) * (P @ th)
+            return phi(y, X, _expit(X @ th), th, lm)
 
         def loo_parts(Z, Th, rows):
             # expit(x_m' Th[j]) as (k, n), and the index of problem j's own
@@ -229,12 +239,15 @@ class RidgeLogisticModel(_RidgeModel):
             out -= 2.0 * float(lm[0]) * P
             return out
 
-        def jac_theta_sum(Z, th, lm):
-            # -X' diag(w) X - 2 n lam P, w = pi (1 - pi)
-            _, X = _design(Z)
-            w = _expit(X @ th)
-            w = w * (1.0 - w)
-            return -(X.T @ (w[:, None] * X)) - 2.0 * len(X) * float(lm[0]) * P
+        def phi_jac_sum(Z, th, lm):
+            # S = -X' diag(w) X - 2 n lam P, w = pi (1 - pi), from phi's pi
+            y, X = _design(Z)
+            pi = _expit(X @ th)
+            w = pi * (1.0 - pi)
+            S = -(X.T @ (w[:, None] * X)) - 2.0 * len(X) * float(lm[0]) * P
+            return phi(y, X, pi, th, lm), S
+
+        phi_jac_sum.phi_batch = phi_batch
 
         def hess_phi_theta(Z, th, lm):
             _, X = _design(Z)
@@ -244,7 +257,7 @@ class RidgeLogisticModel(_RidgeModel):
             return np.einsum("nj,nkl->njkl", X, core)
 
         return dict(phi_batch=phi_batch, dphi_dtheta_batch=dphi_dtheta_batch,
-                    jac_theta_sum=jac_theta_sum, hess_phi_theta=hess_phi_theta,
+                    phi_jac_sum=phi_jac_sum, hess_phi_theta=hess_phi_theta,
                     phi_loo_sum=phi_loo_sum, jac_loo_sum=jac_loo_sum)
 
     def brier_loss(self, predictor_covariates: Optional[Sequence[int]] = None) -> LossSpec:
@@ -363,13 +376,15 @@ class GaussianLikelihoodModel:
     lam is inert (q=1)."""
 
     def spec(self) -> ModelSpec:
-        def phi_batch(Z, th, lm):
-            mu, sg = th
-            r = Z[:, 0] - mu
-            out = np.empty((Z.shape[0], 2))
+        def phi(r, sg):
+            out = np.empty((len(r), 2))
             out[:, 0] = r / sg**2
             out[:, 1] = -1.0 / sg + r**2 / sg**3
             return out
+
+        def phi_batch(Z, th, lm):
+            mu, sg = th
+            return phi(Z[:, 0] - mu, sg)
 
         def loo_moments(Z, Th, rows):
             # (S1, S2, m, sg): S1 and S2 are the sums of r and r^2 over the
@@ -410,14 +425,17 @@ class GaussianLikelihoodModel:
             out[:, 1, 1] = 1.0 / sg**2 - 3.0 * r**2 / sg**4
             return out
 
-        def jac_theta_sum(Z, th, lm):
-            # from the sums of r and r^2; r = z - mu row by row keeps the
+        def phi_jac_sum(Z, th, lm):
+            # S from the sums of r and r^2; r = z - mu row by row keeps the
             # digits that sums of z and z^2 lose when the mean is far from mu
             mu, sg = th
             r = Z[:, 0] - mu
             n = Z.shape[0]
             off = -2.0 * r.sum() / sg**3
-            return np.array([[-n / sg**2, off], [off, n / sg**2 - 3.0 * (r @ r) / sg**4]])
+            S = np.array([[-n / sg**2, off], [off, n / sg**2 - 3.0 * (r @ r) / sg**4]])
+            return phi(r, sg), S
+
+        phi_jac_sum.phi_batch = phi_batch
 
         def dphi_dlambda_batch(Z, th, lm):
             return np.zeros((Z.shape[0], 2, 1))
@@ -439,7 +457,7 @@ class GaussianLikelihoodModel:
             p=2, q=1,
             phi_batch=phi_batch, dphi_dtheta_batch=dphi_dtheta_batch,
             dphi_dlambda_batch=dphi_dlambda_batch, hess_phi_theta=hess_phi_theta,
-            dphi_dlambda_dtheta=dphi_dlambda_dtheta, jac_theta_sum=jac_theta_sum,
+            dphi_dlambda_dtheta=dphi_dlambda_dtheta, phi_jac_sum=phi_jac_sum,
             phi_loo_sum=phi_loo_sum, jac_loo_sum=jac_loo_sum,
             theta_domain=np.array([[-1e8, 1e8], [1e-6, 1e8]]),
             lambda_domain=np.array([[0.0, 1.0]]),

@@ -23,12 +23,14 @@ COND_LIMIT = 1e12
 class SolveResult:
     """Root of the empirical estimating equation at a fixed tuning vector.
 
-    Phi is the (n, p) per-row phi matrix at the root, slot_values(model,
-    "phi_batch", Z, theta_hat, lam) for the rows Z that were solved on, as
-    the solver evaluated it for its last accepted iterate. Criteria that
-    take a solve read it instead of evaluating phi again, so a SolveResult
-    passed along with a dataset must be the root of the same model on that
-    dataset.
+    Phi is the (n, p) per-row phi matrix at the root and J_hat minus the
+    mean theta-Jacobian there, for the rows Z that were solved on: the F
+    and -S / n of the phi_jac_sum call that the solver made at its last
+    accepted iterate. For the built-in models and the fallback pair, Phi is
+    slot_values(model, "phi_batch", Z, theta_hat, lam) bit for bit.
+    Criteria that take a solve read them instead of evaluating phi again,
+    so a SolveResult passed along with a dataset must be the root of the
+    same model on that dataset.
     """
 
     theta_hat: np.ndarray
@@ -82,10 +84,18 @@ def checked_solve(A, rhs, label):
 
 
 def _newton(model: ModelSpec, Z: np.ndarray, lam, theta_init, tol) -> SolveResult:
+    """Damped Newton iteration from theta_init, with an Armijo line search.
+
+    One phi_jac_sum call per evaluated iterate: at the start and at each
+    line-search candidate, rejected ones included. The accepted iterate's
+    (F, S) give the residual, the next step's Jacobian S / n and, at the
+    root, SolveResult.Phi = F and J_hat = -(S / n), so no slot is called
+    again at theta_hat.
+    """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     theta = model.clip_theta(np.asarray(theta_init, dtype=float).copy())
-    # F: the per-row phi of the current iterate, kept for SolveResult.Phi
-    F = slot_values(model, "phi_batch", Z, theta, lam)
+    # F, S: the per-row phi and the summed theta-Jacobian of the current iterate
+    F, S = slot_values(model, "phi_jac_sum", Z, theta, lam)
     Phi = row_mean(F)
     fval = float(Phi @ Phi)
     it = 0
@@ -93,8 +103,7 @@ def _newton(model: ModelSpec, Z: np.ndarray, lam, theta_init, tol) -> SolveResul
         if np.sqrt(fval) <= tol:
             it -= 1
             break
-        Jm = slot_values(model, "jac_theta_sum", Z, theta, lam) / len(Z)
-        step = -checked_solve(Jm, Phi, "Jacobian")
+        step = -checked_solve(S / len(Z), Phi, "Jacobian")
         accepted = False
         projected = False
         t = 1.0
@@ -103,12 +112,12 @@ def _newton(model: ModelSpec, Z: np.ndarray, lam, theta_init, tol) -> SolveResul
             if not model.theta_in_domain(cand):
                 cand = model.clip_theta(cand)
                 projected = True
-            F_c = slot_values(model, "phi_batch", Z, cand, lam)
+            F_c, S_c = slot_values(model, "phi_jac_sum", Z, cand, lam)
             Phi_c = row_mean(F_c)
             f_c = float(Phi_c @ Phi_c)
             # Newton direction: directional derivative of ||Phi||^2 is -2 fval.
             if f_c <= fval * (1.0 - 2.0 * ARMIJO * t):
-                theta, F, Phi, fval = cand, F_c, Phi_c, f_c
+                theta, F, S, Phi, fval = cand, F_c, S_c, Phi_c, f_c
                 accepted = True
                 break
             t *= 0.5
@@ -121,7 +130,7 @@ def _newton(model: ModelSpec, Z: np.ndarray, lam, theta_init, tol) -> SolveResul
     residual = float(np.sqrt(fval))
     if residual > tol:
         raise NoConvergence(f"Newton stalled at residual {residual:.3e} > tol {tol:.3e}")
-    J_hat = -(slot_values(model, "jac_theta_sum", Z, theta, lam) / len(Z))
+    J_hat = -(S / len(Z))
     if not np.all(np.isfinite(J_hat)):
         raise SingularJacobian("empirical Jacobian has non-finite entries")
     return SolveResult(theta, lam, it, residual, J_hat, F)

@@ -118,8 +118,8 @@ def assemble_components(
     Z = data.rows
     n, p, q = data.n, model.p, model.q
 
-    Phi = slot_values(model, "phi_batch", Z, theta, lam)
-    J_hat = -(slot_values(model, "jac_theta_sum", Z, theta, lam) / n)
+    Phi, S = slot_values(model, "phi_jac_sum", Z, theta, lam)
+    J_hat = -(S / n)
     K_hat = _sym(Phi.T @ Phi / n)
 
     if not fit.interior:
@@ -195,7 +195,7 @@ def _joint_jacobian(model: ModelSpec, loss: LossSpec, Z: np.ndarray, theta, lam,
     # sets the rounding of eta_matrix's products with D
     D = np.asarray(D, float).reshape(p, q).ravel(order="F").reshape(p, q, order="F")
 
-    J = slot_values(model, "jac_theta_sum", Z, theta, lam) / len(Z)
+    J = slot_values(model, "phi_jac_sum", Z, theta, lam)[1] / len(Z)
     H = row_mean(slot_values(model, "hess_phi_theta", Z, theta, lam))  # (p, p, p)
     C = row_mean(slot_values(model, "dphi_dlambda_dtheta", Z, theta, lam))  # (q, p, p)
     P = np.zeros((p + q + p * q,) * 2)

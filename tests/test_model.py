@@ -1,15 +1,17 @@
 import dataclasses
+import functools
+import re
 
 import numpy as np
 import pytest
 
 from tunevar import (
-    Dataset, EvaluationError, LossSpec, Method, ModelSpec, RidgeLogisticModel, loocv_exact,
-    rowwise, select_variance, solve_theta, theta_prime, tune,
+    Dataset, EvaluationError, LossSpec, Method, ModelSpec, RidgeLinearModel, RidgeLogisticModel,
+    loocv_exact, rowwise, select_variance, solve_theta, theta_prime, tune,
 )
 from tunevar.model import SLOT_SHAPES, row_mean, slot_values
 
-from conftest import make_logistic_data
+from conftest import make_linear_data, make_logistic_data
 
 
 def test_dataset_validation():
@@ -104,7 +106,7 @@ def test_batched_helpers_match_row_loops():
     assert P.shape == (7, 2)
     assert np.allclose(row_mean(P), P.mean(axis=0))
     assert np.allclose(
-        slot_values(m, "jac_theta_sum", Z, th, lm) / len(Z),
+        slot_values(m, "phi_jac_sum", Z, th, lm)[1] / len(Z),
         np.diag(1.0 + 3 * 0.3 * th**2), rtol=1e-6,
     )
     assert row_mean(slot_values(m, "dphi_dlambda_batch", Z, th, lm)).shape == (2, 1)
@@ -155,7 +157,8 @@ def test_replace_refills_fallbacks_of_the_old_instance():
     assert np.allclose(twice.hess_phi_theta(Z, th, lm), 0.0, atol=1e-3)
     assert np.allclose(twice.phi_loo_sum(Z, th[None], [0], lm), 4.0)
     assert np.allclose(twice.jac_loo_sum(Z, th[None], [0], lm), -4.0)
-    assert np.allclose(twice.jac_theta_sum(Z, th, lm), -6.0)
+    F, S = twice.phi_jac_sum(Z, th, lm)
+    assert np.allclose(F, 2.0) and np.allclose(S, -6.0)
     # the old spec is untouched, and a slot given explicitly is kept
     assert np.allclose(spec.phi_loo_sum(Z, th[None], [0], lm), 2.0)
     kept = dataclasses.replace(twice, dphi_dtheta_batch=spec.phi_batch)
@@ -167,6 +170,22 @@ def test_replace_refills_fallbacks_of_the_old_instance():
     assert np.allclose(double.grad_psi_batch(Z, th), -4.0, rtol=1e-6)
     assert np.allclose(double.hess_psi(Z, th), 4.0, rtol=1e-4)
     assert np.allclose(double.psi_rowwise(Z, np.zeros((3, 1))), 2.0)
+
+
+def test_replacing_phi_batch_drops_the_kernel_made_beside_the_old_one():
+    # a built-in phi_jac_sum gives its own phi as F: beside another
+    # phi_batch the spec takes the fallback pair, whose F is the new phi,
+    # and a replace that keeps phi_batch keeps the kernel
+    spec = RidgeLinearModel(2).spec()
+    shifted = dataclasses.replace(
+        spec, phi_batch=lambda Z, th, lm: spec.phi_batch(Z, th - 1.0, lm)
+    )
+    assert shifted.phi_jac_sum.__func__ is ModelSpec._phi_and_summed_jac
+    data = make_linear_data(n=100, seed=1)
+    root = solve_theta(spec, data, [0.1], np.zeros(3)).theta_hat
+    assert np.allclose(solve_theta(shifted, data, [0.1], np.zeros(3)).theta_hat, root + 1.0)
+    boxed = dataclasses.replace(spec, lambda_domain=(0.0, 0.5))
+    assert boxed.phi_jac_sum is spec.phi_jac_sum
 
 
 def test_loo_sum_fallbacks_of_a_rowwise_spec_are_exact():
@@ -187,12 +206,56 @@ def test_loo_sum_fallbacks_of_a_rowwise_spec_are_exact():
 
 @pytest.mark.parametrize("shape", [(1,), (3, 1, 1), (1, 2)])
 def test_jac_theta_mean_rejects_a_wrong_shape_sum_slot(shape):
-    # (3, 1, 1) is the per-row stack, a dphi_dtheta_batch passed as the sum
-    spec = dataclasses.replace(_line_spec(), jac_theta_sum=lambda Z, th, lm: np.zeros(shape))
+    # the S part of phi_jac_sum; (3, 1, 1) is the per-row stack, a
+    # dphi_dtheta_batch passed as the sum
+    line = _line_spec()
+    spec = dataclasses.replace(
+        line, phi_jac_sum=lambda Z, th, lm: (line.phi_batch(Z, th, lm), np.zeros(shape))
+    )
     Z, th, lm = np.ones((3, 1)), np.zeros(1), np.zeros(1)
-    with pytest.raises(EvaluationError, match=r"jac_theta_sum returned shape"):
-        slot_values(spec, "jac_theta_sum", Z, th, lm)
-    with pytest.raises(EvaluationError, match=r"jac_theta_sum"):
+    message = re.escape(f"phi_jac_sum returned shape {shape}, expected (1, 1)")
+    with pytest.raises(EvaluationError, match="^" + message):
+        slot_values(spec, "phi_jac_sum", Z, th, lm)
+    with pytest.raises(EvaluationError, match=r"^phi_jac_sum returned shape"):
+        solve_theta(spec, Dataset(Z), lm, th)
+
+
+@pytest.mark.parametrize("F, message", [
+    (np.zeros((3, 2)), r"^phi_jac_sum returned shape \(3, 2\), expected \(3, 1\)$"),
+    (np.zeros((3,)), r"^phi_jac_sum returned shape \(3,\), expected \(3, 1\)$"),
+    (np.full((3, 1), np.nan), r"^phi_jac_sum produced non-finite values$"),
+    (np.full((3, 1), np.inf), r"^phi_jac_sum produced non-finite values$"),
+])
+def test_phi_jac_sum_checks_its_phi_part(F, message):
+    # the F part is checked as phi_batch is: its shape, then its values
+    S = -3.0 * np.ones((1, 1))
+    spec = dataclasses.replace(_line_spec(), phi_jac_sum=lambda Z, th, lm: (F, S))
+    Z, th, lm = np.ones((3, 1)), np.zeros(1), np.zeros(1)
+    with pytest.raises(EvaluationError, match=message):
+        slot_values(spec, "phi_jac_sum", Z, th, lm)
+    with pytest.raises(EvaluationError, match=message):
+        solve_theta(spec, Dataset(Z), lm, th)
+
+
+def test_phi_jac_sum_must_return_a_pair():
+    spec = dataclasses.replace(_line_spec(), phi_jac_sum=lambda Z, th, lm: np.zeros((2, 1, 1)))
+    Z, th, lm = np.ones((3, 1)), np.zeros(1), np.zeros(1)
+    with pytest.raises(EvaluationError, match=r"^phi_jac_sum returned ndarray, expected a pair"):
+        slot_values(spec, "phi_jac_sum", Z, th, lm)
+
+
+def test_a_non_finite_phi_fails_the_fallback_pair_as_it_fails_phi_batch():
+    # the fallback pair checks its phi_batch call, so a non-finite phi (NaN
+    # on the rows z < theta) raises the same EvaluationError, naming
+    # phi_batch, in the solve too
+    spec = ModelSpec(p=1, q=1, phi_batch=rowwise(
+        lambda z, th, lm: np.where(th < z[:1], z[:1] - th, np.nan)
+    ))
+    Z, th, lm = np.array([[1.0], [2.0]]), np.array([1.5]), np.zeros(1)
+    for slot in ("phi_batch", "phi_jac_sum"):
+        with pytest.raises(EvaluationError, match=r"^phi_batch produced non-finite values$"):
+            slot_values(spec, slot, Z, th, lm)
+    with pytest.raises(EvaluationError, match=r"^phi_batch produced non-finite values$"):
         solve_theta(spec, Dataset(Z), lm, th)
 
 
@@ -223,10 +286,10 @@ def _loocv_exact(spec, loss, data, fit):
     loocv_exact(spec, loss, data, fit.lambda_hat)
 
 
-# slot -> the public call that reads it
+# slot -> the public call that reads it (select_variance: phi_batch in eta_matrix)
 SLOT_READERS = {
-    "phi_batch": _fit_and_theta_prime,
-    "jac_theta_sum": _fit_and_theta_prime,
+    "phi_batch": select_variance,
+    "phi_jac_sum": _fit_and_theta_prime,
     "dphi_dlambda_batch": _fit_and_theta_prime,
     "dphi_dtheta_batch": _loocv_exact,
     "phi_loo_sum": _loocv_exact,
@@ -245,8 +308,17 @@ def test_a_wrong_shape_slot_raises_evaluation_error_naming_it(slot, interior_log
     data, spec, loss, fit = interior_logistic_fit
     owner = spec if hasattr(spec, slot) else loss
     good = getattr(owner, slot)
-    # one trailing axis too many
-    bad = dataclasses.replace(owner, **{slot: lambda *args: np.asarray(good(*args))[..., None]})
-    spec, loss = (bad, loss) if owner is spec else (spec, bad)
-    with pytest.raises(EvaluationError, match=rf"^{slot} returned shape"):
-        SLOT_READERS[slot](spec, loss, data, fit)
+
+    def one_axis_too_many(*args, part=None):
+        if part is None:
+            return np.asarray(good(*args))[..., None]
+        out = list(good(*args))
+        out[part] = np.asarray(out[part])[..., None]
+        return tuple(out)
+
+    # phi_jac_sum's pair is tried with each part wrong in turn
+    for part in (0, 1) if slot == "phi_jac_sum" else (None,):
+        bad = dataclasses.replace(owner, **{slot: functools.partial(one_axis_too_many, part=part)})
+        specs = (bad, loss) if owner is spec else (spec, bad)
+        with pytest.raises(EvaluationError, match=rf"^{slot} returned shape"):
+            SLOT_READERS[slot](*specs, data, fit)

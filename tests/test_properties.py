@@ -99,7 +99,7 @@ def test_pointwise_variance_symmetric_psd(data_seed, lam):
     from tunevar import theta_prime
 
     res = solve_theta(spec, data, [lam], np.zeros(3))
-    J = -slot_values(spec, "jac_theta_sum", data.rows, res.theta_hat, res.lam) / n
+    J = -slot_values(spec, "phi_jac_sum", data.rows, res.theta_hat, res.lam)[1] / n
     phis = slot_values(spec, "phi_batch", data.rows, res.theta_hat, res.lam)
     K = phis.T @ phis / n
     Jinv = np.linalg.inv(J)
@@ -195,12 +195,12 @@ def test_solve_result_phi_is_phi_at_root(model, seed, n, scale):
 
 
 def test_solve_result_phi_after_halvings():
-    # a far start: the built-in slots make one phi call per iteration and
+    # a far start: the solve makes one phi_jac_sum call per iteration and
     # one per halving, so more calls than iterations + 1 means halvings
     spec, data, lam, _ = _root_phi_case("ridge-logistic", 3, 80, 0.0)
     calls = []
-    batch = spec.phi_batch
-    spec.phi_batch = lambda *args: calls.append(1) or batch(*args)
+    pair = spec.phi_jac_sum
+    spec.phi_jac_sum = lambda *args: calls.append(1) or pair(*args)
     res = solve_theta(spec, data, lam, [10.0, 0.0, 0.0])
     assert len(calls) > res.iterations + 1
     assert np.array_equal(
@@ -354,7 +354,7 @@ def test_row_mean_is_numpy_mean_bitwise(A):
     # sum / n is numpy's mean, overflow, infinities and NaN included, and
     # slot_values passes each stack on unchanged: A as an (n, p) phi, an
     # (n, p, q) lambda-Jacobian and, when square, an (n, p, p) theta-Jacobian
-    # whose fallback sum over the row count is the mean
+    # whose fallback sum (the S of phi_jac_sum) over the row count is the mean
     n, p = A.shape[:2]
     q = A.shape[2] if A.ndim == 3 else 1
     Z = np.zeros((n, 1))
@@ -378,7 +378,9 @@ def test_row_mean_is_numpy_mean_bitwise(A):
         got = row_mean(slot_values(spec, "dphi_dlambda_batch", Z, th, lm))
         assert np.array_equal(got, want, equal_nan=True)
         if q == p:
-            got = slot_values(spec, "jac_theta_sum", Z, th, lm) / n
+            # the fallback pair's F is phi_batch, which must be (n, p)
+            spec = dataclasses.replace(spec, phi_batch=lambda Z, th, lm: np.zeros((n, p)))
+            got = slot_values(spec, "phi_jac_sum", Z, th, lm)[1] / n
             assert np.array_equal(got, want, equal_nan=True)
 
 
@@ -519,23 +521,63 @@ def test_loo_sum_kernels_match_fallback(model, k, seed, n, p, lam, scale, far):
         assert np.all(err <= LOO_SUM_RTOL * scale_j + LOO_SUM_ATOL), (slot, err, scale_j)
 
 
+def _jac_theta_sum_ref(model, Z, th, lam):
+    """The theta-Jacobian sum of each built-in as its own (p, p) kernel
+    computed it before phi_jac_sum shared phi's intermediates."""
+    if model == "gaussian":
+        mu, sg = th
+        r = Z[:, 0] - mu
+        n = Z.shape[0]
+        off = -2.0 * r.sum() / sg**3
+        return np.array([[-n / sg**2, off], [off, n / sg**2 - 3.0 * (r @ r) / sg**4]])
+    _, X = _design(Z)
+    P = np.diag(default_penalty_mask(X.shape[1]))
+    if model == "ridge-linear":
+        return 2.0 * (X.T @ X) + 2.0 * len(X) * float(lam[0]) * P
+    w = _expit(X @ th)
+    w = w * (1.0 - w)
+    return -(X.T @ (w[:, None] * X)) - 2.0 * len(X) * float(lam[0]) * P
+
+
 @pytest.mark.parametrize("model", SUM_KERNEL_MODELS)
 @settings(deadline=None)
 @given(**SUM_KERNEL_CASE)
 def test_jac_theta_sum_kernels_match_fallback(model, seed, n, p, lam, scale, far):
-    # the Newton solve's Jacobian mean is jac_theta_sum / n; each built-in
-    # kernel sums in one matrix product or from sums of r and r^2, and must
-    # agree with the fallback, which sums dphi_dtheta_batch over the rows
+    # the Newton solve's Jacobian mean is S / n for the pair (F, S) of
+    # phi_jac_sum. Each built-in kernel sums S in one matrix product or from
+    # sums of r and r^2, and must agree with the fallback, which sums
+    # dphi_dtheta_batch over the rows; its F is phi_batch and its S the
+    # former jac_theta_sum kernel, bit for bit
     spec, Z, center = _sum_kernel_case(model, seed, n, p, scale, far)
     lm = np.array([lam])
-    fallback = dataclasses.replace(spec, jac_theta_sum=None)
+    fallback = dataclasses.replace(spec, phi_jac_sum=None)
     for th in _theta_stack(model, seed, 9, spec.p, scale, center):
-        got = spec.jac_theta_sum(Z, th, lm)
-        want = fallback.jac_theta_sum(Z, th, lm)
+        F, got = spec.phi_jac_sum(Z, th, lm)
+        F_fallback, want = fallback.phi_jac_sum(Z, th, lm)
+        assert np.array_equal(F, spec.phi_batch(Z, th, lm))
+        assert np.array_equal(F_fallback, F)
+        assert np.array_equal(got, _jac_theta_sum_ref(model, Z, th, lm))
         assert got.shape == want.shape == (spec.p, spec.p)
         scale_th = np.abs(spec.dphi_dtheta_batch(Z, th, lm)).sum()
         err = np.abs(got - want).max()
         assert err <= LOO_SUM_RTOL * scale_th + LOO_SUM_ATOL, (th, err, scale_th)
+
+
+@given(lam=LAMS, **KERNEL_CASE)
+def test_phi_jac_sum_fallback_of_a_rowwise_spec_is_exact(seed, n, p, lam, scale):
+    # a spec without phi_jac_sum gets the pair (phi_batch, the sum over the
+    # rows of dphi_dtheta_batch), to the last bit, here with a
+    # finite-difference dphi_dtheta_batch of a per-row phi
+    def phi(z, th, lm):
+        return np.tanh(th * z[:1]) + float(lm[0]) * th**3 - z
+
+    Z = _rows(seed, n, p, 1.0)
+    th = np.random.default_rng(seed + 1).standard_normal(p) * scale
+    lm = np.array([lam])
+    spec = ModelSpec(p=p, q=1, phi_batch=rowwise(phi))
+    F, S = slot_values(spec, "phi_jac_sum", Z, th, lm)
+    assert np.array_equal(F, spec.phi_batch(Z, th, lm))
+    assert np.array_equal(S, spec.dphi_dtheta_batch(Z, th, lm).sum(axis=0))
 
 
 def _conditioned_stack(seed, m, p, singular):

@@ -251,10 +251,33 @@ def test_checked_solve_skips_the_svd_when_the_bound_decides(monkeypatch):
     assert svds == []
 
 
+def _count_newton_calls(spec, data, lam, theta_init):
+    """(SolveResult, calls per slot, line-search candidates) of one solve.
+
+    The slots are counted on spec itself, so a fallback's calls to the
+    other slots count too; candidates counts the thetas at which the line
+    search evaluated phi, rejected ones included.
+    """
+    slots = ("phi_batch", "dphi_dtheta_batch", "phi_jac_sum")
+    calls = dict.fromkeys(slots, 0)
+    thetas = []
+    for slot in slots:
+        def counted(Z, th, lm, fn=getattr(spec, slot), slot=slot):
+            calls[slot] += 1
+            if slot == "phi_jac_sum":
+                thetas.append(np.array(th))
+            return fn(Z, th, lm)
+
+        setattr(spec, slot, counted)
+    res = solve_theta(spec, data, lam, theta_init)
+    return res, calls, len(thetas) - 1
+
+
 @pytest.mark.parametrize("name", ["ridge-linear", "ridge-logistic", "gaussian"])
 def test_newton_sums_each_jacobian_in_one_call(name):
     # a built-in spec's Newton solve never builds the (n, p, p) per-row
-    # stack: one jac_theta_sum call per step and one for J_hat
+    # stack: one phi_jac_sum call at the start and one per line-search
+    # candidate, and no call of phi_batch; J_hat is the last accepted S
     if name == "ridge-linear":
         spec, data, lam = RidgeLinearModel(2).spec(), make_linear_data(n=150, seed=1), [0.3]
     elif name == "ridge-logistic":
@@ -262,13 +285,51 @@ def test_newton_sums_each_jacobian_in_one_call(name):
     else:
         rows = np.random.default_rng(1).normal(3.0, 2.0, (150, 1))
         spec, data, lam = GaussianLikelihoodModel().spec(), Dataset(rows), [0.0]
-    calls = dict.fromkeys(("dphi_dtheta_batch", "jac_theta_sum"), 0)
-    for slot in calls:
-        def counted(*args, fn=getattr(spec, slot), slot=slot):
-            calls[slot] += 1
-            return fn(*args)
+    kernel = spec.phi_jac_sum
+    res, calls, candidates = _count_newton_calls(spec, data, lam, spec.theta_init)
+    assert res.iterations >= 1 and candidates >= res.iterations
+    assert calls == {"phi_batch": 0, "dphi_dtheta_batch": 0, "phi_jac_sum": 1 + candidates}
+    F, S = kernel(data.rows, res.theta_hat, res.lam)
+    assert np.array_equal(res.Phi, F)
+    assert np.array_equal(res.J_hat, -(S / data.n))
 
-        setattr(spec, slot, counted)
-    res = solve_theta(spec, data, lam, spec.theta_init)
-    assert res.iterations >= 1
-    assert calls == {"dphi_dtheta_batch": 0, "jac_theta_sum": res.iterations + 1}
+
+def _arctan_spec(**slots):
+    # phi = arctan(theta - z): the full Newton step from far off the root
+    # overshoots, so the line search halves it
+    return ModelSpec(
+        p=1, q=1, phi_batch=lambda Z, th, lm: np.arctan(th[0] - Z[:, :1]),
+        dphi_dtheta_batch=lambda Z, th, lm: (1.0 / (1.0 + (th[0] - Z[:, :1]) ** 2))[:, :, None],
+        **slots,
+    )
+
+
+def test_newton_with_halvings_matches_the_fallback_pair_bitwise():
+    # from theta = 10 the root near 1 takes Armijo halvings; a supplied
+    # phi_jac_sum and the fallback pair give the same solve to the last bit,
+    # with one phi_jac_sum call per evaluated iterate, rejected ones included
+    data = Dataset(np.array([[0.5], [1.0], [1.5]]))
+
+    def phi_jac_sum(Z, th, lm):
+        r = th[0] - Z[:, :1]
+        return np.arctan(r), (1.0 / (1.0 + r**2)).sum(axis=0)[:, None]
+
+    results = []
+    for spec in (_arctan_spec(phi_jac_sum=phi_jac_sum), _arctan_spec()):
+        res, calls, candidates = _count_newton_calls(spec, data, [0.0], np.array([10.0]))
+        assert candidates > res.iterations  # some candidates were rejected
+        assert calls["phi_jac_sum"] == 1 + candidates
+        results.append((res, calls))
+    (kernel, kernel_calls), (fallback, fallback_calls) = results
+    assert kernel_calls == {"phi_batch": 0, "dphi_dtheta_batch": 0,
+                            "phi_jac_sum": kernel_calls["phi_jac_sum"]}
+    # the fallback evaluates phi_batch and dphi_dtheta_batch once per call
+    n_pairs = fallback_calls["phi_jac_sum"]
+    assert fallback_calls == dict.fromkeys(fallback_calls, n_pairs)
+    assert n_pairs == kernel_calls["phi_jac_sum"]
+    assert abs(kernel.theta_hat[0] - 1.0) <= 1e-9
+    for field in ("theta_hat", "J_hat", "Phi"):
+        assert np.array_equal(getattr(kernel, field), getattr(fallback, field)), field
+    assert (kernel.iterations, kernel.residual_norm) == (
+        fallback.iterations, fallback.residual_norm
+    )

@@ -191,8 +191,8 @@ def test_truncated_estimate_in_box_fallback(box, tag, seed):
 
 @pytest.mark.parametrize("case", ["gaussmix", "logistic-wide"])
 def test_tune_with_the_jacobian_sum_kernel_matches_the_fallback(case):
-    # the kernel sums the Newton Jacobian in another order than the
-    # fallback's per-row stack: theta-hat moves at roundoff, lambda-hat not
+    # phi_jac_sum's kernel sums the Newton Jacobian in another order than
+    # the fallback's per-row stack: theta-hat moves at roundoff, lambda-hat not
     if case == "gaussmix":
         model = RidgeLogisticModel(2, lambda_domain=(0.0, 0.1))
         loss = model.brier_loss(predictor_covariates=[0])
@@ -203,7 +203,7 @@ def test_tune_with_the_jacobian_sum_kernel_matches_the_fallback(case):
         loss = model.brier_loss(predictor_covariates=[0, 1])
         dgp = DGPSpec(DGPKind.LOGISTIC_TRUE, n=1000, params={"beta": beta})
     spec = model.spec()
-    fallback = dataclasses.replace(spec, jac_theta_sum=None)
+    fallback = dataclasses.replace(spec, phi_jac_sum=None)
     for seed in range(3):
         data = simulate(dgp, seed=seed)
         fit = tune(spec, loss, data, Method.CV_FAST)
@@ -214,9 +214,19 @@ def test_tune_with_the_jacobian_sum_kernel_matches_the_fallback(case):
 
 def test_criterion_failure_names_the_first_failure():
     data, spec, loss = _misspec_setup(seed=1)
-    bad = dataclasses.replace(spec, jac_theta_sum=lambda Z, th, lm: np.zeros(3))
+    bad = dataclasses.replace(
+        spec, phi_jac_sum=lambda Z, th, lm: (spec.phi_batch(Z, th, lm), np.zeros(3))
+    )
     with pytest.raises(CriterionFailure, match=(
         r"criterion failed on 20 of 20 grid points; first failure at lambda = \[0\.\]: "
-        r"EvaluationError: jac_theta_sum returned shape \(3,\), expected \(3, 3\)"
+        r"EvaluationError: phi_jac_sum returned shape \(3,\), expected \(3, 3\)"
     )):
         tune(bad, loss, data, Method.CV_FAST)
+    nan = dataclasses.replace(
+        spec, phi_jac_sum=lambda Z, th, lm: (np.full((len(Z), 3), np.nan), -np.eye(3))
+    )
+    with pytest.raises(CriterionFailure, match=(
+        r"criterion failed on 20 of 20 grid points; first failure at lambda = \[0\.\]: "
+        r"EvaluationError: phi_jac_sum produced non-finite values$"
+    )):
+        tune(nan, loss, data, Method.CV_FAST)
