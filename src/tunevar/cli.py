@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .criteria import Method, evaluate_criterion, loocv_exact, te_trace_corrected
-from .exceptions import EvaluationError, SchemaError, TunevarError
+from .exceptions import SchemaError, TunevarError
 from .harness import DGPKind, DGPSpec, PipelineConfig, bootstrap, replicate, simulate
-from .model import Dataset, ModelSpec, read_numeric_csv, row_mean, slot_values
+from .model import Dataset, ModelSpec, read_numeric_csv
 from .models import (
     GaussianLikelihoodModel,
     RidgeLinearModel,
@@ -27,8 +27,8 @@ from .models import (
     make_pima_model,
 )
 from .rng import derive_stream
-from .solver import SolveResult, default_tol, solve_theta, theta_prime
-from .tuner import BoundaryStatus, FitResult, _slopes, edge_status, tune
+from .solver import solve_theta, theta_prime
+from .tuner import BoundaryStatus, FitResult, tune
 from .variance import select_variance
 
 SCHEMA_VERSION = 3
@@ -112,46 +112,17 @@ def _check_in_box(lam, box, what: str) -> None:
         )
 
 
-def _check_slopes(fit: FitResult) -> None:
-    """SchemaError unless fit.criterion_slope_at_opt is, bit for bit, the slope
-    tuner._slopes takes from the criterion values in fit.trace. The tuner
-    evaluates every slope point through its cache, so each is a trace entry."""
-    values = dict(fit.trace)
-
-    def traced(lam):
-        key = tuple(float(v) for v in lam)
-        if key not in values:
-            raise SchemaError(
-                f"fit.json trace has no value at lambda = {list(key)}, a point of "
-                "its criterion_slope_at_opt"
-            )
-        return values[key]
-
-    slopes = _slopes(traced, fit.lambda_hat, fit.lambda_box, fit.boundary_status)
-    if not np.array_equal(slopes, fit.criterion_slope_at_opt):
-        raise SchemaError(
-            f"fit.json criterion_slope_at_opt {fit.criterion_slope_at_opt.tolist()} is "
-            f"not {slopes.tolist()}, the slope its own trace gives"
-        )
-
-
 def load_fit_json(path, spec: ModelSpec, data: Dataset) -> FitResult:
-    """Read a fit.json and check it against the model and data it is applied to.
+    """Read a fit.json record for spec.
 
     SchemaError on a record that is not a JSON object, another
     schema_version, a missing field or one of the wrong type, an array whose
     shape does not match the model's p and q (criterion_slope_at_opt
     included), a trace that is empty or has a row other than q + 1 numbers,
-    a lambda_box other than the model's lambda box, a lambda_hat outside
-    that box, boundary_status labels that are neither all "fixed" nor the
-    tuner's own labels of lambda_hat (tuner.edge_status), a tuned record
-    whose criterion_slope_at_opt is not the slope that the tuner's rule
-    (tuner._slopes) gives from the record's own trace, a theta_hat that
-    does not solve the estimating equation on this data (a residual
-    ||mean phi(Z, theta_hat, lambda_hat)|| above 1e4 times the solver's
-    tolerance, 1e-6 * (1 + ||theta_hat||)), or a D_hat more than
-    1e-8 * (1 + max|D|) from D = theta' recomputed at theta_hat and
-    lambda_hat on this data.
+    a lambda_box other than the model's lambda box (the CLI's
+    --lambda-min/--lambda-max), or a lambda_hat outside that box. data is
+    not read here: select_variance checks the fit against the model and
+    data (tuner.check_fit).
     """
     with open(path) as fh:
         d = json.load(fh)
@@ -182,46 +153,13 @@ def load_fit_json(path, spec: ModelSpec, data: Dataset) -> FitResult:
             f"fit.json trace rows hold {sorted(widths)} numbers; the model needs "
             f"{q + 1}: lambda_1..lambda_q, then the value"
         )
-    box = spec.lambda_domain
-    if box is not None:
-        if not np.array_equal(fit.lambda_box, box):
-            raise SchemaError(
-                f"fit.json lambda_box {fit.lambda_box.tolist()} differs from the model's "
-                f"lambda box {box.tolist()}; the fit was made in another box"
-            )
-        _check_in_box(fit.lambda_hat, box, "fit.json lambda_hat")
-    tuned = edge_status(fit.lambda_hat, fit.lambda_box)
-    if set(fit.boundary_status) != {BoundaryStatus.FIXED} and fit.boundary_status != tuned:
+    box = spec.lambda_domain  # every CLI model has one
+    if not np.array_equal(fit.lambda_box, box):
         raise SchemaError(
-            f"fit.json boundary_status {[s.value for s in fit.boundary_status]} is "
-            f"neither all 'fixed' nor the tuner's labels of lambda_hat, "
-            f"{[s.value for s in tuned]}"
+            f"fit.json lambda_box {fit.lambda_box.tolist()} differs from the model's "
+            f"lambda box {box.tolist()}; the fit was made in another box"
         )
-    if fit.boundary_status == tuned:  # all "fixed" records hold no slope
-        _check_slopes(fit)
-    theta, lam = fit.theta_hat, fit.lambda_hat
-    try:
-        Phi = slot_values(spec, "phi_batch", data.rows, theta, lam)
-        residual = float(np.linalg.norm(row_mean(Phi)))
-    except EvaluationError:
-        residual = np.inf
-    tol = 1e4 * default_tol(theta)
-    if not residual <= tol:
-        raise SchemaError(
-            f"fit.json theta_hat leaves the residual {residual:.3e} > {tol:.3e} on "
-            "this data; the fit was made on other data or with another model"
-        )
-    # D = theta' at the record's root, as tune and fit compute it; the
-    # Jacobian comes from a call of its own, outside the residual's try, so
-    # that its failure raises instead of reading as an infinite residual
-    J_hat = -(slot_values(spec, "phi_jac_sum", data.rows, theta, lam)[1] / data.n)
-    D = theta_prime(spec, data, SolveResult(theta, lam, 0, residual, J_hat, Phi))
-    gap = float(np.max(np.abs(fit.D_hat - D)))
-    if not gap <= 1e-8 * (1.0 + float(np.max(np.abs(D)))):
-        raise SchemaError(
-            f"fit.json D_hat is {gap:.3e} from theta' at theta_hat and lambda_hat on "
-            "this data; the fit was made on other data or with another model"
-        )
+    _check_in_box(fit.lambda_hat, box, "fit.json lambda_hat")
     return fit
 
 

@@ -168,11 +168,13 @@ class ModelSpec:
     phi_batch bit for bit.
     Each fallback reads the other slots at call time and is bound to its own
     instance, so dataclasses.replace(spec, phi_batch=g) gives a spec whose
-    fallbacks evaluate g. A phi_jac_sum kernel does not read phi_batch, so
-    one that names the phi_batch it was made with, as its attribute
-    phi_batch (each built-in kernel does), is kept only beside that
-    phi_batch: dataclasses.replace(spec, phi_batch=g) of a built-in spec
-    takes the fallback pair, whose F is g.
+    fallbacks evaluate g. A kernel that returns phi values (phi_jac_sum,
+    phi_loo_sum) does not read phi_batch, so one that names the phi_batch
+    it was made with, as its attribute phi_batch (each built-in kernel
+    does), is kept only beside that phi_batch: dataclasses.replace(spec,
+    phi_batch=g) of a built-in spec takes the fallback pair, whose F is g,
+    and the fallback phi_loo_sum, which sums g. Derivative kernels are
+    kept, so a g with other derivatives needs its own derivative slots.
 
     The solver, criteria and variance code call every slot through
     slot_values, which checks the result's shape against SLOT_SHAPES (and
@@ -216,9 +218,10 @@ class ModelSpec:
             self.theta_init = np.asarray(self.theta_init, dtype=float)
             if self.theta_init.shape != (self.p,):
                 raise EvaluationError("theta_init must have length p")
-        # a kernel made beside another phi_batch would give that phi as F
-        if getattr(self.phi_jac_sum, "phi_batch", self.phi_batch) is not self.phi_batch:
-            self.phi_jac_sum = None
+        # a kernel made beside another phi_batch would give that one's phi
+        for slot in ("phi_jac_sum", "phi_loo_sum"):
+            if getattr(getattr(self, slot), "phi_batch", self.phi_batch) is not self.phi_batch:
+                setattr(self, slot, None)
         _refill(self, {
             "dphi_dtheta_batch": ModelSpec._fd_dphi_dtheta,
             "dphi_dlambda_batch": ModelSpec._fd_dphi_dlambda,

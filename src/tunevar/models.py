@@ -24,8 +24,9 @@ the row-by-row fallback: the same tests pin them to it within a tolerance
 relative to the sum of |phi| (|d phi / d theta|) over the rows, not bitwise.
 Each model's phi_jac_sum builds _design(Z) and expit(X theta) (the
 Gaussian's r = z - mu) once for F and S, through helpers that phi_batch
-shares, so its F is phi_batch bit for bit; it names that phi_batch as its
-attribute phi_batch, so that a spec with another phi_batch drops it.
+shares, so its F is phi_batch bit for bit. It and phi_loo_sum name that
+phi_batch as their attribute phi_batch, so that a spec with another
+phi_batch drops them.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ class RidgeLinearModel(_RidgeModel):
             y, X = _design(Z)
             return phi(y, X, th, lm), 2.0 * (X.T @ X) + 2.0 * len(X) * float(lm[0]) * P
 
-        phi_jac_sum.phi_batch = phi_batch
+        phi_jac_sum.phi_batch = phi_loo_sum.phi_batch = phi_batch
 
         def hess_phi_theta(Z, th, lm):
             return np.zeros((Z.shape[0], p, p, p))
@@ -247,7 +248,7 @@ class RidgeLogisticModel(_RidgeModel):
             S = -(X.T @ (w[:, None] * X)) - 2.0 * len(X) * float(lm[0]) * P
             return phi(y, X, pi, th, lm), S
 
-        phi_jac_sum.phi_batch = phi_batch
+        phi_jac_sum.phi_batch = phi_loo_sum.phi_batch = phi_batch
 
         def hess_phi_theta(Z, th, lm):
             _, X = _design(Z)
@@ -435,7 +436,7 @@ class GaussianLikelihoodModel:
             S = np.array([[-n / sg**2, off], [off, n / sg**2 - 3.0 * (r @ r) / sg**4]])
             return phi(r, sg), S
 
-        phi_jac_sum.phi_batch = phi_batch
+        phi_jac_sum.phi_batch = phi_loo_sum.phi_batch = phi_batch
 
         def dphi_dlambda_batch(Z, th, lm):
             return np.zeros((Z.shape[0], 2, 1))

@@ -15,8 +15,8 @@ import numpy as np
 
 from .criteria import Method, evaluate_criterion
 from .exceptions import CriterionFailure, TunevarError
-from .model import Dataset, LossSpec, ModelSpec, _check_box
-from .solver import solve_theta, theta_prime
+from .model import Dataset, LossSpec, ModelSpec, _check_box, row_mean, slot_values
+from .solver import SolveResult, default_tol, solve_theta, theta_prime
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 REL_WIDTH = 1e-6
@@ -200,7 +200,7 @@ def _slopes(value, lam_hat, box, status) -> np.ndarray:
     """Criterion slope per axis: one-sided at an edge, else central.
 
     value(lam) gives the criterion at lam: _Evaluator.value while tuning,
-    and a lookup in a record's trace when cli.load_fit_json checks the slope.
+    and a lookup in the fit's own trace when check_fit checks the slope.
     """
     slopes = np.zeros(len(lam_hat))
     for j, s in enumerate(status):
@@ -217,6 +217,62 @@ def _slopes(value, lam_hat, box, status) -> np.ndarray:
             up[j], dn[j] = min(lam_hat[j] + h, hi), max(lam_hat[j] - h, lo)
             slopes[j] = (value(up) - value(dn)) / (up[j] - dn[j])
     return slopes
+
+
+def check_fit(model: ModelSpec, data: Dataset, fit: FitResult) -> None:
+    """ValueError unless fit is what tune, or a solve at a fixed lambda, makes
+    of model on data.
+
+    The fit's boundary_status must be all FIXED or edge_status of lambda_hat
+    in fit.lambda_box. A tuned fit's criterion_slope_at_opt must be, bit for
+    bit, what _slopes gives from the values in its own trace; tune evaluates
+    every slope point through its cache, so each is a trace entry. theta_hat
+    must leave a residual ||mean phi|| of at most 1e4 times
+    default_tol(theta_hat) on data, and D_hat must lie within
+    1e-8 * (1 + max|D|) of D = theta' at theta_hat and lambda_hat on data.
+    phi and J_hat come from one phi_jac_sum call, whose EvaluationError
+    propagates. fit.lambda_box is not compared with model.lambda_domain.
+    """
+    tuned = edge_status(fit.lambda_hat, fit.lambda_box)
+    if set(fit.boundary_status) != {BoundaryStatus.FIXED} and fit.boundary_status != tuned:
+        raise ValueError(
+            f"fit boundary_status {[s.value for s in fit.boundary_status]} is neither "
+            f"all 'fixed' nor the tuner's labels of lambda_hat, {[s.value for s in tuned]}"
+        )
+    if fit.boundary_status == tuned:  # all "fixed" fits hold no slope
+        values = dict(fit.trace)
+
+        def traced(lam):
+            key = tuple(float(v) for v in lam)
+            if key not in values:
+                raise ValueError(
+                    f"fit trace has no value at lambda = {list(key)}, a point of its "
+                    "criterion_slope_at_opt"
+                )
+            return values[key]
+
+        slopes = _slopes(traced, fit.lambda_hat, fit.lambda_box, tuned)
+        if not np.array_equal(slopes, fit.criterion_slope_at_opt):
+            raise ValueError(
+                f"fit criterion_slope_at_opt {fit.criterion_slope_at_opt.tolist()} is "
+                f"not {slopes.tolist()}, the slope its own trace gives"
+            )
+    theta, lam = fit.theta_hat, fit.lambda_hat
+    F, S = slot_values(model, "phi_jac_sum", data.rows, theta, lam)
+    residual = float(np.linalg.norm(row_mean(F)))
+    tol = 1e4 * default_tol(theta)
+    if not residual <= tol:
+        raise ValueError(
+            f"fit theta_hat leaves the residual {residual:.3e} > {tol:.3e} on this "
+            "data; the fit was made on other data or with another model"
+        )
+    D = theta_prime(model, data, SolveResult(theta, lam, 0, residual, -(S / data.n), F))
+    gap = float(np.max(np.abs(fit.D_hat - D)))
+    if not gap <= 1e-8 * (1.0 + float(np.max(np.abs(D)))):
+        raise ValueError(
+            f"fit D_hat is {gap:.3e} from theta' at theta_hat and lambda_hat on this "
+            "data; the fit was made on other data or with another model"
+        )
 
 
 def _resolve_box(model: ModelSpec):

@@ -29,7 +29,7 @@ from . import numdiff
 from .exceptions import BoundaryFit, FlatLimitSuspected
 from .model import Dataset, LossSpec, ModelSpec, row_mean, slot_values
 from .solver import checked_inv, solve_theta
-from .tuner import FitResult
+from .tuner import FitResult, check_fit
 
 
 def _sym(A):
@@ -273,14 +273,16 @@ def select_variance(
 ) -> VarianceReport:
     """Assemble components and pick the variance matching the fit's geometry.
 
-    Interior fits get V1; boundary fits and fits at a fixed lambda get V2. A
-    boundary fit whose one-sided slope is indistinguishable from zero
+    ValueError first, from tuner.check_fit, unless fit was made of model on
+    data. Interior fits get V1; boundary fits and fits at a fixed lambda get
+    V2. A boundary fit whose one-sided slope is indistinguishable from zero
     (FitResult.flat_at_edge) is in the regime where neither estimator is
     justified; V2 is reported with nondegenerate_boundary set. An interior
     fit whose Z1_hat has an eigenvalue <= 0 (lambda_hat where the profiled
     training error is not strictly convex, outside the theory behind V1)
     still reports V1, with the diagnostic z1_not_positive_definite set.
     """
+    check_fit(model, data, fit)
     components = assemble_components(model, loss, data, fit)
     V2 = variance_pointwise(components)
     diagnostics: Dict[str, float] = {}

@@ -121,7 +121,7 @@ def test_fit_json_on_other_data_exits_2(data_csv, tmp_path, capsys):
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"]["type"] == "SchemaError"
+        assert err["error"]["type"] == ("SchemaError" if csv_path is wide else "ValueError")
         assert field in err["error"]["message"]
 
 
@@ -324,7 +324,27 @@ def test_fit_json_with_another_d_hat_exits_2(data_csv, tmp_path, capsys):
     d["D_hat"] = (10 * np.asarray(d["D_hat"])).tolist()
     rc, err = _variance_on(path, tmp_path, capsys, d)
     assert rc == 2
-    assert err["type"] == "SchemaError" and "D_hat" in err["message"]
+    assert err["type"] == "ValueError" and "D_hat" in err["message"]
+
+
+def test_fit_json_whose_phi_fails_on_the_data_exits_1(data_csv, tmp_path, capsys):
+    # sigma = 0 makes the gaussian phi non-finite: the slot's own
+    # EvaluationError, which used to read as an infinite residual, exit 2
+    path, _ = data_csv
+    out = tmp_path / "fit"
+    assert main(["fit", "--data", str(path), "--model", "gaussian", "--lam", "0",
+                 "--out", str(out)]) == 0
+    d = json.loads((out / "fit.json").read_text())
+    d["theta_hat"][1] = 0.0
+    bad = tmp_path / "record.json"
+    bad.write_text(json.dumps(d))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rc = main(["variance", "--data", str(path), "--model", "gaussian", "--fit", str(bad),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["type"] == "EvaluationError" and err["kind"] == "numerical"
+    assert err["message"].startswith("phi_jac_sum produced non-finite")
 
 
 @pytest.mark.parametrize("slope", [5.0, [], [1.0, 2.0]])
@@ -348,7 +368,7 @@ def test_fit_json_relabelled_edge_fit_exits_2(data_csv, tmp_path, capsys, labels
     d["boundary_status"] = labels
     rc, err = _variance_on(path, tmp_path, capsys, d)
     assert rc == 2
-    assert err["type"] == "SchemaError" and "boundary_status" in err["message"]
+    assert err["type"] == "ValueError" and "boundary_status" in err["message"]
 
 
 @pytest.mark.parametrize("criterion", ["te", "cv_fast"])
@@ -362,7 +382,7 @@ def test_fit_json_slope_its_trace_does_not_give_exits_2(data_csv, tmp_path, caps
     edited = dict(d, criterion_slope_at_opt=[100.0])
     rc, err = _variance_on(path, tmp_path, capsys, edited)
     assert rc == 2
-    assert err["type"] == "SchemaError" and "criterion_slope_at_opt" in err["message"]
+    assert err["type"] == "ValueError" and "criterion_slope_at_opt" in err["message"]
     # without the trace row of the slope's upper point it is not checkable
     (lo, hi), = d["lambda_box"]
     h = 1e-5 * (hi - lo)
@@ -371,7 +391,7 @@ def test_fit_json_slope_its_trace_does_not_give_exits_2(data_csv, tmp_path, caps
     assert len(short["trace"]) == len(d["trace"]) - 1
     rc, err = _variance_on(path, tmp_path, capsys, short)
     assert rc == 2
-    assert err["type"] == "SchemaError" and "trace has no value" in err["message"]
+    assert err["type"] == "ValueError" and "trace has no value" in err["message"]
 
 
 def test_variance_fit_roundtrip_equals_direct(data_csv, tmp_path):

@@ -29,7 +29,7 @@ from tunevar import (
     training_error,
 )
 from tunevar.exceptions import EvaluationError
-from tunevar.model import rowwise
+from tunevar.model import rowwise, slot_values
 from tunevar.solver import MAX_PHI_ROWS
 
 from conftest import make_linear_data, make_logistic_data
@@ -458,3 +458,33 @@ def test_criteria_refuse_a_solve_at_another_lambda(criterion):
         criterion(spec, loss, data, [0.9], solve=solve)
     at_solve = criterion(spec, loss, data, [0.1], solve=solve)
     assert at_solve.value == criterion(spec, loss, data, [0.1]).value
+
+
+@pytest.mark.parametrize("model", ["ridge-linear", "ridge-logistic"])
+def test_replacing_phi_batch_drops_the_built_in_phi_loo_sum(model):
+    # dataclasses.replace(spec, phi_batch=g) used to keep the built-in
+    # phi_loo_sum, which sums the old phi: exact LOOCV converged to the old
+    # equation's leave-one-out roots, 4.9e-3 (8.0e-3) relative off here
+    if model == "ridge-linear":
+        m = RidgeLinearModel(2)
+        loss, lam, c = m.squared_error_loss(), [0.1], (0.3, -0.3, 0.15)
+        dgp = DGPSpec(DGPKind.LINEAR_GAUSSIAN, n=60, params={"beta": (1.0, 1.0, 0.5)})
+    else:
+        m = RidgeLogisticModel(2)
+        loss, lam, c = m.brier_loss(), [0.01], (0.05, -0.05, 0.02)
+        dgp = DGPSpec(DGPKind.LOGISTIC_TRUE, n=80, params={"beta": (0.2, 1.0, -0.5)})
+    built_in = m.spec()
+    spec = dataclasses.replace(
+        built_in, phi_batch=lambda Z, th, lm: 10.0 * built_in.phi_batch(Z, th, lm) + np.asarray(c)
+    )
+    # the kernels that return phi values go, the derivative kernels stay
+    assert spec.phi_loo_sum is not built_in.phi_loo_sum
+    assert spec.phi_jac_sum is not built_in.phi_jac_sum
+    assert spec.jac_loo_sum is built_in.jac_loo_sum
+    data = simulate(dgp, seed=3)
+    solve = solve_theta(spec, data, lam, spec.theta_init)
+    value = loocv_exact(spec, loss, data, lam, solve=solve).value
+    refits = np.array([solve_loo(spec, data, lam, i, solve.theta_hat).theta_hat
+                       for i in range(data.n)])
+    per_row = float(slot_values(loss, "psi_rowwise", data.rows, refits).mean())
+    assert abs(value - per_row) <= 1e-10 * abs(per_row)

@@ -286,7 +286,9 @@ def _loocv_exact(spec, loss, data, fit):
     loocv_exact(spec, loss, data, fit.lambda_hat)
 
 
-# slot -> the public call that reads it (select_variance: phi_batch in eta_matrix)
+# slot -> the public call that reads it (select_variance: phi_batch first in
+# tuner.check_fit, through the fallback phi_jac_sum that a spec with a
+# replaced phi_batch takes)
 SLOT_READERS = {
     "phi_batch": select_variance,
     "phi_jac_sum": _fit_and_theta_prime,

@@ -78,6 +78,88 @@ def _interior_fit(n=250, seed=0):
     return data, spec, loss, fit
 
 
+def _linear_gaussian(seed):
+    return simulate(DGPSpec(DGPKind.LINEAR_GAUSSIAN, n=250,
+                            params={"beta": (1.0, 1.0, 0.5), "coef_sq": 0.5}), seed)
+
+
+def test_select_variance_refuses_a_fit_made_on_other_data():
+    # a CV_FAST fit on the seed-0 sample used to get V1 on the seed-1 sample,
+    # with standard errors (0.075, 0.114, 0.090) against (0.071, 0.086, 0.069)
+    m = RidgeLinearModel(2, lambda_domain=(0.0, 1.0))
+    spec, loss = m.spec(), m.squared_error_loss()
+    fit = tune(spec, loss, _linear_gaussian(0), Method.CV_FAST)
+    assert fit.interior
+    assert select_variance(spec, loss, _linear_gaussian(0), fit).selected == "V1"
+    with pytest.raises(ValueError, match="residual"):
+        select_variance(spec, loss, _linear_gaussian(1), fit)
+
+
+def _edge_fit():
+    data = make_linear_data(n=200, seed=8, coef_sq=0.0)
+    m = RidgeLinearModel(2, lambda_domain=(0.0, 1.0))
+    spec, loss = m.spec(), m.squared_error_loss()
+    fit = tune(spec, loss, data, Method.TE, grid_size=10)
+    assert fit.boundary_status == (BoundaryStatus.LOWER_BOUNDARY,)
+    return data, spec, loss, fit
+
+
+# edit of a tuned fit -> what its ValueError names
+_EDITS = {
+    "d-hat": "D_hat",
+    "interior-slope": "criterion_slope_at_opt",
+    "edge-slope": "criterion_slope_at_opt",
+    "edge-relabelled": "boundary_status",
+    "trace-without-slope-point": "trace has no value",
+}
+
+
+@pytest.mark.parametrize("case", list(_EDITS))
+def test_select_variance_refuses_an_edited_tuned_fit(case):
+    # V1 reads D_hat, an edge fit relabelled interior would get V1, and the
+    # slope sets nondegenerate_boundary; the fits as tune made them pass
+    data, spec, loss, fit = _edge_fit() if case.startswith("edge") else _interior_fit()
+    select_variance(spec, loss, data, fit)
+    if case == "d-hat":
+        fit = dataclasses.replace(fit, D_hat=10 * fit.D_hat)
+    elif case.endswith("slope"):
+        fit = dataclasses.replace(fit, criterion_slope_at_opt=np.array([100.0]))
+    elif case == "edge-relabelled":
+        fit = dataclasses.replace(fit, boundary_status=(BoundaryStatus.INTERIOR,))
+    else:
+        (lo, hi), = fit.lambda_box
+        up = min(fit.lambda_hat[0] + 1e-5 * (hi - lo), hi)
+        trace = tuple(row for row in fit.trace if row[0] != (up,))
+        assert len(trace) == len(fit.trace) - 1
+        fit = dataclasses.replace(fit, trace=trace)
+    with pytest.raises(ValueError, match=_EDITS[case]):
+        select_variance(spec, loss, data, fit)
+
+
+def test_select_variance_takes_a_fit_at_a_fixed_lambda():
+    data = make_linear_data(n=250, seed=0, coef_sq=0.5)
+    m = RidgeLinearModel(2, lambda_domain=(0.0, 1.0))
+    spec, loss = m.spec(), m.squared_error_loss()
+    res = solve_theta(spec, data, [0.3], spec.theta_init)
+    fit = FitResult(
+        theta_hat=res.theta_hat, lambda_hat=res.lam, D_hat=theta_prime(spec, data, res),
+        boundary_status=(BoundaryStatus.FIXED,), criterion=Method.CV_FAST,
+        criterion_value=0.0, criterion_slope_at_opt=np.zeros(1),
+        trace=(((0.3,), 0.0),), lambda_box=spec.lambda_domain,
+    )
+    report = select_variance(spec, loss, data, fit)
+    assert report.selected == "V2" and report.V1 is None
+
+
+def test_select_variance_on_its_own_data_is_the_plain_assembly():
+    # the check moves no bit of the report
+    data, spec, loss, fit = _interior_fit()
+    report = select_variance(spec, loss, data, fit)
+    components = assemble_components(spec, loss, data, fit)
+    assert np.array_equal(report.V1, variance_tuned(components))
+    assert np.array_equal(report.V2, variance_pointwise(components))
+
+
 def test_eta_trivial_blocks():
     m = RidgeLinearModel(2).spec()
     loss = RidgeLinearModel(2).squared_error_loss()

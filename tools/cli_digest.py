@@ -12,7 +12,8 @@ parent, run the script against each checkout's sources and diff the output:
 Runs: fit, tune and variance for each built-in generic model (ridge-linear,
 ridge-logistic, gaussian) under each of the criteria cv, cv_fast, te,
 te_trace, tic and holdout (the seeded Fisher-Yates split at the default
---split and --seed); variance --fit on each model's fixed-lambda record; fit
+--split and --seed); variance --fit on each model's fixed-lambda record
+(variance-fixed) and on its cv_fast tuned record (variance-tuned); fit
 --criterion cv on n = 300 ridge-logistic and gaussian inputs, where a
 leave-one-out Newton step spans more than one leave-one-out sum call
 (solver.MAX_PHI_ROWS); simulate with --dgp gaussmix and with --dgp
@@ -91,6 +92,8 @@ def runs(root: Path):
             yield f"{model}/{crit}/variance", ["variance", *tuned, "--criterion", crit]
         fixed = root / model / "cv_fast" / "fit" / "fit.json"
         yield f"{model}/variance-fixed", ["variance", *data, "--fit", str(fixed)]
+        tuned_fit = root / model / "cv_fast" / "tune" / "fit.json"
+        yield f"{model}/variance-tuned", ["variance", *data, "--fit", str(tuned_fit)]
     for model, (dgp, seed, lam) in LARGE_INPUTS.items():
         csv = root / "inputs" / f"{model}-n300.csv"
         write_csv(csv, simulate(dgp, seed).rows)
