@@ -112,7 +112,7 @@ def _check_in_box(lam, box, what: str) -> None:
         )
 
 
-def load_fit_json(path, spec: ModelSpec, data: Dataset) -> FitResult:
+def load_fit_json(path, spec: ModelSpec) -> FitResult:
     """Read a fit.json record for spec.
 
     SchemaError on a record that is not a JSON object, another
@@ -120,9 +120,8 @@ def load_fit_json(path, spec: ModelSpec, data: Dataset) -> FitResult:
     shape does not match the model's p and q (criterion_slope_at_opt
     included), a trace that is empty or has a row other than q + 1 numbers,
     a lambda_box other than the model's lambda box (the CLI's
-    --lambda-min/--lambda-max), or a lambda_hat outside that box. data is
-    not read here: select_variance checks the fit against the model and
-    data (tuner.check_fit).
+    --lambda-min/--lambda-max), or a lambda_hat outside that box.
+    select_variance checks the fit against the data (tuner.check_fit).
     """
     with open(path) as fh:
         d = json.load(fh)
@@ -272,7 +271,7 @@ def cmd_tune(args, out: Path) -> int:
 def cmd_variance(args, out: Path) -> int:
     data, spec, loss = _load_data_and_model(args)
     if args.fit:
-        fit = load_fit_json(args.fit, spec, data)
+        fit = load_fit_json(args.fit, spec)
     else:
         fit = _tune(args, spec, loss, data, out)
     report = select_variance(spec, loss, data, fit)

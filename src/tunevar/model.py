@@ -114,18 +114,20 @@ def _check_box(box, dim, name):
     return arr
 
 
-def _refill(spec, fallbacks):
-    """Fill each slot of spec that is None or another instance's fallback.
-
-    fallbacks maps a slot name to the function that computes it; a fallback
-    is that function bound to the instance that owns it, so the bound
-    method's __self__ tells whose slots it reads. dataclasses.replace passes
-    the old instance's fallbacks on, and they would keep evaluating the old
-    slots, so the new instance makes its own.
+def _refill(spec, owner, fallbacks):
+    """Fill each slot of spec that is None, another instance's fallback, or
+    made for another owner function: owner names spec's defining slot
+    (phi_batch, psi_batch), and a slot made for one such function names it
+    as its attribute owner. fallbacks maps a slot name to the function that
+    computes it; a fallback is that function bound to its instance, whose
+    __self__ tells whose slots it reads, so a spec made by
+    dataclasses.replace makes its own.
     """
+    own = getattr(spec, owner)
     for slot, fn in fallbacks.items():
         cur = getattr(spec, slot)
-        if cur is None or getattr(cur, "__func__", None) is fn:
+        made_for = getattr(cur, owner, own)
+        if cur is None or getattr(cur, "__func__", None) is fn or made_for is not own:
             setattr(spec, slot, fn.__get__(spec))
 
 
@@ -167,14 +169,11 @@ class ModelSpec:
     phi_jac_sum shares its intermediates between F and S, and its F is
     phi_batch bit for bit.
     Each fallback reads the other slots at call time and is bound to its own
-    instance, so dataclasses.replace(spec, phi_batch=g) gives a spec whose
-    fallbacks evaluate g. A kernel that returns phi values (phi_jac_sum,
-    phi_loo_sum) does not read phi_batch, so one that names the phi_batch
-    it was made with, as its attribute phi_batch (each built-in kernel
-    does), is kept only beside that phi_batch: dataclasses.replace(spec,
-    phi_batch=g) of a built-in spec takes the fallback pair, whose F is g,
-    and the fallback phi_loo_sum, which sums g. Derivative kernels are
-    kept, so a g with other derivatives needs its own derivative slots.
+    instance. A slot that names the phi_batch it was made for, as its
+    attribute phi_batch (each built-in slot does), is kept only beside that
+    phi_batch, so dataclasses.replace(spec, phi_batch=g) of a built-in spec
+    takes every fallback, and they evaluate g. A user's slot without the
+    attribute is kept.
 
     The solver, criteria and variance code call every slot through
     slot_values, which checks the result's shape against SLOT_SHAPES (and
@@ -218,11 +217,7 @@ class ModelSpec:
             self.theta_init = np.asarray(self.theta_init, dtype=float)
             if self.theta_init.shape != (self.p,):
                 raise EvaluationError("theta_init must have length p")
-        # a kernel made beside another phi_batch would give that one's phi
-        for slot in ("phi_jac_sum", "phi_loo_sum"):
-            if getattr(getattr(self, slot), "phi_batch", self.phi_batch) is not self.phi_batch:
-                setattr(self, slot, None)
-        _refill(self, {
+        _refill(self, "phi_batch", {
             "dphi_dtheta_batch": ModelSpec._fd_dphi_dtheta,
             "dphi_dlambda_batch": ModelSpec._fd_dphi_dlambda,
             "hess_phi_theta": ModelSpec._fd_hess_phi_theta,
@@ -305,9 +300,9 @@ class LossSpec:
 
     Fallback policy for slots left as None, as for ModelSpec: a missing
     derivative is a central difference of psi_batch over all rows at once,
-    and a missing psi_rowwise evaluates psi row by row. Fallbacks are bound
-    to their own instance, so dataclasses.replace keeps them current. As
-    for ModelSpec, every slot is called through slot_values, which checks
+    and a missing psi_rowwise evaluates psi row by row. As for ModelSpec, a
+    slot that names its psi_batch as its attribute psi_batch is kept only
+    beside it, and every slot is called through slot_values, which checks
     its shape and that psi_batch and psi_rowwise are finite.
     """
 
@@ -320,7 +315,7 @@ class LossSpec:
         # An instance attribute rather than a method, so that it can be
         # replaced and restored by identity like the slots.
         self.psi = lambda z, th: float(self.psi_batch(np.asarray(z, float)[None, :], th)[0])
-        _refill(self, {
+        _refill(self, "psi_batch", {
             "grad_psi_batch": LossSpec._fd_grad_psi,
             "hess_psi": LossSpec._fd_hess_psi,
             "psi_rowwise": LossSpec._psi_row_by_row,

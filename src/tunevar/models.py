@@ -24,9 +24,9 @@ the row-by-row fallback: the same tests pin them to it within a tolerance
 relative to the sum of |phi| (|d phi / d theta|) over the rows, not bitwise.
 Each model's phi_jac_sum builds _design(Z) and expit(X theta) (the
 Gaussian's r = z - mu) once for F and S, through helpers that phi_batch
-shares, so its F is phi_batch bit for bit. It and phi_loo_sum name that
-phi_batch as their attribute phi_batch, so that a spec with another
-phi_batch drops them.
+shares, so its F is phi_batch bit for bit. _built_in makes every built-in
+spec and loss: each slot names the phi_batch (psi_batch) it was made for,
+so that a spec with another one takes its fallbacks (model._refill).
 """
 
 from __future__ import annotations
@@ -51,6 +51,17 @@ def _design(Z: np.ndarray):
     X = np.array(Z, dtype=float, order="C")
     X[:, 0] = 1.0
     return Z[:, 0], X
+
+
+def _built_in(cls, **fields):
+    """cls(**fields), each callable slot but the defining one (phi_batch of
+    a ModelSpec, psi_batch of a LossSpec) naming that function as its
+    attribute of the same name."""
+    owner = "phi_batch" if cls is ModelSpec else "psi_batch"
+    for name, f in fields.items():
+        if callable(f) and name != owner:
+            setattr(f, owner, fields[owner])
+    return cls(**fields)
 
 
 def default_penalty_mask(p: int) -> np.ndarray:
@@ -110,8 +121,8 @@ class _RidgeModel:
         def dphi_dlambda_dtheta(Z, th, lm):
             return np.repeat((pen * P)[None, None], Z.shape[0], axis=0)
 
-        return ModelSpec(
-            p=p, q=1, **self._link_slots(P),
+        return _built_in(
+            ModelSpec, p=p, q=1, **self._link_slots(P),
             dphi_dlambda_batch=dphi_dlambda_batch, dphi_dlambda_dtheta=dphi_dlambda_dtheta,
             lambda_domain=np.array([self.lambda_domain]),
         )
@@ -155,8 +166,6 @@ class RidgeLinearModel(_RidgeModel):
             y, X = _design(Z)
             return phi(y, X, th, lm), 2.0 * (X.T @ X) + 2.0 * len(X) * float(lm[0]) * P
 
-        phi_jac_sum.phi_batch = phi_loo_sum.phi_batch = phi_batch
-
         def hess_phi_theta(Z, th, lm):
             return np.zeros((Z.shape[0], p, p, p))
 
@@ -188,8 +197,8 @@ class RidgeLinearModel(_RidgeModel):
             y, X = _design(Z)
             return weights(X) * (y - np.einsum("ni,ni->n", X, Th)) ** 2
 
-        return LossSpec(
-            psi_batch=psi_batch, grad_psi_batch=grad_psi_batch, hess_psi=hess_psi,
+        return _built_in(
+            LossSpec, psi_batch=psi_batch, grad_psi_batch=grad_psi_batch, hess_psi=hess_psi,
             psi_rowwise=psi_rowwise,
         )
 
@@ -248,8 +257,6 @@ class RidgeLogisticModel(_RidgeModel):
             S = -(X.T @ (w[:, None] * X)) - 2.0 * len(X) * float(lm[0]) * P
             return phi(y, X, pi, th, lm), S
 
-        phi_jac_sum.phi_batch = phi_loo_sum.phi_batch = phi_batch
-
         def hess_phi_theta(Z, th, lm):
             _, X = _design(Z)
             pi = _expit(X @ th)
@@ -302,8 +309,8 @@ class RidgeLogisticModel(_RidgeModel):
             y, U = masked_design(Z)
             return (y - _expit(np.einsum("ni,ni->n", U, Th))) ** 2
 
-        return LossSpec(
-            psi_batch=psi_batch, grad_psi_batch=grad_psi_batch, hess_psi=hess_psi,
+        return _built_in(
+            LossSpec, psi_batch=psi_batch, grad_psi_batch=grad_psi_batch, hess_psi=hess_psi,
             psi_rowwise=psi_rowwise,
         )
 
@@ -356,8 +363,8 @@ class HybridModel:
             )
             return diff[:, None]
 
-        return ModelSpec(
-            p=self.p, q=1,
+        return _built_in(
+            ModelSpec, p=self.p, q=1,
             phi_batch=mix(base1.phi_batch, base2.phi_batch),
             dphi_dtheta_batch=mix(base1.dphi_dtheta_batch, base2.dphi_dtheta_batch),
             dphi_dlambda_batch=dphi_dlambda_batch,
@@ -436,8 +443,6 @@ class GaussianLikelihoodModel:
             S = np.array([[-n / sg**2, off], [off, n / sg**2 - 3.0 * (r @ r) / sg**4]])
             return phi(r, sg), S
 
-        phi_jac_sum.phi_batch = phi_loo_sum.phi_batch = phi_batch
-
         def dphi_dlambda_batch(Z, th, lm):
             return np.zeros((Z.shape[0], 2, 1))
 
@@ -454,8 +459,8 @@ class GaussianLikelihoodModel:
         def dphi_dlambda_dtheta(Z, th, lm):
             return np.zeros((Z.shape[0], 1, 2, 2))
 
-        return ModelSpec(
-            p=2, q=1,
+        return _built_in(
+            ModelSpec, p=2, q=1,
             phi_batch=phi_batch, dphi_dtheta_batch=dphi_dtheta_batch,
             dphi_dlambda_batch=dphi_dlambda_batch, hess_phi_theta=hess_phi_theta,
             dphi_dlambda_dtheta=dphi_dlambda_dtheta, phi_jac_sum=phi_jac_sum,
@@ -493,8 +498,8 @@ class GaussianLikelihoodModel:
             sg = Th[:, 1]
             return np.log(sg) + r**2 / (2.0 * sg**2) + half_log_2pi
 
-        return LossSpec(
-            psi_batch=psi_batch, grad_psi_batch=grad_psi_batch, hess_psi=hess_psi,
+        return _built_in(
+            LossSpec, psi_batch=psi_batch, grad_psi_batch=grad_psi_batch, hess_psi=hess_psi,
             psi_rowwise=psi_rowwise,
         )
 

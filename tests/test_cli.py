@@ -34,7 +34,7 @@ def test_tune_matches_library_call(data_csv, tmp_path):
     trace_file = out / "trace.csv"
     assert fit_file.exists() and trace_file.exists()
     m = RidgeLinearModel(2, lambda_domain=(0.0, 1.0))
-    fit = load_fit_json(fit_file, m.spec(), data)
+    fit = load_fit_json(fit_file, m.spec())
 
     direct = tune(m.spec(), m.squared_error_loss(), data, Method.CV_FAST, grid_size=10)
     assert np.allclose(fit.lambda_hat, direct.lambda_hat)
@@ -99,7 +99,7 @@ def test_fit_json_round_trips_byte_identical(data_csv, tmp_path):
     for name, argv in runs.items():
         out = tmp_path / name
         assert main([*argv, "--out", str(out)]) == 0
-        fit = load_fit_json(out / "fit.json", spec, data)
+        fit = load_fit_json(out / "fit.json", spec)
         _write_json(out / "again.json", fit_result_to_dict(fit))
         assert (out / "again.json").read_bytes() == (out / "fit.json").read_bytes()
 

@@ -21,12 +21,14 @@ from tunevar import (
     loocv_exact,
     loocv_fast,
     ridge_loocv_closed_form,
+    select_variance,
     simulate,
     solve_loo,
     solve_loo_all,
     solve_theta,
     te_trace_corrected,
     training_error,
+    tune,
 )
 from tunevar.exceptions import EvaluationError
 from tunevar.model import rowwise, slot_values
@@ -477,10 +479,10 @@ def test_replacing_phi_batch_drops_the_built_in_phi_loo_sum(model):
     spec = dataclasses.replace(
         built_in, phi_batch=lambda Z, th, lm: 10.0 * built_in.phi_batch(Z, th, lm) + np.asarray(c)
     )
-    # the kernels that return phi values go, the derivative kernels stay
+    # every built-in kernel goes, the derivative kernels too
     assert spec.phi_loo_sum is not built_in.phi_loo_sum
     assert spec.phi_jac_sum is not built_in.phi_jac_sum
-    assert spec.jac_loo_sum is built_in.jac_loo_sum
+    assert spec.jac_loo_sum is not built_in.jac_loo_sum
     data = simulate(dgp, seed=3)
     solve = solve_theta(spec, data, lam, spec.theta_init)
     value = loocv_exact(spec, loss, data, lam, solve=solve).value
@@ -488,3 +490,67 @@ def test_replacing_phi_batch_drops_the_built_in_phi_loo_sum(model):
                        for i in range(data.n)])
     per_row = float(slot_values(loss, "psi_rowwise", data.rows, refits).mean())
     assert abs(value - per_row) <= 1e-10 * abs(per_row)
+
+
+def _cv_fast_fit_and_report(spec, loss, data, **kw):
+    fit = tune(spec, loss, data, Method.CV_FAST, **kw)
+    return fit, select_variance(spec, loss, data, fit)
+
+
+def _without_slots(spec, owner, **fields):
+    """dataclasses.replace(spec, **fields) with every callable slot but owner
+    None, so that each is its fallback."""
+    bare = {f.name: None for f in dataclasses.fields(spec)
+            if "Callable" in str(f.type) and f.name != owner}
+    return dataclasses.replace(spec, **{**bare, **fields})
+
+
+def _assert_same_tuning(got, want):
+    (fit, report), (fit0, report0) = got, want
+    assert np.array_equal(fit.lambda_hat, fit0.lambda_hat)
+    assert np.array_equal([(*lam, v) for lam, v in fit.trace],
+                          [(*lam, v) for lam, v in fit0.trace])
+    assert np.array_equal(report.standard_errors, report0.standard_errors)
+
+
+def test_a_replaced_phi_batch_is_tuned_and_differentiated_through_the_fallbacks():
+    # the built-in derivative slots differentiate the old phi: kept beside
+    # g, they gave lambda-hat 0.157 and standard errors (1.28, 0.40, 0.82)
+    # where g's own derivatives give 0.029 and (0.126, 0.149, 0.114)
+    m = RidgeLinearModel(2)
+    built_in, loss = m.spec(), m.squared_error_loss()
+    data = simulate(DGPSpec(DGPKind.LINEAR_GAUSSIAN, n=60, params={"beta": (1.0, 1.0, 0.5)}),
+                    seed=3)
+
+    def g(Z, th, lm):
+        return 10.0 * built_in.phi_batch(Z, th, lm) + np.array([0.3, -0.3, 0.15])
+
+    got = _cv_fast_fit_and_report(dataclasses.replace(built_in, phi_batch=g), loss, data,
+                                  grid_size=8)
+    want = _cv_fast_fit_and_report(_without_slots(built_in, "phi_batch", phi_batch=g), loss,
+                                   data, grid_size=8)
+    _assert_same_tuning(got, want)
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+def test_a_replaced_psi_batch_is_tuned_and_differentiated_through_the_fallbacks(seed):
+    # the built-in psi_rowwise kept beside h made CV_FAST tune the old loss:
+    # on seed 3 lambda-hat was 0.0228 where the weighted loss gives 0.2467,
+    # and on seed 5 an interior V1 where the weighted loss has a boundary V2
+    m = RidgeLinearModel(2)
+    spec, built_in = m.spec(), m.squared_error_loss()
+    dgp = DGPSpec(DGPKind.LINEAR_GAUSSIAN, n=250,
+                  params={"beta": (1.0, 1.0, 0.5), "coef_sq": 0.5})
+    data = simulate(dgp, seed=seed)
+
+    def h(Z, th):
+        return (1.0 + Z[:, 1] ** 2) * built_in.psi_batch(Z, th)
+
+    got = _cv_fast_fit_and_report(spec, dataclasses.replace(built_in, psi_batch=h), data)
+    _assert_same_tuning(got, _cv_fast_fit_and_report(
+        spec, _without_slots(built_in, "psi_batch", psi_batch=h), data))
+    weighted = m.squared_error_loss(weight_fn=lambda X: 1.0 + X[:, 1] ** 2)
+    fit, report = _cv_fast_fit_and_report(spec, weighted, data)
+    width = spec.lambda_domain[:, 1] - spec.lambda_domain[:, 0]
+    assert np.all(np.abs(got[0].lambda_hat - fit.lambda_hat) <= 1e-6 * width)
+    assert got[1].selected == report.selected

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from tunevar import (
-    Dataset, EvaluationError, LossSpec, Method, ModelSpec, RidgeLinearModel, RidgeLogisticModel,
-    loocv_exact, rowwise, select_variance, solve_theta, theta_prime, tune,
+    Dataset, EvaluationError, GaussianLikelihoodModel, HybridModel, LossSpec, Method, ModelSpec,
+    RidgeLinearModel, RidgeLogisticModel, loocv_exact, rowwise, select_variance, solve_theta,
+    theta_prime, training_error, tune,
 )
 from tunevar.model import SLOT_SHAPES, row_mean, slot_values
 
@@ -188,6 +189,95 @@ def test_replacing_phi_batch_drops_the_kernel_made_beside_the_old_one():
     assert boxed.phi_jac_sum is spec.phi_jac_sum
 
 
+def test_a_custom_slot_that_names_its_phi_batch_is_kept_only_beside_it():
+    spec = _line_spec()
+    jac = rowwise(lambda z, th, lm: -np.ones((1, 1)))
+    jac.phi_batch = spec.phi_batch
+    tagged = dataclasses.replace(spec, dphi_dtheta_batch=jac)
+    assert dataclasses.replace(tagged, lambda_domain=(0.0, 0.5)).dphi_dtheta_batch is jac
+    twice = dataclasses.replace(tagged, phi_batch=_line_spec(2.0).phi_batch)
+    assert twice.dphi_dtheta_batch.__func__ is ModelSpec._fd_dphi_dtheta
+    Z, th, lm = np.ones((3, 1)), np.zeros(1), np.zeros(1)
+    assert np.allclose(twice.dphi_dtheta_batch(Z, th, lm), -2.0)
+
+
+_HYBRID = HybridModel(p=1, phi1=lambda z, th: z[:1] - th, phi2=lambda z, th: 2.0 * (z[:1] - th),
+                      dphi1_dtheta=lambda z, th: -np.ones((1, 1)))
+# each built-in spec and loss, as a maker of fresh instances
+BUILT_INS = {
+    "ridge-linear": RidgeLinearModel(2).spec,
+    "ridge-logistic": RidgeLogisticModel(2).spec,
+    "hybrid": _HYBRID.spec,
+    "gaussian": GaussianLikelihoodModel().spec,
+    "squared-error": RidgeLinearModel(2).squared_error_loss,
+    "brier": RidgeLogisticModel(2).brier_loss,
+    "gaussian-nll": GaussianLikelihoodModel().neg_loglik_loss,
+}
+
+
+def _owner_and_slots(spec):
+    """(owner, slots): the defining slot of spec and its other callable slots."""
+    owner = "phi_batch" if isinstance(spec, ModelSpec) else "psi_batch"
+    return owner, [f.name for f in dataclasses.fields(spec)
+                   if "Callable" in str(f.type) and f.name != owner]
+
+
+def _is_fallback_of(fn, spec, slot):
+    # the bound method that a spec with every slot left out takes for slot
+    bare = dataclasses.replace(spec, **dict.fromkeys(_owner_and_slots(spec)[1], None))
+    return fn.__self__ is spec and fn.__func__ is getattr(bare, slot).__func__
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_INS))
+def test_a_replace_that_keeps_the_defining_slot_keeps_every_built_in_slot(name):
+    # tuning over another box must not fall back to finite differences
+    spec = BUILT_INS[name]()
+    owner, slots = _owner_and_slots(spec)
+    same = (dataclasses.replace(spec, lambda_domain=(0.0, 0.5)) if owner == "phi_batch"
+            else dataclasses.replace(spec))
+    assert getattr(same, owner) is getattr(spec, owner)
+    for slot in slots:
+        fn = getattr(spec, slot)
+        if getattr(fn, "__self__", None) is spec:  # a slot the model leaves out
+            assert _is_fallback_of(getattr(same, slot), same, slot)
+        else:
+            assert getattr(fn, owner) is getattr(spec, owner), slot
+            assert getattr(same, slot) is fn, slot
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_INS))
+def test_replacing_the_defining_slot_takes_every_fallback_but_a_custom_slot(name):
+    spec = BUILT_INS[name]()
+    owner, slots = _owner_and_slots(spec)
+    old = getattr(spec, owner)
+
+    def new(Z, th, *rest):
+        return 2.0 * old(Z, th, *rest)
+
+    replaced = dataclasses.replace(spec, **{owner: new})
+    for slot in slots:
+        assert _is_fallback_of(getattr(replaced, slot), replaced, slot), slot
+        # an untagged slot given in the same call is the user's, and stays
+        custom = functools.partial(getattr(spec, slot))
+        kept = dataclasses.replace(spec, **{owner: new, slot: custom})
+        assert getattr(kept, slot) is custom
+        assert all(_is_fallback_of(getattr(kept, s), kept, s) for s in slots if s != slot)
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_INS))
+def test_two_built_in_specs_share_no_tagged_slot(name):
+    # each spec tags fresh closures, so one can never retag the other's
+    a, b = BUILT_INS[name](), BUILT_INS[name]()
+    owner, slots = _owner_and_slots(a)
+    assert getattr(a, owner) is not getattr(b, owner)
+    for slot in slots:
+        fa, fb = getattr(a, slot), getattr(b, slot)
+        assert fa is not fb
+        if hasattr(fa, owner):
+            assert getattr(fa, owner) is getattr(a, owner)
+            assert getattr(fb, owner) is getattr(b, owner)
+
+
 def test_loo_sum_fallbacks_of_a_rowwise_spec_are_exact():
     # the fallbacks sum the per-row slots over all rows and subtract the
     # problem's own row, to the last bit
@@ -286,9 +376,15 @@ def _loocv_exact(spec, loss, data, fit):
     loocv_exact(spec, loss, data, fit.lambda_hat)
 
 
-# slot -> the public call that reads it (select_variance: phi_batch first in
-# tuner.check_fit, through the fallback phi_jac_sum that a spec with a
-# replaced phi_batch takes)
+def _training_error(spec, loss, data, fit):
+    training_error(spec, loss, data, fit.lambda_hat)
+
+
+# slot -> the public call that reads it. A spec with a replaced phi_batch
+# (psi_batch) takes every other slot's fallback, so the reader must call it
+# before a fallback differences it: select_variance calls phi_batch first
+# in tuner.check_fit, through the fallback phi_jac_sum, and training_error
+# calls psi_batch directly
 SLOT_READERS = {
     "phi_batch": select_variance,
     "phi_jac_sum": _fit_and_theta_prime,
@@ -297,7 +393,7 @@ SLOT_READERS = {
     "phi_loo_sum": _loocv_exact,
     "jac_loo_sum": _loocv_exact,
     "psi_rowwise": _loocv_exact,
-    "psi_batch": select_variance,
+    "psi_batch": _training_error,
     "hess_phi_theta": select_variance,
     "dphi_dlambda_dtheta": select_variance,
     "grad_psi_batch": select_variance,

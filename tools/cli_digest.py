@@ -16,7 +16,9 @@ te_trace, tic and holdout (the seeded Fisher-Yates split at the default
 (variance-fixed) and on its cv_fast tuned record (variance-tuned); fit
 --criterion cv on n = 300 ridge-logistic and gaussian inputs, where a
 leave-one-out Newton step spans more than one leave-one-out sum call
-(solver.MAX_PHI_ROWS); simulate with --dgp gaussmix and with --dgp
+(solver.MAX_PHI_ROWS); tune and variance under cv_fast for --model pima on
+a 9-column input whose rows with a zero in a zero-is-missing column
+load_pima_csv drops, and variance --fit on its tuned record; simulate with --dgp gaussmix and with --dgp
 logistic, bootstrap and stone-check; and an
 intercept-only linear simulate whose replications all end on the box edge,
 so its summary holds null (non-finite) entries. A run that exits non-zero
@@ -46,8 +48,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from tunevar import DGPKind, DGPSpec, simulate
 from tunevar.cli import main as cli_main
+from tunevar.models import PIMA_COVARIATES
 
 CRITERIA = ("cv", "cv_fast", "te", "te_trace", "tic", "holdout")
 
@@ -70,10 +75,17 @@ LARGE_INPUTS = {
                          params={"beta": (0.4, 0.0), "sigma": 1.3}), 19, 0.0),
 }
 
+# (input DGP, seed) of the --model pima runs: 8 covariates, Outcome moved last
+PIMA_INPUT = (DGPSpec(DGPKind.LOGISTIC_TRUE, n=150,
+                      params={"beta": (-0.5, 0.4, 1.0, -0.3, 0.2, 0.0, 0.6, 0.3, 0.2)}), 10)
+# (row, covariate) cells set to 0 in glucose, pressure, triceps, insulin, BMI
+PIMA_ZEROS = ((3, 1), (17, 2), (17, 4), (40, 3), (88, 5))
 
-def write_csv(path: Path, rows) -> None:
+
+def write_csv(path: Path, rows, header=None) -> None:
+    header = header or ["y"] + [f"x{j}" for j in range(1, rows.shape[1])]
     with open(path, "w") as fh:
-        fh.write(",".join(["y"] + [f"x{j}" for j in range(1, rows.shape[1])]) + "\n")
+        fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join("%.17g" % v for v in row) + "\n")
 
@@ -99,6 +111,16 @@ def runs(root: Path):
         write_csv(csv, simulate(dgp, seed).rows)
         yield f"{model}/cv-n300/fit", ["fit", "--data", str(csv), "--model", model,
                                        "--criterion", "cv", "--lam", str(lam)]
+    dgp, seed = PIMA_INPUT
+    rows = np.roll(simulate(dgp, seed).rows, -1, axis=1)
+    rows[tuple(zip(*PIMA_ZEROS))] = 0.0
+    csv = root / "inputs" / "pima.csv"
+    write_csv(csv, rows, header=[*PIMA_COVARIATES, "Outcome"])
+    data = ["--data", str(csv), "--model", "pima"]
+    for cmd in ("tune", "variance"):
+        yield f"pima/cv_fast/{cmd}", [cmd, *data, "--criterion", "cv_fast", "--grid-size", "8"]
+    yield "pima/variance-tuned", ["variance", *data, "--fit",
+                                  str(root / "pima" / "cv_fast" / "tune" / "fit.json")]
     common = ["--criterion", "cv_fast", "--grid-size", "8", "--seed", "3"]
     yield "simulate", ["simulate", *common, "--dgp", "gaussmix", "--C", "2",
                        "--n", "100", "--B", "5", "--lambda-max", "0.1"]
