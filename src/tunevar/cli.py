@@ -116,12 +116,10 @@ def load_fit_json(path, spec: ModelSpec) -> FitResult:
     """Read a fit.json record for spec.
 
     SchemaError on a record that is not a JSON object, another
-    schema_version, a missing field or one of the wrong type, an array whose
-    shape does not match the model's p and q (criterion_slope_at_opt
-    included), a trace that is empty or has a row other than q + 1 numbers,
-    a lambda_box other than the model's lambda box (the CLI's
-    --lambda-min/--lambda-max), or a lambda_hat outside that box.
-    select_variance checks the fit against the data (tuner.check_fit).
+    schema_version, a missing field or one of the wrong type, a lambda_box
+    other than the model's lambda box (the CLI's --lambda-min/--lambda-max),
+    or a lambda_hat outside that box. select_variance checks the fit's
+    shapes and the fit against the data (tuner.check_fit).
     """
     with open(path) as fh:
         d = json.load(fh)
@@ -135,23 +133,6 @@ def load_fit_json(path, spec: ModelSpec) -> FitResult:
         raise SchemaError(f"fit.json has no field {exc}") from None
     except (IndexError, TypeError, ValueError) as exc:
         raise SchemaError(f"fit.json is not a fit record: {exc}") from None
-    p, q = spec.p, spec.q
-    for name, got, want in (
-        ("theta_hat", fit.theta_hat.shape, (p,)),
-        ("lambda_hat", fit.lambda_hat.shape, (q,)),
-        ("D_hat", fit.D_hat.shape, (p, q)),
-        ("lambda_box", fit.lambda_box.shape, (q, 2)),
-        ("boundary_status", (len(fit.boundary_status),), (q,)),
-        ("criterion_slope_at_opt", fit.criterion_slope_at_opt.shape, (q,)),
-    ):
-        if got != want:
-            raise SchemaError(f"fit.json {name} has shape {got}; the model needs {want}")
-    widths = {len(lam) + 1 for lam, _ in fit.trace}
-    if widths != {q + 1}:
-        raise SchemaError(
-            f"fit.json trace rows hold {sorted(widths)} numbers; the model needs "
-            f"{q + 1}: lambda_1..lambda_q, then the value"
-        )
     box = spec.lambda_domain  # every CLI model has one
     if not np.array_equal(fit.lambda_box, box):
         raise SchemaError(
@@ -183,25 +164,26 @@ def load_csv(path, response_col: int = 0) -> Dataset:
     return Dataset(np.take(rows, order, axis=1))
 
 
-def build_model(args, data: Dataset):
-    """(ModelSpec, LossSpec) from the CLI model selector and a dataset."""
-    lam_box = (args.lambda_min, args.lambda_max)
-    if args.model == "ridge-linear":
-        m = RidgeLinearModel(n_covariates=data.d - 1, lambda_domain=lam_box)
+def model_pair(name: str, n_covariates: int, box, predictor_covariates):
+    """(ModelSpec, LossSpec) of the built-in model name with lambda box box: a
+    ridge model on n_covariates covariates (ridge-logistic's Brier loss scores
+    predictor_covariates only, None for all), or gaussian, whose box is fixed."""
+    if name == "ridge-linear":
+        m = RidgeLinearModel(n_covariates=n_covariates, lambda_domain=box)
         return m.spec(), m.squared_error_loss()
-    if args.model == "ridge-logistic":
-        m = RidgeLogisticModel(n_covariates=data.d - 1, lambda_domain=lam_box)
-        return m.spec(), m.brier_loss()
-    if args.model == "gaussian":
+    if name == "ridge-logistic":
+        m = RidgeLogisticModel(n_covariates=n_covariates, lambda_domain=box)
+        return m.spec(), m.brier_loss(predictor_covariates=predictor_covariates)
+    if name == "gaussian":
         m = GaussianLikelihoodModel()
         spec = m.spec()
-        if not np.array_equal([lam_box], spec.lambda_domain):
+        if not np.array_equal([box], spec.lambda_domain):
             raise SchemaError(
-                f"--lambda-min/--lambda-max give the box {list(lam_box)}; --model gaussian "
+                f"--lambda-min/--lambda-max give the box {list(box)}; --model gaussian "
                 f"has the fixed box {spec.lambda_domain[0].tolist()} (its lambda is inert)"
             )
         return spec, m.neg_loglik_loss()
-    raise SchemaError(f"unknown model {args.model!r}")
+    raise SchemaError(f"unknown model {name!r}")
 
 
 def _load_data_and_model(args):
@@ -211,8 +193,7 @@ def _load_data_and_model(args):
                               "whose response is the Outcome column")
         return make_pima_model(args.data, lambda_domain=(args.lambda_min, args.lambda_max))
     data = load_csv(args.data, response_col=args.response_col or 0)
-    spec, loss = build_model(args, data)
-    return data, spec, loss
+    return (data, *model_pair(args.model, data.d - 1, (args.lambda_min, args.lambda_max), None))
 
 
 def _pipeline_config(args, spec, loss) -> PipelineConfig:
@@ -305,19 +286,6 @@ def _dgp_from_args(args) -> DGPSpec:
     raise SchemaError(f"unknown dgp {args.dgp!r}")
 
 
-def _dgp_model(args, dgp: DGPSpec):
-    lam_box = (args.lambda_min, args.lambda_max)
-    if dgp.kind is DGPKind.GAUSSMIX_C:
-        m = RidgeLogisticModel(n_covariates=2, lambda_domain=lam_box)
-        # tuning criterion scores a sub-model prediction using x_1 only
-        return m.spec(), m.brier_loss(predictor_covariates=[0])
-    if dgp.kind is DGPKind.LINEAR_GAUSSIAN:
-        m = RidgeLinearModel(n_covariates=len(args.beta) - 1, lambda_domain=lam_box)
-        return m.spec(), m.squared_error_loss()
-    m = RidgeLogisticModel(n_covariates=len(args.beta) - 1, lambda_domain=lam_box)
-    return m.spec(), m.brier_loss()
-
-
 def _write_summary(out: Path, summary, extra=None) -> None:
     err1, err2 = summary.abs_errors()
     _write_json(out / "summary.json", {
@@ -344,7 +312,10 @@ def _write_summary(out: Path, summary, extra=None) -> None:
 
 def cmd_simulate(args, out: Path) -> int:
     dgp = _dgp_from_args(args)
-    spec, loss = _dgp_model(args, dgp)
+    mix = args.dgp == "gaussmix"  # its criterion scores a sub-model prediction on x_1 only
+    spec, loss = model_pair("ridge-linear" if args.dgp == "linear" else "ridge-logistic",
+                            2 if mix else len(args.beta) - 1,
+                            (args.lambda_min, args.lambda_max), [0] if mix else None)
     config = _pipeline_config(args, spec, loss)
     summary = replicate(dgp, config, B=args.B, seed=args.seed)
     _write_summary(out, summary, extra={"dgp": args.dgp, "C": args.C})
@@ -366,8 +337,7 @@ def cmd_stone_check(args, out: Path) -> int:
     rows = []
     medians = {}
     lam = np.array([args.lam])
-    m = RidgeLinearModel(n_covariates=len(args.beta) - 1)
-    spec, loss = m.spec(), m.squared_error_loss()
+    spec, loss = model_pair("ridge-linear", len(args.beta) - 1, (0.0, 1.0), None)
     _check_in_box(lam, spec.lambda_domain, "--lam")
     for n in args.n_list:
         gaps = []

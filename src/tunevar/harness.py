@@ -137,18 +137,15 @@ class ReplicationSummary:
     mean_V2: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.empirical_variance = self.recompute_empirical_variance()
+        scaled = np.sqrt(self.n) * self.theta_draws
+        # np.cov returns a 0-d array for one parameter; keep (p, p) like the V draws
+        self.empirical_variance = np.atleast_2d(np.cov(scaled, rowvar=False, ddof=1))
         if np.all(np.isnan(self.V1_draws)):
             self.mean_V1 = np.full(self.V1_draws.shape[1:], np.nan)
         else:
             with np.errstate(invalid="ignore"):
                 self.mean_V1 = np.nanmean(self.V1_draws, axis=0)
         self.mean_V2 = self.V2_draws.mean(axis=0)
-
-    def recompute_empirical_variance(self) -> np.ndarray:
-        scaled = np.sqrt(self.n) * self.theta_draws
-        # np.cov returns a 0-d array for one parameter; keep (p, p) like the V draws
-        return np.atleast_2d(np.cov(scaled, rowvar=False, ddof=1))
 
     def abs_errors(self) -> Tuple[np.ndarray, np.ndarray]:
         """Entrywise |mean V_hat - empirical variance| for V1 and V2."""

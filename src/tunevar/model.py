@@ -156,40 +156,37 @@ class ModelSpec:
 
     Fallback policy for slots left as None: a missing derivative is a
     central difference of phi_batch over all rows at once (of
-    dphi_dtheta_batch for dphi_dlambda_dtheta). The steps depend only on
-    theta or lambda, so the fallback of a rowwise spec matches differencing
-    each row on its own. A missing phi_jac_sum is the pair (phi_batch,
-    dphi_dtheta_batch summed over the rows), with the phi_batch call
-    checked as slot_values checks it, so the mean theta-Jacobian, S over
-    the row count, is then row_mean of dphi_dtheta_batch, bit for bit.
+    dphi_dtheta_batch for dphi_dlambda_dtheta); a lambda step that would
+    leave lambda_domain, where phi need not be defined, is one-sided
+    (numdiff.jacobian_in_box). The steps depend only on theta or lambda, so
+    the fallback of a rowwise spec matches differencing each row on its
+    own. A missing phi_jac_sum is the pair (phi_batch, dphi_dtheta_batch
+    summed over the rows), so the mean theta-Jacobian, S over the row
+    count, is then row_mean of dphi_dtheta_batch, bit for bit.
     A missing phi_loo_sum (jac_loo_sum) makes one phi_batch
     (dphi_dtheta_batch) call per theta and subtracts the problem's own row
     from the sum over all rows. The built-in models supply sum kernels from
     sufficient statistics, which agree with that to rounding; their
     phi_jac_sum shares its intermediates between F and S, and its F is
     phi_batch bit for bit.
-    Each fallback reads the other slots at call time and is bound to its own
+    Each fallback reads the other slots at call time, through slot_values,
+    so an error names the slot that was written, and is bound to its own
     instance. A slot that names the phi_batch it was made for, as its
     attribute phi_batch (each built-in slot does), is kept only beside that
     phi_batch, so dataclasses.replace(spec, phi_batch=g) of a built-in spec
     takes every fallback, and they evaluate g. A user's slot without the
     attribute is kept.
 
-    The solver, criteria and variance code call every slot through
-    slot_values, which checks the result's shape against SLOT_SHAPES (and
-    that phi_batch and the F of phi_jac_sum are finite) and raises
-    EvaluationError naming the slot.
+    Library code reads every slot through slot_values, which checks the
+    result's shape against SLOT_SHAPES (and that phi_batch and the F of
+    phi_jac_sum are finite) and raises EvaluationError naming the slot;
+    only solver._loo_means calls a sum slot raw, and checks it the same way.
 
     The Newton solve (solver.solve_theta) makes one phi_jac_sum call per
-    iterate it evaluates: at its start and at each line-search candidate.
-    The accepted iterate's F and S give the next step and, at the root,
-    SolveResult.Phi and J_hat. It makes no phi_batch call, and no
-    dphi_dtheta_batch call when phi_jac_sum is supplied.
-
-    Exact LOOCV (criteria.loocv_exact) reads the two leave-one-out sum
-    slots, one dphi_dtheta_batch and at most one hess_phi_theta call per
-    evaluation, as solver.solve_loo_all describes; a hess_phi_theta
-    fallback call costs 2 p^2 + 1 phi_batch calls.
+    iterate it evaluates, at its start and at each line-search candidate,
+    and no phi_batch call. Exact LOOCV reads the slots that
+    solver.solve_loo_all lists, once per evaluation at most for
+    hess_phi_theta, whose fallback costs 2 p^2 + 1 phi_batch calls.
     """
 
     p: int
@@ -230,41 +227,44 @@ class ModelSpec:
     # -- fallbacks, bound to their instance by __post_init__ ----------------
 
     def _fd_dphi_dtheta(self, Z, th, lm):
-        return numdiff.jacobian(lambda t: self.phi_batch(Z, t, lm), th)
+        return numdiff.jacobian(lambda t: slot_values(self, "phi_batch", Z, t, lm), th)
 
     def _fd_dphi_dlambda(self, Z, th, lm):
-        return numdiff.jacobian(lambda l: self.phi_batch(Z, th, l), lm)
+        return numdiff.jacobian_in_box(
+            lambda l: slot_values(self, "phi_batch", Z, th, l), lm, self.lambda_domain,
+            numdiff.STEP_FIRST,
+        )
 
     def _fd_hess_phi_theta(self, Z, th, lm):
-        return numdiff.hessian(lambda t: self.phi_batch(Z, t, lm), th)
+        return numdiff.hessian(lambda t: slot_values(self, "phi_batch", Z, t, lm), th)
 
     def _fd_dphi_dlambda_dtheta(self, Z, th, lm):
         # (n, p, p, q) lambda-Jacobian of the theta-Jacobian, lambda axis moved to 1
         return np.moveaxis(
-            numdiff.jacobian(
-                lambda l: self.dphi_dtheta_batch(Z, th, l), lm, scale=numdiff.STEP_SECOND,
+            numdiff.jacobian_in_box(
+                lambda l: slot_values(self, "dphi_dtheta_batch", Z, th, l), lm,
+                self.lambda_domain, numdiff.STEP_SECOND,
             ),
             -1, 1,
         )
 
     def _phi_and_summed_jac(self, Z, th, lm):
-        # phi_batch is checked on its own, so that its failure names it and
-        # comes before any Jacobian work
+        # each part is read as its own slot, so that a failure names the slot
+        # that was written, and phi_batch's comes before any Jacobian work
         return (
             slot_values(self, "phi_batch", Z, th, lm),
-            np.asarray(self.dphi_dtheta_batch(Z, th, lm), dtype=float).sum(axis=0),
+            slot_values(self, "dphi_dtheta_batch", Z, th, lm).sum(axis=0),
         )
 
     def _stacked_phi_loo_sum(self, Z, Th, rows, lm):
-        F = np.stack([np.asarray(self.phi_batch(Z, th, lm), dtype=float) for th in Th])
-        with np.errstate(invalid="ignore"):  # inf - inf where row i's own phi is infinite
-            return F.sum(axis=1) - F[np.arange(len(Th)), rows]
+        F = np.stack([slot_values(self, "phi_batch", Z, th, lm) for th in Th])
+        return F.sum(axis=1) - F[np.arange(len(Th)), rows]
 
     def _stacked_jac_loo_sum(self, Z, Th, rows, lm):
         out = np.empty((len(Th), self.p, self.p))
         for j, (th, i) in enumerate(zip(Th, rows)):
-            G = np.asarray(self.dphi_dtheta_batch(Z, th, lm), dtype=float)
-            with np.errstate(invalid="ignore"):
+            G = slot_values(self, "dphi_dtheta_batch", Z, th, lm)
+            with np.errstate(invalid="ignore"):  # inf - inf where row i's own entry is infinite
                 out[j] = G.sum(axis=0) - G[i]
         return out
 
@@ -300,10 +300,11 @@ class LossSpec:
 
     Fallback policy for slots left as None, as for ModelSpec: a missing
     derivative is a central difference of psi_batch over all rows at once,
-    and a missing psi_rowwise evaluates psi row by row. As for ModelSpec, a
-    slot that names its psi_batch as its attribute psi_batch is kept only
-    beside it, and every slot is called through slot_values, which checks
-    its shape and that psi_batch and psi_rowwise are finite.
+    and a missing psi_rowwise evaluates psi row by row; each reads psi_batch
+    through slot_values, as psi does. As for ModelSpec, a slot that names
+    its psi_batch as its attribute psi_batch is kept only beside it, and
+    every slot is called through slot_values, which checks its shape and
+    that psi_batch and psi_rowwise are finite.
     """
 
     psi_batch: Callable
@@ -314,7 +315,9 @@ class LossSpec:
     def __post_init__(self):
         # An instance attribute rather than a method, so that it can be
         # replaced and restored by identity like the slots.
-        self.psi = lambda z, th: float(self.psi_batch(np.asarray(z, float)[None, :], th)[0])
+        self.psi = lambda z, th: float(
+            slot_values(self, "psi_batch", np.asarray(z, float)[None, :], th)[0]
+        )
         _refill(self, "psi_batch", {
             "grad_psi_batch": LossSpec._fd_grad_psi,
             "hess_psi": LossSpec._fd_hess_psi,
@@ -322,10 +325,10 @@ class LossSpec:
         })
 
     def _fd_grad_psi(self, Z, th):
-        return numdiff.jacobian(lambda t: self.psi_batch(Z, t), th)
+        return numdiff.jacobian(lambda t: slot_values(self, "psi_batch", Z, t), th)
 
     def _fd_hess_psi(self, Z, th):
-        return numdiff.hessian(lambda t: self.psi_batch(Z, t), th)
+        return numdiff.hessian(lambda t: slot_values(self, "psi_batch", Z, t), th)
 
     def _psi_row_by_row(self, Z, Th):
         return np.array([self.psi(z, t) for z, t in zip(Z, Th)], dtype=float)

@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exceptions import EvaluationError, SchemaError
-from .model import Dataset, LossSpec, ModelSpec, read_numeric_csv, rowwise
+from .model import Dataset, LossSpec, ModelSpec, read_numeric_csv, rowwise, slot_values
 from .solver import checked_solve
 
 
@@ -346,30 +346,34 @@ class HybridModel:
         base2 = part(self.phi2, self.dphi2_dtheta)
         zero_lam = np.zeros(1)
 
-        def mix(f1, f2):
+        def parts(slot, Z, th):
+            # through slot_values, so that an error names the part's slot
+            return (slot_values(base1, slot, Z, th, zero_lam),
+                    slot_values(base2, slot, Z, th, zero_lam))
+
+        def mix(slot):
             def batch(Z, th, lm):
                 a = float(lm[0])
-                return a * f1(Z, th, zero_lam) + (1.0 - a) * f2(Z, th, zero_lam)
+                f1, f2 = parts(slot, Z, th)
+                return a * f1 + (1.0 - a) * f2
 
             return batch
 
-        def dphi_dlambda_batch(Z, th, lm):
-            diff = base1.phi_batch(Z, th, zero_lam) - base2.phi_batch(Z, th, zero_lam)
-            return diff[:, :, None]
+        def diff(slot, axis):
+            # d/d lambda of mix(slot): part 1 minus part 2, lambda axis at axis
+            def batch(Z, th, lm):
+                f1, f2 = parts(slot, Z, th)
+                return np.expand_dims(f1 - f2, axis)
 
-        def dphi_dlambda_dtheta(Z, th, lm):
-            diff = base1.dphi_dtheta_batch(Z, th, zero_lam) - base2.dphi_dtheta_batch(
-                Z, th, zero_lam
-            )
-            return diff[:, None]
+            return batch
 
         return _built_in(
             ModelSpec, p=self.p, q=1,
-            phi_batch=mix(base1.phi_batch, base2.phi_batch),
-            dphi_dtheta_batch=mix(base1.dphi_dtheta_batch, base2.dphi_dtheta_batch),
-            dphi_dlambda_batch=dphi_dlambda_batch,
-            hess_phi_theta=mix(base1.hess_phi_theta, base2.hess_phi_theta),
-            dphi_dlambda_dtheta=dphi_dlambda_dtheta,
+            phi_batch=mix("phi_batch"),
+            dphi_dtheta_batch=mix("dphi_dtheta_batch"),
+            dphi_dlambda_batch=diff("phi_batch", 2),
+            hess_phi_theta=mix("hess_phi_theta"),
+            dphi_dlambda_dtheta=diff("dphi_dtheta_batch", 1),
             lambda_domain=np.array([[0.0, 1.0]]),
         )
 

@@ -27,15 +27,25 @@ def jacobian(f, x, scale=STEP_FIRST):
     Returns an array of shape f(x).shape + (x.size,), from 2 * x.size
     evaluations of f.
     """
+    return jacobian_in_box(f, x, None, scale)
+
+
+def jacobian_in_box(f, x, box, scale):
+    """jacobian(f, x, scale), evaluating f only inside box ((x.size, 2), or
+    None): a coordinate with one step inside takes the one-sided difference
+    of x and that step; every other column is the central one, bit for bit."""
     x = np.asarray(x, dtype=float)
     h = _steps(x, scale)
     cols = []
     for j in range(x.size):
         e = np.zeros_like(x)
         e[j] = h[j]
-        fp = np.asarray(f(x + e), dtype=float)
-        fm = np.asarray(f(x - e), dtype=float)
-        cols.append((fp - fm) / (2.0 * h[j]))
+        up = box is None or x[j] + h[j] <= box[j, 1]
+        down = box is None or x[j] - h[j] >= box[j, 0]
+        up, down = up or not down, down or not up  # neither fits: central
+        fp = np.asarray(f(x + e if up else x), dtype=float)
+        fm = np.asarray(f(x - e if down else x), dtype=float)
+        cols.append((fp - fm) / (h[j] if up != down else 2.0 * h[j]))
     return np.stack(cols, axis=-1)
 
 

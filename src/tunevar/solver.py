@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainEscape, EvaluationError, NoConvergence, SingularJacobian
-from .model import SLOT_SHAPES, Dataset, ModelSpec, row_mean, slot_values
+from .model import SLOT_SHAPES, Dataset, ModelSpec, _checked, row_mean, slot_values
 
 MAX_ITER = 100
 # row evaluations per leave-one-out sum call in solve_loo_all (at least one
@@ -197,9 +197,9 @@ def _loo_means(model: ModelSpec, slot: str, Z, Th, rows, lam) -> np.ndarray:
     One slot call per chunk of at most MAX_PHI_ROWS row evaluations. If a
     call raises EvaluationError, its chunk is evaluated again one theta at a
     time, and a theta that raises gets NaN. A non-finite phi gives a
-    non-finite result either way. A result whose shape is not the one
-    SLOT_SHAPES gives raises EvaluationError outside that retry, so a
-    wrong-shaped slot aborts instead of making every theta NaN.
+    non-finite result either way. This is the one slot call outside
+    slot_values, whose shape check (model._checked) runs outside the retry,
+    so a wrong-shaped slot aborts instead of making every theta NaN.
     """
     n, k = Z.shape[0], len(Th)
     want = SLOT_SHAPES[slot](Z, Th, model)
@@ -207,21 +207,17 @@ def _loo_means(model: ModelSpec, slot: str, Z, Th, rows, lam) -> np.ndarray:
 
     def call(js):
         try:
-            return np.asarray(getattr(model, slot)(Z, Th[js], rows[js], lam), dtype=float)
+            got = getattr(model, slot)(Z, Th[js], rows[js], lam)
         except EvaluationError:
             if len(js) == 1:
                 return np.full((1,) + want[1:], np.nan)
             return np.concatenate([call(js[j:j + 1]) for j in range(len(js))])
+        return _checked(slot, got, (len(js),) + want[1:], False)
 
     out = np.empty(want)
     for s in range(0, k, chunk):
         js = np.arange(s, min(s + chunk, k))
-        got = call(js)
-        if got.shape != (len(js),) + want[1:]:
-            raise EvaluationError(
-                f"{slot} returned shape {got.shape}, expected {(len(js),) + want[1:]}"
-            )
-        out[js] = got
+        out[js] = call(js)
     return out / (n - 1)
 
 

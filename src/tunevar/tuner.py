@@ -223,16 +223,34 @@ def check_fit(model: ModelSpec, data: Dataset, fit: FitResult) -> None:
     """ValueError unless fit is what tune, or a solve at a fixed lambda, makes
     of model on data.
 
-    The fit's boundary_status must be all FIXED or edge_status of lambda_hat
-    in fit.lambda_box. A tuned fit's criterion_slope_at_opt must be, bit for
-    bit, what _slopes gives from the values in its own trace; tune evaluates
-    every slope point through its cache, so each is a trace entry. theta_hat
+    The shapes come first, before any slot call: theta_hat (p,), D_hat
+    (p, q), lambda_box (q, 2), lambda_hat, boundary_status and the slope
+    (q,), and a trace with rows of q + 1 numbers. The fit's boundary_status
+    must be all FIXED or edge_status of lambda_hat in fit.lambda_box. A
+    tuned fit's criterion_slope_at_opt must be, bit for bit, what _slopes
+    gives from the values in its own trace; tune evaluates every slope
+    point through its cache, so each is a trace entry. theta_hat
     must leave a residual ||mean phi|| of at most 1e4 times
     default_tol(theta_hat) on data, and D_hat must lie within
     1e-8 * (1 + max|D|) of D = theta' at theta_hat and lambda_hat on data.
     phi and J_hat come from one phi_jac_sum call, whose EvaluationError
     propagates. fit.lambda_box is not compared with model.lambda_domain.
     """
+    p, q = model.p, model.q
+    for name, got, want in (
+        ("theta_hat", np.shape(fit.theta_hat), (p,)),
+        ("lambda_hat", np.shape(fit.lambda_hat), (q,)),
+        ("D_hat", np.shape(fit.D_hat), (p, q)),
+        ("lambda_box", np.shape(fit.lambda_box), (q, 2)),
+        ("boundary_status", (len(fit.boundary_status),), (q,)),
+        ("criterion_slope_at_opt", np.shape(fit.criterion_slope_at_opt), (q,)),
+    ):
+        if got != want:
+            raise ValueError(f"fit {name} has shape {got}; the model needs {want}")
+    widths = sorted({len(lam) + 1 for lam, _ in fit.trace})
+    if widths != [q + 1]:
+        raise ValueError(f"fit trace rows hold {widths} numbers; the model needs {q + 1}: "
+                         "lambda_1..lambda_q, then the value")
     tuned = edge_status(fit.lambda_hat, fit.lambda_box)
     if set(fit.boundary_status) != {BoundaryStatus.FIXED} and fit.boundary_status != tuned:
         raise ValueError(

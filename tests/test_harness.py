@@ -93,7 +93,8 @@ def test_replicate_aggregates_recompute_exactly():
     dgp = DGPSpec(DGPKind.LINEAR_GAUSSIAN, n=120, params={"beta": (1.0, 1.0, 0.5), "coef_sq": 0.5})
     summary = replicate(dgp, _config(), B=6, seed=11)
     assert summary.theta_draws.shape == (6 - len(summary.failure_indices), 3)
-    assert np.array_equal(summary.empirical_variance, summary.recompute_empirical_variance())
+    scaled = np.sqrt(summary.n) * summary.theta_draws
+    assert np.array_equal(summary.empirical_variance, np.cov(scaled, rowvar=False, ddof=1))
     e1, e2 = summary.abs_errors()
     assert e1.shape == e2.shape == (3, 3)
     assert summary.failure_rate <= 0.05 + 1e-12

@@ -7,9 +7,10 @@ import pytest
 
 from tunevar import (
     Dataset, EvaluationError, GaussianLikelihoodModel, HybridModel, LossSpec, Method, ModelSpec,
-    RidgeLinearModel, RidgeLogisticModel, loocv_exact, rowwise, select_variance, solve_theta,
-    theta_prime, training_error, tune,
+    CriterionFailure, RidgeLinearModel, RidgeLogisticModel, TunevarError, loocv_exact, rowwise,
+    select_variance, solve_theta, theta_prime, tune, variance_alpha,
 )
+from tunevar import solver
 from tunevar.model import SLOT_SHAPES, row_mean, slot_values
 
 from conftest import make_linear_data, make_logistic_data
@@ -162,8 +163,9 @@ def test_replace_refills_fallbacks_of_the_old_instance():
     assert np.allclose(F, 2.0) and np.allclose(S, -6.0)
     # the old spec is untouched, and a slot given explicitly is kept
     assert np.allclose(spec.phi_loo_sum(Z, th[None], [0], lm), 2.0)
-    kept = dataclasses.replace(twice, dphi_dtheta_batch=spec.phi_batch)
-    assert kept.dphi_dtheta_batch is spec.phi_batch
+    ones = rowwise(lambda z, th, lm: np.ones((1, 1)))
+    kept = dataclasses.replace(twice, dphi_dtheta_batch=ones)
+    assert kept.dphi_dtheta_batch is ones
     assert np.allclose(kept.jac_loo_sum(Z, th[None], [0], lm), 2.0)
 
     loss = LossSpec(psi_batch=rowwise(lambda z, th: (z[0] - th[0]) ** 2))
@@ -376,15 +378,9 @@ def _loocv_exact(spec, loss, data, fit):
     loocv_exact(spec, loss, data, fit.lambda_hat)
 
 
-def _training_error(spec, loss, data, fit):
-    training_error(spec, loss, data, fit.lambda_hat)
-
-
 # slot -> the public call that reads it. A spec with a replaced phi_batch
-# (psi_batch) takes every other slot's fallback, so the reader must call it
-# before a fallback differences it: select_variance calls phi_batch first
-# in tuner.check_fit, through the fallback phi_jac_sum, and training_error
-# calls psi_batch directly
+# (psi_batch) takes every other slot's fallback, and each fallback reads it
+# through slot_values, so the error names it whichever slot is read first
 SLOT_READERS = {
     "phi_batch": select_variance,
     "phi_jac_sum": _fit_and_theta_prime,
@@ -393,7 +389,7 @@ SLOT_READERS = {
     "phi_loo_sum": _loocv_exact,
     "jac_loo_sum": _loocv_exact,
     "psi_rowwise": _loocv_exact,
-    "psi_batch": _training_error,
+    "psi_batch": select_variance,
     "hess_phi_theta": select_variance,
     "dphi_dlambda_dtheta": select_variance,
     "grad_psi_batch": select_variance,
@@ -420,3 +416,126 @@ def test_a_wrong_shape_slot_raises_evaluation_error_naming_it(slot, interior_log
         specs = (bad, loss) if owner is spec else (spec, bad)
         with pytest.raises(EvaluationError, match=rf"^{slot} returned shape"):
             SLOT_READERS[slot](*specs, data, fit)
+
+
+def _tuned_with(method):
+    def reader(spec, loss, data, fit):
+        tune(spec, loss, data, method, grid_size=5)
+
+    return reader
+
+
+# the public calls that read a built-in's phi_batch or psi_batch, directly
+# or through the fallbacks that a replaced one gives every other slot
+READERS = {
+    "tune-cv_fast": _tuned_with(Method.CV_FAST),
+    "tune-cv": _tuned_with(Method.CV_EXACT),
+    "tune-te_trace": _tuned_with(Method.TE_TRACE_CORRECTED),
+    "select_variance": select_variance,
+    "variance_alpha": variance_alpha,
+}
+
+
+@pytest.mark.parametrize("reader", list(READERS))
+@pytest.mark.parametrize("slot", ["phi_batch", "psi_batch"])
+def test_every_reader_names_a_replaced_built_in_slot(slot, reader, interior_logistic_fit):
+    # a psi_batch of shape (n, 1) used to surface as a bare TypeError from
+    # LossSpec.psi under tune, and under grad_psi_batch's or hess_psi's name
+    # in the variance code; tune quotes the error in its CriterionFailure
+    data, spec, loss, fit = interior_logistic_fit
+    owner = spec if slot == "phi_batch" else loss
+    good = getattr(owner, slot)
+    bad = dataclasses.replace(owner, **{slot: lambda *a: np.asarray(good(*a))[..., None]})
+    specs = (bad, loss) if owner is spec else (spec, bad)
+    with pytest.raises(TunevarError) as exc:
+        READERS[reader](*specs, data, fit)
+    err = exc.value
+    assert isinstance(err, (EvaluationError, CriterionFailure))
+    quoted = "" if isinstance(err, EvaluationError) else "EvaluationError: "
+    assert re.search(rf"(^|: ){quoted}{slot} returned shape \(\d+, ", str(err)), str(err)
+
+
+def test_a_wrong_shape_jacobian_is_named_by_the_fallback_pair():
+    # the fallback phi_jac_sum sums dphi_dtheta_batch; a (n, 1, 1, 1) stack
+    # used to fail as "phi_jac_sum returned shape (1, 1, 1)"
+    spec = dataclasses.replace(
+        _line_spec(), dphi_dtheta_batch=lambda Z, th, lm: -np.ones((len(Z), 1, 1, 1))
+    )
+    Z, th, lm = np.ones((3, 1)), np.zeros(1), np.zeros(1)
+    message = re.escape("dphi_dtheta_batch returned shape (3, 1, 1, 1), expected (3, 1, 1)")
+    with pytest.raises(EvaluationError, match="^" + message + "$"):
+        solve_theta(spec, Dataset(Z), lm, th)
+
+
+def test_a_non_finite_value_at_a_difference_point_names_the_differenced_slot():
+    # phi (psi) is finite at theta = 0.5 and NaN above it, so the central
+    # difference there reads a NaN; the Jacobian used to come back NaN
+    spec = ModelSpec(p=1, q=1, phi_batch=rowwise(
+        lambda z, th, lm: np.where(th <= 0.5, z[:1] - th, np.nan)
+    ))
+    loss = LossSpec(psi_batch=rowwise(lambda z, th: z[0] - th[0] if th[0] <= 0.5 else np.nan))
+    Z, th, lm = np.array([[0.2], [0.4]]), np.array([0.5]), np.zeros(1)
+    for slot in ("dphi_dtheta_batch", "dphi_dlambda_dtheta", "hess_phi_theta", "phi_jac_sum"):
+        with pytest.raises(EvaluationError, match=r"^phi_batch produced non-finite values$"):
+            slot_values(spec, slot, Z, th, lm)
+    with pytest.raises(EvaluationError, match=r"^phi_batch produced non-finite values$"):
+        solve_theta(spec, Dataset(Z), lm, th)
+    for slot in ("grad_psi_batch", "hess_psi"):
+        with pytest.raises(EvaluationError, match=r"^psi_batch produced non-finite values$"):
+            slot_values(loss, slot, Z, th)
+
+
+def _capped_tanh(cap):
+    # phi = tanh(z - theta), p = 1, infinite for theta above cap
+    return rowwise(lambda z, th, lm: np.tanh(z[:1] - th) if th[0] <= cap else np.full(1, np.inf))
+
+
+def test_a_non_finite_leave_one_out_iterate_keeps_every_other_root_bitwise():
+    # the fallback phi_loo_sum now raises for a non-finite phi, and its chunk
+    # is evaluated again one theta at a time; the twin supplies the sum that
+    # the fallback used to compute, which returns a non-finite sum instead
+    # and so keeps the chunk whole: every root must match it bit for bit
+    z = np.concatenate([[-8.0], np.random.default_rng(5).normal(0.3, 0.5, 149)])
+    data = Dataset(z[:, None])
+    free = ModelSpec(p=1, q=1, phi_batch=_capped_tanh(np.inf))
+    roots, ok = solver.solve_loo_all(free, data, solve_theta(free, data, [0.0], np.zeros(1)))
+    assert ok.all() and np.argmax(roots[:, 0]) == 0  # the outlier's problem has the top root
+    spec = ModelSpec(p=1, q=1, phi_batch=_capped_tanh(0.5 * (roots[0, 0] + np.sort(roots[:, 0])[-2])))
+
+    def parent_sum(Z, Th, rows, lm):
+        F = np.stack([spec.phi_batch(Z, th, lm) for th in Th])
+        with np.errstate(invalid="ignore"):
+            return F.sum(axis=1) - F[np.arange(len(Th)), rows]
+
+    twin = dataclasses.replace(spec, phi_loo_sum=parent_sum)
+    loss = LossSpec(psi_batch=rowwise(lambda z, th: (z[0] - th[0]) ** 2))
+    solve = solve_theta(spec, data, [0.0], np.zeros(1))
+    thetas, converged = solver.solve_loo_all(spec, data, solve)
+    assert not converged[0] and converged[1:].all()
+    want, want_converged = solver.solve_loo_all(twin, data, solve)
+    assert np.array_equal(converged, want_converged)
+    assert np.array_equal(thetas, want, equal_nan=True)
+    cv, cv_twin = (loocv_exact(m, loss, data, [0.0], solve=solve) for m in (spec, twin))
+    assert cv.value == cv_twin.value and cv.diagnostics == cv_twin.diagnostics
+
+
+def test_the_lambda_fallbacks_difference_inside_lambda_domain():
+    # phi is NaN outside the box, where truncated_estimate allows a model to
+    # be undefined: at an edge the lambda differences are one-sided, where
+    # theta' used to come back NaN
+    box = (0.3, 1.0)
+    built = RidgeLinearModel(2, lambda_domain=box).spec()
+
+    def phi_batch(Z, th, lm):
+        F = built.phi_batch(Z, th, lm)
+        return F if box[0] <= lm[0] <= box[1] else np.full_like(F, np.nan)
+
+    spec = dataclasses.replace(built, phi_batch=phi_batch)
+    data = make_linear_data(n=100, seed=1)
+    for lam in box:
+        solve = solve_theta(spec, data, [lam], np.zeros(3))
+        D = theta_prime(spec, data, solve)
+        assert np.allclose(D, theta_prime(built, data, solve), rtol=1e-7, atol=1e-9)
+        args = (data.rows, solve.theta_hat, np.array([lam]))
+        assert np.allclose(spec.dphi_dlambda_dtheta(*args), built.dphi_dlambda_dtheta(*args),
+                           atol=1e-6)

@@ -71,3 +71,22 @@ def test_step_sizes_scale_with_magnitude():
 
     big = numdiff.jacobian(f, np.array([1e6]))[0, 0]
     assert abs(big - 2e6) / 2e6 < 1e-7
+
+
+def test_jacobian_in_box_steps_only_inside_the_box():
+    # f is NaN outside [0, 1] x [-1, 1]: a coordinate on an edge takes the
+    # one-sided difference into the box, the others the central one
+    def f(x):
+        inside = 0.0 <= x[0] <= 1.0 and -1.0 <= x[1] <= 1.0
+        return np.array([x[0] ** 2 + x[1], x[0] * x[1]]) if inside else np.full(2, np.nan)
+
+    box = np.array([[0.0, 1.0], [-1.0, 1.0]])
+    for x in ([0.0, 0.5], [1.0, -1.0], [0.3, 1.0]):
+        x = np.array(x)
+        J = numdiff.jacobian_in_box(f, x, box, numdiff.STEP_FIRST)
+        assert np.allclose(J, [[2 * x[0], 1.0], [x[1], x[0]]], atol=1e-4)
+    x = np.array([0.4, 0.2])
+    assert np.array_equal(numdiff.jacobian_in_box(f, x, box, numdiff.STEP_FIRST),
+                          numdiff.jacobian(f, x))
+    assert np.array_equal(numdiff.jacobian_in_box(f, x, None, 1e-3),
+                          numdiff.jacobian(f, x, scale=1e-3))

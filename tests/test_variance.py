@@ -136,6 +136,26 @@ def test_select_variance_refuses_an_edited_tuned_fit(case):
         select_variance(spec, loss, data, fit)
 
 
+# field -> an edit that gives it another shape than the model's p and q
+_RESHAPES = {
+    "theta_hat": lambda fit: np.append(fit.theta_hat, 0.0),  # was numpy's matmul error
+    "lambda_hat": lambda fit: np.append(fit.lambda_hat, 0.0),
+    "D_hat": lambda fit: fit.D_hat.ravel(),  # was read as a distance from theta'
+    "lambda_box": lambda fit: fit.lambda_box[0],  # was an IndexError
+    "boundary_status": lambda fit: fit.boundary_status * 2,
+    "criterion_slope_at_opt": lambda fit: fit.criterion_slope_at_opt[0],
+    "trace": lambda fit: fit.trace + (((0.5, 0.5), 1.0),),
+}
+
+
+@pytest.mark.parametrize("field", list(_RESHAPES))
+def test_select_variance_refuses_a_fit_of_another_shape(field):
+    data, spec, loss, fit = _interior_fit()
+    fit = dataclasses.replace(fit, **{field: _RESHAPES[field](fit)})
+    with pytest.raises(ValueError, match=rf"^fit {field} (has shape|rows hold)"):
+        select_variance(spec, loss, data, fit)
+
+
 def test_select_variance_takes_a_fit_at_a_fixed_lambda():
     data = make_linear_data(n=250, seed=0, coef_sq=0.5)
     m = RidgeLinearModel(2, lambda_domain=(0.0, 1.0))
