@@ -18,6 +18,7 @@ Both are fixed by the exact hat-matrix identity in the ridge linear case.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -51,7 +52,7 @@ class CriterionValue:
     diagnostics: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not np.isfinite(self.value):
+        if not math.isfinite(self.value):
             raise TunevarError(f"{self.method.value} produced a non-finite value")
 
 
@@ -150,12 +151,13 @@ def loocv_fast(
     The steps are solver.pinned_influences(solve) / n: one checked inverse
     of J_hat applied to the n rows of solve.Phi by a matrix product. That is
     cheaper than a solve with the n rows as right-hand sides, whose LAPACK
-    time grows with n, and agrees with it to roundoff, not bitwise.
+    time grows with n, and agrees with it to roundoff, not bitwise. The
+    average is psi's sum over n, the formula of numpy's mean, bit for bit.
     """
     solve = _fit(model, data, lam, solve, model.theta_init)
-    steps = pinned_influences(solve) / data.n  # (n, p)
-    thetas = solve.theta_hat[None, :] - steps
-    value = float(slot_values(loss, "psi_rowwise", data.rows, thetas).mean())
+    n = data.n
+    thetas = solve.theta_hat[None, :] - pinned_influences(solve) / n  # (n, p)
+    value = float(slot_values(loss, "psi_rowwise", data.rows, thetas).sum() / n)
     return CriterionValue(value, Method.CV_FAST)
 
 

@@ -364,7 +364,7 @@ def _checked(slot, values, want, finite):
     out = np.asarray(values, dtype=float)
     if out.shape != want:
         raise EvaluationError(f"{slot} returned shape {out.shape}, expected {want}")
-    if finite and not np.all(np.isfinite(out)):
+    if finite and not np.isfinite(out).all():
         raise EvaluationError(f"{slot} produced non-finite values")
     return out
 
@@ -386,6 +386,8 @@ def slot_values(spec, slot: str, Z: np.ndarray, theta, *rest):
 
 def row_mean(A) -> np.ndarray:
     """A.mean(axis=0) of a float array, bit for bit: numpy's float64 mean is
-    the same sum divided by the row count, after more dispatch overhead."""
+    the same sum divided by the row count, after more dispatch overhead.
+    solver._newton inlines this formula, F.sum(axis=0) / n, for its
+    residuals."""
     A = np.asarray(A, dtype=float)
     return A.sum(axis=0) / len(A)

@@ -71,16 +71,15 @@ def default_penalty_mask(p: int) -> np.ndarray:
 
 
 def _expit(t):
-    # e = exp(-|t|) never overflows; for t < 0 it is exp(t). The numerator
-    # maximum(e, t >= 0) is exactly 1.0 for t >= 0 (there e <= 1) and e
-    # otherwise (there e < 1, and a NaN t gives NaN), so the quotient rounds
-    # as 1/(1+exp(-t)) and exp(t)/(1+exp(t)) would, bit for bit. It replaces
-    # np.where over both quotients, whose data-dependent select costs several
-    # times a pass of exp. Every pass runs in place on the function's own
-    # temporaries; t is only read.
-    e = np.empty(np.shape(t))
-    np.abs(t, out=e)
-    np.negative(e, out=e)
+    # e = exp(-|t|) never overflows; for t < 0 it is exp(t). -|t| is
+    # copysign(t, -1), one pass where abs then negative took two. The
+    # numerator maximum(e, t >= 0) is exactly 1.0 for t >= 0 (there e <= 1)
+    # and e otherwise (there e < 1, and a NaN t gives NaN), so the quotient
+    # rounds as 1/(1+exp(-t)) and exp(t)/(1+exp(t)) would, bit for bit. It
+    # replaces np.where over both quotients, whose data-dependent select
+    # costs several times a pass of exp. Every pass after the first runs in
+    # place on the function's own temporaries; t is only read.
+    e = np.copysign(t, -1.0)
     np.exp(e, out=e)
     out = np.maximum(e, t >= 0)
     e += 1.0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,9 @@ class SolveResult:
 
 
 def default_tol(theta_init) -> float:
-    return 1e-10 * (1.0 + float(np.linalg.norm(theta_init)))
+    # 1e-10 * (1 + ||theta_init||_2): np.linalg.norm's formula, sqrt(x @ x)
+    t = np.asarray(theta_init, dtype=float).ravel()
+    return 1e-10 * (1.0 + math.sqrt(t @ t))
 
 
 def checked_inv(A, label):
@@ -52,19 +55,27 @@ def checked_inv(A, label):
     bitwise np.linalg.solve(A, np.eye(len(A))), and the check screens with
     it by the rule of well_conditioned: ||A||_F ||A^-1||_F bounds cond_2(A)
     from above, so a bound at most COND_LIMIT / 10 passes without an SVD.
-    Any other matrix, and one that np.linalg.inv finds exactly singular,
-    takes the SVD test np.linalg.cond(A) <= COND_LIMIT, which decides and
-    puts its condition number in the message.
+    The inverse comes first, and each norm is np.linalg.norm's formula,
+    sqrt(a @ a) over the entries. A NaN or infinite entry makes the bound
+    NaN or inf, whether np.linalg.inv raises on A or returns NaN or finite
+    entries, and a matrix that np.linalg.inv finds exactly singular gets
+    bound inf. Only a matrix that fails the screen runs the finiteness
+    check, which raises "has non-finite entries", and then the SVD test
+    np.linalg.cond(A) <= COND_LIMIT, which decides and puts its condition
+    number in the message.
     """
-    if not np.isfinite(A).all():
-        raise SingularJacobian(f"{label} has non-finite entries")
+    A = np.asarray(A, dtype=float)
     try:
         Ainv = np.linalg.inv(A)
     except np.linalg.LinAlgError:
-        Ainv = None
-    # Python floats: an overflowing bound is inf (or nan), not a warning
-    bound = np.inf if Ainv is None else float(np.linalg.norm(A)) * float(np.linalg.norm(Ainv))
+        Ainv, bound = None, math.inf
+    else:
+        # Python floats: an overflowing product is inf (or nan), not a warning
+        a, b = A.ravel("K"), Ainv.ravel("K")
+        bound = math.sqrt(a @ a) * math.sqrt(b @ b)
     if not bound <= COND_LIMIT / 10:
+        if not np.isfinite(A).all():
+            raise SingularJacobian(f"{label} has non-finite entries")
         cond = np.linalg.cond(A)
         if not np.isfinite(cond) or cond > COND_LIMIT:
             raise SingularJacobian(f"{label} condition number {cond:.3e} exceeds 1e12")
@@ -76,8 +87,10 @@ def checked_inv(A, label):
 def checked_solve(A, rhs, label):
     """Solve A x = rhs; SingularJacobian unless A is finite with cond(A) <= COND_LIMIT.
 
-    The check is checked_inv's. x is np.linalg.solve(A, rhs), not the
-    inverse times rhs, whose rounding differs.
+    The check is checked_inv's, in its order: the inverse and its screen
+    first, the finiteness check and the SVD test only for a matrix that
+    fails the screen. x is np.linalg.solve(A, rhs), not the inverse times
+    rhs, whose rounding differs.
     """
     checked_inv(A, label)
     return np.linalg.solve(A, rhs)
@@ -90,20 +103,21 @@ def _newton(model: ModelSpec, Z: np.ndarray, lam, theta_init, tol) -> SolveResul
     line-search candidate, rejected ones included. The accepted iterate's
     (F, S) give the residual, the next step's Jacobian S / n and, at the
     root, SolveResult.Phi = F and J_hat = -(S / n), so no slot is called
-    again at theta_hat.
+    again at theta_hat. The mean residual is row_mean's formula, inlined.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     theta = model.clip_theta(np.asarray(theta_init, dtype=float).copy())
     # F, S: the per-row phi and the summed theta-Jacobian of the current iterate
     F, S = slot_values(model, "phi_jac_sum", Z, theta, lam)
-    Phi = row_mean(F)
+    n = len(Z)
+    Phi = F.sum(axis=0) / n
     fval = float(Phi @ Phi)
     it = 0
     for it in range(1, MAX_ITER + 1):
-        if np.sqrt(fval) <= tol:
+        if math.sqrt(fval) <= tol:
             it -= 1
             break
-        step = -checked_solve(S / len(Z), Phi, "Jacobian")
+        step = -checked_solve(S / n, Phi, "Jacobian")
         accepted = False
         projected = False
         t = 1.0
@@ -113,7 +127,7 @@ def _newton(model: ModelSpec, Z: np.ndarray, lam, theta_init, tol) -> SolveResul
                 cand = model.clip_theta(cand)
                 projected = True
             F_c, S_c = slot_values(model, "phi_jac_sum", Z, cand, lam)
-            Phi_c = row_mean(F_c)
+            Phi_c = F_c.sum(axis=0) / n
             f_c = float(Phi_c @ Phi_c)
             # Newton direction: directional derivative of ||Phi||^2 is -2 fval.
             if f_c <= fval * (1.0 - 2.0 * ARMIJO * t):
@@ -127,11 +141,11 @@ def _newton(model: ModelSpec, Z: np.ndarray, lam, theta_init, tol) -> SolveResul
                     "iterate left theta_domain and projection did not reduce the residual"
                 )
             break
-    residual = float(np.sqrt(fval))
+    residual = math.sqrt(fval)
     if residual > tol:
         raise NoConvergence(f"Newton stalled at residual {residual:.3e} > tol {tol:.3e}")
-    J_hat = -(S / len(Z))
-    if not np.all(np.isfinite(J_hat)):
+    J_hat = -(S / n)
+    if not np.isfinite(J_hat).all():
         raise SingularJacobian("empirical Jacobian has non-finite entries")
     return SolveResult(theta, lam, it, residual, J_hat, F)
 

@@ -91,17 +91,18 @@ class _Evaluator:
         key = tuple(float(v) for v in np.atleast_1d(lam))
         if key in self.cache:
             return self.cache[key]
+        lam = np.asarray(key)
         try:
-            solve = solve_theta(self.model, self.data, np.asarray(key), self.warm)
+            solve = solve_theta(self.model, self.data, lam, self.warm)
             cv = evaluate_criterion(
-                self.method, self.model, self.loss, self.data, np.asarray(key),
+                self.method, self.model, self.loss, self.data, lam,
                 theta_init=self.warm, solve=solve,
                 split=self.split, seed=self.seed,
             )
         except TunevarError as exc:
             self.cache[key] = None
             if self.first_failure is None:
-                self.first_failure = f"lambda = {np.asarray(key)}: {type(exc).__name__}: {exc}"
+                self.first_failure = f"lambda = {lam}: {type(exc).__name__}: {exc}"
             return None
         self.warm = solve.theta_hat
         self.cache[key] = cv.value

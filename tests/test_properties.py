@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -240,9 +240,16 @@ CV_FAST_CASE = dict(
 
 @settings(max_examples=60, deadline=None)
 @given(**CV_FAST_CASE)
+# near-separated: theta_hat ~ (77, 306, -81), cond(J_hat) = 3.8e4; the rows
+# differ by 1.1e-13 relative and CV_FAST by 3.1e-13 relative
+@example(model="ridge-logistic", seed=1_852_671_414, n=10, lam=0.0)
 def test_loocv_fast_matches_n_column_solve(model, seed, n, lam):
     # the influence steps from one checked inverse against the solve with n
-    # right-hand sides that they replace, and CV_FAST on each
+    # right-hand sides that they replace, and CV_FAST on each. Both solve
+    # J_hat backward stably, so each is within about p eps cond(J_hat) of
+    # the exact rows; 1e-13 stays the bound where that is smaller. CV_FAST
+    # moves by at most the loss's slope at the influence points times the
+    # step's shift, |d psi_i / d theta|_1 |theta_i - theta_i'|_max.
     case = _cv_fast_case(model, seed, n, lam)
     if case is None:
         return
@@ -250,11 +257,42 @@ def test_loocv_fast_matches_n_column_solve(model, seed, n, lam):
     want = np.linalg.solve(solve.J_hat, solve.Phi.T).T
     got = pinned_influences(solve)
     assert got.shape == want.shape == (n, spec.p)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    rel = max(1e-13, spec.p * np.finfo(float).eps * np.linalg.cond(solve.J_hat))
+    shift = rel * np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= shift
     thetas = solve.theta_hat - want / n
     cv_want = float(slot_values(loss, "psi_rowwise", data.rows, thetas).mean())
     cv = loocv_fast(spec, loss, data, [lam], solve=solve).value
-    assert abs(cv - cv_want) <= 1e-13 * abs(cv_want)
+    slope = np.mean([
+        np.abs(slot_values(loss, "grad_psi_batch", data.rows[i:i + 1], thetas[i])).sum()
+        for i in range(n)
+    ])
+    assert abs(cv - cv_want) <= max(1e-13 * abs(cv_want), slope * shift / n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**CV_FAST_CASE)
+def test_loocv_fast_is_the_mean_of_psi_at_the_influence_points(model, seed, n, lam):
+    # its average, psi's sum over n, is numpy's mean bit for bit
+    case = _cv_fast_case(model, seed, n, lam)
+    if case is None:
+        return
+    spec, loss, data, solve = case
+    thetas = solve.theta_hat[None, :] - pinned_influences(solve) / n
+    want = float(slot_values(loss, "psi_rowwise", data.rows, thetas).mean())
+    assert loocv_fast(spec, loss, data, [lam], solve=solve).value == want
+
+
+@given(hnp.arrays(np.float64, st.integers(min_value=0, max_value=8),
+                  elements=st.floats(allow_nan=True, allow_infinity=True)))
+@example(np.array([1e200, -1e200]))  # overflows to inf in both
+@example([3, 4])  # an integer list, converted to float
+def test_default_tol_is_the_norm_formula_bitwise(x):
+    with np.errstate(over="ignore"):  # both warn when x @ x overflows
+        want = 1e-10 * (1.0 + float(np.linalg.norm(x)))
+        got = default_tol(x)
+    assert type(got) is float
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 @settings(max_examples=30, deadline=None)
@@ -611,12 +649,24 @@ def test_well_conditioned_matches_svd_test(seed, p, singular):
 def test_checked_solve_matches_svd_test(seed, p, singular):
     # one matrix at a time: the screened check raises exactly where the SVD
     # test fails, with its message, and otherwise solves and inverts as
-    # np.linalg.solve does, bit for bit
+    # np.linalg.solve does, bit for bit. Three matrices get a NaN, an inf
+    # and a -inf entry at a random place: those raise "non-finite entries",
+    # whatever np.linalg.inv made of them
     A = _conditioned_stack(seed, 40, p, singular)
-    rhs = np.random.default_rng(seed).standard_normal((40, p))
-    cond = np.linalg.cond(A)
-    for M, b, c in zip(A, rhs, cond):
-        if np.isfinite(c) and c <= COND_LIMIT:
+    rng = np.random.default_rng(seed)
+    rhs = rng.standard_normal((40, p))
+    bad = [3, 4, 5]
+    for j, v in zip(bad, (np.nan, np.inf, -np.inf)):
+        A[j, rng.integers(p), rng.integers(p)] = v
+    cond = np.full(40, np.nan)
+    good = np.setdiff1d(np.arange(40), bad)
+    cond[good] = np.linalg.cond(A[good])
+    for j, (M, b, c) in enumerate(zip(A, rhs, cond)):
+        if j in bad:
+            for check in (lambda: checked_solve(M, b, "A"), lambda: checked_inv(M, "A")):
+                with pytest.raises(SingularJacobian, match="^A has non-finite entries$"):
+                    check()
+        elif np.isfinite(c) and c <= COND_LIMIT:
             assert np.array_equal(checked_solve(M, b, "A"), np.linalg.solve(M, b))
             assert np.array_equal(checked_inv(M, "A"), np.linalg.solve(M, np.eye(p)))
         else:

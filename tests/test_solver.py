@@ -251,6 +251,48 @@ def test_checked_solve_skips_the_svd_when_the_bound_decides(monkeypatch):
     assert svds == []
 
 
+@pytest.mark.parametrize("A, inv_raises", [
+    ([[1.0, np.nan], [0.0, 1.0]], False),  # np.linalg.inv returns NaN
+    ([[np.inf, 0.0], [0.0, 1.0]], False),  # ... and here a finite inverse
+    ([[1.0, 0.0], [-np.inf, 1.0]], True),  # np.linalg.inv raises LinAlgError
+    ([[np.nan, 0.0], [1.0, 0.0]], True),
+], ids=["nan-inv-nan", "inf-inv-finite", "minus-inf-inv-raises", "nan-inv-raises"])
+def test_a_non_finite_matrix_fails_the_screen_without_an_svd(monkeypatch, A, inv_raises):
+    # the inverse and its screen come first: a NaN or infinite entry makes
+    # the bound NaN or inf, and the finiteness check names the matrix before
+    # any SVD, whatever np.linalg.inv made of it
+    A = np.array(A)
+    try:
+        np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        assert inv_raises
+    else:
+        assert not inv_raises
+    svds = []
+    monkeypatch.setattr(np.linalg, "cond", lambda M: svds.append(M))
+    for check in (lambda: checked_inv(A, "A"), lambda: checked_solve(A, np.ones(2), "A")):
+        with pytest.raises(SingularJacobian, match="^A has non-finite entries$"):
+            check()
+    assert svds == []
+
+
+def test_a_newton_step_makes_one_inverse_one_solve_and_no_norm(monkeypatch):
+    # the fixed cost of a step: checked_solve's screen inverts once and
+    # solves once; the residual tests and default_tol take no np.linalg.norm
+    spec = RidgeLogisticModel(2).spec()
+    data = make_logistic_data(n=150, seed=1)
+    calls = {"inv": 0, "solve": 0, "norm": 0, "cond": 0}
+    for name in calls:
+        def counted(*args, fn=getattr(np.linalg, name), name=name, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    res = solve_theta(spec, data, [0.01], spec.theta_init)
+    assert res.iterations >= 3
+    assert calls == {"inv": res.iterations, "solve": res.iterations, "norm": 0, "cond": 0}
+
+
 def _count_newton_calls(spec, data, lam, theta_init):
     """(SolveResult, calls per slot, line-search candidates) of one solve.
 

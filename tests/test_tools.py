@@ -1,5 +1,7 @@
 """tools/cli_digest.py --compare: which files differ between two output
-directories, by how much and where."""
+directories, by how much and where; tools/bench_pairs.py: how paired
+benchmark results are aggregated, in which order the runs go, and when
+the script fails."""
 
 import importlib.util
 import json
@@ -7,15 +9,19 @@ from pathlib import Path
 
 import pytest
 
-DIGEST = Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"{name}_under_test", TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
 def cli_digest():
-    spec = importlib.util.spec_from_file_location("cli_digest_under_test", DIGEST)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("cli_digest")
 
 
 def _write(root, files):
@@ -50,3 +56,77 @@ def test_compare_lists_changed_files_with_max_relative_drift(cli_digest, tmp_pat
     ]
     assert cli_digest.main(["--compare", str(old), str(old)]) == 0
     assert capsys.readouterr().out == ""
+
+
+@pytest.fixture
+def bench_pairs():
+    return _load("bench_pairs")
+
+
+END_TO_END = [{"name": "fits_per_s", "better": "higher"},
+              {"name": "job_ms_p50", "better": "lower"}]
+
+
+def _result_line(fits, job_ms, correct=True, failed=0):
+    metrics = {"fits_per_s": {"value": fits, "unit": "1/s"},
+               "job_ms_p50": {"value": job_ms, "unit": "ms"}}
+    return json.dumps({"correct": correct, "attempted": 120, "failed": failed,
+                       "metrics": metrics})
+
+
+def test_bench_pairs_aggregates_medians_quartiles_and_wins(bench_pairs):
+    # canned bench/run.py outputs: the result object is the last line
+    parent = [(50.0, 20.0), (54.0, 18.0), (52.0, 19.0), (60.0, 17.0)]
+    change = [(55.0, 18.0), (53.0, 18.0), (58.0, 17.0), (62.0, 16.0)]
+    pairs = [
+        (bench_pairs.parse_result(f"provenance {{}}\nfits 1\n{_result_line(*a)}\n"),
+         bench_pairs.parse_result(_result_line(*b)))
+        for a, b in zip(parent, change)
+    ]
+    lines = bench_pairs.summarize(END_TO_END, pairs)
+    # fits: parent median 53 [51.5, 55.5], change 56.5, higher in 3 of 4;
+    # job_ms: parent 18.5 [17.75, 19.25], change 17.5, lower in 3 of 4 (a tie)
+    assert lines == [
+        "fits_per_s   parent         53 [51.5, 55.5]  change       56.5"
+        "  (higher is better)  better in 3 of 4",
+        "job_ms_p50   parent       18.5 [17.75, 19.25]  change       17.5"
+        "  (lower is better)  better in 3 of 4",
+    ]
+    assert bench_pairs.failures([("p", pairs[0][0]), ("c", pairs[0][1])]) == []
+    bad = bench_pairs.parse_result(_result_line(50.0, 20.0, correct=False, failed=2))
+    assert bench_pairs.failures([("run", bad)]) == ["run: correct is False", "run: failed = 2"]
+    with pytest.raises(ValueError):
+        bench_pairs.parse_result("\n \n")
+
+
+def _fake_checkout(root, fits, failed=0):
+    # a bench/run.py that logs its checkout and prints one canned result
+    (root / "bench").mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    (root / "bench" / "run.py").write_text(
+        f"with open({str(root.parent / 'order.log')!r}, 'a') as f:\n"
+        f"    f.write({root.name!r} + '\\n')\n"
+        f"print({_result_line(fits, 10.0, correct=not failed, failed=failed)!r})\n"
+    )
+
+
+def test_bench_pairs_alternates_the_order_and_fails_on_a_failed_run(
+    bench_pairs, tmp_path, capsys
+):
+    _fake_checkout(tmp_path / "old", 50.0)
+    _fake_checkout(tmp_path / "new", 60.0)
+    _fake_checkout(tmp_path / "broken", 60.0, failed=1)
+
+    def argv(change, pairs):
+        return ["--parent", str(tmp_path / "old"), "--change", str(tmp_path / change),
+                "--workload", "w", "--pairs", str(pairs), "--seconds", "1"]
+
+    assert bench_pairs.main(argv("new", 3)) == 0
+    assert (tmp_path / "order.log").read_text().split() == ["old", "new", "new", "old",
+                                                            "old", "new"]
+    out = capsys.readouterr().out
+    assert "fits_per_s   parent         50 [50, 50]  change         60" in out
+    assert "better in 3 of 3" in out
+    assert bench_pairs.main(argv("broken", 1)) == 1
+    out = capsys.readouterr().out
+    assert "FAILED: w pair 1 change: correct is False" in out
