@@ -21,19 +21,19 @@ def _steps(x, scale):
     return scale * (1.0 + np.abs(x))
 
 
-def jacobian(f, x, scale=STEP_FIRST):
+def jacobian(f, x):
     """Central-difference Jacobian of an array-valued function at x.
 
     Returns an array of shape f(x).shape + (x.size,), from 2 * x.size
-    evaluations of f.
+    evaluations of f with steps STEP_FIRST * (1 + |x_j|).
     """
-    return jacobian_in_box(f, x, None, scale)
+    return jacobian_in_box(f, x, None, STEP_FIRST)
 
 
 def jacobian_in_box(f, x, box, scale):
-    """jacobian(f, x, scale), evaluating f only inside box ((x.size, 2), or
-    None): a coordinate with one step inside takes the one-sided difference
-    of x and that step; every other column is the central one, bit for bit."""
+    """jacobian(f, x) at step scale, evaluating f only inside box ((x.size,
+    2), or None): a coordinate with one step inside takes the one-sided
+    difference of x and that step; every other column is the central one."""
     x = np.asarray(x, dtype=float)
     h = _steps(x, scale)
     cols = []

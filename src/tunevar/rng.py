@@ -60,6 +60,6 @@ def fisher_yates_permutation(n: int, seed: int) -> np.ndarray:
     return perm
 
 
-def rng_for(seed: int, index: int = 0) -> np.random.Generator:
-    """numpy Generator for substream `index` of `seed`."""
-    return np.random.default_rng(derive_stream(seed, index))
+def rng_for(seed: int) -> np.random.Generator:
+    """numpy Generator for substream 0 of `seed`."""
+    return np.random.default_rng(derive_stream(seed, 0))

@@ -150,13 +150,10 @@ def _newton(model: ModelSpec, Z: np.ndarray, lam, theta_init, tol) -> SolveResul
     return SolveResult(theta, lam, it, residual, J_hat, F)
 
 
-def solve_theta(model: ModelSpec, data: Dataset, lam, theta_init, tol=None) -> SolveResult:
-    """Solve mean_i phi(Z_i, theta, lam) = 0 by damped Newton iteration."""
-    if tol is None:
-        tol = default_tol(theta_init)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return _newton(model, data.rows, lam, theta_init, tol)
+def solve_theta(model: ModelSpec, data: Dataset, lam, theta_init) -> SolveResult:
+    """Solve mean_i phi(Z_i, theta, lam) = 0 by damped Newton iteration,
+    to the residual default_tol(theta_init)."""
+    return _newton(model, data.rows, lam, theta_init, default_tol(theta_init))
 
 
 def theta_prime(model: ModelSpec, data: Dataset, solve: SolveResult) -> np.ndarray:

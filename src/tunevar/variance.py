@@ -65,19 +65,15 @@ def eta_matrix(model: ModelSpec, loss: LossSpec, Z: np.ndarray, theta, lam, D) -
 
 @dataclass(frozen=True)
 class VarianceComponents:
-    """Plug-in matrices of the tuned-estimator limit distribution.
-
-    Partial assemblies (boundary and fixed-lambda fits) carry only J_hat and
-    K_hat; the rest is None.
+    """The matrices of V2 = J^{-1} K J^{-T} (J_hat, K_hat) and of
+    V1 = Astar Kstar_hat Astar' (Kstar_hat, Astar and Z1_hat, which Astar
+    inverts). Partial assemblies (boundary and fixed-lambda fits) carry only
+    J_hat and K_hat; the rest is None.
     """
 
     J_hat: np.ndarray
     K_hat: np.ndarray
     Z1_hat: Optional[np.ndarray] = None
-    Z2_hat: Optional[np.ndarray] = None
-    b_hat: Optional[np.ndarray] = None
-    W_hat: Optional[np.ndarray] = None
-    M_hat: Optional[np.ndarray] = None
     Kstar_hat: Optional[np.ndarray] = None
     Astar: Optional[np.ndarray] = None
 
@@ -108,15 +104,14 @@ def z1_profiled(model, loss, data, fit: FitResult) -> np.ndarray:
 def assemble_components(
     model: ModelSpec, loss: LossSpec, data: Dataset, fit: FitResult,
 ) -> VarianceComponents:
-    """All plug-in matrices at the tuned fit, Z1_hat from z1_profiled.
+    """The matrices of V1 and V2 at the tuned fit, Z1_hat from z1_profiled.
 
     Boundary and fixed-lambda fits get a partial assembly (J_hat, K_hat
     only): the joint-limit components are meaningless when lambda_hat sits on
     an edge or was not tuned.
     """
     theta, lam = fit.theta_hat, np.asarray(fit.lambda_hat, float)
-    Z = data.rows
-    n, p, q = data.n, model.p, model.q
+    Z, n = data.rows, data.n
 
     Phi, S = slot_values(model, "phi_jac_sum", Z, theta, lam)
     J_hat = -(S / n)
@@ -132,11 +127,8 @@ def assemble_components(
     Z1_hat = z1_profiled(model, loss, data, fit)
 
     bJ = b_hat @ Jinv  # row vector b' J^{-1}
-    M_hat = np.zeros((q, p * q))
-    for j in range(q):
-        M_hat[j, j * p : (j + 1) * p] = bJ
-    # W_hat[j] = b' J^{-1} mean_i (H_i D_j + d_lambda_j dphi_dtheta_i), where
-    # row k of H_i D_j is (theta-Hessian of phi^k at row i) @ D_j
+    # (q, p) W_hat: row j is b' J^{-1} mean_i (H_i D_j + d_lambda_j dphi_dtheta_i),
+    # where row k of H_i D_j is (theta-Hessian of phi^k at row i) @ D_j
     HD = slot_values(model, "hess_phi_theta", Z, theta, lam) @ D_hat  # (n, p, p, q)
     cross = slot_values(model, "dphi_dlambda_dtheta", Z, theta, lam)  # (n, q, p, p)
     W_hat = bJ @ (np.moveaxis(HD, -1, 1).mean(axis=0) + cross.mean(axis=0))
@@ -146,14 +138,14 @@ def assemble_components(
 
     Z1_inv = checked_inv(Z1_hat, "Z1_hat")
     DZ1 = D_hat @ Z1_inv  # (p, q)
-    # Astar's column blocks act on eta1 = phi (A1), eta2 and eta3 (A3)
+    # Astar's column blocks act on eta1 = phi (A1), eta2 and eta3 (A3); A3's
+    # block j, acting on eta3's entries of theta' column j, is -DZ1[:, j] b' J^{-1}
     A1 = Jinv - DZ1 @ (D_hat.T @ Z2_hat + W_hat) @ Jinv
-    A3 = -DZ1 @ M_hat
+    A3 = -np.kron(DZ1, bJ)
     Astar = np.concatenate([A1, -DZ1, A3], axis=1)
 
     return VarianceComponents(
-        J_hat=J_hat, K_hat=K_hat, Z1_hat=Z1_hat, Z2_hat=Z2_hat, b_hat=b_hat,
-        W_hat=W_hat, M_hat=M_hat, Kstar_hat=Kstar_hat, Astar=Astar,
+        J_hat=J_hat, K_hat=K_hat, Z1_hat=Z1_hat, Kstar_hat=Kstar_hat, Astar=Astar,
     )
 
 
@@ -245,8 +237,10 @@ def variance_alpha(
     Psi'^{-1} K* Psi'^{-T} in exact arithmetic. Psi' reads the same
     derivative slots as assemble_components, so its theta-block differs from
     variance_tuned only where z1_profiled differs from the curvature in
-    lambda that Psi' implies.
+    lambda that Psi' implies. ValueError first, from tuner.check_fit, unless
+    fit was made of model on data, as in select_variance.
     """
+    check_fit(model, data, fit)
     if not fit.interior:
         raise BoundaryFit("variance_alpha needs an interior fit")
     U = alpha_influences(model, loss, data, fit.theta_hat, fit.lambda_hat, fit.D_hat)

@@ -35,11 +35,10 @@ from tunevar import (
     variance_tuned,
 )
 from tunevar.model import Dataset
-from tunevar.numdiff import jacobian
 from tunevar.rng import derive_stream, fisher_yates_permutation
 from tunevar.variance import _joint_jacobian
 
-from conftest import make_linear_data, rel_err
+from conftest import fd_check, make_linear_data, rel_err, unit_draw
 from test_variance import fd_joint_jacobian
 
 
@@ -293,7 +292,7 @@ def test_acceptance_8_boundary_mixture_law():
     config = PipelineConfig(
         model=m.spec(),
         loss=m.squared_error_loss(weight_fn=lambda X: 1.0 + X[:, 1] ** 2),
-        method=Method.CV_FAST, grid_size=12, compute_variance=False,
+        method=Method.CV_FAST, grid_size=12,
     )
     report = mixture_law_check(dgp, config, theta0=np.asarray(beta), B=500, seed=31)
     worst = float(report.ks_statistics.max())
@@ -314,14 +313,7 @@ def test_acceptance_9_derivative_and_invariance_suites():
         ("ridge-logistic", RidgeLogisticModel(2).spec(),
          simulate(DGPSpec(DGPKind.LOGISTIC_TRUE, n=40, params={"beta": (0.2, 1.0, -0.5)}), 72)),
     ]:
-        rng = np.random.default_rng(73)
-        worst = 0.0
-        for _ in range(10):
-            z = data.rows[rng.integers(data.n)][None]
-            th = rng.uniform(-0.8, 0.8, size=spec.p)
-            lm = rng.uniform(0.05, 0.5, size=1)
-            J_fd = jacobian(lambda t: spec.phi_batch(z, t, lm), th)
-            worst = max(worst, rel_err(spec.dphi_dtheta_batch(z, th, lm), J_fd))
+        worst = fd_check(spec, data, unit_draw(spec), seed=73)
         ok &= worst <= 1e-5
         notes.append(f"{name} fd err {worst:.1e}")
 

@@ -16,6 +16,7 @@ from tunevar import (
     RidgeLinearModel,
     RidgeLogisticModel,
     TunevarError,
+    evaluate_criterion,
     holdout_error,
     info_criterion,
     loocv_exact,
@@ -554,3 +555,24 @@ def test_a_replaced_psi_batch_is_tuned_and_differentiated_through_the_fallbacks(
     width = spec.lambda_domain[:, 1] - spec.lambda_domain[:, 0]
     assert np.all(np.abs(got[0].lambda_hat - fit.lambda_hat) <= 1e-6 * width)
     assert got[1].selected == report.selected
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_evaluate_criterion_returns_the_direct_criterion_bit_for_bit(method):
+    # the dispatch the tuner and the CLI use, against each criterion function
+    data = make_linear_data(n=40, seed=21)
+    m = RidgeLinearModel(2)
+    spec, loss = m.spec(), m.squared_error_loss()
+    lam = [0.3]
+    direct = {
+        Method.TE: lambda: training_error(spec, loss, data, lam),
+        Method.CV_EXACT: lambda: loocv_exact(spec, loss, data, lam),
+        Method.CV_FAST: lambda: loocv_fast(spec, loss, data, lam),
+        Method.TE_TRACE_CORRECTED: lambda: te_trace_corrected(spec, loss, data, lam),
+        Method.HOLDOUT: lambda: holdout_error(spec, loss, data, lam, split=0.6, seed=5),
+    }
+    want = direct.get(method, lambda: info_criterion(spec, loss, data, lam, method))()
+    got = evaluate_criterion(method, spec, loss, data, lam, split=0.6, seed=5)
+    assert got.method is method
+    assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+    assert got.diagnostics == want.diagnostics

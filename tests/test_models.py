@@ -14,53 +14,7 @@ from tunevar import (
 )
 from tunevar.numdiff import jacobian
 
-from conftest import make_linear_data, make_logistic_data
-
-
-def _row_rel_err(a, b):
-    """Largest per-row relative (Frobenius) error of two per-row stacks."""
-    n = len(b)
-    diff = np.linalg.norm(np.reshape(a - b, (n, -1)), axis=1)
-    return np.max(diff / np.maximum(np.linalg.norm(np.reshape(b, (n, -1)), axis=1), 1e-300))
-
-
-def _unit_draw(spec):
-    def draw(rng):
-        th = spec.clip_theta(rng.uniform(-0.8, 0.8, size=spec.p))
-        return th, rng.uniform(0.05, 0.5, size=spec.q)
-
-    return draw
-
-
-def _fd_check(spec, data, draw, n_draws=10, seed=0, tol=1e-5):
-    """Analytic slots against finite differences of the batch slots.
-
-    Each draw of (theta, lambda) differences all sampled rows at once.
-    """
-    rng = np.random.default_rng(seed)
-    Z = data.rows[rng.integers(data.n, size=30)]
-    for _ in range(n_draws):
-        th, lm = draw(rng)
-
-        J = spec.dphi_dtheta_batch(Z, th, lm)
-        J_fd = jacobian(lambda t: spec.phi_batch(Z, t, lm), th)
-        assert J.shape == (30, spec.p, spec.p)
-        assert _row_rel_err(J, J_fd) < tol
-
-        L = spec.dphi_dlambda_batch(Z, th, lm)
-        L_fd = jacobian(lambda l: spec.phi_batch(Z, th, l), lm)
-        assert L.shape == (30, spec.p, spec.q)
-        assert np.allclose(L, L_fd, rtol=tol, atol=tol)
-
-        X = spec.dphi_dlambda_dtheta(Z, th, lm)
-        X_fd = jacobian(lambda t: spec.dphi_dlambda_batch(Z, t, lm), th)  # (n, p, q, p)
-        assert X.shape == (30, spec.q, spec.p, spec.p)
-        assert np.allclose(X, np.moveaxis(X_fd, 2, 1), rtol=1e-3, atol=1e-4)
-
-        H = spec.hess_phi_theta(Z, th, lm)
-        H_fd = jacobian(lambda t: spec.dphi_dtheta_batch(Z, t, lm), th)
-        assert H.shape == (30, spec.p, spec.p, spec.p)
-        assert np.allclose(H, H_fd, rtol=1e-3, atol=1e-4)
+from conftest import fd_check, make_linear_data, make_logistic_data, unit_draw
 
 
 def _loss_fd_check(loss, Z, th):
@@ -80,13 +34,13 @@ def _loss_fd_check(loss, Z, th):
 def test_ridge_linear_derivatives_match_fd():
     data = make_linear_data(n=40, seed=1)
     spec = RidgeLinearModel(2).spec()
-    _fd_check(spec, data, _unit_draw(spec), seed=1)
+    fd_check(spec, data, unit_draw(spec), seed=1)
 
 
 def test_ridge_logistic_derivatives_match_fd():
     data = make_logistic_data(n=40, seed=2)
     spec = RidgeLogisticModel(2).spec()
-    _fd_check(spec, data, _unit_draw(spec), seed=2)
+    fd_check(spec, data, unit_draw(spec), seed=2)
 
 
 def test_gaussian_model_derivatives_match_fd():
@@ -97,7 +51,7 @@ def test_gaussian_model_derivatives_match_fd():
     def draw(rng):
         return np.array([rng.uniform(-1, 1), rng.uniform(0.5, 2.0)]), np.zeros(1)
 
-    _fd_check(spec, data, draw, seed=4)
+    fd_check(spec, data, draw, seed=4)
 
 
 def test_builtin_losses_match_fd():

@@ -88,5 +88,5 @@ def test_jacobian_in_box_steps_only_inside_the_box():
     x = np.array([0.4, 0.2])
     assert np.array_equal(numdiff.jacobian_in_box(f, x, box, numdiff.STEP_FIRST),
                           numdiff.jacobian(f, x))
-    assert np.array_equal(numdiff.jacobian_in_box(f, x, None, 1e-3),
-                          numdiff.jacobian(f, x, scale=1e-3))
+    assert np.array_equal(numdiff.jacobian_in_box(f, x, box, 1e-3),
+                          numdiff.jacobian_in_box(f, x, None, 1e-3))

@@ -1,7 +1,8 @@
 """tools/cli_digest.py --compare: which files differ between two output
 directories, by how much and where; tools/bench_pairs.py: how paired
 benchmark results are aggregated, in which order the runs go, and when
-the script fails."""
+the script fails; tools/settable_count.py: the pinned number of settable
+values."""
 
 import importlib.util
 import json
@@ -130,3 +131,12 @@ def test_bench_pairs_alternates_the_order_and_fails_on_a_failed_run(
     assert bench_pairs.main(argv("broken", 1)) == 1
     out = capsys.readouterr().out
     assert "FAILED: w pair 1 change: correct is False" in out
+
+
+def test_settable_count_is_pinned(capsys):
+    # library 57 + CLI 64; a change that adds or removes a setting updates
+    # this pin and says why
+    counter = _load("settable_count")
+    assert (counter.library_count(), counter.cli_count()) == (57, 64)
+    counter.main()
+    assert capsys.readouterr().out.split() == ["library", "57", "cli", "64", "total", "121"]

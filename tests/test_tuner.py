@@ -16,6 +16,7 @@ from tunevar import (
     truncated_estimate,
     tune,
 )
+from tunevar import tuner
 from tunevar.model import ModelSpec, rowwise
 
 from conftest import make_linear_data, rel_err
@@ -112,23 +113,48 @@ def test_grid_size_validation():
         tune(spec, loss, data, Method.TE, grid_size=4)
 
 
-def test_pattern_search_two_dim_tuning():
-    # two independent penalty weights via a custom phi; optimum interior
-    data = make_linear_data(n=150, seed=9, coef_sq=0.5)
-
+def _two_penalty_spec(box):
+    # two independent penalty weights via a custom phi
     def phi(z, th, lm):
         x = np.concatenate([[1.0], z[1:]])
         pen = np.array([0.0, lm[0], lm[1]]) * th
         return -2.0 * x * (z[0] - th @ x) + 2.0 * pen
 
-    spec = ModelSpec(
-        p=3, q=2, phi_batch=rowwise(phi), lambda_domain=np.array([[0.0, 1.0], [0.0, 1.0]])
-    )
+    return ModelSpec(p=3, q=2, phi_batch=rowwise(phi), lambda_domain=np.array(box))
+
+
+def test_pattern_search_two_dim_tuning():
+    # optimum interior
+    data = make_linear_data(n=150, seed=9, coef_sq=0.5)
+    spec = _two_penalty_spec([[0.0, 1.0], [0.0, 1.0]])
     loss = RidgeLinearModel(2).squared_error_loss()
     fit = tune(spec, loss, data, Method.CV_FAST, grid_size=7)
     assert fit.lambda_hat.shape == (2,)
     assert fit.criterion_value <= min(v for _, v in fit.trace) + 1e-15
     assert all(0.0 <= v <= 1.0 for v in fit.lambda_hat)
+
+
+def test_product_grid_is_capped_at_ten_thousand_points(monkeypatch):
+    # grid_size**q = 101**2 > 1e4 points: each axis gets floor(1e4 ** (1/q))
+    # = 100; the scan is captured and stopped before any evaluation
+    class Scanned(Exception):
+        pass
+
+    scanned = []
+
+    def capture(ev, points):
+        scanned.append(np.asarray(points))
+        raise Scanned
+
+    monkeypatch.setattr(tuner, "_scan", capture)
+    spec = _two_penalty_spec([[0.0, 1.0], [0.0, 2.0]])
+    loss = RidgeLinearModel(2).squared_error_loss()
+    with pytest.raises(Scanned):
+        tune(spec, loss, make_linear_data(n=50, seed=9), Method.CV_FAST, grid_size=101)
+    (points,) = scanned
+    assert points.shape == (100 * 100, 2)
+    assert np.array_equal(np.unique(points[:, 0]), np.linspace(0.0, 1.0, 100))
+    assert np.array_equal(np.unique(points[:, 1]), np.linspace(0.0, 2.0, 100))
 
 
 def test_truncated_estimate_interior_and_clamped():

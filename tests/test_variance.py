@@ -47,7 +47,7 @@ def z1_chain_rule(model, loss, data, fit: FitResult) -> np.ndarray:
         b = slot_values(loss, "grad_psi_batch", data.rows, res.theta_hat).mean(axis=0)
         return D.T @ b
 
-    return _sym(numdiff.jacobian(g, np.asarray(fit.lambda_hat, float), scale=1e-3))
+    return _sym(numdiff.jacobian_in_box(g, np.asarray(fit.lambda_hat, float), None, 1e-3))
 
 
 def fd_joint_jacobian(model, loss, Z, theta, lam, D) -> np.ndarray:
@@ -232,22 +232,22 @@ def test_components_match_bruteforce_ridge():
     Z2_direct = 2.0 * X.T @ X / data.n
     assert rel_err(comp.J_hat, J_direct) < 1e-12
     assert rel_err(comp.K_hat, K_direct) < 1e-12
-    assert rel_err(comp.b_hat, b_direct) < 1e-12
-    assert rel_err(comp.Z2_hat, Z2_direct) < 1e-12
-    # M block structure for q = 1
-    bJ = b_direct @ np.linalg.inv(J_direct)
-    assert rel_err(comp.M_hat, bJ.reshape(1, 3)) < 1e-10
+    Jinv = np.linalg.inv(J_direct)
+    bJ = b_direct @ Jinv
     # W for ridge: hess_phi_theta = 0 and cross derivative = 2P
     W_direct = (bJ @ (2.0 * P)).reshape(1, 3)
-    assert rel_err(comp.W_hat, W_direct) < 1e-10
-    # Astar shape and its eta2 block, the one V1 reads through Z1_hat
+    DZ1 = fit.D_hat @ np.linalg.inv(comp.Z1_hat)
+    # Astar's three column blocks, from the direct J, b, Z2 and W
     assert comp.Astar.shape == (3, 3 + 1 + 3)
-    assert rel_err(comp.Astar[:, 3:4], -fit.D_hat @ np.linalg.inv(comp.Z1_hat)) < 1e-12
+    A1 = Jinv - DZ1 @ (fit.D_hat.T @ Z2_direct + W_direct) @ Jinv
+    assert rel_err(comp.Astar[:, :3], A1) < 1e-10
+    assert rel_err(comp.Astar[:, 3:4], -DZ1) < 1e-12
+    assert rel_err(comp.Astar[:, 4:], -np.kron(DZ1, bJ)) < 1e-10
 
 
 def test_batch_w_and_z2_match_row_loops():
-    # W_hat and Z2_hat from one batch call per slot against the per-row sums
-    # that defined them, on a model whose second derivatives are nonzero
+    # Astar's W, Z2 and b from one batch call per slot against the per-row
+    # sums that define them, on a model whose second derivatives are nonzero
     data = make_logistic_data(n=200, seed=0)
     m = RidgeLogisticModel(2, lambda_domain=(0.0, 0.1))
     spec, loss = m.spec(), m.brier_loss(predictor_covariates=[0])
@@ -262,9 +262,13 @@ def test_batch_w_and_z2_match_row_loops():
         HD += spec.hess_phi_theta(z[None], th, lam)[0] @ D[:, 0]
         cross += spec.dphi_dlambda_dtheta(z[None], th, lam)[0, 0]
         Z2 += loss.hess_psi(z[None], th)[0]
-    bJ = comp.b_hat @ np.linalg.inv(comp.J_hat)
-    assert rel_err(comp.W_hat[0], bJ @ ((HD + cross) / data.n)) < 1e-12
-    assert rel_err(comp.Z2_hat, (Z2 + Z2.T) / (2 * data.n)) < 1e-12
+    b = sum(loss.grad_psi_batch(z[None], th)[0] for z in data.rows) / data.n
+    Jinv = np.linalg.inv(comp.J_hat)
+    W = (b @ Jinv) @ ((HD + cross) / data.n)
+    DZ1 = D @ np.linalg.inv(comp.Z1_hat)
+    A1 = Jinv - DZ1 @ (D.T @ ((Z2 + Z2.T) / (2 * data.n)) + W[None]) @ Jinv
+    assert rel_err(comp.Astar[:, :3], A1) < 1e-12
+    assert rel_err(comp.Astar[:, 4:], -np.kron(DZ1, b @ Jinv)) < 1e-12
 
 
 def test_z1_profile_vs_chain_rule_agree():
@@ -317,7 +321,8 @@ def test_collapse_when_lambda_has_no_pathway():
         theta_hat=res.theta_hat, lambda_hat=np.array([0.5]), D_hat=D,
         boundary_status=(BoundaryStatus.INTERIOR,), criterion=Method.TE,
         criterion_value=0.0, criterion_slope_at_opt=np.zeros(1),
-        trace=(((0.5,), 0.0),), lambda_box=np.array([[0.0, 1.0]]),
+        trace=(((0.5,), 0.0), ((0.5 + 1e-5,), 0.0), ((0.5 - 1e-5,), 0.0)),
+        lambda_box=np.array([[0.0, 1.0]]),
     )
     # Z1_hat is then singular, which is exactly the flat-limit degeneracy;
     # the full assembly must refuse to invert it
@@ -325,6 +330,21 @@ def test_collapse_when_lambda_has_no_pathway():
         assemble_components(spec, loss, data, fit)
     with pytest.raises(FlatLimitSuspected):
         variance_alpha(spec, loss, data, fit)
+
+
+def test_variance_alpha_checks_the_fit_against_the_data():
+    # a fit tuned on one sample, or with a raveled D_hat, is refused before
+    # any variance is formed, as select_variance refuses it
+    data, spec, loss, fit = _interior_fit(seed=0)
+    other = make_linear_data(n=250, seed=1, coef_sq=0.5)
+    with pytest.raises(ValueError, match="residual"):
+        variance_alpha(spec, loss, other, fit)
+    with pytest.raises(ValueError, match="residual"):
+        select_variance(spec, loss, other, fit)
+    raveled = dataclasses.replace(fit, D_hat=fit.D_hat.ravel())
+    with pytest.raises(ValueError, match="D_hat has shape"):
+        variance_alpha(spec, loss, data, raveled)
+    assert variance_alpha(spec, loss, data, fit).shape == (3 + 1 + 3,) * 2
 
 
 def test_pointwise_variance_sample_mean_identity():
@@ -417,9 +437,9 @@ def _two_penalty_rowwise_spec():
 
 @pytest.mark.parametrize("seed,coef_sq", [(4, 1.0), (9, 0.5)])
 def test_two_penalty_rowwise_spec_z1_and_v1_cross_checks(seed, coef_sq):
-    # q = 2 runs the off-diagonal Z1 Hessian, the q-block M_hat and the
-    # column-major eta3; the per-row spec and loss run the rowwise adapter
-    # and the finite-difference fallbacks
+    # q = 2 runs the off-diagonal Z1 Hessian, the two eta3 blocks of Astar
+    # and the column-major eta3; the per-row spec and loss run the rowwise
+    # adapter and the finite-difference fallbacks
     data = make_linear_data(n=150, seed=seed, coef_sq=coef_sq)
     spec = _two_penalty_rowwise_spec()
     full = RidgeLinearModel(2).squared_error_loss()
@@ -436,7 +456,14 @@ def test_two_penalty_rowwise_spec_z1_and_v1_cross_checks(seed, coef_sq):
     assert rel_err(zp, zc) < 1e-4
     report = select_variance(spec, loss, data, fit)
     assert report.selected == "V1"
-    assert report.components.M_hat.shape == (2, 6)
+    comp = report.components
+    assert comp.Astar.shape == (3, 3 + 2 + 6)
+    # eta3 block j of Astar is -DZ1[:, j] b' J^{-1}
+    b = slot_values(loss, "grad_psi_batch", data.rows, fit.theta_hat).mean(axis=0)
+    DZ1 = fit.D_hat @ np.linalg.inv(comp.Z1_hat)
+    bJ = b @ np.linalg.inv(comp.J_hat)
+    for j in range(2):
+        assert rel_err(comp.Astar[:, 5 + 3 * j : 8 + 3 * j], -np.outer(DZ1[:, j], bJ)) < 1e-10
     Va = variance_alpha(spec, loss, data, fit)
     assert Va.shape == (3 + 2 + 6, 3 + 2 + 6)
     assert rel_err(Va[:3, :3], report.V1) < 1e-4
