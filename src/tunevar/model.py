@@ -186,7 +186,11 @@ class ModelSpec:
     iterate it evaluates, at its start and at each line-search candidate,
     and no phi_batch call. Exact LOOCV reads the slots that
     solver.solve_loo_all lists, once per evaluation at most for
-    hess_phi_theta, whose fallback costs 2 p^2 + 1 phi_batch calls.
+    hess_phi_theta, whose fallback costs 2 p^2 + 1 phi_batch calls. Each
+    of its Newton steps passes every active problem, up to n of them, to
+    phi_loo_sum (jac_loo_sum) in one call, so a sum slot bounds its own
+    temporaries: the fallbacks work one theta at a time, and the
+    ridge-logistic kernels in blocks of problems.
     """
 
     p: int
@@ -257,8 +261,11 @@ class ModelSpec:
         )
 
     def _stacked_phi_loo_sum(self, Z, Th, rows, lm):
-        F = np.stack([slot_values(self, "phi_batch", Z, th, lm) for th in Th])
-        return F.sum(axis=1) - F[np.arange(len(Th)), rows]
+        out = np.empty((len(Th), self.p))
+        for j, (th, i) in enumerate(zip(Th, rows)):
+            F = slot_values(self, "phi_batch", Z, th, lm)
+            out[j] = F.sum(axis=0) - F[i]
+        return out
 
     def _stacked_jac_loo_sum(self, Z, Th, rows, lm):
         out = np.empty((len(Th), self.p, self.p))

@@ -22,6 +22,11 @@ of phi_jac_sum, and the leave-one-out phi_loo_sum and jac_loo_sum) work from
 sufficient statistics or one matrix product and so round differently from
 the row-by-row fallback: the same tests pin them to it within a tolerance
 relative to the sum of |phi| (|d phi / d theta|) over the rows, not bitwise.
+A leave-one-out sum slot gets every active problem of a Newton step in one
+call; the ridge-linear and Gaussian sums need O(k p^2) and O(k) memory, and
+the ridge-logistic ones build _design(Z) (and X x') once per call and then
+work in blocks of max(1, LOO_BLOCK // n) problems, so that each of their
+(problems, n) temporaries holds at most LOO_BLOCK entries.
 Each model's phi_jac_sum builds _design(Z) and expit(X theta) (the
 Gaussian's r = z - mu) once for F and S, through helpers that phi_batch
 shares, so its F is phi_batch bit for bit. _built_in makes every built-in
@@ -39,6 +44,10 @@ import numpy as np
 from .exceptions import EvaluationError, SchemaError
 from .model import Dataset, LossSpec, ModelSpec, read_numeric_csv, rowwise, slot_values
 from .solver import checked_solve
+
+# problems x rows per block of the ridge-logistic leave-one-out sums: each of
+# their (problems, n) temporaries holds at most this many float64 entries
+LOO_BLOCK = 2**14
 
 
 def _design(Z: np.ndarray):
@@ -215,29 +224,43 @@ class RidgeLogisticModel(_RidgeModel):
             y, X = _design(Z)
             return phi(y, X, _expit(X @ th), th, lm)
 
-        def loo_parts(Z, Th, rows):
-            # expit(x_m' Th[j]) as (k, n), and the index of problem j's own
-            # row. np.matmul against Th[:, :, None] rounds each x_m' th as
+        def loo_blocks(X, Th, rows):
+            # (js, Pi, own) per block of problems js: Pi = expit(x_m' Th[j])
+            # as (b, n), own the index of each problem's own row in Pi. A
+            # block holds max(1, LOO_BLOCK // n) problems, so each (b, n)
+            # temporary stays within LOO_BLOCK entries (128 KiB), small
+            # enough for the heap to reuse from call to call where larger
+            # blocks took fresh pages in every call.
+            # np.matmul against Th[:, :, None] rounds each x_m' th as
             # phi_batch's X @ th does (Th @ X.T does not), and expit would
             # magnify a last-bit difference in x_m' th by |x_m' th|.
-            y, X = _design(Z)
-            Pi = _expit(np.matmul(X, Th[:, :, None])[:, :, 0])
-            return y, X, Pi, (np.arange(len(rows)), rows)
+            b = max(1, LOO_BLOCK // len(X))
+            for s in range(0, len(Th), b):
+                js = slice(s, s + b)
+                Pi = _expit(np.matmul(X, Th[js, :, None])[:, :, 0])
+                yield js, Pi, (np.arange(len(Pi)), rows[js])
 
         def phi_loo_sum(Z, Th, rows, lm):
-            y, X, Pi, own = loo_parts(Z, Th, rows)
-            R = y - Pi
-            pen = 2.0 * (len(y) - 1) * float(lm[0])
-            return R @ X - R[own][:, None] * X[rows] - pen * (Th @ P)
+            y, X = _design(Z)
+            out = np.empty((len(Th), X.shape[1]))
+            for js, Pi, own in loo_blocks(X, Th, rows):
+                R = y - Pi
+                out[js] = R @ X - R[own][:, None] * X[own[1]]
+            out -= 2.0 * (len(y) - 1) * float(lm[0]) * (Th @ P)
+            return out
 
         def jac_loo_sum(Z, Th, rows, lm):
             # w_i x_i x_i' - sum_m w_m x_m x_m' - 2 (n - 1) lam P, w = pi (1 - pi)
-            _, X, Pi, own = loo_parts(Z, Th, rows)
+            _, X = _design(Z)
             n, p = X.shape
-            W = Pi * (1.0 - Pi)
             XX = X[:, :, None] * X[:, None, :]
-            S = (W @ XX.reshape(n, p * p)).reshape(len(Th), p, p)
-            return W[own][:, None, None] * XX[rows] - S - 2.0 * (n - 1) * float(lm[0]) * P
+            XXf = XX.reshape(n, p * p)
+            out = np.empty((len(Th), p, p))
+            for js, Pi, own in loo_blocks(X, Th, rows):
+                W = Pi * (1.0 - Pi)
+                out[js] = W[own][:, None, None] * XX[own[1]] - (W @ XXf).reshape(-1, p, p)
+            out -= 2.0 * (n - 1) * float(lm[0]) * P
+            return out
 
         def dphi_dtheta_batch(Z, th, lm):
             _, X = _design(Z)

@@ -11,10 +11,6 @@ from .exceptions import DomainEscape, EvaluationError, NoConvergence, SingularJa
 from .model import SLOT_SHAPES, Dataset, ModelSpec, _checked, row_mean, slot_values
 
 MAX_ITER = 100
-# row evaluations per leave-one-out sum call in solve_loo_all (at least one
-# theta per call): it bounds the fallback's (k, n, p) block, under 1.5 MB at
-# p = 3, and ridge-logistic's (n, k) block
-MAX_PHI_ROWS = 2**16
 MAX_HALVINGS = 40
 ARMIJO = 1e-4
 COND_LIMIT = 1e12
@@ -53,8 +49,9 @@ def checked_inv(A, label):
 
     label names the matrix in the error message. A^-1 is np.linalg.inv(A),
     bitwise np.linalg.solve(A, np.eye(len(A))), and the check screens with
-    it by the rule of well_conditioned: ||A||_F ||A^-1||_F bounds cond_2(A)
-    from above, so a bound at most COND_LIMIT / 10 passes without an SVD.
+    it: ||A||_F ||A^-1||_F bounds cond_2(A) from above, so a bound at most
+    COND_LIMIT / 10 passes without an SVD (well_conditioned screens a stack
+    by a determinant instead, as its callers need no inverse).
     The inverse comes first, and each norm is np.linalg.norm's formula,
     sqrt(a @ a) over the entries. A NaN or infinite entry makes the bound
     NaN or inf, whether np.linalg.inv raises on A or returns NaN or finite
@@ -181,20 +178,16 @@ def well_conditioned(A) -> np.ndarray:
     """(m,) bool for an (m, p, p) stack: cond_2(A[j]) <= COND_LIMIT and finite.
 
     The same decision as the SVD test np.linalg.cond(A) <= COND_LIMIT, with
-    fewer SVDs: ||A||_F ||A^-1||_F bounds cond_2(A) from above, so a matrix
-    whose bound is at most COND_LIMIT / 10 passes without one, as in
-    checked_inv. The other matrices, and the whole stack if np.linalg.inv
-    raises LinAlgError, take the SVD test.
+    fewer SVDs. For a p x p matrix, 1 / sigma_p = prod_{i<p} sigma_i / |det A|
+    <= sigma_1^(p-1) / |det A|, so cond_2(A) <= ||A||_F^p / |det A|, which
+    is 1 / |det(A / ||A||_F)|: scaling first keeps the determinant in range.
+    A matrix whose bound is at most COND_LIMIT / 10 passes without an SVD;
+    every other one, an exactly singular (det 0) or non-finite matrix
+    included, takes the SVD test. One np.linalg.det call screens the stack.
     """
-    ok = np.zeros(len(A), dtype=bool)
-    try:
-        Ainv = np.linalg.inv(A)
-    except np.linalg.LinAlgError:  # some matrix in the stack is exactly singular
-        pass
-    else:
-        with np.errstate(all="ignore"):
-            bound = np.linalg.norm(A, axis=(1, 2)) * np.linalg.norm(Ainv, axis=(1, 2))
-        ok = bound <= COND_LIMIT / 10
+    with np.errstate(all="ignore"):
+        scaled = A / np.linalg.norm(A, axis=(1, 2))[:, None, None]
+        ok = 1.0 / np.abs(np.linalg.det(scaled)) <= COND_LIMIT / 10
     if not ok.all():
         cond = np.linalg.cond(A[~ok])
         ok[~ok] = np.isfinite(cond) & (cond <= COND_LIMIT)
@@ -205,16 +198,15 @@ def _loo_means(model: ModelSpec, slot: str, Z, Th, rows, lam) -> np.ndarray:
     """Leave-one-out means of the sum slot phi_loo_sum ((k, p) residuals
     Phi_i(Th[j])) or jac_loo_sum ((k, p, p) Jacobians A_i(Th[j])), i = rows[j].
 
-    One slot call per chunk of at most MAX_PHI_ROWS row evaluations. If a
-    call raises EvaluationError, its chunk is evaluated again one theta at a
-    time, and a theta that raises gets NaN. A non-finite phi gives a
-    non-finite result either way. This is the one slot call outside
-    slot_values, whose shape check (model._checked) runs outside the retry,
-    so a wrong-shaped slot aborts instead of making every theta NaN.
+    One slot call with every problem, none for k = 0; the slot bounds its
+    own temporaries. If the call raises EvaluationError, the problems are
+    evaluated again one theta at a time, and a theta that raises gets NaN.
+    A non-finite phi gives a non-finite result either way. This is the one
+    slot call outside slot_values, whose shape check (model._checked) runs
+    outside the retry, so a wrong-shaped slot aborts instead of making
+    every theta NaN.
     """
-    n, k = Z.shape[0], len(Th)
     want = SLOT_SHAPES[slot](Z, Th, model)
-    chunk = max(1, MAX_PHI_ROWS // n)
 
     def call(js):
         try:
@@ -225,11 +217,8 @@ def _loo_means(model: ModelSpec, slot: str, Z, Th, rows, lam) -> np.ndarray:
             return np.concatenate([call(js[j:j + 1]) for j in range(len(js))])
         return _checked(slot, got, (len(js),) + want[1:], False)
 
-    out = np.empty(want)
-    for s in range(0, k, chunk):
-        js = np.arange(s, min(s + chunk, k))
-        out[js] = call(js)
-    return out / (n - 1)
+    out = call(np.arange(len(Th))) if len(Th) else np.empty(want)
+    return out / (len(Z) - 1)
 
 
 def solve_loo_all(model: ModelSpec, data: Dataset, solve: SolveResult):
@@ -240,17 +229,18 @@ def solve_loo_all(model: ModelSpec, data: Dataset, solve: SolveResult):
     G = d phi / d theta. The root's per-row phi, solve.Phi, and one G
     evaluation at theta_hat give every problem its first residual and its
     Jacobian A_i, so solve must be the root of model on data. Each step is
-    one batched condition check (well_conditioned) and one batched solve over
-    the active problems; then every problem's residual is evaluated exactly
-    at its new iterate by one phi_loo_sum call per chunk of at most
-    MAX_PHI_ROWS row evaluations, and the Armijo and convergence tests run
-    on all of them at once. After its first step, a problem whose residual
-    is at most sqrt(tol) takes its next step with the Taylor Jacobian
-    A_i(theta_hat) + H_i[theta - theta_hat] when that is finite, where
-    H_i = (sum_j H_j - H_i) / (n-1) comes from one hess_phi_theta evaluation
-    at theta_hat, made only if some problem takes such a step. Every other
-    Jacobian is evaluated exactly at its iterate, by one jac_loo_sum call
-    per chunk.
+    one batched condition check (well_conditioned, a determinant screen
+    that leaves only the matrices it cannot clear to the SVD) and one
+    batched solve over the active problems; then every problem's residual
+    is evaluated exactly at its new iterate by one phi_loo_sum call, and
+    the Armijo and convergence tests run on all of them at once (the sum
+    slots bound their own temporaries). After its first step, a problem
+    whose residual is at most sqrt(tol) takes its next step with the
+    Taylor Jacobian A_i(theta_hat) + H_i[theta - theta_hat] when that is
+    finite, where H_i = (sum_j H_j - H_i) / (n-1) comes from one
+    hess_phi_theta evaluation at theta_hat, made only if some problem takes
+    such a step. Every other Jacobian is evaluated exactly at its iterate,
+    by one jac_loo_sum call per step.
 
     The rules of the per-row Newton solve hold for each problem, whichever
     Jacobian its step used: tolerance tol = default_tol(theta_hat), at most

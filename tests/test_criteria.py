@@ -33,7 +33,8 @@ from tunevar import (
 )
 from tunevar.exceptions import EvaluationError
 from tunevar.model import rowwise, slot_values
-from tunevar.solver import MAX_PHI_ROWS
+from tunevar import solver
+from tunevar.models import LOO_BLOCK
 
 from conftest import make_linear_data, make_logistic_data
 
@@ -417,24 +418,29 @@ def test_loocv_exact_with_finite_difference_hessian(monkeypatch, seed, lam):
     assert abs(cv.value - analytic.value) <= 1e-9 * abs(analytic.value)
 
 
-@pytest.mark.parametrize("model", ["ridge-logistic", "gaussian"])
-def test_solve_loo_all_stacked_phi_matches_fallback(model):
-    # at n = 300 a chunk holds fewer problems than the first step, so that
-    # step makes two phi_loo_sum calls; the built-in sum kernels and the
-    # fallbacks that sum phi_batch (dphi_dtheta_batch) over all rows but the
-    # problem's own agree on which problems converge and on their roots
-    n = 300
-    assert MAX_PHI_ROWS // n < n
+def _loo_case(model, n):
+    """(spec, data, solve): an n-row ridge-logistic or Gaussian sample and its root."""
     if model == "ridge-logistic":
         spec = RidgeLogisticModel(2).spec()
         data = simulate(DGPSpec(DGPKind.LOGISTIC_TRUE, n=n,
                                 params={"beta": (0.2, 1.0, -0.5)}), seed=5)
-        solve = solve_theta(spec, data, [0.01], spec.theta_init)
-    else:
-        spec = GaussianLikelihoodModel().spec()
-        z = np.random.default_rng(5).standard_normal(n) * 1.3 + 0.4
-        data = Dataset(z[:, None])
-        solve = solve_theta(spec, data, [0.0], [z.mean(), z.std()])
+        return spec, data, solve_theta(spec, data, [0.01], spec.theta_init)
+    spec = GaussianLikelihoodModel().spec()
+    z = np.random.default_rng(5).standard_normal(n) * 1.3 + 0.4
+    data = Dataset(z[:, None])
+    return spec, data, solve_theta(spec, data, [0.0], [z.mean(), z.std()])
+
+
+@pytest.mark.parametrize("model", ["ridge-logistic", "gaussian"])
+def test_solve_loo_all_stacked_phi_matches_fallback(model):
+    # at n = 300 a ridge-logistic kernel block holds fewer problems than the
+    # first step, so that step's phi_loo_sum call spans several blocks; the
+    # built-in sum kernels and the fallbacks that sum phi_batch
+    # (dphi_dtheta_batch) over all rows but the problem's own agree on which
+    # problems converge and on their roots
+    n = 300
+    assert LOO_BLOCK // n < n
+    spec, data, solve = _loo_case(model, n)
     fallback = dataclasses.replace(spec, phi_loo_sum=None, jac_loo_sum=None)
     calls = _count_calls(spec, "phi_batch", "dphi_dtheta_batch", "phi_loo_sum")
     thetas, converged = solve_loo_all(spec, data, solve)
@@ -446,6 +452,29 @@ def test_solve_loo_all_stacked_phi_matches_fallback(model):
     fb_thetas, fb_converged = solve_loo_all(fallback, data, solve)
     assert np.array_equal(converged, fb_converged)
     assert np.all(np.abs(thetas - fb_thetas) <= 1e-12 * np.abs(fb_thetas))
+
+
+@pytest.mark.parametrize("model", ["ridge-logistic", "gaussian"])
+def test_solve_loo_all_makes_one_phi_loo_sum_call_per_step(model, monkeypatch):
+    # every step passes all of its problems to the sum slot in one call, the
+    # first step's n included; the condition screen runs once per step
+    n = 300
+    spec, data, solve = _loo_case(model, n)
+    screened = []
+    screen = solver.well_conditioned
+
+    def counted(A):
+        screened.append(len(A))
+        return screen(A)
+
+    monkeypatch.setattr(solver, "well_conditioned", counted)
+    calls = _count_calls(spec, "phi_loo_sum")
+    _, converged = solve_loo_all(spec, data, solve)
+    assert converged.all() and len(screened) >= 2 and screened[0] == n
+    assert calls["phi_loo_sum"] == len(screened)
+    # no problem failed the condition or domain test, so each call took
+    # every problem that the step screened
+    assert calls["phi_loo_sum.rows"] == sum(screened)
 
 
 @pytest.mark.parametrize("criterion", [

@@ -491,10 +491,11 @@ def _capped_tanh(cap):
 
 
 def test_a_non_finite_leave_one_out_iterate_keeps_every_other_root_bitwise():
-    # the fallback phi_loo_sum now raises for a non-finite phi, and its chunk
-    # is evaluated again one theta at a time; the twin supplies the sum that
-    # the fallback used to compute, which returns a non-finite sum instead
-    # and so keeps the chunk whole: every root must match it bit for bit
+    # the fallback phi_loo_sum now raises for a non-finite phi, and the
+    # step's problems are evaluated again one theta at a time; the twin
+    # supplies the sum that the fallback used to compute, which returns a
+    # non-finite sum instead and so keeps the call whole: every root must
+    # match it bit for bit
     z = np.concatenate([[-8.0], np.random.default_rng(5).normal(0.3, 0.5, 149)])
     data = Dataset(z[:, None])
     free = ModelSpec(p=1, q=1, phi_batch=_capped_tanh(np.inf))

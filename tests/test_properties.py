@@ -13,7 +13,7 @@ from tunevar import (
 )
 from tunevar.harness import N_MIXTURE, _ks_statistic
 from tunevar.model import Dataset, ModelSpec, row_mean, rowwise, slot_values
-from tunevar.models import _design, _expit, default_penalty_mask
+from tunevar.models import LOO_BLOCK, _design, _expit, default_penalty_mask
 from tunevar.rng import SplitMix64, derive_stream, fisher_yates_permutation, splitmix64
 from tunevar.solver import (
     COND_LIMIT, _newton, checked_inv, checked_solve, default_tol, pinned_influences,
@@ -558,6 +558,34 @@ def test_loo_sum_kernels_match_fallback(model, k, seed, n, p, lam, scale, far):
         scale_j = np.array([np.abs(per_row(Z, th, lm)).sum() for th in Th])
         err = np.abs(got - want).reshape(k, -1).max(axis=1)
         assert np.all(err <= LOO_SUM_RTOL * scale_j + LOO_SUM_ATOL), (slot, err, scale_j)
+
+
+@settings(deadline=None, max_examples=30)
+@given(n=st.integers(min_value=300, max_value=700).filter(lambda n: LOO_BLOCK % n),
+       extra=st.floats(min_value=0.0, max_value=1.0),
+       seed=KERNEL_CASE["seed"], p=SUM_KERNEL_CASE["p"], lam=LAMS, scale=KERNEL_CASE["scale"])
+def test_ridge_logistic_loo_sums_across_blocks(seed, n, p, lam, scale, extra):
+    # the ridge-logistic sums take max(1, LOO_BLOCK // n) problems per block;
+    # k spans two full blocks and part of a third, and each problem's sum
+    # must agree with the fallback and with the kernel called on it alone
+    block = LOO_BLOCK // n
+    k = 2 * block + 1 + int(extra * (block - 1))
+    spec, Z, center = _sum_kernel_case("ridge-logistic", seed, n, p, scale, False)
+    Th = _theta_stack("ridge-logistic", seed, k, spec.p, scale, center)
+    rows = np.random.default_rng(seed + 3).integers(0, n, k)
+    lm = np.array([lam])
+    fallback = dataclasses.replace(spec, phi_loo_sum=None, jac_loo_sum=None)
+    for slot, per_row in (("phi_loo_sum", spec.phi_batch),
+                          ("jac_loo_sum", spec.dphi_dtheta_batch)):
+        got = getattr(spec, slot)(Z, Th, rows, lm)
+        alone = np.concatenate([getattr(spec, slot)(Z, Th[j:j + 1], rows[j:j + 1], lm)
+                                for j in range(k)])
+        want = getattr(fallback, slot)(Z, Th, rows, lm)
+        scale_j = np.array([np.abs(per_row(Z, th, lm)).sum() for th in Th])
+        for other in (want, alone):
+            assert got.shape == other.shape
+            err = np.abs(got - other).reshape(k, -1).max(axis=1)
+            assert np.all(err <= LOO_SUM_RTOL * scale_j + LOO_SUM_ATOL), (slot, err, scale_j)
 
 
 def _jac_theta_sum_ref(model, Z, th, lam):

@@ -187,8 +187,9 @@ def test_gaussian_small_sample_from_theta_init():
 
 
 def test_well_conditioned_skips_the_svd_when_the_bound_decides(monkeypatch):
-    # a stack whose Frobenius bound passes needs no SVD; a singular member
-    # makes np.linalg.inv raise, and the whole stack takes the SVD test
+    # a stack whose determinant bound passes needs no SVD; only the members
+    # it cannot clear (7, 9 and the zero matrix 11) take the SVD test, which
+    # decides each
     rng = np.random.default_rng(0)
     A = np.eye(3) + 0.1 * rng.standard_normal((50, 3, 3))
     svds = []
@@ -206,12 +207,13 @@ def test_well_conditioned_skips_the_svd_when_the_bound_decides(monkeypatch):
     A[11] = 0.0
     ok = well_conditioned(A)
     assert np.flatnonzero(~ok).tolist() == [7, 11]
-    assert svds == [50]
-    # without it, only the two matrices the bound cannot clear take the SVD
+    assert svds == [3]
+    # with A[11] = I only 7 and 9 take it; A[9] (cond 1e11, bound
+    # 2^1.5 * 1e11) passes it
     A[11] = np.eye(3)
     ok = well_conditioned(A)
     assert np.flatnonzero(~ok).tolist() == [7]
-    assert svds == [50, 2]
+    assert svds == [3, 2]
 
 
 def test_checked_solve_skips_the_svd_when_the_bound_decides(monkeypatch):

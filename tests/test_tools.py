@@ -100,13 +100,26 @@ def test_bench_pairs_aggregates_medians_quartiles_and_wins(bench_pairs):
         bench_pairs.parse_result("\n \n")
 
 
+def test_bench_pairs_labels_the_setup_wall_time_as_its_own_metric(bench_pairs):
+    # setup_wall_s is summarised like a BENCHMARK.json metric, with its note
+    pairs = [({"metrics": {"setup_wall_s": {"value": a}}},
+              {"metrics": {"setup_wall_s": {"value": b}}})
+             for a, b in [(0.16, 0.15), (0.17, 0.18), (0.15, 0.14)]]
+    assert bench_pairs.summarize([bench_pairs.SETUP_WALL], pairs) == [
+        "setup_wall_s parent       0.16 [0.155, 0.165]  change       0.15"
+        "  (lower is better)  better in 2 of 3  (not a BENCHMARK.json metric)"
+    ]
+
+
 def _fake_checkout(root, fits, failed=0):
-    # a bench/run.py that logs its checkout and prints one canned result
+    # a bench/run.py that logs its checkout (marking a --setup-only run) and
+    # prints one canned result
     (root / "bench").mkdir(parents=True)
     (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
     (root / "bench" / "run.py").write_text(
+        "import sys\n"
         f"with open({str(root.parent / 'order.log')!r}, 'a') as f:\n"
-        f"    f.write({root.name!r} + '\\n')\n"
+        f"    f.write({root.name!r} + ('-setup' if '--setup-only' in sys.argv else '') + '\\n')\n"
         f"print({_result_line(fits, 10.0, correct=not failed, failed=failed)!r})\n"
     )
 
@@ -123,11 +136,16 @@ def test_bench_pairs_alternates_the_order_and_fails_on_a_failed_run(
                 "--workload", "w", "--pairs", str(pairs), "--seconds", "1"]
 
     assert bench_pairs.main(argv("new", 3)) == 0
-    assert (tmp_path / "order.log").read_text().split() == ["old", "new", "new", "old",
-                                                            "old", "new"]
+    # each run is followed by three --setup-only runs in its checkout
+    assert (tmp_path / "order.log").read_text().split() == [
+        run for side in ["old", "new", "new", "old", "old", "new"]
+        for run in [side] + [side + "-setup"] * 3
+    ]
     out = capsys.readouterr().out
     assert "fits_per_s   parent         50 [50, 50]  change         60" in out
     assert "better in 3 of 3" in out
+    assert "(not a BENCHMARK.json metric)" in out.splitlines()[-1]
+    assert out.splitlines()[-1].startswith("  setup_wall_s parent ")
     assert bench_pairs.main(argv("broken", 1)) == 1
     out = capsys.readouterr().out
     assert "FAILED: w pair 1 change: correct is False" in out

@@ -11,6 +11,15 @@ how many pairs the change did better, by the metric's "better" field:
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload replicate_study --pairs 5 --seconds 20 --seed 1
 
+After each side's run it also times `bench/run.py --setup-only` three
+times in that checkout and keeps their median as the run's setup_wall_s,
+summarised over the pairs like the other metrics but not a BENCHMARK.json
+metric. It waits for each process with a blocking waitpid. bench/run.py's
+own setup_s comes from subprocess.run(..., timeout=120), whose wait polls
+with sleeps of 1, 2, 4 ... 32 ms and then 50 ms, so its readings fall on
+0.063 + 0.05 k s and a one-step move reads as 16-23% of a median;
+setup_wall_s spreads continuously and shows whether such a move is real.
+
 The exit code is 1 if any run exits non-zero, prints no result line, or
 reports correct: false or failed > 0. The script reads only bench/ and
 BENCHMARK.json of the two checkouts; BENCHMARK.json comes from the change.
@@ -23,7 +32,12 @@ import json
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+SETUP_REPEATS = 3
+# summarised with BENCHMARK.json's metrics, which do not include it
+SETUP_WALL = {"name": "setup_wall_s", "better": "lower", "note": "not a BENCHMARK.json metric"}
 
 
 def parse_result(stdout: str) -> dict:
@@ -57,7 +71,8 @@ def summarize(end_to_end, pairs) -> list[str]:
     """One line per end-to-end metric over pairs [(parent result, change result)].
 
     end_to_end is BENCHMARK.json's list of {"name", "unit", "better"}; a
-    metric missing from some run is reported as missing.
+    metric missing from some run is reported as missing, and a metric's
+    "note", if it has one, ends its line.
     """
     lines = []
     for metric in end_to_end:
@@ -71,14 +86,17 @@ def summarize(end_to_end, pairs) -> list[str]:
         wins = sum((b > a) if higher else (b < a) for a, b in zip(old, new))
         q1, q3 = quartiles(old)
         m_old, m_new = statistics.median(old), statistics.median(new)
+        note = f"  ({metric['note']})" if "note" in metric else ""
         lines.append(
             f"{name:12s} parent {m_old:10.4g} [{q1:.4g}, {q3:.4g}]  change {m_new:10.4g}"
-            f"  ({metric['better']} is better)  better in {wins} of {len(pairs)}"
+            f"  ({metric['better']} is better)  better in {wins} of {len(pairs)}{note}"
         )
     return lines
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float):
+    """The result of one bench/run.py run, with the median of SETUP_REPEATS
+    --setup-only wall times after it as metrics["setup_wall_s"]."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -88,6 +106,16 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float):
         res = {"correct": False, "failed": 1, "metrics": {}, "error": str(exc)}
     if proc.returncode != 0:
         res["correct"] = False
+    setup = []
+    for _ in range(SETUP_REPEATS):
+        t0 = time.perf_counter()
+        # no timeout: run() then waits in a blocking waitpid, not a sleep loop
+        done = subprocess.run(cmd + ["--setup-only"], cwd=checkout, stdout=subprocess.DEVNULL)
+        setup.append(time.perf_counter() - t0)
+        if done.returncode != 0:
+            res["correct"] = False
+    res.setdefault("metrics", {})["setup_wall_s"] = {
+        "value": statistics.median(setup), "unit": "s"}
     return res
 
 
@@ -115,7 +143,7 @@ def main(argv=None) -> int:
             bad += failures([(f"{workload} pair {k + 1} {side}", got[side]) for side in order])
             print(f"{workload} pair {k + 1} done", file=sys.stderr, flush=True)
         print(f"{workload}: {args.pairs} pairs, seed {args.seed}, {args.seconds:g} s per run")
-        for line in summarize(end_to_end, pairs):
+        for line in summarize(end_to_end + [SETUP_WALL], pairs):
             print("  " + line)
     for line in bad:
         print("FAILED: " + line)

@@ -15,8 +15,8 @@ te_trace, tic and holdout (the seeded Fisher-Yates split at the default
 --split and --seed); variance --fit on each model's fixed-lambda record
 (variance-fixed) and on its cv_fast tuned record (variance-tuned); fit
 --criterion cv on n = 300 ridge-logistic and gaussian inputs, where a
-leave-one-out Newton step spans more than one leave-one-out sum call
-(solver.MAX_PHI_ROWS); tune and variance under cv_fast for --model pima on
+leave-one-out Newton step spans several ridge-logistic kernel blocks
+(models.LOO_BLOCK); tune and variance under cv_fast for --model pima on
 a 9-column input whose rows with a zero in a zero-is-missing column
 load_pima_csv drops, and variance --fit on its tuned record; simulate with --dgp gaussmix and with --dgp
 logistic, bootstrap and stone-check; and an
