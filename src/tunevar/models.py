@@ -9,6 +9,11 @@ Penalty convention: the logistic objective is sum_i loglik_i - n * lam * |beta_1
 so the per-observation estimating function carries lam (not n*lam). The tuned
 lam is therefore small, and n * lam is the "actual" penalty size.
 
+Each built-in formula is written once, and every slot evaluates that copy:
+a ridge model's PENALTY is the one statement of its penalty's sign and
+scale, and the Gaussian score and theta-Jacobian are _gauss_score and
+_gauss_jac, whose negatives are the Gaussian loss's gradient and Hessian.
+
 The array kernels of the built-in per-row slots (_expit, _design, the
 ridge phis, the ridge-logistic Jacobian, the Gaussian phi) are written for
 few numpy passes (_design makes one C-ordered copy of the rows and sets its
@@ -21,7 +26,8 @@ formula bit for bit (see its comment). The sum kernels (the Jacobian sum S
 of phi_jac_sum, and the leave-one-out phi_loo_sum and jac_loo_sum) work from
 sufficient statistics or one matrix product and so round differently from
 the row-by-row fallback: the same tests pin them to it within a tolerance
-relative to the sum of |phi| (|d phi / d theta|) over the rows, not bitwise.
+relative to the sum of |phi| (|d phi / d theta|) over the rows, and bitwise
+to a reference copy of their own formulas.
 A leave-one-out sum slot gets every active problem of a Newton step in one
 call; the ridge-linear and Gaussian sums need O(k p^2) and O(k) memory, and
 the ridge-logistic ones build _design(Z) (and X x') once per call and then
@@ -105,9 +111,12 @@ class _RidgeModel:
     """Fields and ModelSpec assembly shared by the two ridge models.
 
     phi carries the penalty as PENALTY * lam * P beta. A subclass sets the
-    class constant PENALTY and supplies _link_slots(P), which returns the
-    link-specific slots phi_batch, dphi_dtheta_batch, phi_jac_sum,
-    hess_phi_theta, phi_loo_sum and jac_loo_sum as a dict.
+    class constant PENALTY, the one statement of the penalty's sign and
+    scale, and supplies _link_slots(P, pen), which returns the link-specific
+    slots phi_batch, dphi_dtheta_batch, phi_jac_sum, hess_phi_theta,
+    phi_loo_sum and jac_loo_sum as a dict. pen(m, lm) = PENALTY * m * lam is
+    the penalty's factor of P summed over m rows: pen(1, lm) * (P @ beta) is
+    one row's term, pen(n - 1, lm) * P a leave-one-out Jacobian's.
     """
 
     n_covariates: int
@@ -120,17 +129,19 @@ class _RidgeModel:
     def spec(self) -> ModelSpec:
         p = self.p
         P = np.diag(default_penalty_mask(p))
-        pen = self.PENALTY
+
+        def pen(m, lm):
+            return self.PENALTY * m * float(lm[0])
 
         def dphi_dlambda_batch(Z, th, lm):
-            base = (pen * (P @ th)).reshape(1, p, 1)
+            base = (self.PENALTY * (P @ th)).reshape(1, p, 1)
             return np.repeat(base, Z.shape[0], axis=0)
 
         def dphi_dlambda_dtheta(Z, th, lm):
-            return np.repeat((pen * P)[None, None], Z.shape[0], axis=0)
+            return np.repeat((self.PENALTY * P)[None, None], Z.shape[0], axis=0)
 
         return _built_in(
-            ModelSpec, p=p, q=1, **self._link_slots(P),
+            ModelSpec, p=p, q=1, **self._link_slots(P, pen),
             dphi_dlambda_batch=dphi_dlambda_batch, dphi_dlambda_dtheta=dphi_dlambda_dtheta,
             lambda_domain=np.array([self.lambda_domain]),
         )
@@ -141,12 +152,12 @@ class RidgeLinearModel(_RidgeModel):
 
     PENALTY = 2.0
 
-    def _link_slots(self, P):
+    def _link_slots(self, P, pen):
         p = self.p
 
         def phi(y, X, th, lm):
             e = y - X @ th
-            return -2.0 * X * e[:, None] + 2.0 * float(lm[0]) * (P @ th)
+            return -2.0 * X * e[:, None] + pen(1, lm) * (P @ th)
 
         def phi_batch(Z, th, lm):
             return phi(*_design(Z), th, lm)
@@ -155,9 +166,7 @@ class RidgeLinearModel(_RidgeModel):
             # 2 (X'X - x_i x_i') + 2 (n - 1) lam P, the same for every theta
             _, X = _design(Z)
             Xi = X[rows]
-            return 2.0 * (X.T @ X - Xi[:, :, None] * Xi[:, None, :]) + (
-                2.0 * (len(X) - 1) * float(lm[0]) * P
-            )
+            return 2.0 * (X.T @ X - Xi[:, :, None] * Xi[:, None, :]) + pen(len(X) - 1, lm) * P
 
         def phi_loo_sum(Z, Th, rows, lm):
             # phi is linear in theta: its sum is the Jacobian sum times theta
@@ -168,11 +177,11 @@ class RidgeLinearModel(_RidgeModel):
 
         def dphi_dtheta_batch(Z, th, lm):
             _, X = _design(Z)
-            return 2.0 * np.einsum("ni,nj->nij", X, X) + 2.0 * float(lm[0]) * P
+            return 2.0 * np.einsum("ni,nj->nij", X, X) + pen(1, lm) * P
 
         def phi_jac_sum(Z, th, lm):
             y, X = _design(Z)
-            return phi(y, X, th, lm), 2.0 * (X.T @ X) + 2.0 * len(X) * float(lm[0]) * P
+            return phi(y, X, th, lm), 2.0 * (X.T @ X) + pen(len(X), lm) * P
 
         def hess_phi_theta(Z, th, lm):
             return np.zeros((Z.shape[0], p, p, p))
@@ -216,9 +225,9 @@ class RidgeLogisticModel(_RidgeModel):
 
     PENALTY = -2.0
 
-    def _link_slots(self, P):
+    def _link_slots(self, P, pen):
         def phi(y, X, pi, th, lm):
-            return X * (y - pi)[:, None] - 2.0 * float(lm[0]) * (P @ th)
+            return X * (y - pi)[:, None] + pen(1, lm) * (P @ th)
 
         def phi_batch(Z, th, lm):
             y, X = _design(Z)
@@ -246,11 +255,11 @@ class RidgeLogisticModel(_RidgeModel):
             for js, Pi, own in loo_blocks(X, Th, rows):
                 R = y - Pi
                 out[js] = R @ X - R[own][:, None] * X[own[1]]
-            out -= 2.0 * (len(y) - 1) * float(lm[0]) * (Th @ P)
+            out += pen(len(y) - 1, lm) * (Th @ P)
             return out
 
         def jac_loo_sum(Z, Th, rows, lm):
-            # w_i x_i x_i' - sum_m w_m x_m x_m' - 2 (n - 1) lam P, w = pi (1 - pi)
+            # w_i x_i x_i' - sum_m w_m x_m x_m' + pen(n - 1) P, w = pi (1 - pi)
             _, X = _design(Z)
             n, p = X.shape
             XX = X[:, :, None] * X[:, None, :]
@@ -259,7 +268,7 @@ class RidgeLogisticModel(_RidgeModel):
             for js, Pi, own in loo_blocks(X, Th, rows):
                 W = Pi * (1.0 - Pi)
                 out[js] = W[own][:, None, None] * XX[own[1]] - (W @ XXf).reshape(-1, p, p)
-            out -= 2.0 * (n - 1) * float(lm[0]) * P
+            out += pen(n - 1, lm) * P
             return out
 
         def dphi_dtheta_batch(Z, th, lm):
@@ -268,15 +277,15 @@ class RidgeLogisticModel(_RidgeModel):
             w = w * (1.0 - w)
             # ((-w) x_i) x_j rounds as -((w x_i) x_j): negation is exact
             out = np.einsum("ni,nj->nij", (-w)[:, None] * X, X)
-            out -= 2.0 * float(lm[0]) * P
+            out += pen(1, lm) * P
             return out
 
         def phi_jac_sum(Z, th, lm):
-            # S = -X' diag(w) X - 2 n lam P, w = pi (1 - pi), from phi's pi
+            # S = -X' diag(w) X + pen(n) P, w = pi (1 - pi), from phi's pi
             y, X = _design(Z)
             pi = _expit(X @ th)
             w = pi * (1.0 - pi)
-            S = -(X.T @ (w[:, None] * X)) - 2.0 * len(X) * float(lm[0]) * P
+            S = -(X.T @ (w[:, None] * X)) + pen(len(X), lm) * P
             return phi(y, X, pi, th, lm), S
 
         def hess_phi_theta(Z, th, lm):
@@ -404,24 +413,45 @@ class HybridModel:
 # Univariate Gaussian likelihood model, theta = (mu, sigma).
 # ---------------------------------------------------------------------------
 
+def _gauss_score(m, S1, S2, sg):
+    """(..., 2) score sum over m rows, S1 and S2 the sums of r = z - mu and
+    r^2 over them; one row is m = 1, S1 = r, S2 = r**2."""
+    out = np.empty(np.broadcast(S1, sg).shape + (2,))
+    out[..., 0] = S1 / sg**2
+    out[..., 1] = -m / sg + S2 / sg**3
+    return out
+
+
+def _gauss_jac(m, S1, S2, sg):
+    """(..., 2, 2) theta-Jacobian of _gauss_score, from the same sums."""
+    out = np.empty(np.broadcast(S1, sg).shape + (2, 2))
+    out[..., 0, 0] = -m / sg**2
+    out[..., 0, 1] = out[..., 1, 0] = -2.0 * S1 / sg**3
+    out[..., 1, 1] = m / sg**2 - 3.0 * S2 / sg**4
+    return out
+
+
+def _gauss_rows(formula):
+    """A fresh per-row slot evaluating formula on each row: a loss slot
+    (Z, th) or a model slot (Z, th, lm), lm unused."""
+    def rows(Z, th, *lm):
+        mu, sg = th
+        r = Z[:, 0] - mu
+        return formula(1, r, r**2, sg)
+
+    return rows
+
+
 @dataclass(frozen=True)
 class GaussianLikelihoodModel:
     """Score equations of a N(mu, sigma^2) likelihood for the response z[0];
-    lam is inert (q=1)."""
+    lam is inert (q=1). One score and one Jacobian (_gauss_score, _gauss_jac)
+    serve one row, all n rows and each leave-one-out problem's n - 1 rows;
+    the loss's gradient and Hessian are their negatives."""
 
     def spec(self) -> ModelSpec:
-        def phi(r, sg):
-            out = np.empty((len(r), 2))
-            out[:, 0] = r / sg**2
-            out[:, 1] = -1.0 / sg + r**2 / sg**3
-            return out
-
-        def phi_batch(Z, th, lm):
-            mu, sg = th
-            return phi(Z[:, 0] - mu, sg)
-
         def loo_moments(Z, Th, rows):
-            # (S1, S2, m, sg): S1 and S2 are the sums of r and r^2 over the
+            # (m, S1, S2, sg): S1 and S2 are the sums of r and r^2 over the
             # m = n - 1 rows other than rows[j], with r = z - Th[j, 0], from
             # centred sums of d = z - mean(z); uncentred sums of z and z^2
             # lose digits when the mean is far from zero
@@ -434,40 +464,20 @@ class GaussianLikelihoodModel:
             m = len(z) - 1
             S1 = (D1 - di) + m * c
             S2 = (D2 - di * di) + 2.0 * c * (D1 - di) + m * c * c
-            return S1, S2, m, Th[:, 1]
+            return m, S1, S2, Th[:, 1]
 
         def phi_loo_sum(Z, Th, rows, lm):
-            S1, S2, m, sg = loo_moments(Z, Th, rows)
-            return np.column_stack([S1 / sg**2, -m / sg + S2 / sg**3])
+            return _gauss_score(*loo_moments(Z, Th, rows))
 
         def jac_loo_sum(Z, Th, rows, lm):
-            S1, S2, m, sg = loo_moments(Z, Th, rows)
-            out = np.empty((len(Th), 2, 2))
-            out[:, 0, 0] = -m / sg**2
-            out[:, 0, 1] = out[:, 1, 0] = -2.0 * S1 / sg**3
-            out[:, 1, 1] = m / sg**2 - 3.0 * S2 / sg**4
-            return out
-
-        def dphi_dtheta_batch(Z, th, lm):
-            mu, sg = th
-            r = Z[:, 0] - mu
-            n = Z.shape[0]
-            out = np.empty((n, 2, 2))
-            out[:, 0, 0] = -1.0 / sg**2
-            out[:, 0, 1] = -2.0 * r / sg**3
-            out[:, 1, 0] = -2.0 * r / sg**3
-            out[:, 1, 1] = 1.0 / sg**2 - 3.0 * r**2 / sg**4
-            return out
+            return _gauss_jac(*loo_moments(Z, Th, rows))
 
         def phi_jac_sum(Z, th, lm):
             # S from the sums of r and r^2; r = z - mu row by row keeps the
             # digits that sums of z and z^2 lose when the mean is far from mu
             mu, sg = th
             r = Z[:, 0] - mu
-            n = Z.shape[0]
-            off = -2.0 * r.sum() / sg**3
-            S = np.array([[-n / sg**2, off], [off, n / sg**2 - 3.0 * (r @ r) / sg**4]])
-            return phi(r, sg), S
+            return _gauss_score(1, r, r**2, sg), _gauss_jac(len(r), r.sum(), r @ r, sg)
 
         def dphi_dlambda_batch(Z, th, lm):
             return np.zeros((Z.shape[0], 2, 1))
@@ -487,7 +497,7 @@ class GaussianLikelihoodModel:
 
         return _built_in(
             ModelSpec, p=2, q=1,
-            phi_batch=phi_batch, dphi_dtheta_batch=dphi_dtheta_batch,
+            phi_batch=_gauss_rows(_gauss_score), dphi_dtheta_batch=_gauss_rows(_gauss_jac),
             dphi_dlambda_batch=dphi_dlambda_batch, hess_phi_theta=hess_phi_theta,
             dphi_dlambda_dtheta=dphi_dlambda_dtheta, phi_jac_sum=phi_jac_sum,
             phi_loo_sum=phi_loo_sum, jac_loo_sum=jac_loo_sum,
@@ -497,36 +507,18 @@ class GaussianLikelihoodModel:
         )
 
     def neg_loglik_loss(self) -> LossSpec:
-        """psi = -log N(z; mu, sigma^2); its gradient is minus the score."""
+        """psi = -log N(z; mu, sigma^2); its gradient and Hessian are minus
+        the score and minus its Jacobian."""
+        score, jac = _gauss_rows(_gauss_score), _gauss_rows(_gauss_jac)
         half_log_2pi = 0.5 * np.log(2.0 * np.pi)
 
-        def psi_batch(Z, th):
-            mu, sg = th
-            r = Z[:, 0] - mu
-            return np.log(sg) + r**2 / (2.0 * sg**2) + half_log_2pi
-
-        def grad_psi_batch(Z, th):
-            mu, sg = th
-            r = Z[:, 0] - mu
-            return np.column_stack([-r / sg**2, 1.0 / sg - r**2 / sg**3])
-
-        def hess_psi(Z, th):
-            mu, sg = th
-            r = Z[:, 0] - mu
-            out = np.empty((Z.shape[0], 2, 2))
-            out[:, 0, 0] = 1.0 / sg**2
-            out[:, 0, 1] = out[:, 1, 0] = 2.0 * r / sg**3
-            out[:, 1, 1] = -1.0 / sg**2 + 3.0 * r**2 / sg**4
-            return out
-
-        def psi_rowwise(Z, Th):
-            r = Z[:, 0] - Th[:, 0]
-            sg = Th[:, 1]
+        def nll(r, sg):
             return np.log(sg) + r**2 / (2.0 * sg**2) + half_log_2pi
 
         return _built_in(
-            LossSpec, psi_batch=psi_batch, grad_psi_batch=grad_psi_batch, hess_psi=hess_psi,
-            psi_rowwise=psi_rowwise,
+            LossSpec, psi_batch=lambda Z, th: nll(Z[:, 0] - th[0], th[1]),
+            grad_psi_batch=lambda Z, th: -score(Z, th), hess_psi=lambda Z, th: -jac(Z, th),
+            psi_rowwise=lambda Z, Th: nll(Z[:, 0] - Th[:, 0], Th[:, 1]),
         )
 
 

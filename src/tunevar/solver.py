@@ -179,18 +179,22 @@ def well_conditioned(A) -> np.ndarray:
 
     The same decision as the SVD test np.linalg.cond(A) <= COND_LIMIT, with
     fewer SVDs. For a p x p matrix, 1 / sigma_p = prod_{i<p} sigma_i / |det A|
-    <= sigma_1^(p-1) / |det A|, so cond_2(A) <= ||A||_F^p / |det A|, which
-    is 1 / |det(A / ||A||_F)|: scaling first keeps the determinant in range.
-    A matrix whose bound is at most COND_LIMIT / 10 passes without an SVD;
-    every other one, an exactly singular (det 0) or non-finite matrix
-    included, takes the SVD test. One np.linalg.det call screens the stack.
+    and, by AM-GM, prod_{i<p} sigma_i <= (||A||_F^2 / (p-1))^((p-1)/2), so
+    cond_2(A) <= ||A||_F^p / ((p-1)^((p-1)/2) |det A|); ||A||_F^p / |det A|
+    is 1 / |det(A / ||A||_F)|, and scaling first keeps the determinant in
+    range. A matrix whose bound is at most COND_LIMIT / 10 passes without an
+    SVD, a non-finite one fails without one, and every other one, an exactly
+    singular one (det 0) included, takes the SVD test. One np.linalg.det
+    call screens the stack.
     """
+    p = A.shape[-1]
     with np.errstate(all="ignore"):
         scaled = A / np.linalg.norm(A, axis=(1, 2))[:, None, None]
-        ok = 1.0 / np.abs(np.linalg.det(scaled)) <= COND_LIMIT / 10
+        ok = 1.0 / np.abs(np.linalg.det(scaled)) / (p - 1) ** ((p - 1) / 2) <= COND_LIMIT / 10
     if not ok.all():
-        cond = np.linalg.cond(A[~ok])
-        ok[~ok] = np.isfinite(cond) & (cond <= COND_LIMIT)
+        svd = ~ok & np.isfinite(A).all(axis=(1, 2))
+        cond = np.linalg.cond(A[svd])
+        ok[svd] = np.isfinite(cond) & (cond <= COND_LIMIT)
     return ok
 
 

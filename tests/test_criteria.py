@@ -209,6 +209,25 @@ def test_info_criterion_formulas():
         info_criterion(spec, loss, data, [0.0], Method.TE)
 
 
+@pytest.mark.parametrize("seed, n", [(0, 5), (1, 40), (2, 257), (3, 499)])
+def test_trace_corrected_te_is_tic_for_a_likelihood_loss(seed, n):
+    # psi = -log f has grad psi = -phi, so TE - Tr(J^-1 C)/n is TIC's
+    # -loglik + Tr(J^-1 K)/n. K = Phi'Phi / n takes BLAS's symmetric product
+    # and C = Phi'(-Phi) / n the general one, so the two trace terms differ
+    # in their last bits (1e-15 relative at most over 400 samples), below
+    # the last bit of the criterion value, which is the same
+    g = GaussianLikelihoodModel()
+    spec, loss = g.spec(), g.neg_loglik_loss()
+    z = 1.3 * np.random.default_rng(seed).standard_normal(n) + 0.4
+    data = Dataset(z[:, None])
+    solve = solve_theta(spec, data, [0.0], [z.mean(), z.std()])
+    tic = info_criterion(spec, loss, data, [0.0], Method.TIC, solve=solve)
+    te = te_trace_corrected(spec, loss, data, [0.0], solve=solve)
+    assert te.value == tic.value
+    corr = tic.diagnostics["trace_correction"]
+    assert abs(te.diagnostics["trace_correction"] + corr) <= 1e-14 * abs(corr)
+
+
 def test_criteria_permutation_invariant():
     spec, loss = _ridge()
     data = make_linear_data(n=50, seed=11)

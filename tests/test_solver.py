@@ -186,20 +186,26 @@ def test_gaussian_small_sample_from_theta_init():
     assert np.allclose(res.theta_hat, [z.mean(), z.std()], atol=1e-8)
 
 
-def test_well_conditioned_skips_the_svd_when_the_bound_decides(monkeypatch):
+@pytest.fixture
+def svds(monkeypatch):
+    """The stack size of each np.linalg.cond call, in order."""
+    sizes = []
+    cond = np.linalg.cond
+
+    def counted(M):
+        sizes.append(len(M))
+        return cond(M)
+
+    monkeypatch.setattr(np.linalg, "cond", counted)
+    return sizes
+
+
+def test_well_conditioned_skips_the_svd_when_the_bound_decides(svds):
     # a stack whose determinant bound passes needs no SVD; only the members
     # it cannot clear (7, 9 and the zero matrix 11) take the SVD test, which
     # decides each
     rng = np.random.default_rng(0)
     A = np.eye(3) + 0.1 * rng.standard_normal((50, 3, 3))
-    svds = []
-    cond = np.linalg.cond
-
-    def counted(M):
-        svds.append(len(M))
-        return cond(M)
-
-    monkeypatch.setattr(np.linalg, "cond", counted)
     assert well_conditioned(A).all()
     assert svds == []
     A[7] = np.diag([1.0, 1.0, 1e-13])
@@ -209,11 +215,29 @@ def test_well_conditioned_skips_the_svd_when_the_bound_decides(monkeypatch):
     assert np.flatnonzero(~ok).tolist() == [7, 11]
     assert svds == [3]
     # with A[11] = I only 7 and 9 take it; A[9] (cond 1e11, bound
-    # 2^1.5 * 1e11) passes it
+    # 2^0.5 * 1e11) passes it
     A[11] = np.eye(3)
     ok = well_conditioned(A)
     assert np.flatnonzero(~ok).tolist() == [7]
     assert svds == [3, 2]
+
+
+def test_well_conditioned_screen_clears_a_wide_stack(svds):
+    # p = 20, cond 2: ||A||_F^p / |det A| alone is 2e13, above COND_LIMIT;
+    # divided by (p-1)^((p-1)/2) it is about 16, and no member takes the SVD
+    rng = np.random.default_rng(0)
+    U = np.linalg.qr(rng.standard_normal((50, 20, 20)))[0]
+    A = (U * np.linspace(1.0, 2.0, 20)) @ U.transpose(0, 2, 1)
+    assert well_conditioned(A).all()
+    assert sum(svds) == 0
+
+
+def test_well_conditioned_is_false_for_non_finite_members(svds):
+    # one bool per member, as for a finite stack; the SVD does not converge
+    # on NaN or inf entries, so those members take no SVD
+    A = np.stack([np.eye(3), np.full((3, 3), np.nan), np.diag([1.0, 1.0, np.inf])])
+    assert well_conditioned(A).tolist() == [True, False, False]
+    assert sum(svds) == 0
 
 
 def test_checked_solve_skips_the_svd_when_the_bound_decides(monkeypatch):

@@ -59,6 +59,18 @@ def test_compare_lists_changed_files_with_max_relative_drift(cli_digest, tmp_pat
     assert capsys.readouterr().out == ""
 
 
+def test_digest_keeps_a_failed_runs_error_payload(cli_digest, tmp_path, monkeypatch):
+    # the JSON error payload on stderr is a file of the run, so it is digested
+    missing = tmp_path / "missing.csv"
+    monkeypatch.setattr(cli_digest, "runs", lambda root: iter(
+        [("bad", ["fit", "--data", str(missing), "--model", "ridge-linear"])]))
+    lines = cli_digest.digest_all(tmp_path / "out")
+    payload = json.loads((tmp_path / "out" / "bad" / "stderr.txt").read_text())
+    assert payload["error"]["type"] == "FileNotFoundError"
+    assert lines[0] == "exit 2  bad"
+    assert lines[1].endswith("  bad/stderr.txt")
+
+
 @pytest.fixture
 def bench_pairs():
     return _load("bench_pairs")

@@ -19,10 +19,14 @@ leave-one-out Newton step spans several ridge-logistic kernel blocks
 (models.LOO_BLOCK); tune and variance under cv_fast for --model pima on
 a 9-column input whose rows with a zero in a zero-is-missing column
 load_pima_csv drops, and variance --fit on its tuned record; simulate with --dgp gaussmix and with --dgp
-logistic, bootstrap and stone-check; and an
+logistic, bootstrap and stone-check; an
 intercept-only linear simulate whose replications all end on the box edge,
-so its summary holds null (non-finite) entries. A run that exits non-zero
-prints its exit code. --out keeps the files for a byte-level cmp; by
+so its summary holds null (non-finite) entries; and a ridge-linear fit at
+--lam 0 on an input whose two covariate columns are equal, which ends in
+SingularJacobian at its first Newton step. A run that exits non-zero
+prints its exit code, and a run that writes to stderr (a failed run's JSON
+error payload) leaves it in stderr.txt in its output directory, so error
+messages are digested too. --out keeps the files for a byte-level cmp; by
 default they go to a temporary directory.
 
 --compare OLD_DIR NEW_DIR runs nothing. It reads two --out directories and
@@ -40,8 +44,10 @@ values changed. It exits 1 if any file differs:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import sys
@@ -74,6 +80,11 @@ LARGE_INPUTS = {
     "gaussian": (DGPSpec(DGPKind.LINEAR_GAUSSIAN, n=300,
                          params={"beta": (0.4, 0.0), "sigma": 1.3}), 19, 0.0),
 }
+
+# (input DGP, seed) of a ridge-linear fit at lambda = 0 whose two covariate
+# columns are made equal, so that its first Newton step raises SingularJacobian
+SINGULAR_INPUT = (DGPSpec(DGPKind.LINEAR_GAUSSIAN, n=40,
+                          params={"beta": (1.0, 1.0, 0.5), "coef_sq": 0.5}), 11)
 
 # (input DGP, seed) of the --model pima runs: 8 covariates, Outcome moved last
 PIMA_INPUT = (DGPSpec(DGPKind.LOGISTIC_TRUE, n=150,
@@ -111,6 +122,13 @@ def runs(root: Path):
         write_csv(csv, simulate(dgp, seed).rows)
         yield f"{model}/cv-n300/fit", ["fit", "--data", str(csv), "--model", model,
                                        "--criterion", "cv", "--lam", str(lam)]
+    dgp, seed = SINGULAR_INPUT
+    rows = simulate(dgp, seed).rows
+    rows[:, 2] = rows[:, 1]
+    csv = root / "inputs" / "ridge-linear-singular.csv"
+    write_csv(csv, rows)
+    yield "ridge-linear/singular/fit", ["fit", "--data", str(csv), "--model", "ridge-linear",
+                                        "--lam", "0"]
     dgp, seed = PIMA_INPUT
     rows = np.roll(simulate(dgp, seed).rows, -1, axis=1)
     rows[tuple(zip(*PIMA_ZEROS))] = 0.0
@@ -138,7 +156,12 @@ def digest_all(root: Path) -> list[str]:
     (root / "inputs").mkdir(parents=True, exist_ok=True)
     lines = []
     for name, argv in runs(root):
-        rc = cli_main([*argv, "--out", str(root / name)])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli_main([*argv, "--out", str(root / name)])
+        if err.getvalue():
+            (root / name).mkdir(parents=True, exist_ok=True)
+            (root / name / "stderr.txt").write_text(err.getvalue())
         if rc != 0:
             lines.append(f"exit {rc}  {name}")
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
