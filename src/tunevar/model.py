@@ -178,8 +178,8 @@ class ModelSpec:
     attribute is kept.
 
     Library code reads every slot through slot_values, which checks the
-    result's shape against SLOT_SHAPES (and that phi_batch and the F of
-    phi_jac_sum are finite) and raises EvaluationError naming the slot;
+    result's shape against SLOT_SHAPES (and that the _FINITE_SLOTS and the F
+    of phi_jac_sum are finite) and raises EvaluationError naming the slot;
     only solver._loo_means calls a sum slot raw, and checks it the same way.
 
     The Newton solve (solver.solve_theta) makes one phi_jac_sum call per
@@ -364,7 +364,9 @@ SLOT_SHAPES = {
     "hess_psi": lambda Z, th, loss: (len(Z), len(th), len(th)),
     "psi_rowwise": lambda Z, Th, loss: (len(Z),),
 }
-_FINITE_SLOTS = ("phi_batch", "psi_batch", "psi_rowwise")
+# the other derivative slots may be non-finite: solve_loo_all rejects a problem
+# whose leave-one-out Jacobian is; only theta_prime and eta_matrix read this one
+_FINITE_SLOTS = ("phi_batch", "dphi_dlambda_batch", "psi_batch", "psi_rowwise")
 
 
 def _checked(slot, values, want, finite):
@@ -378,10 +380,10 @@ def _checked(slot, values, want, finite):
 
 def slot_values(spec, slot: str, Z: np.ndarray, theta, *rest):
     """spec.<slot>(Z, theta, *rest) as a float array of the shape SLOT_SHAPES
-    gives, else EvaluationError; the values of phi_batch, psi_batch and
-    psi_rowwise must also be finite. phi_jac_sum gives the pair (F, S) of
-    float arrays, each part checked against its shape, and F must be
-    finite."""
+    gives, else EvaluationError; the values of phi_batch, dphi_dlambda_batch,
+    psi_batch and psi_rowwise must also be finite. phi_jac_sum gives the pair
+    (F, S) of float arrays, each part checked against its shape, and F must
+    be finite."""
     got = getattr(spec, slot)(Z, theta, *rest)
     want = SLOT_SHAPES[slot](Z, theta, spec)
     if slot != "phi_jac_sum":

@@ -185,7 +185,11 @@ def well_conditioned(A) -> np.ndarray:
     range. A matrix whose bound is at most COND_LIMIT / 10 passes without an
     SVD, a non-finite one fails without one, and every other one, an exactly
     singular one (det 0) included, takes the SVD test. One np.linalg.det
-    call screens the stack.
+    call screens the stack. AM-GM is tight only for equal singular values,
+    so a spread spectrum takes the SVD: with singular values log-spaced from
+    1 to cond, the bound is 5.5e11 at p = 7, cond 1e4, and 1.0e12 (p = 20)
+    and 3.3e22 (p = 40) at cond 1e2, where checked_inv's Frobenius bound
+    ||A||_F ||A^-1||_F reads 1.1e4, 2.6e2 and 4.8e2.
     """
     p = A.shape[-1]
     with np.errstate(all="ignore"):

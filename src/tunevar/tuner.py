@@ -220,9 +220,10 @@ def _slopes(value, lam_hat, box, status) -> np.ndarray:
     return slopes
 
 
-def check_fit(model: ModelSpec, data: Dataset, fit: FitResult) -> None:
+def check_fit(model: ModelSpec, data: Dataset, fit: FitResult) -> SolveResult:
     """ValueError unless fit is what tune, or a solve at a fixed lambda, makes
-    of model on data.
+    of model on data; else the root at (theta_hat, lambda_hat), whose Phi and
+    J_hat come from one phi_jac_sum call (its EvaluationError propagates).
 
     The shapes come first, before any slot call: theta_hat (p,), D_hat
     (p, q), lambda_box (q, 2), lambda_hat, boundary_status and the slope
@@ -230,12 +231,10 @@ def check_fit(model: ModelSpec, data: Dataset, fit: FitResult) -> None:
     must be all FIXED or edge_status of lambda_hat in fit.lambda_box. A
     tuned fit's criterion_slope_at_opt must be, bit for bit, what _slopes
     gives from the values in its own trace; tune evaluates every slope
-    point through its cache, so each is a trace entry. theta_hat
-    must leave a residual ||mean phi|| of at most 1e4 times
-    default_tol(theta_hat) on data, and D_hat must lie within
-    1e-8 * (1 + max|D|) of D = theta' at theta_hat and lambda_hat on data.
-    phi and J_hat come from one phi_jac_sum call, whose EvaluationError
-    propagates. fit.lambda_box is not compared with model.lambda_domain.
+    point through its cache, so each is a trace entry. theta_hat must leave
+    a residual ||mean phi|| of at most 1e4 times default_tol(theta_hat) on
+    data, and D_hat must lie within 1e-8 * (1 + max|D|) of D = theta' at
+    the root. fit.lambda_box is not compared with model.lambda_domain.
     """
     p, q = model.p, model.q
     for name, got, want in (
@@ -285,13 +284,15 @@ def check_fit(model: ModelSpec, data: Dataset, fit: FitResult) -> None:
             f"fit theta_hat leaves the residual {residual:.3e} > {tol:.3e} on this "
             "data; the fit was made on other data or with another model"
         )
-    D = theta_prime(model, data, SolveResult(theta, lam, 0, residual, -(S / data.n), F))
+    root = SolveResult(theta, lam, 0, residual, -(S / data.n), F)
+    D = theta_prime(model, data, root)
     gap = float(np.max(np.abs(fit.D_hat - D)))
     if not gap <= 1e-8 * (1.0 + float(np.max(np.abs(D)))):
         raise ValueError(
             f"fit D_hat is {gap:.3e} from theta' at theta_hat and lambda_hat on this "
             "data; the fit was made on other data or with another model"
         )
+    return root
 
 
 def _resolve_box(model: ModelSpec):
@@ -327,18 +328,11 @@ def tune(
     slopes = _slopes(ev.value, lam_hat, box, status)
 
     solve = solve_theta(model, data, lam_hat, ev.warm)
-    D_hat = theta_prime(model, data, solve)
     trace = tuple(ev.trace)
     return FitResult(
-        theta_hat=solve.theta_hat,
-        lambda_hat=lam_hat,
-        D_hat=D_hat,
-        boundary_status=status,
-        criterion=method,
-        criterion_value=float(value),
-        criterion_slope_at_opt=slopes,
-        trace=trace,
-        lambda_box=box,
+        theta_hat=solve.theta_hat, lambda_hat=lam_hat, D_hat=theta_prime(model, data, solve),
+        boundary_status=status, criterion=method, criterion_value=float(value),
+        criterion_slope_at_opt=slopes, trace=trace, lambda_box=box,
         diagnostics={
             "grid_failures": float(ev.failures),
             "evaluations": float(len(trace)),

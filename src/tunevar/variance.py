@@ -106,21 +106,19 @@ def assemble_components(
 ) -> VarianceComponents:
     """The matrices of V1 and V2 at the tuned fit, Z1_hat from z1_profiled.
 
-    Boundary and fixed-lambda fits get a partial assembly (J_hat, K_hat
-    only): the joint-limit components are meaningless when lambda_hat sits on
-    an edge or was not tuned.
+    ValueError first, from tuner.check_fit, unless fit was made of model on
+    data; J_hat and the per-row phi of K_hat are those of the root that
+    check_fit rebuilds. Boundary and fixed-lambda fits get a partial assembly
+    (J_hat, K_hat only): the joint-limit components are meaningless when
+    lambda_hat sits on an edge or was not tuned.
     """
-    theta, lam = fit.theta_hat, np.asarray(fit.lambda_hat, float)
-    Z, n = data.rows, data.n
-
-    Phi, S = slot_values(model, "phi_jac_sum", Z, theta, lam)
-    J_hat = -(S / n)
-    K_hat = _sym(Phi.T @ Phi / n)
-
+    root = check_fit(model, data, fit)
+    J_hat, K_hat = root.J_hat, _sym(root.Phi.T @ root.Phi / data.n)
     if not fit.interior:
         return VarianceComponents(J_hat=J_hat, K_hat=K_hat)
 
-    D_hat = fit.D_hat
+    theta, lam = fit.theta_hat, np.asarray(fit.lambda_hat, float)
+    Z, n, D_hat = data.rows, data.n, fit.D_hat
     Jinv = checked_inv(J_hat, "J_hat")
     b_hat = slot_values(loss, "grad_psi_batch", Z, theta).mean(axis=0)
     Z2_hat = _sym(slot_values(loss, "hess_psi", Z, theta).mean(axis=0))
@@ -267,16 +265,16 @@ def select_variance(
 ) -> VarianceReport:
     """Assemble components and pick the variance matching the fit's geometry.
 
-    ValueError first, from tuner.check_fit, unless fit was made of model on
-    data. Interior fits get V1; boundary fits and fits at a fixed lambda get
-    V2. A boundary fit whose one-sided slope is indistinguishable from zero
-    (FitResult.flat_at_edge) is in the regime where neither estimator is
-    justified; V2 is reported with nondegenerate_boundary set. An interior
-    fit whose Z1_hat has an eigenvalue <= 0 (lambda_hat where the profiled
-    training error is not strictly convex, outside the theory behind V1)
-    still reports V1, with the diagnostic z1_not_positive_definite set.
+    ValueError first, from tuner.check_fit through assemble_components,
+    unless fit was made of model on data. Interior fits get V1; boundary
+    fits and fits at a fixed lambda get V2. A boundary fit whose one-sided
+    slope is indistinguishable from zero (FitResult.flat_at_edge) is in the
+    regime where neither estimator is justified; V2 is reported with
+    nondegenerate_boundary set. An interior fit whose Z1_hat has an
+    eigenvalue <= 0 (lambda_hat where the profiled training error is not
+    strictly convex, outside the theory behind V1) still reports V1, with
+    the diagnostic z1_not_positive_definite set.
     """
-    check_fit(model, data, fit)
     components = assemble_components(model, loss, data, fit)
     V2 = variance_pointwise(components)
     diagnostics: Dict[str, float] = {}

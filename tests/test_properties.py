@@ -460,9 +460,10 @@ def _stacks(draw):
 @given(_stacks())
 def test_row_mean_is_numpy_mean_bitwise(A):
     # sum / n is numpy's mean, overflow, infinities and NaN included, and
-    # slot_values passes each stack on unchanged: A as an (n, p) phi, an
-    # (n, p, q) lambda-Jacobian and, when square, an (n, p, p) theta-Jacobian
-    # whose fallback sum (the S of phi_jac_sum) over the row count is the mean
+    # slot_values passes each finite stack on unchanged and refuses a
+    # non-finite one: A as an (n, p) phi or an (n, p, q) lambda-Jacobian.
+    # When square, A as an (n, p, p) theta-Jacobian passes non-finite too,
+    # and its fallback sum (the S of phi_jac_sum) over the row count is the mean
     n, p = A.shape[:2]
     q = A.shape[2] if A.ndim == 3 else 1
     Z = np.zeros((n, 1))
@@ -476,16 +477,13 @@ def test_row_mean_is_numpy_mean_bitwise(A):
     with np.errstate(over="ignore", invalid="ignore"):
         want = A.mean(axis=0)
         assert np.array_equal(row_mean(A), want, equal_nan=True)
-        if A.ndim == 2:
-            if np.all(np.isfinite(A)):
-                assert np.array_equal(row_mean(slot_values(spec, "phi_batch", Z, th, lm)), want)
-            else:
-                with pytest.raises(EvaluationError, match="phi_batch produced non-finite"):
-                    slot_values(spec, "phi_batch", Z, th, lm)
-            return
-        got = row_mean(slot_values(spec, "dphi_dlambda_batch", Z, th, lm))
-        assert np.array_equal(got, want, equal_nan=True)
-        if q == p:
+        slot = "phi_batch" if A.ndim == 2 else "dphi_dlambda_batch"
+        if np.all(np.isfinite(A)):
+            assert np.array_equal(row_mean(slot_values(spec, slot, Z, th, lm)), want)
+        else:
+            with pytest.raises(EvaluationError, match=f"{slot} produced non-finite"):
+                slot_values(spec, slot, Z, th, lm)
+        if A.ndim == 3 and q == p:
             # the fallback pair's F is phi_batch, which must be (n, p)
             spec = dataclasses.replace(spec, phi_batch=lambda Z, th, lm: np.zeros((n, p)))
             got = slot_values(spec, "phi_jac_sum", Z, th, lm)[1] / n

@@ -2,8 +2,10 @@
 directories, by how much and where; tools/bench_pairs.py: how paired
 benchmark results are aggregated, in which order the runs go, and when
 the script fails; tools/settable_count.py: the pinned number of settable
-values."""
+values; and a guard against imports and private names that src/tunevar
+no longer uses."""
 
+import ast
 import importlib.util
 import json
 from pathlib import Path
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
+PACKAGE = TOOLS.parent / "src" / "tunevar"
 
 
 def _load(name):
@@ -170,3 +173,60 @@ def test_settable_count_is_pinned(capsys):
     assert (counter.library_count(), counter.cli_count()) == (57, 64)
     counter.main()
     assert capsys.readouterr().out.split() == ["library", "57", "cli", "64", "total", "121"]
+
+
+def _read_names(tree):
+    # every name a tree reads: loaded or deleted names and attribute names
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def dead_code(paths):
+    """Imports a module never reads (names in its __all__ count as read),
+    and module-level _private functions, classes and constants that no
+    module in paths mentions again, as sorted "module: kind name" lines."""
+    trees = {path.name: ast.parse(path.read_text()) for path in paths}
+    mentioned = set().union(*(_read_names(tree) for tree in trees.values()))
+    for tree in trees.values():
+        mentioned |= {alias.name for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) for alias in node.names}
+    found = []
+    for name, tree in trees.items():
+        read = _read_names(tree)
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and "__all__" in [
+                    t.id for t in node.targets if isinstance(t, ast.Name)]:
+                read |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [f"{name}: unread import {bound}" for bound in (
+                    (alias.asname or alias.name).split(".")[0] for alias in node.names)
+                    if bound not in read]
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                defined = []
+            found += [f"{name}: unmentioned private {d}" for d in defined
+                      if d.startswith("_") and not d.startswith("__") and d not in mentioned]
+    return sorted(found)
+
+
+def test_package_has_no_unread_import_or_unmentioned_private_name(tmp_path):
+    assert dead_code(sorted(PACKAGE.glob("*.py"))) == []
+    # the guard sees what a simplification leaves behind, and not a private
+    # name that another module imports or an import that __all__ exports
+    (tmp_path / "a.py").write_text(
+        "import math\nimport numpy as np\nfrom .b import _used, helper\n"
+        "__all__ = ['helper']\n_LIMIT = 1\n\ndef _gone():\n    return np.pi\n")
+    (tmp_path / "b.py").write_text("def _used():\n    pass\n\ndef helper():\n    pass\n")
+    assert dead_code([tmp_path / "a.py", tmp_path / "b.py"]) == [
+        "a.py: unmentioned private _LIMIT", "a.py: unmentioned private _gone",
+        "a.py: unread import _used", "a.py: unread import math",
+    ]

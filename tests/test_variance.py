@@ -8,6 +8,7 @@ from tunevar import (
     BoundaryStatus,
     DGPKind,
     DGPSpec,
+    EvaluationError,
     FlatLimitSuspected,
     Method,
     RidgeLinearModel,
@@ -26,7 +27,7 @@ from tunevar import (
     variance_tuned,
 )
 from tunevar import numdiff, variance
-from tunevar.model import Dataset, LossSpec, ModelSpec, rowwise, slot_values
+from tunevar.model import SLOT_SHAPES, Dataset, LossSpec, ModelSpec, rowwise, slot_values
 from tunevar.rng import derive_stream
 from tunevar.tuner import FitResult
 from tunevar.variance import _joint_jacobian, _sym, z1_profiled
@@ -93,6 +94,46 @@ def test_select_variance_refuses_a_fit_made_on_other_data():
     assert select_variance(spec, loss, _linear_gaussian(0), fit).selected == "V1"
     with pytest.raises(ValueError, match="residual"):
         select_variance(spec, loss, _linear_gaussian(1), fit)
+
+
+def _gaussmix_logistic(C, seed):
+    m = RidgeLogisticModel(2, lambda_domain=(0.0, 1.0))
+    data = simulate(DGPSpec(DGPKind.GAUSSMIX_C, n=300, params={"C": C}), seed)
+    return data, m.spec(), m.brier_loss(predictor_covariates=[0])
+
+
+def test_assemble_components_refuses_a_fit_made_on_other_data():
+    # assemble_components used to build full components, Z1 refits
+    # included, for a fit tuned on the seed-3 sample and handed seed 4's
+    data, spec, loss = _gaussmix_logistic(2.0, 3)
+    fit = tune(spec, loss, data, Method.CV_FAST)
+    other = _gaussmix_logistic(2.0, 4)[0]
+    with pytest.raises(ValueError, match="residual") as refused:
+        select_variance(spec, loss, other, fit)
+    with pytest.raises(ValueError, match="residual") as assembled:
+        assemble_components(spec, loss, other, fit)
+    assert str(assembled.value) == str(refused.value)
+
+
+def test_a_non_finite_theta_prime_slot_names_itself():
+    # a NaN in dphi_dlambda_batch used to give tune a NaN D_hat, and
+    # select_variance blamed the data for it ("fit D_hat is nan from
+    # theta'"), on that fit and on a clean one alike
+    data, spec, loss = _gaussmix_logistic(1.0, 3)
+
+    def nan_row(Z, th, lm):
+        out = spec.dphi_dlambda_batch(Z, th, lm).copy()
+        out[0] = np.nan
+        return out
+
+    broken = dataclasses.replace(spec, dphi_dlambda_batch=nan_row)
+    message = "^dphi_dlambda_batch produced non-finite values$"
+    with pytest.raises(EvaluationError, match=message):
+        tune(broken, loss, data, Method.CV_FAST)
+    fit = tune(spec, loss, data, Method.CV_FAST)
+    assert fit.interior
+    with pytest.raises(EvaluationError, match=message):
+        select_variance(broken, loss, data, fit)
 
 
 def _edge_fit():
@@ -348,7 +389,9 @@ def test_variance_alpha_checks_the_fit_against_the_data():
 
 
 def test_pointwise_variance_sample_mean_identity():
-    # phi = z - theta: V2 equals the (uncentered at theta_hat) sample variance
+    # phi = z - theta: V2 equals the (uncentered at theta_hat) sample variance;
+    # the trace holds the point (1e-5,) of the one-sided slope 1.0 that
+    # check_fit derives from it
     rng = np.random.default_rng(7)
     z = rng.standard_normal((300, 1)) * 1.7
     data = Dataset(z)
@@ -360,7 +403,8 @@ def test_pointwise_variance_sample_mean_identity():
         theta_hat=res.theta_hat, lambda_hat=np.array([0.0]),
         D_hat=np.zeros((1, 1)), boundary_status=(BoundaryStatus.LOWER_BOUNDARY,),
         criterion=Method.TE, criterion_value=0.0,
-        criterion_slope_at_opt=np.ones(1), trace=(((0.0,), 0.0), ((1.0,), 1.0)),
+        criterion_slope_at_opt=np.ones(1),
+        trace=(((0.0,), 0.0), ((1e-5,), 1e-5), ((1.0,), 1.0)),
         lambda_box=np.array([[0.0, 1.0]]),
     )
     loss = LossSpec(psi_batch=rowwise(lambda zz, th: (zz[0] - th[0]) ** 2))
@@ -506,37 +550,51 @@ def test_alpha_influences_match_all_coordinate_differences():
         assert rel_err(alpha_influences(spec, loss, data, theta, lam, D), old) < 1e-9
 
 
+def _counted(calls, name, fn):
+    # fn, counting its calls in calls[name]
+    def wrapper(*args):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args)
+    return wrapper
+
+
 def test_variance_alpha_evaluation_counts(monkeypatch):
     # 2q eta_matrix evaluations for the lambda-columns and one for K*; one
     # call to each second-order slot; the theta-Jacobian mean from the sum slot
     data, spec, loss, fit = _interior_logistic_fit()
     calls = {}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] = calls.get(name, 0) + 1
-            return fn(*args)
-        return wrapper
-
     spec = dataclasses.replace(spec, **{
-        name: counted(name, getattr(spec, name))
+        name: _counted(calls, name, getattr(spec, name))
         for name in ("dphi_dtheta_batch", "hess_phi_theta", "dphi_dlambda_dtheta")
     })
-    loss = dataclasses.replace(loss, hess_psi=counted("hess_psi", loss.hess_psi))
-    monkeypatch.setattr(variance, "eta_matrix", counted("eta_matrix", variance.eta_matrix))
+    loss = dataclasses.replace(loss, hess_psi=_counted(calls, "hess_psi", loss.hess_psi))
+    monkeypatch.setattr(variance, "eta_matrix",
+                        _counted(calls, "eta_matrix", variance.eta_matrix))
     variance_alpha(spec, loss, data, fit)
     q = spec.q
     assert calls == {"eta_matrix": 2 * q + 1, "dphi_dtheta_batch": 2 * q + 1,
                      "hess_phi_theta": 1, "dphi_dlambda_dtheta": 1, "hess_psi": 1}
 
 
+def test_select_variance_slot_reads_at_a_boundary_fit():
+    # check_fit's one phi_jac_sum call gives J_hat and K_hat as well, and
+    # its theta' the one dphi_dlambda_batch read; a partial assembly reads
+    # no other slot of the model or the loss
+    data, spec, loss, fit = _edge_fit()
+    calls = {}
+    # wrappers name no phi_batch (psi_batch), so each spec keeps all of them
+    spec, loss = (dataclasses.replace(s, **{
+        name: _counted(calls, name, getattr(s, name)) for name in SLOT_SHAPES if hasattr(s, name)
+    }) for s in (spec, loss))
+    select_variance(spec, loss, data, fit)
+    assert calls == {"phi_jac_sum": 1, "dphi_dlambda_batch": 1}
+
+
 def test_wrong_second_order_slot_fails_the_joint_jacobian_check():
     # an interior GAUSSMIX ridge-logistic fit with a sign-flipped
     # hess_phi_theta: V1 and variance_alpha both read the slot, the
     # all-coordinate central difference does not
-    m = RidgeLogisticModel(2, lambda_domain=(0.0, 1.0))
-    spec, loss = m.spec(), m.brier_loss(predictor_covariates=[0])
-    data = simulate(DGPSpec(DGPKind.GAUSSMIX_C, n=300, params={"C": 2.0}), 3)
+    data, spec, loss = _gaussmix_logistic(2.0, 3)
     fit = tune(spec, loss, data, Method.CV_FAST)
     assert fit.interior
     flipped = dataclasses.replace(
