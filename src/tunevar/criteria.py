@@ -4,6 +4,10 @@ Implements the training error, exact and influence-approximated leave-one-out
 cross-validation, the trace-corrected training error, a seeded holdout
 criterion, and the AIC/BIC/TIC information criteria.
 
+Every criterion but holdout_error, which solves on its own estimation part,
+reads the root theta_hat(lam) from its solve argument, a SolveResult made at
+lam on the rows of data (ValueError otherwise).
+
 Exact LOOCV solves the n leave-one-out problems together by the batched
 Newton iteration of solver.solve_loo_all, which describes it; a row that
 the batch rejects or does not converge falls back to the per-row refit
@@ -20,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -28,7 +32,8 @@ from .exceptions import RefitFailure, TunevarError
 from .model import Dataset, LossSpec, ModelSpec, slot_values
 from .rng import fisher_yates_permutation
 from .solver import (
-    SolveResult, checked_solve, pinned_influences, solve_loo, solve_loo_all, solve_theta,
+    SolveResult, _check_root, checked_solve, pinned_influences, solve_loo, solve_loo_all,
+    solve_theta,
 )
 
 
@@ -56,20 +61,6 @@ class CriterionValue:
             raise TunevarError(f"{self.method.value} produced a non-finite value")
 
 
-def _fit(model, data, lam, solve, start):
-    """solve if given, else the root at lam from start.
-
-    ValueError when the given solve was made at another lambda than lam: the
-    criterion reads its values from the solve, so it would report that
-    lambda's value under lam.
-    """
-    if solve is None:
-        return solve_theta(model, data, lam, start)
-    if not np.array_equal(solve.lam, np.atleast_1d(lam)):
-        raise ValueError(f"solve was made at lambda = {solve.lam}, not at {np.atleast_1d(lam)}")
-    return solve
-
-
 def _trace_term(solve: SolveResult, G) -> float:
     """(1/n) Tr(J_hat^{-1} M) with M = (1/n) sum_i phi_i G_i' over the n rows,
     phi_i = solve.Phi[i].
@@ -83,35 +74,33 @@ def _trace_term(solve: SolveResult, G) -> float:
 
 
 def training_error(
-    model: ModelSpec, loss: LossSpec, data: Dataset, lam,
-    solve: Optional[SolveResult] = None,
+    model: ModelSpec, loss: LossSpec, data: Dataset, lam, solve: SolveResult,
 ) -> CriterionValue:
     """TE(lam) = mean_i psi(Z_i, theta_hat(lam))."""
-    solve = _fit(model, data, lam, solve, model.theta_init)
+    _check_root(data, lam, solve)
     value = float(slot_values(loss, "psi_batch", data.rows, solve.theta_hat).mean())
     return CriterionValue(value, Method.TE)
 
 
 def loocv_exact(
-    model: ModelSpec, loss: LossSpec, data: Dataset, lam,
-    theta_init=None, solve: Optional[SolveResult] = None,
+    model: ModelSpec, loss: LossSpec, data: Dataset, lam, solve: SolveResult,
+    theta_init=None,
 ) -> CriterionValue:
     """CV(lam): refit without each row in turn and average the held-out loss.
 
-    All n refits are solved together from theta_hat(lam) by
-    solver.solve_loo_all, whose docstring gives the iteration and the slots
-    it calls. It takes phi at theta_hat from the root's solve.Phi, so a
-    given solve must be the root of model on data.
+    All n refits are solved together from theta_hat(lam) = solve.theta_hat
+    by solver.solve_loo_all, whose docstring gives the iteration and the
+    slots it calls. It takes phi at theta_hat from the root's solve.Phi, so
+    solve must be the root of model on data.
     A row it rejects or does not converge falls back to the per-row
     solve_loo, warm-started at theta_hat and retried once from theta_init,
-    the tuner's warm start (else model.theta_init, which also starts
-    theta_hat(lam) when no solve is given), before being counted as failed.
-    More than 1% failed rows aborts.
+    the tuner's warm start (else model.theta_init), before being counted as
+    failed. More than 1% failed rows aborts.
     Diagnostics: refit_fallbacks counts the rows that took the per-row path,
     refit_failures the rows that failed on it.
     """
+    _check_root(data, lam, solve)
     start = model.theta_init if theta_init is None else theta_init
-    solve = _fit(model, data, lam, solve, start)
     thetas, ok = solve_loo_all(model, data, solve)
     fallbacks = np.flatnonzero(~ok)
     for i in fallbacks:
@@ -138,15 +127,14 @@ def loocv_exact(
 
 
 def loocv_fast(
-    model: ModelSpec, loss: LossSpec, data: Dataset, lam,
-    solve: Optional[SolveResult] = None,
+    model: ModelSpec, loss: LossSpec, data: Dataset, lam, solve: SolveResult,
 ) -> CriterionValue:
     """Influence-approximated CV: no refits.
 
     Each leave-one-out estimate is approximated by one influence step,
     theta_hat - (1/n) J_hat^{-1} phi(Z_i, theta_hat, lam), and psi is averaged
     at the approximated points. The phi values are the root's solve.Phi, so
-    a given solve must be the root of model on data; no phi is evaluated.
+    solve must be the root of model on data; no phi is evaluated.
 
     The steps are solver.pinned_influences(solve) / n: one checked inverse
     of J_hat applied to the n rows of solve.Phi by a matrix product. That is
@@ -154,7 +142,7 @@ def loocv_fast(
     time grows with n, and agrees with it to roundoff, not bitwise. The
     average is psi's sum over n, the formula of numpy's mean, bit for bit.
     """
-    solve = _fit(model, data, lam, solve, model.theta_init)
+    _check_root(data, lam, solve)
     n = data.n
     thetas = solve.theta_hat[None, :] - pinned_influences(solve) / n  # (n, p)
     value = float(slot_values(loss, "psi_rowwise", data.rows, thetas).sum() / n)
@@ -162,15 +150,14 @@ def loocv_fast(
 
 
 def te_trace_corrected(
-    model: ModelSpec, loss: LossSpec, data: Dataset, lam,
-    solve: Optional[SolveResult] = None,
+    model: ModelSpec, loss: LossSpec, data: Dataset, lam, solve: SolveResult,
 ) -> CriterionValue:
     """TE(lam) - (1/n) Tr(J_hat^{-1} C_hat), the first-order CV surrogate.
 
-    C_hat takes its phi values from the root's solve.Phi, so a given solve
-    must be the root of model on data; no phi is evaluated.
+    C_hat takes its phi values from the root's solve.Phi, so solve must be
+    the root of model on data; no phi is evaluated.
     """
-    solve = _fit(model, data, lam, solve, model.theta_init)
+    _check_root(data, lam, solve)
     te = float(slot_values(loss, "psi_batch", data.rows, solve.theta_hat).mean())
     corr = _trace_term(solve, slot_values(loss, "grad_psi_batch", data.rows, solve.theta_hat))
     return CriterionValue(te - corr, Method.TE_TRACE_CORRECTED, {"trace_correction": corr})
@@ -204,19 +191,18 @@ def holdout_error(
 
 
 def info_criterion(
-    model: ModelSpec, loss: LossSpec, data: Dataset, lam, kind: Method,
-    solve: Optional[SolveResult] = None,
+    model: ModelSpec, loss: LossSpec, data: Dataset, lam, kind: Method, solve: SolveResult,
 ) -> CriterionValue:
     """AIC / BIC / TIC for likelihood models.
 
     Contract: phi is the score of a log-density and psi = -log f, so the mean
     of psi at theta_hat is minus the scaled log-likelihood. The caller asserts
     this; it is not checkable here. TIC's penalty reads the root's per-row
-    phi, solve.Phi, so a given solve must be the root of model on data.
+    phi, solve.Phi, so solve must be the root of model on data.
     """
     if kind not in (Method.AIC, Method.BIC, Method.TIC):
         raise ValueError("kind must be one of Method.AIC, Method.BIC, Method.TIC")
-    solve = _fit(model, data, lam, solve, model.theta_init)
+    _check_root(data, lam, solve)
     neg_loglik = float(slot_values(loss, "psi_batch", data.rows, solve.theta_hat).mean())
     n, p = data.n, model.p
     diagnostics: Dict[str, float] = {}
@@ -231,16 +217,15 @@ def info_criterion(
 
 
 def evaluate_criterion(
-    method: Method, model: ModelSpec, loss: LossSpec, data: Dataset, lam,
-    theta_init=None, solve: Optional[SolveResult] = None,
-    split: float = 0.5, seed: int = 0,
+    method: Method, model: ModelSpec, loss: LossSpec, data: Dataset, lam, solve: SolveResult,
+    theta_init=None, split: float = 0.5, seed: int = 0,
 ) -> CriterionValue:
     """Dispatch a single criterion evaluation; used by the tuner and the CLI.
-    Only loocv_exact and holdout_error read theta_init."""
+    holdout_error ignores solve; only it and loocv_exact read theta_init."""
     if method is Method.TE:
         return training_error(model, loss, data, lam, solve)
     if method is Method.CV_EXACT:
-        return loocv_exact(model, loss, data, lam, theta_init, solve)
+        return loocv_exact(model, loss, data, lam, solve, theta_init)
     if method is Method.CV_FAST:
         return loocv_fast(model, loss, data, lam, solve)
     if method is Method.TE_TRACE_CORRECTED:

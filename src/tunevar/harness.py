@@ -299,9 +299,7 @@ def mixture_law_check(
     lam0 = np.array([lam_edge])
     solve0 = solve_theta(config.model, ref, lam0, theta0)
     D0 = theta_prime(config.model, ref, solve0)
-    infl_alpha = alpha_influences(
-        config.model, config.loss, ref, solve0.theta_hat, lam0, D0
-    )
+    infl_alpha = alpha_influences(config.model, config.loss, ref, solve0, D0)
     infl_pinned = pinned_influences(solve0)
     p, q = config.model.p, config.model.q
     U = np.column_stack(

@@ -25,7 +25,7 @@ class SolveResult:
     and -S / n of the phi_jac_sum call that the solver made at its last
     accepted iterate. For the built-in models and the fallback pair, Phi is
     slot_values(model, "phi_batch", Z, theta_hat, lam) bit for bit.
-    Criteria that take a solve read them instead of evaluating phi again,
+    The criteria and the variance code read them instead of evaluating again,
     so a SolveResult passed along with a dataset must be the root of the
     same model on that dataset.
     """
@@ -36,6 +36,16 @@ class SolveResult:
     residual_norm: float
     J_hat: np.ndarray  # minus the empirical theta-Jacobian at the root
     Phi: np.ndarray  # (n, p) per-row phi at the root
+
+
+def _check_root(data, lam, solve):
+    """ValueError unless solve was made at lam on the n rows of data, for the
+    callers that read their values from solve. A root of other data with the
+    same n is not caught."""
+    if not np.array_equal(solve.lam, np.atleast_1d(lam)):
+        raise ValueError(f"solve was made at lambda = {solve.lam}, not at {np.atleast_1d(lam)}")
+    if len(solve.Phi) != data.n:
+        raise ValueError(f"solve was made on {len(solve.Phi)} rows, not on the {data.n} of data")
 
 
 def default_tol(theta_init) -> float:

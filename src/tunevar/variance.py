@@ -28,7 +28,7 @@ import numpy as np
 from . import numdiff
 from .exceptions import BoundaryFit, FlatLimitSuspected
 from .model import Dataset, LossSpec, ModelSpec, row_mean, slot_values
-from .solver import checked_inv, solve_theta
+from .solver import SolveResult, _check_root, checked_inv, solve_theta
 from .tuner import FitResult, check_fit
 
 
@@ -164,12 +164,13 @@ def variance_pointwise(components: VarianceComponents) -> np.ndarray:
     return _sym(Jinv @ components.K_hat @ Jinv.T)
 
 
-def _joint_jacobian(model: ModelSpec, loss: LossSpec, Z: np.ndarray, theta, lam, D) -> np.ndarray:
-    """Psi', the Jacobian of alpha -> mean_i eta(Z_i, alpha) at alpha = (theta, lam, vec D).
+def _joint_jacobian(model: ModelSpec, loss: LossSpec, Z, root: SolveResult, D) -> np.ndarray:
+    """Psi', the Jacobian of alpha -> mean_i eta(Z_i, alpha) at alpha = (theta, lam, vec D),
+    where root, the root of model on the rows Z, gives theta and lam.
 
-    With J = mean dphi/dtheta, b = mean grad_psi, Z2 = mean hess_psi,
-    H = mean hess_phi_theta and C = mean dphi_dlambda_dtheta, the theta- and
-    D-columns are analytic:
+    With J = mean dphi/dtheta, which is -root.J_hat bit for bit, b = mean
+    grad_psi, Z2 = mean hess_psi, H = mean hess_phi_theta and C = mean
+    dphi_dlambda_dtheta, the theta- and D-columns are analytic:
       phi rows:      theta-columns J, D-columns 0;
       eta2 row j:    theta-columns D_j' Z2, b in D-column block j;
       eta3 block j:  theta-columns sum_b H[:, b, :] D[b, j] + C[j], J in
@@ -179,13 +180,13 @@ def _joint_jacobian(model: ModelSpec, loss: LossSpec, Z: np.ndarray, theta, lam,
     stacked mean, 2q eta_matrix evaluations.
     """
     p, q = model.p, model.q
-    theta = np.asarray(theta, float)
-    lam = np.atleast_1d(np.asarray(lam, float))
+    theta = np.asarray(root.theta_hat, float)
+    lam = np.atleast_1d(np.asarray(root.lam, float))
     # column-major like the vec D coordinates of alpha: the memory layout
     # sets the rounding of eta_matrix's products with D
     D = np.asarray(D, float).reshape(p, q).ravel(order="F").reshape(p, q, order="F")
 
-    J = slot_values(model, "phi_jac_sum", Z, theta, lam)[1] / len(Z)
+    J = -root.J_hat
     H = row_mean(slot_values(model, "hess_phi_theta", Z, theta, lam))  # (p, p, p)
     C = row_mean(slot_values(model, "dphi_dlambda_dtheta", Z, theta, lam))  # (q, p, p)
     P = np.zeros((p + q + p * q,) * 2)
@@ -204,17 +205,20 @@ def _joint_jacobian(model: ModelSpec, loss: LossSpec, Z: np.ndarray, theta, lam,
 
 
 def alpha_influences(
-    model: ModelSpec, loss: LossSpec, data: Dataset, theta, lam, D
+    model: ModelSpec, loss: LossSpec, data: Dataset, root: SolveResult, D
 ) -> np.ndarray:
     """(n, p + q + pq) per-row influence values of the joint system.
 
     Row i is the first-order effect of observation i on alpha_hat,
-    -Psi'^{-1} eta(Z_i, alpha) at the supplied alpha, Psi' from
-    _joint_jacobian. FlatLimitSuspected when Psi' has a singular-value ratio
-    below 1e-8, which also keeps its condition number within 1e8, far inside
-    solver.COND_LIMIT, so it is inverted without a further check.
+    -Psi'^{-1} eta(Z_i, alpha) at alpha = (root.theta_hat, root.lam, vec D),
+    Psi' from _joint_jacobian. root must be the root of model on data; one
+    on another number of rows raises ValueError. FlatLimitSuspected when
+    Psi' has a singular-value ratio below 1e-8, which also keeps its
+    condition number within 1e8, far inside solver.COND_LIMIT, so it is
+    inverted without a further check.
     """
-    Psi_prime = _joint_jacobian(model, loss, data.rows, theta, lam, D)
+    _check_root(data, root.lam, root)
+    Psi_prime = _joint_jacobian(model, loss, data.rows, root, D)
     sv = np.linalg.svd(Psi_prime, compute_uv=False)
     if sv[-1] < 1e-8 * sv[0]:
         raise FlatLimitSuspected(
@@ -222,7 +226,7 @@ def alpha_influences(
             f"(singular value ratio {sv[-1] / sv[0]:.3e}); the tuning target "
             "appears unidentified and the tuned-limit theory does not apply"
         )
-    Eta = eta_matrix(model, loss, data.rows, theta, lam, D)
+    Eta = eta_matrix(model, loss, data.rows, root.theta_hat, root.lam, D)
     return -(np.linalg.inv(Psi_prime) @ Eta.T).T
 
 
@@ -236,12 +240,13 @@ def variance_alpha(
     derivative slots as assemble_components, so its theta-block differs from
     variance_tuned only where z1_profiled differs from the curvature in
     lambda that Psi' implies. ValueError first, from tuner.check_fit, unless
-    fit was made of model on data, as in select_variance.
+    fit was made of model on data, as in select_variance; alpha_influences
+    takes the root that check_fit rebuilds.
     """
-    check_fit(model, data, fit)
+    root = check_fit(model, data, fit)
     if not fit.interior:
         raise BoundaryFit("variance_alpha needs an interior fit")
-    U = alpha_influences(model, loss, data, fit.theta_hat, fit.lambda_hat, fit.D_hat)
+    U = alpha_influences(model, loss, data, root, fit.D_hat)
     return _sym(U.T @ U / data.n)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tunevar import Dataset, RidgeLinearModel, RidgeLogisticModel
+from tunevar import Dataset, RidgeLinearModel, RidgeLogisticModel, solve_theta
 from tunevar.numdiff import jacobian
 
 
@@ -22,6 +22,11 @@ def make_logistic_data(n=200, seed=0, beta=(0.3, 1.0, -0.5)):
     t = beta[0] + x @ beta[1:]
     y = (rng.random(n) < 1.0 / (1.0 + np.exp(-t))).astype(float)
     return Dataset(np.column_stack([y, x]))
+
+
+def root_at(spec, data, lam):
+    """The root at lam that a criterion reads, solved from spec.theta_init."""
+    return solve_theta(spec, data, lam, spec.theta_init)
 
 
 def rel_err(a, b):

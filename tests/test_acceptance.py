@@ -36,10 +36,9 @@ from tunevar import (
 )
 from tunevar.model import Dataset
 from tunevar.rng import derive_stream, fisher_yates_permutation
-from tunevar.variance import _joint_jacobian
 
-from conftest import fd_check, make_linear_data, rel_err, unit_draw
-from test_variance import fd_joint_jacobian
+from conftest import fd_check, make_linear_data, rel_err, root_at, unit_draw
+from test_variance import joint_jacobians_at_fit
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -58,7 +57,7 @@ def test_acceptance_1_ridge_oracle_equivalence():
         lam = float(rng.uniform(0.0, 2.0))
         res = solve_theta(spec, data, [lam], np.zeros(3))
         worst_theta = max(worst_theta, rel_err(res.theta_hat, ridge_closed_form(data, lam)))
-        cv = loocv_exact(spec, loss, data, [lam]).value
+        cv = loocv_exact(spec, loss, data, [lam], root_at(spec, data, [lam])).value
         worst_cv = max(worst_cv, abs(cv - ridge_loocv_closed_form(data, lam)))
     _report(
         1, "ridge solver and exact LOOCV match closed forms",
@@ -76,8 +75,9 @@ def test_acceptance_2_trace_correction_rate():
         gaps = []
         for seed in range(50):
             data = make_linear_data(n=n, seed=derive_stream(7, 100 * n + seed) % 2**31)
-            cv = loocv_exact(spec, loss, data, lam).value
-            tc = te_trace_corrected(spec, loss, data, lam).value
+            root = root_at(spec, data, lam)
+            cv = loocv_exact(spec, loss, data, lam, root).value
+            tc = te_trace_corrected(spec, loss, data, lam, root).value
             gaps.append(n * abs(cv - tc))
         medians[n] = float(np.median(gaps))
     ok = medians[200] > medians[800] > medians[3200] and medians[3200] < medians[200] / 3
@@ -95,8 +95,9 @@ def test_acceptance_3_aic_equivalence_gaussian_mle():
     for r in range(200):
         rng = np.random.default_rng(derive_stream(13, r) % 2**31)
         data = Dataset(rng.standard_normal((n, 1)) * 1.3 + 0.4)
-        cv = loocv_exact(spec, loss, data, [0.0]).value
-        te = training_error(spec, loss, data, [0.0]).value
+        root = root_at(spec, data, [0.0])
+        cv = loocv_exact(spec, loss, data, [0.0], root).value
+        te = training_error(spec, loss, data, [0.0], root).value
         devs.append(abs(n * (cv - te) - p))
     mean_dev = float(np.mean(devs))
     _report(
@@ -185,9 +186,7 @@ def test_acceptance_4_joint_variance_block_consistency():
             Va = variance_alpha(spec, loss, data, fit)
             p = spec.p
             worst = max(worst, rel_err(Va[:p, :p], V1))
-            args = (data.rows, fit.theta_hat, fit.lambda_hat, fit.D_hat)
-            worst_jac = max(worst_jac, rel_err(_joint_jacobian(spec, loss, *args),
-                                               fd_joint_jacobian(spec, loss, *args)))
+            worst_jac = max(worst_jac, rel_err(*joint_jacobians_at_fit(spec, loss, data, fit)))
         ok &= worst_jac <= bound
         notes.append(f"{name} {worst_jac:.2e}")
     _report(

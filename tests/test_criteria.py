@@ -36,7 +36,7 @@ from tunevar.model import rowwise, slot_values
 from tunevar import solver
 from tunevar.models import LOO_BLOCK
 
-from conftest import make_linear_data, make_logistic_data
+from conftest import make_linear_data, make_logistic_data, root_at
 
 
 def _ridge():
@@ -48,15 +48,16 @@ def test_constant_loss_gives_constant_criteria():
     spec, _ = _ridge()
     loss = LossSpec(psi_batch=rowwise(lambda z, th: 3.25))
     data = make_linear_data(n=30, seed=0)
-    assert training_error(spec, loss, data, [0.2]).value == 3.25
-    assert loocv_exact(spec, loss, data, [0.2]).value == 3.25
+    root = root_at(spec, data, [0.2])
+    assert training_error(spec, loss, data, [0.2], root).value == 3.25
+    assert loocv_exact(spec, loss, data, [0.2], root).value == 3.25
     assert holdout_error(spec, loss, data, [0.2], split=0.5, seed=1).value == 3.25
 
 
 def test_training_error_equals_mean_residual():
     spec, loss = _ridge()
     data = make_linear_data(n=80, seed=1)
-    te = training_error(spec, loss, data, [0.0])
+    te = training_error(spec, loss, data, [0.0], root_at(spec, data, [0.0]))
     X = np.column_stack([np.ones(data.n), data.rows[:, 1:]])
     beta = np.linalg.solve(X.T @ X, X.T @ data.rows[:, 0])
     assert abs(te.value - np.mean((data.rows[:, 0] - X @ beta) ** 2)) < 1e-12
@@ -66,7 +67,7 @@ def test_loocv_exact_matches_hat_matrix_formula():
     spec, loss = _ridge()
     for seed, lam in [(2, 0.1), (3, 0.5), (4, 1.2)]:
         data = make_linear_data(n=60, seed=seed)
-        cv = loocv_exact(spec, loss, data, [lam])
+        cv = loocv_exact(spec, loss, data, [lam], root_at(spec, data, [lam]))
         assert abs(cv.value - ridge_loocv_closed_form(data, lam)) < 1e-8
         assert cv.diagnostics["refit_failures"] == 0.0
 
@@ -74,7 +75,7 @@ def test_loocv_exact_matches_hat_matrix_formula():
 def test_loocv_exact_matches_naive_cold_refits_tiny_n():
     spec, loss = _ridge()
     data = make_linear_data(n=5, seed=5)
-    cv = loocv_exact(spec, loss, data, [0.3])
+    cv = loocv_exact(spec, loss, data, [0.3], root_at(spec, data, [0.3]))
     naive = []
     for i in range(5):
         sub = Dataset(np.delete(data.rows, i, axis=0))
@@ -90,8 +91,9 @@ def test_loocv_fast_close_to_exact_and_converging():
         scaled = []
         for seed in range(8):
             data = make_linear_data(n=n, seed=200 + seed)
-            fast = loocv_fast(spec, loss, data, [0.2]).value
-            exact = loocv_exact(spec, loss, data, [0.2]).value
+            root = root_at(spec, data, [0.2])
+            fast = loocv_fast(spec, loss, data, [0.2], root).value
+            exact = loocv_exact(spec, loss, data, [0.2], root).value
             scaled.append(n * abs(fast - exact))
         gaps[n] = float(np.median(scaled))
     assert gaps[400] < gaps[100]
@@ -145,8 +147,9 @@ def test_loocv_fast_equals_exact_on_replicated_point_mass():
     data = Dataset(np.tile(row, (20, 1)) + 0.0)
     # identical rows: every phi(Z_i, theta_hat) = 0 at the root, so the
     # influence step vanishes and fast == exact == TE
-    fast = loocv_fast(spec, loss, data, [0.3]).value
-    exact = loocv_exact(spec, loss, data, [0.3]).value
+    root = root_at(spec, data, [0.3])
+    fast = loocv_fast(spec, loss, data, [0.3], root).value
+    exact = loocv_exact(spec, loss, data, [0.3], root).value
     assert abs(fast - exact) < 1e-10
 
 
@@ -155,7 +158,7 @@ def test_trace_correction_reported_and_ols_value():
     vals = []
     for seed in range(20):
         data = make_linear_data(n=500, seed=300 + seed)
-        tc = te_trace_corrected(spec, loss, data, [0.0])
+        tc = te_trace_corrected(spec, loss, data, [0.0], root_at(spec, data, [0.0]))
         # correctly specified OLS: Tr(J^{-1} C) = -2 sigma^2 p, so the
         # correction is -2 sigma^2 p / n and CV exceeds TE
         vals.append(tc.diagnostics["trace_correction"] * 500)
@@ -169,7 +172,7 @@ def test_trace_correction_zero_for_orthogonal_loss():
         psi_batch=lambda Z, th: Z[:, 0] ** 2, grad_psi_batch=lambda Z, th: np.zeros((len(Z), 3))
     )
     data = make_linear_data(n=100, seed=6)
-    tc = te_trace_corrected(spec, loss, data, [0.1])
+    tc = te_trace_corrected(spec, loss, data, [0.1], root_at(spec, data, [0.1]))
     assert abs(tc.diagnostics["trace_correction"]) < 1e-14
 
 
@@ -197,16 +200,17 @@ def test_info_criterion_formulas():
     spec, loss = g.spec(), g.neg_loglik_loss()
     rng = np.random.default_rng(8)
     data = Dataset(rng.standard_normal((400, 1))[:, :])
-    a = info_criterion(spec, loss, data, [0.0], Method.AIC)
-    b = info_criterion(spec, loss, data, [0.0], Method.BIC)
-    t = info_criterion(spec, loss, data, [0.0], Method.TIC)
+    root = root_at(spec, data, [0.0])
+    a = info_criterion(spec, loss, data, [0.0], Method.AIC, root)
+    b = info_criterion(spec, loss, data, [0.0], Method.BIC, root)
+    t = info_criterion(spec, loss, data, [0.0], Method.TIC, root)
     n, p = 400, 2
     assert abs((a.value - b.value) - p * (1 - np.log(n)) / n) < 1e-14
     assert "trace_correction" in t.diagnostics
     # correct model: TIC penalty close to AIC's p/n
     assert abs(t.diagnostics["trace_correction"] * n - p) < 0.6
     with pytest.raises(ValueError):
-        info_criterion(spec, loss, data, [0.0], Method.TE)
+        info_criterion(spec, loss, data, [0.0], Method.TE, root)
 
 
 @pytest.mark.parametrize("seed, n", [(0, 5), (1, 40), (2, 257), (3, 499)])
@@ -234,8 +238,8 @@ def test_criteria_permutation_invariant():
     perm = np.random.default_rng(12).permutation(50)
     shuffled = Dataset(data.rows[perm])
     for fn in (training_error, loocv_exact, loocv_fast, te_trace_corrected):
-        v1 = fn(spec, loss, data, [0.3]).value
-        v2 = fn(spec, loss, shuffled, [0.3]).value
+        v1 = fn(spec, loss, data, [0.3], root_at(spec, data, [0.3])).value
+        v2 = fn(spec, loss, shuffled, [0.3], root_at(spec, shuffled, [0.3])).value
         assert abs(v1 - v2) < 1e-10
 
 
@@ -496,10 +500,14 @@ def test_solve_loo_all_makes_one_phi_loo_sum_call_per_step(model, monkeypatch):
     assert calls["phi_loo_sum.rows"] == sum(screened)
 
 
-@pytest.mark.parametrize("criterion", [
+# every criterion that reads the root from its solve argument
+ROOT_CRITERIA = pytest.mark.parametrize("criterion", [
     training_error, loocv_exact, loocv_fast, te_trace_corrected,
     lambda *a, **kw: info_criterion(*a, Method.TIC, **kw),
 ], ids=["te", "cv", "cv_fast", "te_trace", "tic"])
+
+
+@ROOT_CRITERIA
 def test_criteria_refuse_a_solve_at_another_lambda(criterion):
     # the value is read from the solve: a root at 0.1 gave TE(0.1) under lam 0.9
     spec, loss = _ridge()
@@ -508,7 +516,19 @@ def test_criteria_refuse_a_solve_at_another_lambda(criterion):
     with pytest.raises(ValueError, match="solve was made at lambda"):
         criterion(spec, loss, data, [0.9], solve=solve)
     at_solve = criterion(spec, loss, data, [0.1], solve=solve)
-    assert at_solve.value == criterion(spec, loss, data, [0.1]).value
+    assert at_solve.value == criterion(spec, loss, data, [0.1],
+                                       solve=root_at(spec, data, [0.1])).value
+
+
+@ROOT_CRITERIA
+def test_criteria_refuse_a_solve_on_another_number_of_rows(criterion):
+    # a root of a 50-row sample on a 60-row one: TE and TIC returned a value
+    # (TIC's trace term averaged the 50 phi rows of the other sample), the
+    # three others ended in a numpy broadcasting error
+    spec, loss = _ridge()
+    solve = root_at(spec, make_linear_data(n=50, seed=3), [0.2])
+    with pytest.raises(ValueError, match="solve was made on 50 rows, not on the 60 of data"):
+        criterion(spec, loss, make_linear_data(n=60, seed=4), [0.2], solve=solve)
 
 
 @pytest.mark.parametrize("model", ["ridge-linear", "ridge-logistic"])
@@ -612,15 +632,16 @@ def test_evaluate_criterion_returns_the_direct_criterion_bit_for_bit(method):
     m = RidgeLinearModel(2)
     spec, loss = m.spec(), m.squared_error_loss()
     lam = [0.3]
+    root = root_at(spec, data, lam)
     direct = {
-        Method.TE: lambda: training_error(spec, loss, data, lam),
-        Method.CV_EXACT: lambda: loocv_exact(spec, loss, data, lam),
-        Method.CV_FAST: lambda: loocv_fast(spec, loss, data, lam),
-        Method.TE_TRACE_CORRECTED: lambda: te_trace_corrected(spec, loss, data, lam),
+        Method.TE: lambda: training_error(spec, loss, data, lam, root),
+        Method.CV_EXACT: lambda: loocv_exact(spec, loss, data, lam, root),
+        Method.CV_FAST: lambda: loocv_fast(spec, loss, data, lam, root),
+        Method.TE_TRACE_CORRECTED: lambda: te_trace_corrected(spec, loss, data, lam, root),
         Method.HOLDOUT: lambda: holdout_error(spec, loss, data, lam, split=0.6, seed=5),
     }
-    want = direct.get(method, lambda: info_criterion(spec, loss, data, lam, method))()
-    got = evaluate_criterion(method, spec, loss, data, lam, split=0.6, seed=5)
+    want = direct.get(method, lambda: info_criterion(spec, loss, data, lam, method, root))()
+    got = evaluate_criterion(method, spec, loss, data, lam, root, split=0.6, seed=5)
     assert got.method is method
     assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
     assert got.diagnostics == want.diagnostics

@@ -13,7 +13,7 @@ from tunevar import (
 from tunevar import solver
 from tunevar.model import SLOT_SHAPES, row_mean, slot_values
 
-from conftest import make_linear_data, make_logistic_data
+from conftest import make_linear_data, make_logistic_data, root_at
 
 
 def test_dataset_validation():
@@ -375,7 +375,7 @@ def _fit_and_theta_prime(spec, loss, data, fit):
 
 
 def _loocv_exact(spec, loss, data, fit):
-    loocv_exact(spec, loss, data, fit.lambda_hat)
+    loocv_exact(spec, loss, data, fit.lambda_hat, root_at(spec, data, fit.lambda_hat))
 
 
 # slot -> the public call that reads it. A spec with a replaced phi_batch

@@ -20,7 +20,7 @@ from tunevar.solver import (
     well_conditioned,
 )
 
-from conftest import make_linear_data, make_logistic_data
+from conftest import make_linear_data, make_logistic_data, root_at
 
 SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -81,8 +81,8 @@ def test_solve_and_te_permutation_invariant(data_seed, perm_seed):
     r1 = solve_theta(spec, data, [0.2], np.zeros(3))
     r2 = solve_theta(spec, shuffled, [0.2], np.zeros(3))
     assert np.allclose(r1.theta_hat, r2.theta_hat, atol=1e-9)
-    t1 = training_error(spec, loss, data, [0.2]).value
-    t2 = training_error(spec, loss, shuffled, [0.2]).value
+    t1 = training_error(spec, loss, data, [0.2], root_at(spec, data, [0.2])).value
+    t2 = training_error(spec, loss, shuffled, [0.2], root_at(spec, shuffled, [0.2])).value
     assert abs(t1 - t2) < 1e-10
 
 

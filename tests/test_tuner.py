@@ -19,7 +19,7 @@ from tunevar import (
 from tunevar import tuner
 from tunevar.model import ModelSpec, rowwise
 
-from conftest import make_linear_data, rel_err
+from conftest import make_linear_data, rel_err, root_at
 
 
 def _misspec_setup(n=200, seed=0):
@@ -36,7 +36,7 @@ def test_interior_minimum_matches_dense_grid():
     from tunevar.criteria import loocv_fast
 
     grid = np.linspace(0.0, 1.0, 2001)
-    vals = [loocv_fast(spec, loss, data, [g]).value for g in grid]
+    vals = [loocv_fast(spec, loss, data, [g], root_at(spec, data, [g])).value for g in grid]
     best = grid[int(np.argmin(vals))]
     assert abs(fit.lambda_hat[0] - best) <= 1.0 / 2000 + 1e-6
     assert fit.criterion_value <= min(v for _, v in fit.trace) + 1e-15

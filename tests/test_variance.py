@@ -10,6 +10,8 @@ from tunevar import (
     DGPSpec,
     EvaluationError,
     FlatLimitSuspected,
+    GaussianLikelihoodModel,
+    HybridModel,
     Method,
     RidgeLinearModel,
     RidgeLogisticModel,
@@ -29,7 +31,7 @@ from tunevar import (
 from tunevar import numdiff, variance
 from tunevar.model import SLOT_SHAPES, Dataset, LossSpec, ModelSpec, rowwise, slot_values
 from tunevar.rng import derive_stream
-from tunevar.tuner import FitResult
+from tunevar.tuner import FitResult, check_fit
 from tunevar.variance import _joint_jacobian, _sym, z1_profiled
 
 from conftest import make_linear_data, make_logistic_data, rel_err
@@ -513,8 +515,7 @@ def test_two_penalty_rowwise_spec_z1_and_v1_cross_checks(seed, coef_sq):
     assert rel_err(Va[:3, :3], report.V1) < 1e-4
     # Psi' with two D-column blocks in vec order; the fallback second-order
     # slots difference phi with steps near 1e-4, hence the wider bound
-    args = (data.rows, fit.theta_hat, fit.lambda_hat, fit.D_hat)
-    analytic, fd = _joint_jacobian(spec, loss, *args), fd_joint_jacobian(spec, loss, *args)
+    analytic, fd = joint_jacobians_at_fit(spec, loss, data, fit)
     assert rel_err(analytic, fd) < 1e-6
     assert np.array_equal(analytic[:, 3:5], fd[:, 3:5])
 
@@ -528,12 +529,19 @@ def _interior_logistic_fit():
     return data, spec, loss, fit
 
 
+def joint_jacobians_at_fit(spec, loss, data, fit):
+    """_joint_jacobian at the root that check_fit rebuilds, and its central
+    differences in every coordinate, at alpha_hat."""
+    root = check_fit(spec, data, fit)
+    return (_joint_jacobian(spec, loss, data.rows, root, fit.D_hat),
+            fd_joint_jacobian(spec, loss, data.rows, root.theta_hat, root.lam, fit.D_hat))
+
+
 def test_joint_jacobian_matches_central_differences():
     # the theta- and D-columns come from the slots, the lambda-columns are
     # the same central differences as the all-coordinate helper's, bit for bit
     data, spec, loss, fit = _interior_logistic_fit()
-    args = (data.rows, fit.theta_hat, fit.lambda_hat, fit.D_hat)
-    analytic, fd = _joint_jacobian(spec, loss, *args), fd_joint_jacobian(spec, loss, *args)
+    analytic, fd = joint_jacobians_at_fit(spec, loss, data, fit)
     assert rel_err(analytic, fd) < 1e-8
     assert np.array_equal(analytic[:, 3:4], fd[:, 3:4])
 
@@ -542,12 +550,51 @@ def test_alpha_influences_match_all_coordinate_differences():
     # at the interior fit and, as mixture_law_check uses it, at the box edge
     data, spec, loss, fit = _interior_logistic_fit()
     edge = solve_theta(spec, data, [0.0], fit.theta_hat)
-    for theta, lam, D in ((fit.theta_hat, fit.lambda_hat, fit.D_hat),
-                          (edge.theta_hat, edge.lam, theta_prime(spec, data, edge))):
-        Eta = eta_matrix(spec, loss, data.rows, theta, lam, D)
-        fd = fd_joint_jacobian(spec, loss, data.rows, theta, lam, D)
+    for root, D in ((check_fit(spec, data, fit), fit.D_hat),
+                    (edge, theta_prime(spec, data, edge))):
+        Eta = eta_matrix(spec, loss, data.rows, root.theta_hat, root.lam, D)
+        fd = fd_joint_jacobian(spec, loss, data.rows, root.theta_hat, root.lam, D)
         old = -(np.linalg.inv(fd) @ Eta.T).T
-        assert rel_err(alpha_influences(spec, loss, data, theta, lam, D), old) < 1e-9
+        assert rel_err(alpha_influences(spec, loss, data, root, D), old) < 1e-9
+
+
+def test_alpha_influences_refuse_a_root_on_another_number_of_rows():
+    # Psi' takes J from the root and eta reads data, and their shapes agree
+    # at any n, so a root of another sample would pass without this check
+    data, spec, loss, fit = _interior_logistic_fit()
+    other = make_logistic_data(n=150, seed=1)
+    root = solve_theta(spec, other, fit.lambda_hat, fit.theta_hat)
+    with pytest.raises(ValueError, match="solve was made on 150 rows, not on the 200 of data"):
+        alpha_influences(spec, loss, data, root, theta_prime(spec, other, root))
+
+
+def _built_in_root(model):
+    """(spec, data, root): a sample of a built-in model and its root."""
+    rng = np.random.default_rng(17)
+    if model == "ridge-linear":
+        spec, data, lam = RidgeLinearModel(2).spec(), make_linear_data(n=120, seed=17), [0.2]
+    elif model == "ridge-logistic":
+        spec, data, lam = RidgeLogisticModel(2).spec(), make_logistic_data(n=120, seed=17), [0.01]
+    elif model == "gaussian":
+        spec, data, lam = GaussianLikelihoodModel().spec(), Dataset(
+            rng.standard_normal((120, 1)) * 1.3 + 0.4), [0.0]
+    else:
+        spec = HybridModel(
+            p=1, phi1=lambda z, th: np.atleast_1d(th[0] - z[0]),
+            phi2=lambda z, th: np.atleast_1d(th[0] - z[1]),
+        ).spec()
+        data, lam = Dataset(rng.standard_normal((120, 2))), [0.3]
+    return spec, data, solve_theta(spec, data, lam, spec.theta_init)
+
+
+@pytest.mark.parametrize("model", ["ridge-linear", "ridge-logistic", "gaussian", "hybrid"])
+def test_root_J_hat_is_minus_the_phi_jac_sum_mean_bit_for_bit(model):
+    # _joint_jacobian takes its J from root.J_hat in place of a phi_jac_sum
+    # read of its own at the root: the solver's J_hat is -S / n of the call
+    # at its last accepted iterate, theta_hat
+    spec, data, root = _built_in_root(model)
+    S = slot_values(spec, "phi_jac_sum", data.rows, root.theta_hat, root.lam)[1]
+    assert np.array_equal(-root.J_hat, S / data.n)
 
 
 def _counted(calls, name, fn):
@@ -560,19 +607,20 @@ def _counted(calls, name, fn):
 
 def test_variance_alpha_evaluation_counts(monkeypatch):
     # 2q eta_matrix evaluations for the lambda-columns and one for K*; one
-    # call to each second-order slot; the theta-Jacobian mean from the sum slot
+    # call to each second-order slot; the theta-Jacobian mean from the root
+    # of check_fit's one phi_jac_sum call
     data, spec, loss, fit = _interior_logistic_fit()
     calls = {}
     spec = dataclasses.replace(spec, **{
-        name: _counted(calls, name, getattr(spec, name))
-        for name in ("dphi_dtheta_batch", "hess_phi_theta", "dphi_dlambda_dtheta")
+        name: _counted(calls, name, getattr(spec, name)) for name in
+        ("phi_jac_sum", "dphi_dtheta_batch", "hess_phi_theta", "dphi_dlambda_dtheta")
     })
     loss = dataclasses.replace(loss, hess_psi=_counted(calls, "hess_psi", loss.hess_psi))
     monkeypatch.setattr(variance, "eta_matrix",
                         _counted(calls, "eta_matrix", variance.eta_matrix))
     variance_alpha(spec, loss, data, fit)
     q = spec.q
-    assert calls == {"eta_matrix": 2 * q + 1, "dphi_dtheta_batch": 2 * q + 1,
+    assert calls == {"eta_matrix": 2 * q + 1, "phi_jac_sum": 1, "dphi_dtheta_batch": 2 * q + 1,
                      "hess_phi_theta": 1, "dphi_dlambda_dtheta": 1, "hess_psi": 1}
 
 
@@ -600,7 +648,7 @@ def test_wrong_second_order_slot_fails_the_joint_jacobian_check():
     flipped = dataclasses.replace(
         spec, hess_phi_theta=lambda Z, th, lm: -spec.hess_phi_theta(Z, th, lm)
     )
-    args = (data.rows, fit.theta_hat, fit.lambda_hat, fit.D_hat)
-    fd = fd_joint_jacobian(spec, loss, *args)
-    assert rel_err(_joint_jacobian(spec, loss, *args), fd) < 1e-8
-    assert rel_err(_joint_jacobian(flipped, loss, *args), fd) > 1e-2
+    analytic, fd = joint_jacobians_at_fit(spec, loss, data, fit)
+    assert rel_err(analytic, fd) < 1e-8
+    root = check_fit(spec, data, fit)
+    assert rel_err(_joint_jacobian(flipped, loss, data.rows, root, fit.D_hat), fd) > 1e-2
