@@ -257,14 +257,14 @@ class ModelSpec:
         # that was written, and phi_batch's comes before any Jacobian work
         return (
             slot_values(self, "phi_batch", Z, th, lm),
-            slot_values(self, "dphi_dtheta_batch", Z, th, lm).sum(axis=0),
+            row_sum(slot_values(self, "dphi_dtheta_batch", Z, th, lm)),
         )
 
     def _stacked_phi_loo_sum(self, Z, Th, rows, lm):
         out = np.empty((len(Th), self.p))
         for j, (th, i) in enumerate(zip(Th, rows)):
             F = slot_values(self, "phi_batch", Z, th, lm)
-            out[j] = F.sum(axis=0) - F[i]
+            out[j] = row_sum(F) - F[i]
         return out
 
     def _stacked_jac_loo_sum(self, Z, Th, rows, lm):
@@ -272,7 +272,7 @@ class ModelSpec:
         for j, (th, i) in enumerate(zip(Th, rows)):
             G = slot_values(self, "dphi_dtheta_batch", Z, th, lm)
             with np.errstate(invalid="ignore"):  # inf - inf where row i's own entry is infinite
-                out[j] = G.sum(axis=0) - G[i]
+                out[j] = row_sum(G) - G[i]
         return out
 
     def clip_theta(self, theta):
@@ -393,10 +393,24 @@ def slot_values(spec, slot: str, Z: np.ndarray, theta, *rest):
     return _checked(slot, got[0], want[0], True), _checked(slot, got[1], want[1], False)
 
 
+def row_sum(A: np.ndarray) -> np.ndarray:
+    """A.sum(axis=0) of a float64 array, bit for bit (a NaN's sign bit aside).
+
+    The one reduction over rows of the library: every mean over rows is
+    row_sum / n (row_mean), and every leave-one-out sum starts from it.
+    numpy's sum adds the rows in order when A is C-contiguous and its rows
+    hold more than one entry; np.einsum("i...->...", A) adds them in the
+    same order with less per-row overhead. Rows of one entry, or another
+    layout, numpy sums pairwise, and einsum does not, so those take
+    A.sum(axis=0).
+    """
+    if A.flags.c_contiguous and A.size > len(A):
+        return np.einsum("i...->...", A)
+    return A.sum(axis=0)
+
+
 def row_mean(A) -> np.ndarray:
     """A.mean(axis=0) of a float array, bit for bit: numpy's float64 mean is
-    the same sum divided by the row count, after more dispatch overhead.
-    solver._newton inlines this formula, F.sum(axis=0) / n, for its
-    residuals."""
+    the same sum, row_sum's, divided by the row count."""
     A = np.asarray(A, dtype=float)
-    return A.sum(axis=0) / len(A)
+    return row_sum(A) / len(A)

@@ -38,6 +38,10 @@ Gaussian's r = z - mu) once for F and S, through helpers that phi_batch
 shares, so its F is phi_batch bit for bit. _built_in makes every built-in
 spec and loss: each slot names the phi_batch (psi_batch) it was made for,
 so that a spec with another one takes its fallbacks (model._refill).
+Every per-row stack a built-in slot returns is C-ordered, so a sum of it
+over the rows (model.row_sum, the one such reduction of the library) takes
+np.einsum's in-order loop whenever its rows hold more than one entry;
+only the (n, 1) stacks of a p = 1 model (no covariates) take numpy's sum.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainEscape, EvaluationError, NoConvergence, SingularJacobian
-from .model import SLOT_SHAPES, Dataset, ModelSpec, _checked, row_mean, slot_values
+from .model import SLOT_SHAPES, Dataset, ModelSpec, _checked, row_mean, row_sum, slot_values
 
 MAX_ITER = 100
 MAX_HALVINGS = 40
@@ -25,6 +25,7 @@ class SolveResult:
     and -S / n of the phi_jac_sum call that the solver made at its last
     accepted iterate. For the built-in models and the fallback pair, Phi is
     slot_values(model, "phi_batch", Z, theta_hat, lam) bit for bit.
+    residual_norm is the norm of row_mean(Phi).
     The criteria and the variance code read them instead of evaluating again,
     so a SolveResult passed along with a dataset must be the root of the
     same model on that dataset.
@@ -110,14 +111,15 @@ def _newton(model: ModelSpec, Z: np.ndarray, lam, theta_init, tol) -> SolveResul
     line-search candidate, rejected ones included. The accepted iterate's
     (F, S) give the residual, the next step's Jacobian S / n and, at the
     root, SolveResult.Phi = F and J_hat = -(S / n), so no slot is called
-    again at theta_hat. The mean residual is row_mean's formula, inlined.
+    again at theta_hat. The mean residual is row_sum(F) / n, row_mean of F
+    without its conversion.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     theta = model.clip_theta(np.asarray(theta_init, dtype=float).copy())
     # F, S: the per-row phi and the summed theta-Jacobian of the current iterate
     F, S = slot_values(model, "phi_jac_sum", Z, theta, lam)
     n = len(Z)
-    Phi = F.sum(axis=0) / n
+    Phi = row_sum(F) / n
     fval = float(Phi @ Phi)
     it = 0
     for it in range(1, MAX_ITER + 1):
@@ -134,7 +136,7 @@ def _newton(model: ModelSpec, Z: np.ndarray, lam, theta_init, tol) -> SolveResul
                 cand = model.clip_theta(cand)
                 projected = True
             F_c, S_c = slot_values(model, "phi_jac_sum", Z, cand, lam)
-            Phi_c = F_c.sum(axis=0) / n
+            Phi_c = row_sum(F_c) / n
             f_c = float(Phi_c @ Phi_c)
             # Newton direction: directional derivative of ||Phi||^2 is -2 fval.
             if f_c <= fval * (1.0 - 2.0 * ARMIJO * t):
@@ -246,7 +248,8 @@ def solve_loo_all(model: ModelSpec, data: Dataset, solve: SolveResult):
     with Jacobian A_i(theta) = (sum_{j != i} G_j(theta)) / (n-1) for
     G = d phi / d theta. The root's per-row phi, solve.Phi, and one G
     evaluation at theta_hat give every problem its first residual and its
-    Jacobian A_i, so solve must be the root of model on data. Each step is
+    Jacobian A_i, so solve must be the root of model on data; each sum over
+    all rows, of phi, G and H below, is model.row_sum's. Each step is
     one batched condition check (well_conditioned, a determinant screen
     that leaves only the matrices it cannot clear to the SVD) and one
     batched solve over the active problems; then every problem's residual
@@ -279,8 +282,8 @@ def solve_loo_all(model: ModelSpec, data: Dataset, solve: SolveResult):
 
     F = solve.Phi
     G = slot_values(model, "dphi_dtheta_batch", Z, theta_hat, lam)
-    Phi = (F.sum(axis=0) - F) / (n - 1)
-    A = (G.sum(axis=0) - G) / (n - 1)
+    Phi = (row_sum(F) - F) / (n - 1)
+    A = (row_sum(G) - G) / (n - 1)
     alive = np.all(np.isfinite(A), axis=(1, 2))
     thetas = np.tile(theta_hat, (n, 1))
     fval = np.einsum("ij,ij->i", Phi, Phi)
@@ -309,7 +312,7 @@ def solve_loo_all(model: ModelSpec, data: Dataset, solve: SolveResult):
         near, evaluate = act[is_near], act[~is_near]
         if near.size:
             H = slot_values(model, "hess_phi_theta", Z, theta_hat, lam)
-            H = (H.sum(axis=0) - H) / (n - 1)
+            H = (row_sum(H) - H) / (n - 1)
             # A still holds A_i(theta_hat); a non-finite H_i makes it non-finite
             step = (thetas[near] - theta_hat)[:, None, :, None]
             taylor = A[near] + np.matmul(H[near], step)[..., 0]

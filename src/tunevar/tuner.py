@@ -227,7 +227,8 @@ def check_fit(model: ModelSpec, data: Dataset, fit: FitResult) -> SolveResult:
 
     The shapes come first, before any slot call: theta_hat (p,), D_hat
     (p, q), lambda_box (q, 2), lambda_hat, boundary_status and the slope
-    (q,), and a trace with rows of q + 1 numbers. The fit's boundary_status
+    (q,); then theta_hat, lambda_hat and D_hat must be finite, and the
+    trace must have rows of q + 1 numbers. The fit's boundary_status
     must be all FIXED or edge_status of lambda_hat in fit.lambda_box. A
     tuned fit's criterion_slope_at_opt must be, bit for bit, what _slopes
     gives from the values in its own trace; tune evaluates every slope
@@ -247,6 +248,9 @@ def check_fit(model: ModelSpec, data: Dataset, fit: FitResult) -> SolveResult:
     ):
         if got != want:
             raise ValueError(f"fit {name} has shape {got}; the model needs {want}")
+    for name in ("theta_hat", "lambda_hat", "D_hat"):
+        if not np.isfinite(getattr(fit, name)).all():
+            raise ValueError(f"fit {name} has non-finite entries")
     widths = sorted({len(lam) + 1 for lam, _ in fit.trace})
     if widths != [q + 1]:
         raise ValueError(f"fit trace rows hold {widths} numbers; the model needs {q + 1}: "

@@ -88,13 +88,19 @@ def z1_profiled(model, loss, data, fit: FitResult) -> np.ndarray:
     Central differences with per-axis step 1e-3 * (1 + |lambda_hat_j|) and one
     Richardson refinement (4 * H(h/2) - H(h)) / 3; each perturbed TE value is
     a warm-started refit. Avoids the second-order implicit derivative of
-    theta_hat(lambda) that the chain-rule form would need.
+    theta_hat(lambda) that the chain-rule form would need. Both levels
+    evaluate TE at lambda_hat itself, which is solved once: 4q^2 + 1 refits
+    in all.
     """
     lam_hat = np.asarray(fit.lambda_hat, float)
+    values = {}  # TE by the bytes of lambda
 
     def te(lam):
-        res = solve_theta(model, data, lam, fit.theta_hat)
-        return float(slot_values(loss, "psi_batch", data.rows, res.theta_hat).mean())
+        key = lam.tobytes()
+        if key not in values:
+            res = solve_theta(model, data, lam, fit.theta_hat)
+            values[key] = float(slot_values(loss, "psi_batch", data.rows, res.theta_hat).mean())
+        return values[key]
 
     H1 = numdiff.hessian(te, lam_hat, scale=1e-3)
     H2 = numdiff.hessian(te, lam_hat, scale=5e-4)
@@ -120,8 +126,8 @@ def assemble_components(
     theta, lam = fit.theta_hat, np.asarray(fit.lambda_hat, float)
     Z, n, D_hat = data.rows, data.n, fit.D_hat
     Jinv = checked_inv(J_hat, "J_hat")
-    b_hat = slot_values(loss, "grad_psi_batch", Z, theta).mean(axis=0)
-    Z2_hat = _sym(slot_values(loss, "hess_psi", Z, theta).mean(axis=0))
+    b_hat = row_mean(slot_values(loss, "grad_psi_batch", Z, theta))
+    Z2_hat = _sym(row_mean(slot_values(loss, "hess_psi", Z, theta)))
     Z1_hat = z1_profiled(model, loss, data, fit)
 
     bJ = b_hat @ Jinv  # row vector b' J^{-1}
@@ -129,7 +135,7 @@ def assemble_components(
     # where row k of H_i D_j is (theta-Hessian of phi^k at row i) @ D_j
     HD = slot_values(model, "hess_phi_theta", Z, theta, lam) @ D_hat  # (n, p, p, q)
     cross = slot_values(model, "dphi_dlambda_dtheta", Z, theta, lam)  # (n, q, p, p)
-    W_hat = bJ @ (np.moveaxis(HD, -1, 1).mean(axis=0) + cross.mean(axis=0))
+    W_hat = bJ @ (row_mean(np.moveaxis(HD, -1, 1)) + row_mean(cross))
 
     Eta = eta_matrix(model, loss, Z, theta, lam, D_hat)
     Kstar_hat = _sym(Eta.T @ Eta / n)
@@ -194,7 +200,7 @@ def _joint_jacobian(model: ModelSpec, loss: LossSpec, Z, root: SolveResult, D) -
     P[p : p + q, :p] = D.T @ row_mean(slot_values(loss, "hess_psi", Z, theta))
     P[p + q :, :p] = (np.einsum("abk,bj->jak", H, D) + C).reshape(p * q, p)
     P[:, p : p + q] = numdiff.jacobian(
-        lambda l: eta_matrix(model, loss, Z, theta, l, D).mean(axis=0), lam
+        lambda l: row_mean(eta_matrix(model, loss, Z, theta, l, D)), lam
     )
     b = row_mean(slot_values(loss, "grad_psi_batch", Z, theta))
     for j in range(q):

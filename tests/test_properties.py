@@ -12,7 +12,8 @@ from tunevar import (
     loocv_exact, loocv_fast, solve_loo, solve_loo_all, solve_theta, training_error,
 )
 from tunevar.harness import N_MIXTURE, _ks_statistic
-from tunevar.model import Dataset, ModelSpec, row_mean, rowwise, slot_values
+from tunevar import solver
+from tunevar.model import Dataset, ModelSpec, row_mean, row_sum, rowwise, slot_values
 from tunevar.models import LOO_BLOCK, _design, _expit, default_penalty_mask
 from tunevar.rng import SplitMix64, derive_stream, fisher_yates_permutation, splitmix64
 from tunevar.solver import (
@@ -488,6 +489,91 @@ def test_row_mean_is_numpy_mean_bitwise(A):
             spec = dataclasses.replace(spec, phi_batch=lambda Z, th, lm: np.zeros((n, p)))
             got = slot_values(spec, "phi_jac_sum", Z, th, lm)[1] / n
             assert np.array_equal(got, want, equal_nan=True)
+
+
+ROW_SUM_SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan)
+
+
+@st.composite
+def _row_sum_cases(draw):
+    """A float64 array of 0 to 3000 rows, each a scalar, width 1, (p,),
+    (p, q) or (p, p, p), in C order, F order, every other row, rows
+    reversed or the first two axes swapped, with entries of many scales
+    and some of +-0, +-inf and NaN."""
+    n = draw(st.integers(min_value=0, max_value=3000))
+    p, q = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    trailing = draw(st.sampled_from([(), (1,), (p,), (p, q), (min(p, 4),) * 3]))
+    layout = draw(st.sampled_from(["C", "F", "every-other", "reversed", "swapped"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (2 * n if layout == "every-other" else n,) + trailing
+    if layout == "swapped" and trailing:
+        shape = (trailing[0], n) + trailing[1:]
+    A = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    flat = A.reshape(-1)
+    for value in draw(st.lists(st.sampled_from(ROW_SUM_SPECIALS), max_size=6)):
+        if flat.size:
+            flat[rng.integers(flat.size)] = value
+    if layout == "F":
+        return np.asfortranarray(A)
+    if layout == "every-other":
+        return A[::2]
+    if layout == "reversed":
+        return A[::-1]
+    if layout == "swapped" and trailing:
+        return np.swapaxes(A, 0, 1)
+    return A
+
+
+@given(_row_sum_cases())
+@example(np.full((5, 3), -0.0))
+@example(np.array([[np.inf, 1.0], [-np.inf, 2.0]]))
+def test_row_sum_is_numpy_sum_bitwise(A):
+    # einsum for C-ordered rows of more than one entry, numpy's sum for the
+    # rest: the same values, and the same sign bits wherever there is no NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        want, got = np.asarray(A.sum(axis=0)), np.asarray(row_sum(A))
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    kept = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[kept]), np.signbit(want[kept]))
+
+
+def _f_ordered_phi(spec):
+    """spec with a phi_jac_sum whose F is F-ordered, which numpy sums pairwise."""
+    def phi_jac_sum(Z, th, lm):
+        F, S = spec.phi_jac_sum(Z, th, lm)
+        return np.asfortranarray(F), S
+
+    return dataclasses.replace(spec, phi_jac_sum=phi_jac_sum)
+
+
+@pytest.mark.parametrize("case", ["f-ordered-phi", "one-entry-rows"])
+def test_newton_root_is_the_numpy_sum_root_bitwise(case, monkeypatch):
+    # the two layouts that row_sum hands to numpy's sum: an F-ordered F from
+    # a custom slot, and the (n, 1) F of a p = 1 model (the intercept-only
+    # fit); each root equals, bit for bit, the root of _newton with numpy's
+    # sum, the formula of its residual before row_sum. At tol 1e-6 the
+    # solve stops while its iterate and residual still carry the rounding
+    # of each sum; at the default tolerance both layouts reach the same
+    # root with einsum too
+    data = make_logistic_data(n=300, seed=3)
+    if case == "f-ordered-phi":
+        spec, Z = _f_ordered_phi(RidgeLogisticModel(2).spec()), data.rows
+    else:
+        spec, Z = RidgeLogisticModel(0).spec(), data.rows[:, :1]
+    lam = np.array([0.1])
+
+    def root():
+        return _newton(spec, Z, lam, spec.theta_init, 1e-6)
+
+    got = root()
+    monkeypatch.setattr(solver, "row_sum", lambda A: A.sum(axis=0))
+    want = root()
+    assert got.iterations == want.iterations > 1
+    assert got.residual_norm == want.residual_norm
+    for field in ("theta_hat", "lam", "J_hat", "Phi"):
+        assert np.array_equal(getattr(got, field).view(np.int64),
+                              getattr(want, field).view(np.int64))
 
 
 def _rows(seed, n, d, scale):

@@ -2,8 +2,9 @@
 directories, by how much and where; tools/bench_pairs.py: how paired
 benchmark results are aggregated, in which order the runs go, and when
 the script fails; tools/settable_count.py: the pinned number of settable
-values; and a guard against imports and private names that src/tunevar
-no longer uses."""
+values; a guard against imports and private names that src/tunevar no
+longer uses; and a scan that every sum over rows goes through
+model.row_sum."""
 
 import ast
 import importlib.util
@@ -79,8 +80,8 @@ def bench_pairs():
     return _load("bench_pairs")
 
 
-END_TO_END = [{"name": "fits_per_s", "better": "higher"},
-              {"name": "job_ms_p50", "better": "lower"}]
+END_TO_END = [{"name": "fits_per_s", "better": "higher", "bound": 0.25},
+              {"name": "job_ms_p50", "better": "lower", "bound": 0.25}]
 
 
 def _result_line(fits, job_ms, correct=True, failed=0):
@@ -101,12 +102,13 @@ def test_bench_pairs_aggregates_medians_quartiles_and_wins(bench_pairs):
     ]
     lines = bench_pairs.summarize(END_TO_END, pairs)
     # fits: parent median 53 [51.5, 55.5], change 56.5, higher in 3 of 4;
-    # job_ms: parent 18.5 [17.75, 19.25], change 17.5, lower in 3 of 4 (a tie)
+    # job_ms: parent 18.5 [17.75, 19.25], change 17.5, lower in 3 of 4 (a
+    # tie); 3 of 4 wins show no gain
     assert lines == [
         "fits_per_s   parent         53 [51.5, 55.5]  change       56.5"
-        "  (higher is better)  better in 3 of 4",
+        "  (higher is better)  better in 3 of 4  within bound",
         "job_ms_p50   parent       18.5 [17.75, 19.25]  change       17.5"
-        "  (lower is better)  better in 3 of 4",
+        "  (lower is better)  better in 3 of 4  within bound",
     ]
     assert bench_pairs.failures([("p", pairs[0][0]), ("c", pairs[0][1])]) == []
     bad = bench_pairs.parse_result(_result_line(50.0, 20.0, correct=False, failed=2))
@@ -122,8 +124,37 @@ def test_bench_pairs_labels_the_setup_wall_time_as_its_own_metric(bench_pairs):
              for a, b in [(0.16, 0.15), (0.17, 0.18), (0.15, 0.14)]]
     assert bench_pairs.summarize([bench_pairs.SETUP_WALL], pairs) == [
         "setup_wall_s parent       0.16 [0.155, 0.165]  change       0.15"
-        "  (lower is better)  better in 2 of 3  (not a BENCHMARK.json metric)"
+        "  (lower is better)  better in 2 of 3  (not a BENCHMARK.json metric)  no bound"
     ]
+
+
+def _verdict_lines(bench_pairs, parent, change):
+    # fits_per_s and job_ms_p50 lines of canned pairs, from the verdict on
+    pairs = [(bench_pairs.parse_result(_result_line(*a)), bench_pairs.parse_result(_result_line(*b)))
+             for a, b in zip(parent, change)]
+    return [line.split("better in ")[1] for line in bench_pairs.summarize(END_TO_END, pairs)]
+
+
+def test_bench_pairs_verdict_follows_the_pair_rule(bench_pairs):
+    parent = [(50.0 + k, 20.0 + k) for k in range(10)]  # medians 54.5, 24.5; IQR 4.5
+    # 10 of 10 better, medians 5 apart (> 4.5): a gain on both
+    assert _verdict_lines(bench_pairs, parent, [(a + 5, b - 5) for a, b in parent]) == [
+        "10 of 10  gain shown", "10 of 10  gain shown"]
+    # 9 of 10 is enough; a gap of 4 (< 4.5) is not
+    nine = [(a + 5 if k else a, b - 4) for k, (a, b) in enumerate(parent)]
+    assert _verdict_lines(bench_pairs, parent, nine) == [
+        "9 of 10  gain shown", "10 of 10  within bound"]
+    # 8 of 10 shows no gain, however wide the gap
+    eight = [(a + 50 if k > 1 else a, b) for k, (a, b) in enumerate(parent)]
+    assert _verdict_lines(bench_pairs, parent, eight)[0] == "8 of 10  within bound"
+    # worse by more than a quarter of the parent's median: 54.5 -> 40,
+    # 24.5 -> 31 (bound 6.125)
+    worse = [(a - 14.5, b + 6.5) for a, b in parent]
+    assert _verdict_lines(bench_pairs, parent, worse) == [
+        "0 of 10  worse than bound", "0 of 10  worse than bound"]
+    # at the bound itself: 24.5 -> 30.625
+    edge = [(a, b + 6.125) for a, b in parent]
+    assert _verdict_lines(bench_pairs, parent, edge)[1] == "0 of 10  within bound"
 
 
 def _fake_checkout(root, fits, failed=0):
@@ -230,3 +261,35 @@ def test_package_has_no_unread_import_or_unmentioned_private_name(tmp_path):
         "a.py: unmentioned private _LIMIT", "a.py: unmentioned private _gone",
         "a.py: unread import _used", "a.py: unread import math",
     ]
+
+
+# the modules whose reductions over rows all go through model.row_sum
+ROW_SUM_MODULES = ("solver.py", "model.py", "variance.py", "tuner.py", "criteria.py")
+
+
+def row_reductions(path):
+    """Every .sum or .mean over axis 0 in path, method or np. function, by
+    keyword or position, outside the body of row_sum, as "file:line"."""
+    tree = ast.parse(path.read_text())
+    inside = {id(node) for top in ast.walk(tree)
+              if isinstance(top, ast.FunctionDef) and top.name == "row_sum"
+              for node in ast.walk(top)}
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("sum", "mean") and id(node) not in inside):
+            continue
+        is_np = isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+        axis = [k.value for k in node.keywords if k.arg == "axis"] + node.args[is_np:is_np + 1]
+        if axis and isinstance(axis[0], ast.Constant) and axis[0].value == 0:
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_every_sum_over_rows_goes_through_row_sum(tmp_path):
+    assert [hit for name in ROW_SUM_MODULES for hit in row_reductions(PACKAGE / name)] == []
+    (tmp_path / "m.py").write_text(
+        "def row_sum(A):\n    return A.sum(axis=0)\n\n"
+        "a = A.sum(axis=0) + A.mean(0) + np.sum(A, axis=0) + np.mean(A, 0)\n"
+        "b = A.sum() + A.sum(axis=1) + np.sum(A) + A.mean(axis=-1)\n")
+    assert row_reductions(tmp_path / "m.py") == ["m.py:4"] * 4

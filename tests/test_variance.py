@@ -199,6 +199,35 @@ def test_select_variance_refuses_a_fit_of_another_shape(field):
         select_variance(spec, loss, data, fit)
 
 
+# case -> the field and the entry put in it; the comments give what
+# check_fit raised before it checked finiteness: it blamed a slot or the
+# trace, or read the fit as one of other data
+_NON_FINITE = {
+    "theta_hat-nan": ("theta_hat", np.nan),  # phi_jac_sum produced non-finite values
+    "lambda_hat-nan": ("lambda_hat", np.nan),  # fit trace has no value at lambda = [nan]
+    "D_hat-nan": ("D_hat", np.nan),  # fit D_hat is nan from theta'
+    "D_hat-inf": ("D_hat", np.inf),  # fit D_hat is inf from theta'
+}
+
+
+@pytest.mark.parametrize("case", list(_NON_FINITE))
+def test_check_fit_refuses_a_non_finite_fit_before_any_slot_call(case):
+    data, spec, loss = _gaussmix_logistic(1.0, 3)
+    fit = tune(spec, loss, data, Method.CV_FAST)
+    assert fit.interior
+    field, value = _NON_FINITE[case]
+    edited = getattr(fit, field).copy()
+    edited.flat[0] = value
+    calls = {}
+    counted = dataclasses.replace(spec, **{
+        name: _counted(calls, name, getattr(spec, name)) for name in SLOT_SHAPES
+        if hasattr(spec, name)
+    })
+    with pytest.raises(ValueError, match=rf"^fit {field} has non-finite entries$"):
+        check_fit(counted, data, dataclasses.replace(fit, **{field: edited}))
+    assert calls == {}
+
+
 def test_select_variance_takes_a_fit_at_a_fixed_lambda():
     data = make_linear_data(n=250, seed=0, coef_sq=0.5)
     m = RidgeLinearModel(2, lambda_domain=(0.0, 1.0))
@@ -320,6 +349,26 @@ def test_z1_profile_vs_chain_rule_agree():
     zc = z1_chain_rule(spec, loss, data, fit)
     assert rel_err(zp, zc) < 1e-4
     assert zp[0, 0] > 0  # positive curvature at an interior minimum
+
+
+def test_z1_profiled_solves_at_lambda_hat_once(monkeypatch):
+    # both Richardson levels read TE at lambda_hat, one solve from theta_hat:
+    # 5 solves at q = 1, not 6, and the same Z1_hat as two uncached hessians
+    data, spec, loss, fit = _interior_fit(seed=4)
+    lam_hat = np.asarray(fit.lambda_hat, float)
+
+    def te(lam):
+        res = solve_theta(spec, data, lam, fit.theta_hat)
+        return float(slot_values(loss, "psi_batch", data.rows, res.theta_hat).mean())
+
+    H1 = numdiff.hessian(te, lam_hat, scale=1e-3)
+    H2 = numdiff.hessian(te, lam_hat, scale=5e-4)
+    calls = {}
+    monkeypatch.setattr(variance, "solve_theta",
+                        _counted(calls, "solve_theta", variance.solve_theta))
+    got = z1_profiled(spec, loss, data, fit)
+    assert calls == {"solve_theta": 5}
+    assert np.array_equal(got, _sym((4.0 * H2 - H1) / 3.0))
 
 
 def test_kstar_psd_and_symmetric():

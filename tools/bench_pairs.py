@@ -5,8 +5,9 @@ in the change checkout, each from its own root, with the same workload, seed
 and duration; the order alternates between pairs (parent first in the first
 pair, change first in the second, and so on), so a drift in host speed falls
 on both sides alike. For every end-to-end metric that BENCHMARK.json names,
-it prints each side's median over the pairs, the parent's quartiles and in
-how many pairs the change did better, by the metric's "better" field:
+it prints each side's median over the pairs, the parent's quartiles, in
+how many pairs the change did better, by the metric's "better" field, and
+a verdict (see verdict):
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload replicate_study --pairs 5 --seconds 20 --seed 1
@@ -67,12 +68,37 @@ def failures(results) -> list[str]:
     return out
 
 
+def verdict(metric, old, new, wins) -> str:
+    """The verdict on one metric from the parent's and the change's values
+    over the pairs and the change's wins (ties count for neither):
+
+    - "gain shown": better in at least 9 of every 10 pairs, and the medians
+      differ in the change's favour by more than the parent's interquartile
+      range;
+    - "worse than bound": the change's median is worse than the parent's by
+      more than the metric's "bound", a fraction of the parent's median;
+    - "within bound" otherwise, or "no bound" for a metric without one.
+    """
+    q1, q3 = quartiles(old)
+    gap = statistics.median(new) - statistics.median(old)
+    if metric["better"] != "higher":
+        gap = -gap
+    if 10 * wins >= 9 * len(old) and gap > q3 - q1:
+        return "gain shown"
+    if "bound" not in metric:
+        return "no bound"
+    if -gap > metric["bound"] * abs(statistics.median(old)):
+        return "worse than bound"
+    return "within bound"
+
+
 def summarize(end_to_end, pairs) -> list[str]:
     """One line per end-to-end metric over pairs [(parent result, change result)].
 
-    end_to_end is BENCHMARK.json's list of {"name", "unit", "better"}; a
-    metric missing from some run is reported as missing, and a metric's
-    "note", if it has one, ends its line.
+    end_to_end is BENCHMARK.json's list of {"name", "unit", "better",
+    "bound"}; a metric missing from some run is reported as missing, and a
+    metric's "note", if it has one, comes before the verdict that ends its
+    line.
     """
     lines = []
     for metric in end_to_end:
@@ -90,6 +116,7 @@ def summarize(end_to_end, pairs) -> list[str]:
         lines.append(
             f"{name:12s} parent {m_old:10.4g} [{q1:.4g}, {q3:.4g}]  change {m_new:10.4g}"
             f"  ({metric['better']} is better)  better in {wins} of {len(pairs)}{note}"
+            f"  {verdict(metric, old, new, wins)}"
         )
     return lines
 
